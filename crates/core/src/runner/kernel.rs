@@ -15,8 +15,6 @@
 //! default implementation is the scalar loop, and overrides may reorder
 //! work across *pairs* but not change the arithmetic *within* one pair.
 
-use std::collections::HashMap;
-
 use crate::runner::{Accumulator, Aggregator, CompFn, Symmetry};
 
 /// Pairs buffered per tile flush. With the schemes'
@@ -101,49 +99,23 @@ pub(crate) fn evaluate_tiled<'a, T: 'a, R: Clone>(
     evaluations
 }
 
-/// Per-element accumulator storage a fused evaluation folds into: dense (a
-/// pre-initialized vec indexed by id — the local/sequential runners) or
-/// sparse (a map keyed by id — an MR reduce task over one working set).
-pub(crate) trait AccSink<R> {
-    /// The accumulator for `element`, created through the aggregator on
-    /// first touch where the storage is sparse.
-    fn slot(&mut self, aggregator: &dyn Aggregator<R>, element: u64) -> &mut Accumulator<R>;
-}
-
-impl<R> AccSink<R> for Vec<Accumulator<R>> {
-    fn slot(&mut self, _aggregator: &dyn Aggregator<R>, element: u64) -> &mut Accumulator<R> {
-        &mut self[element as usize]
-    }
-}
-
-impl<R> AccSink<R> for HashMap<u64, Accumulator<R>> {
-    fn slot(&mut self, aggregator: &dyn Aggregator<R>, element: u64) -> &mut Accumulator<R> {
-        self.entry(element).or_insert_with(|| aggregator.init(element))
-    }
-}
-
 /// [`evaluate_tiled`] with aggregation fused into the tile flush: each
-/// pair's results are folded straight into the per-element accumulators as
-/// the tile drains, so per-pair values never outlive the tile buffers.
-/// `observe(id, &result)` sees every per-direction result before it is
-/// folded (and possibly dropped) — the MR runner uses it to keep the
-/// charged-byte accounting identical to the unfused pipeline. Returns the
-/// number of evaluations performed.
+/// pair's results are folded straight into the id-indexed accumulators
+/// (`accs[id]` holds element `id`'s state) as the tile drains, so per-pair
+/// values never outlive the tile buffers. Returns the number of evaluations
+/// performed.
 pub(crate) fn evaluate_tiled_fused<'a, T: 'a, R: Clone>(
     kernel: &dyn BatchComp<T, R>,
     symmetry: Symmetry,
     resolve: impl Fn(u64) -> &'a T,
     stream: impl FnOnce(&mut dyn FnMut(u64, u64)),
     aggregator: &dyn Aggregator<R>,
-    accs: &mut impl AccSink<R>,
-    mut observe: impl FnMut(u64, &R),
+    accs: &mut [Accumulator<R>],
 ) -> u64 {
     evaluate_tiled(kernel, symmetry, resolve, stream, |a, b, rf, rr| {
         let rb = rr.unwrap_or_else(|| rf.clone());
-        observe(a, &rf);
-        observe(b, &rb);
-        aggregator.fold(accs.slot(aggregator, a), b, rf);
-        aggregator.fold(accs.slot(aggregator, b), a, rb);
+        aggregator.fold(&mut accs[a as usize], b, rf);
+        aggregator.fold(&mut accs[b as usize], a, rb);
     })
 }
 

@@ -253,7 +253,6 @@ where
                                 },
                                 aggregator,
                                 accs,
-                                |_, _| {},
                             ),
                             WorkerData::Flat { emitted, counts } => {
                                 let per_pair = match symmetry {

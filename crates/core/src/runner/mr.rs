@@ -32,21 +32,21 @@
 //! [`FUSED_CHARGED_SHUFFLE_COUNTER`] — while the physically moved shuffle
 //! bytes of job 2 disappear.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::{Bytes, BytesMut};
 use pmr_cluster::{Cluster, WireSnapshot};
 use pmr_mapreduce::{
-    read_output, write_sharded, Engine, JobOutput, JobSpec, MapContext, Mapper, ModuloPartitioner,
-    MrError, ReduceContext, Reducer, Values, Wire,
+    read_output, write_sharded, Counters, Engine, JobOutput, JobSpec, MapContext, Mapper,
+    ModuloPartitioner, MrError, RawRecord, ReduceContext, Reducer, Values, Wire,
 };
 use pmr_obs::{hist, Telemetry};
 
 use crate::runner::filter::{PairFilter, PruneStats};
-use crate::runner::kernel::{evaluate_tiled, evaluate_tiled_fused, BatchComp};
+use crate::runner::kernel::{evaluate_tiled, BatchComp};
 use crate::runner::store::ElementStore;
-use crate::runner::{Accumulator, Aggregator, PairwiseOutput, Symmetry};
+use crate::runner::{Accumulator, Aggregator, DecomposableAggregator, PairwiseOutput, Symmetry};
 use crate::scheme::{BroadcastScheme, DistributionScheme};
 
 /// User counter: pairwise function evaluations performed inside tasks.
@@ -173,15 +173,38 @@ impl<T: Wire + Sync> Mapper for DistributeMapper<T> {
     fn map(
         &self,
         id: u64,
-        payload: T,
+        _payload: T,
         ctx: &mut MapContext<'_, u64, u64>,
     ) -> pmr_mapreduce::Result<()> {
-        let charge = payload.to_bytes().len() as u64;
+        let charge = payload_charge(attached_store::<T>(ctx.store(), "job 1")?, id, "distribute")?;
         for ws in self.scheme.subsets_of(id) {
             ctx.emit_charged(ws, id, charge);
         }
         Ok(())
     }
+}
+
+/// The job's node-local element store, or the typed error for a job that
+/// was submitted without one.
+fn attached_store<'a, T: 'static>(
+    store: Option<&'a ElementStore<T>>,
+    job: &str,
+) -> pmr_mapreduce::Result<&'a ElementStore<T>> {
+    store.ok_or_else(|| MrError::InvalidJob(format!("element store not attached to {job}")))
+}
+
+/// The payload-copy charge of element `id`. A corrupt or foreign record
+/// (an id the store does not hold) surfaces as an error, not a worker
+/// panic.
+fn payload_charge<T: Wire>(
+    store: &ElementStore<T>,
+    id: u64,
+    stage: impl std::fmt::Display,
+) -> pmr_mapreduce::Result<u64> {
+    if store.get(id).is_none() {
+        return Err(MrError::User(format!("{stage}: element id {id} is not in the store")));
+    }
+    Ok(store.encoded_len(id))
 }
 
 /// Validates that a job-1 reduce group received exactly the scheme's
@@ -211,26 +234,122 @@ fn validate_working_set<T: Wire + Sync>(
             "working set {ws}: received ids differ from the scheme's working set"
         )));
     }
-    let payload_bytes: u64 = ids
+    let payload_bytes = ids
         .iter()
-        .map(|&id| {
-            store.get(id).map(|_| store.encoded_len(id)).ok_or_else(|| {
-                MrError::User(format!("working set {ws}: element id {id} not in store"))
-            })
-        })
+        .map(|&id| payload_charge(store, id, format_args!("working set {ws}")))
         .sum::<pmr_mapreduce::Result<u64>>()?;
     Ok((ids, payload_bytes))
 }
 
-/// Job-1 reducer: `getPairs` + `evaluate` + `addResult` (both directions),
-/// resolving ids through the node-local element store.
-struct EvaluateReducer<T, R> {
+/// Working-set-local `id → slot` index: `slot(id)` is the position of `id`
+/// in the task's sorted working set, so per-element task state lives in
+/// plain `Vec`s instead of id-keyed hash maps. Sized once per task.
+enum SlotIndex<'a> {
+    /// `table[id - min]` is the slot, `u32::MAX` — past any per-slot `Vec`
+    /// — in the gaps: block, broadcast and small design sets, whose span
+    /// is a small multiple of their size.
+    Dense { min: u64, table: Vec<u32> },
+    /// Binary search on the sorted ids — a quorum set spread over `Z_v`
+    /// must not pay an O(v) table per task.
+    Sorted(&'a [u64]),
+}
+
+/// A working set gets the dense table while `max − min < DENSE_SPAN · len`.
+const DENSE_SPAN: u64 = 16;
+
+impl<'a> SlotIndex<'a> {
+    fn new(sorted: &'a [u64]) -> Self {
+        match (sorted.first(), sorted.last()) {
+            (Some(&min), Some(&max)) if max - min < DENSE_SPAN * sorted.len() as u64 => {
+                let mut table = vec![u32::MAX; (max - min) as usize + 1];
+                for (slot, &id) in sorted.iter().enumerate() {
+                    table[(id - min) as usize] = slot as u32;
+                }
+                SlotIndex::Dense { min, table }
+            }
+            _ => SlotIndex::Sorted(sorted),
+        }
+    }
+
+    /// An id outside the working set is a scheme bug (pairs are only
+    /// enumerated within the set the scheme named): it panics here or, from
+    /// a dense-table gap, at the caller's first use of the slot.
+    fn slot(&self, id: u64) -> usize {
+        match self {
+            SlotIndex::Dense { min, table } => table[id.wrapping_sub(*min) as usize] as usize,
+            SlotIndex::Sorted(ids) => {
+                ids.binary_search(&id).expect("scheme enumerated a pair outside its working set")
+            }
+        }
+    }
+}
+
+/// What the three evaluators — job-1 reducer, its fused variant, and the
+/// broadcast mapper — share: one task's pairs go through the filter and the
+/// kernel tiles, and each per-direction result is handed to the caller's
+/// sink under the receiving element's working-set slot.
+struct TaskEvaluator<T, R> {
     scheme: Arc<dyn DistributionScheme>,
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
     filter: Option<Arc<dyn PairFilter>>,
     telemetry: Telemetry,
 }
+
+impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
+    /// Evaluates `task` over its sorted working set `ids` (every one
+    /// already resolved against `store`), calling `sink(slot, other,
+    /// result)` for both sides of each surviving pair — `comp(a, b)` to
+    /// `a`'s slot first, then the reverse (or shared) value to `b`'s, the
+    /// per-direction order the scalar runners always used.
+    fn run(
+        &self,
+        task: u64,
+        ids: &[u64],
+        store: &ElementStore<T>,
+        counters: &Counters,
+        mut sink: impl FnMut(usize, u64, R),
+    ) {
+        let index = SlotIndex::new(ids);
+        let mut prune = PruneStats::default();
+        let filter = self.filter.as_deref();
+        let evals = evaluate_tiled(
+            self.kernel.as_ref(),
+            self.symmetry,
+            |id| store.get(id).expect("working-set id validated against the store"),
+            |f| match filter {
+                None => self.scheme.for_each_pair(task, f),
+                Some(pf) => self.scheme.for_each_pair(task, &mut |a, b| {
+                    prune.candidates += 1;
+                    if pf.is_candidate(a, b) {
+                        f(a, b);
+                    } else {
+                        prune.pruned += 1;
+                    }
+                }),
+            },
+            |a, b, rf, rr| {
+                let rb = rr.unwrap_or_else(|| rf.clone());
+                sink(index.slot(a), b, rf);
+                sink(index.slot(b), a, rb);
+            },
+        );
+        counters.add(EVALUATIONS_COUNTER, evals);
+        // Pruning counters exist only on filtered runs; accrued through
+        // the task's scratch counters they stay exactly-once under crashes
+        // and speculation, like every other user counter.
+        if filter.is_some() {
+            for (name, value) in prune.counters() {
+                counters.add(name, value);
+            }
+        }
+        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
+    }
+}
+
+/// Job-1 reducer: `getPairs` + `evaluate` + `addResult` (both directions),
+/// resolving ids through the node-local element store.
+struct EvaluateReducer<T, R>(TaskEvaluator<T, R>);
 
 impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
     type KIn = u64;
@@ -244,53 +363,17 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
         values: Values<'_, u64>,
         ctx: &mut ReduceContext<'_, u64, Vec<(u64, R)>>,
     ) -> pmr_mapreduce::Result<()> {
-        let store = ctx
-            .store::<ElementStore<T>>()
-            .ok_or_else(|| MrError::InvalidJob("element store not attached to job 1".into()))?;
-        let (ids, payload_bytes) = validate_working_set(self.scheme.as_ref(), ws, values, store)?;
+        let store = attached_store::<T>(ctx.store(), "job 1")?;
+        let (ids, payload_bytes) = validate_working_set(self.0.scheme.as_ref(), ws, values, store)?;
         ctx.memory().try_reserve(payload_bytes)?;
-        // The received ids match the scheme's working set exactly and every
-        // one resolved against the store above; the scheme only enumerates
-        // pairs within the working set, so resolution below is infallible.
-        let mut results: HashMap<u64, Vec<(u64, R)>> = HashMap::with_capacity(ids.len());
-        let mut prune = PruneStats::default();
-        let filter = self.filter.as_deref();
-        let evals = evaluate_tiled(
-            self.kernel.as_ref(),
-            self.symmetry,
-            |id| store.get(id).expect("working-set id validated against the store"),
-            |f| match filter {
-                None => self.scheme.for_each_pair(ws, f),
-                Some(pf) => self.scheme.for_each_pair(ws, &mut |a, b| {
-                    prune.candidates += 1;
-                    if pf.is_candidate(a, b) {
-                        f(a, b);
-                    } else {
-                        prune.pruned += 1;
-                    }
-                }),
-            },
-            |a, b, rf, rr| {
-                let rb = rr.unwrap_or_else(|| rf.clone());
-                results.entry(a).or_default().push((b, rf));
-                results.entry(b).or_default().push((a, rb));
-            },
-        );
-        ctx.counters().add(EVALUATIONS_COUNTER, evals);
-        // Pruning counters exist only on filtered runs; accrued through
-        // the task's scratch counters they stay exactly-once under crashes
-        // and speculation, like every other user counter.
-        if filter.is_some() {
-            for (name, value) in prune.counters() {
-                ctx.counters().add(name, value);
-            }
-        }
-        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
+        let mut results: Vec<Vec<(u64, R)>> = vec![Vec::new(); ids.len()];
+        self.0.run(ws, &ids, store, ctx.counters(), |slot, other, r| {
+            results[slot].push((other, r));
+        });
         // Emit every copy with its partial results (paper: "The output of
         // the reduce phase contains each element (including all copies)") —
         // as ids, not payloads.
-        for id in ids {
-            let partial = results.remove(&id).unwrap_or_default();
+        for (id, partial) in ids.into_iter().zip(results) {
             ctx.emit(id, partial);
         }
         ctx.memory().release(payload_bytes);
@@ -305,16 +388,12 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
 /// The driver merges the per-copy accumulators and job 2 never runs.
 ///
 /// The charged-byte model is kept byte-identical to the unfused pipeline:
-/// every pre-fold `(other, result)` entry is observed and the shuffle
+/// every pre-fold `(other, result)` entry is weighed and the shuffle
 /// bytes job 2 would have charged for this task's records accrue under
 /// [`FUSED_CHARGED_SHUFFLE_COUNTER`].
 struct FusedEvaluateReducer<T, R> {
-    scheme: Arc<dyn DistributionScheme>,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
+    eval: TaskEvaluator<T, R>,
     aggregator: Arc<dyn Aggregator<R>>,
-    filter: Option<Arc<dyn PairFilter>>,
-    telemetry: Telemetry,
 }
 
 impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for FusedEvaluateReducer<T, R> {
@@ -329,57 +408,33 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for FusedEvaluateReducer<T,
         values: Values<'_, u64>,
         ctx: &mut ReduceContext<'_, u64, Vec<(u64, R)>>,
     ) -> pmr_mapreduce::Result<()> {
-        let store = ctx
-            .store::<ElementStore<T>>()
-            .ok_or_else(|| MrError::InvalidJob("element store not attached to job 1".into()))?;
-        let (ids, payload_bytes) = validate_working_set(self.scheme.as_ref(), ws, values, store)?;
+        let store = attached_store::<T>(ctx.store(), "job 1")?;
+        let (ids, payload_bytes) =
+            validate_working_set(self.eval.scheme.as_ref(), ws, values, store)?;
         ctx.memory().try_reserve(payload_bytes)?;
         let aggregator = self.aggregator.as_ref();
-        let mut accs: HashMap<u64, Accumulator<R>> = HashMap::with_capacity(ids.len());
-        let mut folded_bytes: HashMap<u64, u64> = HashMap::with_capacity(ids.len());
-        let mut prune = PruneStats::default();
-        let filter = self.filter.as_deref();
-        let evals = evaluate_tiled_fused(
-            self.kernel.as_ref(),
-            self.symmetry,
-            |id| store.get(id).expect("working-set id validated against the store"),
-            |f| match filter {
-                None => self.scheme.for_each_pair(ws, f),
-                Some(pf) => self.scheme.for_each_pair(ws, &mut |a, b| {
-                    prune.candidates += 1;
-                    if pf.is_candidate(a, b) {
-                        f(a, b);
-                    } else {
-                        prune.pruned += 1;
-                    }
-                }),
-            },
-            aggregator,
-            &mut accs,
-            |id, r| {
-                // Wire size of the `(other, result)` entry the unfused
-                // partial list would carry for `id`: 8-byte other id plus
-                // the result's canonical encoding.
-                *folded_bytes.entry(id).or_insert(0) += 8 + r.to_bytes().len() as u64;
-            },
-        );
-        ctx.counters().add(EVALUATIONS_COUNTER, evals);
-        if filter.is_some() {
-            for (name, value) in prune.counters() {
-                ctx.counters().add(name, value);
-            }
-        }
-        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
+        // By slot: the accumulator (created through the aggregator on first
+        // touch) and the wire size of the `(other, result)` entries the
+        // unfused partial list would carry — 8-byte other id plus the
+        // result's canonical encoding, measured in one reused buffer.
+        let mut accs: Vec<Option<Accumulator<R>>> = vec![None; ids.len()];
+        let mut folded_bytes = vec![0u64; ids.len()];
+        let mut entry = BytesMut::new();
+        self.eval.run(ws, &ids, store, ctx.counters(), |slot, other, r| {
+            entry.clear();
+            r.encode(&mut entry);
+            folded_bytes[slot] += 8 + entry.len() as u64;
+            let acc = accs[slot].get_or_insert_with(|| aggregator.init(ids[slot]));
+            aggregator.fold(acc, other, r);
+        });
         // Emit every copy with its folded partials, charging what job 2's
         // map would have shuffled for the unfused record: frame header (8)
         // + u64 key (8) + Vec length prefix (4) + the pre-fold entries +
         // the element's payload-copy charge.
         let mut fused_charge = 0u64;
-        for id in ids {
-            let partial = accs.remove(&id).map(Accumulator::into_partials).unwrap_or_default();
-            fused_charge +=
-                20 + folded_bytes.get(&id).copied().unwrap_or(0) + store.encoded_len(id);
-            ctx.emit(id, partial);
+        for ((&id, acc), folded) in ids.iter().zip(accs).zip(folded_bytes) {
+            fused_charge += 20 + folded + store.encoded_len(id);
+            ctx.emit(id, acc.map(Accumulator::into_partials).unwrap_or_default());
         }
         ctx.counters().add(FUSED_CHARGED_SHUFFLE_COUNTER, fused_charge);
         ctx.memory().release(payload_bytes);
@@ -410,15 +465,7 @@ impl<T: Wire + Sync, R: Wire + Sync> Mapper for GroupByElementMapper<T, R> {
         partial: Vec<(u64, R)>,
         ctx: &mut MapContext<'_, u64, Vec<(u64, R)>>,
     ) -> pmr_mapreduce::Result<()> {
-        let store = ctx
-            .store::<ElementStore<T>>()
-            .ok_or_else(|| MrError::InvalidJob("element store not attached to job 2".into()))?;
-        if store.get(id).is_none() {
-            return Err(MrError::User(format!(
-                "aggregate: element id {id} in intermediate record is not in the store"
-            )));
-        }
-        let charge = store.encoded_len(id);
+        let charge = payload_charge(attached_store::<T>(ctx.store(), "job 2")?, id, "aggregate")?;
         ctx.emit_charged(id, partial, charge);
         Ok(())
     }
@@ -442,19 +489,10 @@ impl<T: Wire + Sync, R: Wire + Sync> Reducer for AggregateReducer<T, R> {
         values: Values<'_, Vec<(u64, R)>>,
         ctx: &mut ReduceContext<'_, u64, Vec<(u64, R)>>,
     ) -> pmr_mapreduce::Result<()> {
-        let store = ctx
-            .store::<ElementStore<T>>()
-            .ok_or_else(|| MrError::InvalidJob("element store not attached to job 2".into()))?;
-        // A corrupt or foreign intermediate record surfaces as an error,
-        // not a worker panic.
-        if store.get(id).is_none() {
-            return Err(MrError::User(format!(
-                "aggregate: element id {id} in intermediate record is not in the store"
-            )));
-        }
+        let store = attached_store::<T>(ctx.store(), "job 2")?;
         // Charge the payload copy each grouped record used to carry, so
         // the measured `maxws` pressure matches the paper's model.
-        let payload_bytes = store.encoded_len(id) * values.len() as u64;
+        let payload_bytes = payload_charge(store, id, "aggregate")? * values.len() as u64;
         ctx.memory().try_reserve(payload_bytes)?;
         // Stream each copy's entries through the accumulator API; for the
         // default fold this is exactly the old concatenate-then-aggregate.
@@ -480,13 +518,7 @@ impl<T: Wire + Sync, R: Wire + Sync> Reducer for AggregateReducer<T, R> {
 /// function"). The dataset is still shipped to every node through the
 /// distributed cache — that is the paper's §5.1 seeding cost and it is
 /// recorded unchanged — but payload resolution goes through the store.
-struct BroadcastEvalMapper<T, R> {
-    scheme: BroadcastScheme,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
-    filter: Option<Arc<dyn PairFilter>>,
-    telemetry: Telemetry,
-}
+struct BroadcastEvalMapper<T, R>(TaskEvaluator<T, R>);
 
 impl<T: Wire + Sync, R: Wire + Clone + Sync> Mapper for BroadcastEvalMapper<T, R> {
     type KIn = u64;
@@ -500,53 +532,26 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Mapper for BroadcastEvalMapper<T, R
         _unit: (),
         ctx: &mut MapContext<'_, u64, Vec<(u64, R)>>,
     ) -> pmr_mapreduce::Result<()> {
-        let store = ctx.store::<ElementStore<T>>().ok_or_else(|| {
-            MrError::InvalidJob("element store not attached to broadcast job".into())
-        })?;
-        // The scheme's label ranges only name ids below `v`; one bound
-        // check makes the tiled resolution below infallible.
-        if (store.len() as u64) < self.scheme.v() {
+        let store = attached_store::<T>(ctx.store(), "broadcast job")?;
+        // The working set is the whole dataset, `0..v`; one bound check
+        // makes the tiled resolution below infallible.
+        if (store.len() as u64) < self.0.scheme.v() {
             return Err(MrError::User(format!(
                 "broadcast: element id {} not in store",
                 store.len()
             )));
         }
-        let mut results: HashMap<u64, Vec<(u64, R)>> = HashMap::new();
-        let mut prune = PruneStats::default();
-        let filter = self.filter.as_deref();
-        let evals = evaluate_tiled(
-            self.kernel.as_ref(),
-            self.symmetry,
-            |id| store.get(id).expect("label range bounded by v"),
-            |f| match filter {
-                None => self.scheme.for_each_pair(task, f),
-                Some(pf) => self.scheme.for_each_pair(task, &mut |a, b| {
-                    prune.candidates += 1;
-                    if pf.is_candidate(a, b) {
-                        f(a, b);
-                    } else {
-                        prune.pruned += 1;
-                    }
-                }),
-            },
-            |a, b, rf, rr| {
-                let rb = rr.unwrap_or_else(|| rf.clone());
-                results.entry(a).or_default().push((b, rf));
-                results.entry(b).or_default().push((a, rb));
-            },
-        );
-        ctx.counters().add(EVALUATIONS_COUNTER, evals);
-        if filter.is_some() {
-            for (name, value) in prune.counters() {
-                ctx.counters().add(name, value);
+        let ids = self.0.scheme.working_set(task);
+        let mut results: Vec<Vec<(u64, R)>> = vec![Vec::new(); ids.len()];
+        self.0.run(task, &ids, store, ctx.counters(), |slot, other, r| {
+            results[slot].push((other, r));
+        });
+        // Only elements this task's label range touched are emitted, in id
+        // order.
+        for (id, partial) in ids.into_iter().zip(results) {
+            if !partial.is_empty() {
+                ctx.emit_charged(id, partial, store.encoded_len(id));
             }
-        }
-        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
-        let mut rows: Vec<(u64, Vec<(u64, R)>)> = results.into_iter().collect();
-        rows.sort_by_key(|(id, _)| *id);
-        for (id, partial) in rows {
-            let charge = store.encoded_len(id);
-            ctx.emit_charged(id, partial, charge);
         }
         Ok(())
     }
@@ -595,6 +600,30 @@ fn record_analytic_meta(telemetry: &Telemetry, scheme: &dyn DistributionScheme, 
         "scheme.analytic.evals_per_task",
         format!("{:.1}", analytic.evaluations_per_task),
     );
+}
+
+/// Merges one fused job-1 part file — framed `(id, folded partials)`
+/// records — into the id-indexed accumulators: an element's first copy is
+/// adopted as its accumulator, every later one merged into it. A corrupt
+/// frame or an id outside the store is an error, as in job 2.
+fn merge_part<R: Wire>(
+    mut part: Bytes,
+    dec: &dyn DecomposableAggregator<R>,
+    accs: &mut [Option<Accumulator<R>>],
+) -> pmr_mapreduce::Result<()> {
+    while !part.is_empty() {
+        let raw = RawRecord::read_framed(&mut part)?;
+        let id = u64::from_bytes(raw.key)?;
+        let slot = usize::try_from(id).ok().and_then(|i| accs.get_mut(i)).ok_or_else(|| {
+            MrError::User(format!("merge: element id {id} in job-1 output is not in the store"))
+        })?;
+        let copy = Accumulator::from_parts(id, Wire::from_bytes(raw.value)?);
+        match slot {
+            Some(acc) => dec.merge(acc, copy),
+            None => *slot = Some(copy),
+        }
+    }
+    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -655,6 +684,13 @@ where
 
     let engine = Engine::new(cluster);
     let reducers_job1 = auto(n, scheme.num_tasks(), options.reducers_job1);
+    let eval = TaskEvaluator {
+        scheme: Arc::clone(&scheme),
+        kernel,
+        symmetry,
+        filter,
+        telemetry: telemetry.clone(),
+    };
     let job1 = if fused {
         engine.run(
             JobSpec::new(
@@ -665,14 +701,7 @@ where
                     scheme: Arc::clone(&scheme),
                     _pd: std::marker::PhantomData,
                 },
-                FusedEvaluateReducer::<T, R> {
-                    scheme: Arc::clone(&scheme),
-                    kernel,
-                    symmetry,
-                    aggregator: Arc::clone(&aggregator),
-                    filter,
-                    telemetry: telemetry.clone(),
-                },
+                FusedEvaluateReducer::<T, R> { eval, aggregator: Arc::clone(&aggregator) },
                 reducers_job1,
             )
             .partitioner(Arc::new(ModuloPartitioner))
@@ -689,13 +718,7 @@ where
                     scheme: Arc::clone(&scheme),
                     _pd: std::marker::PhantomData,
                 },
-                EvaluateReducer::<T, R> {
-                    scheme: Arc::clone(&scheme),
-                    kernel,
-                    symmetry,
-                    filter,
-                    telemetry: telemetry.clone(),
-                },
+                EvaluateReducer::<T, R>(eval),
                 reducers_job1,
             )
             .partitioner(Arc::new(ModuloPartitioner))
@@ -712,21 +735,15 @@ where
         // equal the unfused two-job total while nothing extra moved.
         let dec = aggregator.decomposable().expect("fused run requires a decomposable aggregator");
         let io = telemetry.job_phase(&format!("{dir}-io"), "merge-aggregate");
-        let rows: Vec<OutputRow<R>> = read_output(cluster, &format!("{dir}/mid"))?;
-        let mut accs: HashMap<u64, Accumulator<R>> = HashMap::new();
-        for (id, partial) in rows {
-            match accs.entry(id) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    dec.merge(e.get_mut(), Accumulator::from_parts(id, partial));
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(Accumulator::from_parts(id, partial));
-                }
-            }
+        // One streaming pass on the calling thread: each part file is read
+        // once, in part order, and merged frame by frame, so the driver
+        // holds one part's bytes and the accumulators — never a row vector.
+        let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len()];
+        for path in cluster.dfs().list(&format!("{dir}/mid/")) {
+            merge_part(cluster.dfs().read(&path)?, dec, &mut accs)?;
         }
-        let mut per_element: Vec<OutputRow<R>> =
-            accs.into_iter().map(|(id, acc)| (id, dec.finish(acc))).collect();
-        per_element.sort_by_key(|(id, _)| *id);
+        let per_element =
+            (0u64..).zip(accs).filter_map(|(id, acc)| Some((id, dec.finish(acc?)))).collect();
         drop(io);
 
         let fused_charge = job1.counters.get(FUSED_CHARGED_SHUFFLE_COUNTER).copied().unwrap_or(0);
@@ -824,8 +841,8 @@ where
     T: Wire + Clone + Sync,
     R: Wire + Clone + Sync,
 {
-    let mut merged: std::collections::HashMap<u64, Vec<(u64, R)>> =
-        (0..store.len() as u64).map(|id| (id, Vec::new())).collect();
+    // By element id: every round's rows were checked against the store.
+    let mut merged: Vec<Vec<(u64, R)>> = vec![Vec::new(); store.len()];
     let mut reports = Vec::with_capacity(rounds.len());
     for (i, round) in rounds.into_iter().enumerate() {
         let opts = MrPairwiseOptions {
@@ -843,7 +860,7 @@ where
             opts,
         )?;
         for (id, mut partial) in out.per_element {
-            merged.entry(id).or_default().append(&mut partial);
+            merged[id as usize].append(&mut partial);
         }
         reports.push(report);
         // The round's DFS files are no longer needed once merged.
@@ -851,11 +868,10 @@ where
             cluster.dfs().delete(p);
         });
     }
-    let mut per_element: Vec<(u64, Vec<(u64, R)>)> = merged
-        .into_iter()
+    let per_element = (0u64..)
+        .zip(merged)
         .map(|(id, partials)| (id, crate::runner::aggregate_all(aggregator.as_ref(), id, partials)))
         .collect();
-    per_element.sort_by_key(|(id, _)| *id);
     Ok((PairwiseOutput { per_element }, reports))
 }
 
@@ -916,13 +932,13 @@ where
             format!("{dir}-broadcast-evaluate-aggregate"),
             inputs,
             format!("{dir}/out"),
-            BroadcastEvalMapper::<T, R> {
-                scheme: scheme.clone(),
+            BroadcastEvalMapper::<T, R>(TaskEvaluator {
+                scheme: Arc::new(scheme.clone()),
                 kernel,
                 symmetry,
                 filter: filter.clone(),
                 telemetry: telemetry.clone(),
-            },
+            }),
             AggregateReducer::<T, R> {
                 aggregator: Arc::clone(&aggregator),
                 _pd: std::marker::PhantomData,
@@ -988,8 +1004,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchical::TwoLevelBlock;
+    use crate::runner::ConcatSort;
+    use crate::scheme::{BlockScheme, DesignScheme, QuorumScheme};
+    use bytes::BufMut;
     use pmr_cluster::{Cluster, ClusterConfig};
-    use pmr_mapreduce::IdentityMapper;
+    use pmr_mapreduce::{encode_record_stream, IdentityMapper};
+    use proptest::prelude::*;
 
     fn job2_with_record(record: (u64, Vec<(u64, u64)>)) -> pmr_mapreduce::Result<JobOutput> {
         let cluster = Cluster::new(ClusterConfig::with_nodes(2));
@@ -1058,7 +1079,113 @@ mod tests {
         );
     }
 
-    /// Job 2 without a store attached fails cleanly.
+    /// The fused driver merge, handed a hand-written part file: a record
+    /// whose id is not in the store is the same error job 2 raises, never
+    /// a foreign row in the output or an out-of-bounds index.
+    #[test]
+    fn fused_merge_rejects_unknown_id() {
+        let (part, _) = encode_record_stream([
+            (1u64, vec![(0u64, 7u64)]),
+            (3, vec![(1, 7)]),
+            (1, vec![(2, 9)]),
+        ]);
+        let mut accs: Vec<Option<Accumulator<u64>>> = vec![None; 3];
+        let err = merge_part(part.clone(), &ConcatSort, &mut accs).unwrap_err();
+        assert!(
+            matches!(&err, MrError::User(msg) if msg.contains("element id 3") && msg.contains("not in the store")),
+            "expected the corrupt-record error, got: {err}"
+        );
+        // The same file against a store that holds id 3 merges copy by
+        // copy, in file order.
+        let mut accs: Vec<Option<Accumulator<u64>>> = vec![None; 4];
+        merge_part(part, &ConcatSort, &mut accs).unwrap();
+        assert_eq!(accs[1].as_ref().unwrap().partials(), [(0, 7), (2, 9)]);
+        assert_eq!(accs[3].as_ref().unwrap().partials(), [(1, 7)]);
+        assert!(accs[0].is_none() && accs[2].is_none());
+    }
+
+    /// A truncated or corrupt frame in a part file surfaces as a codec
+    /// error from the fused merge, not a panic.
+    #[test]
+    fn fused_merge_surfaces_corrupt_frames_as_errors() {
+        let merge = |part: Bytes| {
+            let mut accs: Vec<Option<Accumulator<u64>>> = vec![None; 3];
+            merge_part(part, &ConcatSort, &mut accs)
+        };
+        let (part, _) = encode_record_stream([(1u64, vec![(0u64, 7u64), (2, 9)])]);
+        merge(part.clone()).unwrap();
+        for cut in 1..part.len() {
+            let err = merge(part.slice(..cut)).unwrap_err();
+            assert!(matches!(err, MrError::Codec(_)), "cut at {cut}: {err}");
+        }
+        // A 4-byte key, and a value whose entry count overstates its bytes.
+        let mut short_key = BytesMut::new();
+        RawRecord { key: 1u32.to_bytes(), value: Vec::<(u64, u64)>::new().to_bytes() }
+            .write_framed(&mut short_key);
+        assert!(matches!(merge(short_key.freeze()), Err(MrError::Codec(_))));
+        let mut value = BytesMut::new();
+        value.put_u32(u32::MAX);
+        value.put_u64(0);
+        let mut overcount = BytesMut::new();
+        RawRecord { key: 1u64.to_bytes(), value: value.freeze() }.write_framed(&mut overcount);
+        assert!(matches!(merge(overcount.freeze()), Err(MrError::Codec(_))));
+    }
+
+    fn sorted_working_set(scheme: &dyn DistributionScheme, task: u64) -> Vec<u64> {
+        let mut ws = scheme.working_set(task);
+        ws.sort_unstable();
+        ws
+    }
+
+    /// Which representation a working set gets: every block task (two
+    /// stripes, however far apart) the dense table, a quorum set spread
+    /// over `Z_v` the binary search.
+    #[test]
+    fn slot_index_is_dense_for_block_and_searched_for_a_wide_quorum() {
+        let block = BlockScheme::new(2048, 16);
+        for t in 0..block.num_tasks() {
+            let ws = sorted_working_set(&block, t);
+            assert!(matches!(SlotIndex::new(&ws), SlotIndex::Dense { .. }), "block task {t}");
+        }
+        let ws = sorted_working_set(&QuorumScheme::new(2048), 0);
+        assert!(ws[ws.len() - 1] - ws[0] >= DENSE_SPAN * ws.len() as u64);
+        assert!(matches!(SlotIndex::new(&ws), SlotIndex::Sorted(_)));
+        assert!(matches!(SlotIndex::new(&[]), SlotIndex::Sorted(_)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// For every task of every scheme family, the index built from the
+        /// sorted working set is a bijection onto `0..len` and maps every
+        /// id `for_each_pair` yields to the slot holding that id — under
+        /// the representation `new` picks and under the binary search.
+        #[test]
+        fn slot_index_resolves_every_enumerated_id(v in 2u64..300, h in 1u64..9) {
+            let schemes: Vec<Box<dyn DistributionScheme>> = vec![
+                Box::new(BroadcastScheme::new(v, h + 1)),
+                Box::new(BlockScheme::new(v, h)),
+                Box::new(DesignScheme::new(v)),
+                Box::new(QuorumScheme::new(v)),
+                TwoLevelBlock::new(v, h.clamp(1, 4), 2).round(0),
+            ];
+            for scheme in &schemes {
+                for t in 0..scheme.num_tasks() {
+                    let ws = sorted_working_set(scheme.as_ref(), t);
+                    for index in [SlotIndex::new(&ws), SlotIndex::Sorted(&ws)] {
+                        for (slot, &id) in ws.iter().enumerate() {
+                            prop_assert_eq!(index.slot(id), slot, "{} task {}", scheme.name(), t);
+                        }
+                        scheme.for_each_pair(t, &mut |a, b| {
+                            assert_eq!((ws[index.slot(a)], ws[index.slot(b)]), (a, b));
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// Neither job runs without a store attached: both fail cleanly.
     #[test]
     fn missing_store_is_invalid_job() {
         let cluster = Cluster::new(ClusterConfig::with_nodes(2));
@@ -1078,5 +1205,31 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(&err, MrError::InvalidJob(msg) if msg.contains("store")), "{err}");
+
+        // Job 1's map phase takes its payload charge from the store too.
+        let scheme: Arc<dyn DistributionScheme> = Arc::new(BlockScheme::new(3, 2));
+        let inputs = write_sharded(&cluster, "nostore1/in", 1, [(0u64, 10u64)]).unwrap();
+        let err = Engine::new(&cluster)
+            .run(JobSpec::new(
+                "nostore-j1",
+                inputs,
+                "nostore1/out",
+                DistributeMapper::<u64> {
+                    scheme: Arc::clone(&scheme),
+                    _pd: std::marker::PhantomData,
+                },
+                EvaluateReducer::<u64, u64>(TaskEvaluator {
+                    scheme,
+                    kernel: Arc::new(crate::runner::ScalarComp::new(crate::runner::comp_fn(
+                        |a: &u64, b: &u64| a + b,
+                    ))),
+                    symmetry: Symmetry::Symmetric,
+                    filter: None,
+                    telemetry: cluster.telemetry().clone(),
+                }),
+                1,
+            ))
+            .unwrap_err();
+        assert!(matches!(&err, MrError::InvalidJob(msg) if msg.contains("job 1")), "{err}");
     }
 }

@@ -75,7 +75,6 @@ pub(crate) fn run_sequential_impl<T, R: Clone>(
         },
         aggregator,
         &mut accs,
-        |_, _| {},
     );
     (finalize_dense(accs, aggregator), evals, filter.map(|_| prune))
 }

@@ -399,6 +399,11 @@ impl<'c> Engine<'c> {
                     scope.spawn(move |_| {
                         let me = NodeId(node_idx as u32);
                         loop {
+                            // Snapshot first: the error flag is part of what
+                            // a parked worker waits on, so a failure (and its
+                            // wake) landing after the check below must still
+                            // move the epoch past `seen`.
+                            let seen = board.wake_epoch();
                             if error.lock().is_some() {
                                 return;
                             }
@@ -406,7 +411,6 @@ impl<'c> Engine<'c> {
                                 board.drain_dead(cluster, node_idx);
                                 return;
                             }
-                            let seen = board.wake_epoch();
                             let popped = board.queues[node_idx].lock().pop_front();
                             let (task, is_backup) = match popped {
                                 Some(t) => (t, false),
@@ -509,6 +513,9 @@ impl<'c> Engine<'c> {
                     scope.spawn(move |_| {
                         let me = NodeId(node_idx as u32);
                         loop {
+                            // Snapshot before the error check — see the map
+                            // loop.
+                            let seen = board.wake_epoch();
                             if error.lock().is_some() {
                                 return;
                             }
@@ -516,7 +523,6 @@ impl<'c> Engine<'c> {
                                 board.drain_dead(cluster, node_idx);
                                 return;
                             }
-                            let seen = board.wake_epoch();
                             let popped = board.queues[node_idx].lock().pop_front();
                             let (task, is_backup) = match popped {
                                 Some(t) => (t, false),

@@ -150,3 +150,54 @@ fn fused_path_is_exactly_once_under_seeded_node_crashes() {
         }
     }
 }
+
+/// Every other case here has `u64` results, always 8 bytes on the wire. A
+/// result of data-dependent length makes the fused reducers weigh each
+/// pre-fold entry for real: the charge must still reproduce the unfused
+/// pipeline's byte for byte, healthy and with a seeded crash.
+#[test]
+fn fused_charge_matches_unfused_for_variable_length_results() {
+    let v = 40u64;
+    let run = |scheme: &Arc<dyn DistributionScheme>, cluster: &Cluster, fuse: bool| {
+        PairwiseJob::new(
+            &payloads(v),
+            comp_fn(|a: &u64, b: &u64| "ab".repeat(((a ^ b) % 7) as usize)),
+        )
+        .scheme_arc(Arc::clone(scheme))
+        .backend(Backend::Mr(cluster))
+        .aggregator(FilterAggregator::new(|r: &String| r.len() != 4))
+        .fuse(fuse)
+        .run()
+        .unwrap()
+    };
+    let schemes: [(&str, Arc<dyn DistributionScheme>); 2] =
+        [("block", Arc::new(BlockScheme::new(v, 5))), ("quorum", Arc::new(QuorumScheme::new(v)))];
+    for (name, scheme) in schemes {
+        let unfused = run(&scheme, &Cluster::new(ClusterConfig::with_nodes(4)), false);
+        let u = &unfused.mr[0];
+        let job2_charge =
+            u.job2.as_ref().expect("unfused run keeps job 2").counters[builtin::SHUFFLE_BYTES];
+        let lengths: std::collections::BTreeSet<usize> = unfused
+            .output
+            .per_element
+            .iter()
+            .flat_map(|(_, rs)| rs.iter().map(|(_, r)| r.len()))
+            .collect();
+        assert!(lengths.len() > 2, "{name}: result lengths must vary, got {lengths:?}");
+
+        let healthy = Cluster::new(ClusterConfig::with_nodes(4));
+        let crashed = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, 23));
+        for (label, cluster) in [("healthy", &healthy), ("one crash", &crashed)] {
+            let fused = run(&scheme, cluster, true);
+            let f = &fused.mr[0];
+            assert!(f.fused && f.job2.is_none(), "{name}/{label}");
+            assert_eq!(fused.output, unfused.output, "{name}/{label}");
+            assert_eq!(
+                f.job1.counters[FUSED_CHARGED_SHUFFLE_COUNTER], job2_charge,
+                "{name}/{label}"
+            );
+            assert_eq!(f.shuffle_bytes, u.shuffle_bytes, "{name}/{label}: charged bytes");
+        }
+        assert_eq!(crashed.node_crashes(), 1, "{name}");
+    }
+}
