@@ -179,7 +179,8 @@ impl Wire for SparseVector {
     fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
         let ids = Vec::<u32>::decode(buf)?;
         let ws = Vec::<f64>::decode(buf)?;
-        if ids.len() != ws.len() {
+        // Every dot product assumes strictly ascending ids.
+        if ids.len() != ws.len() || ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(CodecError::Corrupt { what: "sparse vector" });
         }
         Ok(SparseVector(ids.into_iter().zip(ws).collect()))
@@ -263,6 +264,28 @@ mod tests {
     fn sparse_roundtrip() {
         let a = SparseVector::from_entries(vec![(1, 2.0), (7, -1.5)]);
         assert_eq!(SparseVector::from_bytes(a.to_bytes()).unwrap(), a);
+    }
+
+    #[test]
+    fn sparse_decode_rejects_ids_out_of_order() {
+        // Hand-written frames: the id array, then the weight array.
+        let frame = |ids: &[u32], ws: &[f64]| {
+            let mut buf = BytesMut::new();
+            ids.to_vec().encode(&mut buf);
+            ws.to_vec().encode(&mut buf);
+            buf.freeze()
+        };
+        let valid = SparseVector::from_bytes(frame(&[1, 7, 8], &[2.0, -1.5, 0.5])).unwrap();
+        assert_eq!(valid.0, vec![(1, 2.0), (7, -1.5), (8, 0.5)]);
+        assert_eq!(SparseVector::from_bytes(frame(&[], &[])).unwrap(), SparseVector::default());
+        for (ids, ws) in [
+            (&[7u32, 1][..], &[2.0, -1.5][..]), // unsorted
+            (&[1, 7, 7], &[2.0, -1.5, 0.5]),    // duplicate id
+            (&[1, 7], &[2.0]),                  // arrays of unequal length
+        ] {
+            let err = SparseVector::from_bytes(frame(ids, ws)).unwrap_err();
+            assert!(matches!(err, CodecError::Corrupt { what: "sparse vector" }), "{err}");
+        }
     }
 
     #[test]

@@ -14,6 +14,22 @@
 //! `eval` and `eval_batch` must agree **bit-for-bit**: `eval_batch`'s
 //! default implementation is the scalar loop, and overrides may reorder
 //! work across *pairs* but not change the arithmetic *within* one pair.
+//!
+//! **Operand runs.** Step 2 of the paper evaluates every pair *inside a
+//! working set*, so one element meets many partners back to back, and a
+//! tile's operand arrays repeat the *same reference* over consecutive
+//! pairs. Block, design and broadcast stream first-operand-major: `a`
+//! stays while `b` walks a row (a block tile is 32 runs of 32, a design
+//! task runs of 1, 2, … k−1, a broadcast task whole triangle rows). The
+//! quorum walk holds an anchor `x = α_d + t` over the distances that share
+//! an `α`, and the anchor lands on whichever side `x > y` puts it; the
+//! reverse `eval_batch(b, a)` of a non-symmetric flush has every run on
+//! the second operand; a filtered stream keeps what runs its survivors
+//! leave. A kernel may use a run (`std::ptr::eq` on neighbouring operands)
+//! to set up per-operand state once — `pmr-apps`' sparse dot scatters the
+//! shared vector into a term table — but only for speed: which runs a
+//! tile has, and where a tile cuts one, is up to the scheme, the filter
+//! and the runner, so every result must equal `eval` with no run at all.
 
 use crate::runner::{Accumulator, Aggregator, CompFn, Symmetry};
 
@@ -29,7 +45,9 @@ pub const TILE_PAIRS: usize = 1024;
 /// same value, and `eval_batch` produces exactly what per-index `eval`
 /// calls would (the default implementation *is* that loop). Runners fall
 /// back to `eval` implicitly through that default, so scalar and batched
-/// executions of the same kernel are bit-identical.
+/// executions of the same kernel are bit-identical. Consecutive pairs of
+/// a tile often share an operand (the module docs' *operand runs*); an
+/// override may exploit that, never depend on it.
 pub trait BatchComp<T, R>: Send + Sync {
     /// Evaluates one pair — the scalar fallback and the semantic ground
     /// truth for `eval_batch`.

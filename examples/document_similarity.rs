@@ -12,15 +12,18 @@
 
 use pairwise_mr::apps::docsim::{dot_comp, normalize_to_cosine, run_elsayed};
 use pairwise_mr::apps::generate::zipf_documents;
+use pairwise_mr::apps::kernels::SparseDotKernel;
 use pairwise_mr::prelude::*;
 
 fn main() {
     let n_docs = 120usize;
     let docs = zipf_documents(n_docs, 2_000, 60, 1.1, 7);
 
-    // --- Generic pairwise (design scheme, two MR jobs). ---
+    // --- Generic pairwise (design scheme on MR), through the batch kernel:
+    //     the same inner product as `dot_comp`, evaluated a tile at a time. ---
     let cluster = Cluster::new(ClusterConfig::with_nodes(4));
     let run = PairwiseJob::new(&docs, dot_comp())
+        .kernel(SparseDotKernel)
         .scheme(DesignScheme::new(n_docs as u64))
         .backend(Backend::Mr(&cluster))
         .run()

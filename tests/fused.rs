@@ -6,6 +6,9 @@
 
 use std::sync::Arc;
 
+use pairwise_mr::apps::docsim::{dot_comp, tfidf};
+use pairwise_mr::apps::generate::zipf_documents;
+use pairwise_mr::apps::kernels::SparseDotKernel;
 use pairwise_mr::mapreduce::builtin;
 use pairwise_mr::prelude::*;
 
@@ -109,6 +112,40 @@ fn fused_output_identical_across_backends_and_aggregators() {
             }
             let run = mr_run(Arc::new(BlockScheme::new(v, 4)), Arc::clone(&agg), fuse);
             assert_eq!(run.output, reference, "{agg_name}: mr fuse={fuse}");
+        }
+    }
+}
+
+/// The same matrix with a kernel that batches: `SparseDotKernel` probes a
+/// term table along the operand runs every scheme streams, and on every
+/// backend, fused or not, its output is the scalar merge join's bit for
+/// bit. tf-idf weights are logarithms, so a changed summation order would
+/// show.
+#[test]
+fn sparse_kernel_output_identical_across_schemes_and_backends() {
+    let v = 40u64;
+    let docs = tfidf(&zipf_documents(v as usize, 300, 25, 1.1, 11));
+    let reference = PairwiseJob::new(&docs, dot_comp()).run().unwrap().output;
+    for (name, scheme) in schemes(v) {
+        let (fused, unfused) = (
+            Cluster::new(ClusterConfig::with_nodes(4)),
+            Cluster::new(ClusterConfig::with_nodes(4)),
+        );
+        let backends = [
+            ("sequential", Backend::Sequential, true),
+            ("local", Backend::Local { threads: 3 }, true),
+            ("mr fused", Backend::Mr(&fused), true),
+            ("mr unfused", Backend::Mr(&unfused), false),
+        ];
+        for (label, backend, fuse) in backends {
+            let run = PairwiseJob::new(&docs, dot_comp())
+                .kernel(SparseDotKernel)
+                .scheme_arc(Arc::clone(&scheme))
+                .backend(backend)
+                .fuse(fuse)
+                .run()
+                .unwrap();
+            assert_eq!(run.output, reference, "{name}: {label}");
         }
     }
 }
