@@ -180,7 +180,7 @@ dense_kernel!(
 /// term table (`table[id] = position + 1`) and every partner probes the
 /// table with its own entries in ascending id. The matched products and
 /// their summation order are the merge join's, so the two agree bit for
-/// bit; runs shorter than [`MIN_RUN`] and operands the table cannot hold
+/// bit; runs shorter than `MIN_RUN` and operands the table cannot hold
 /// take `eval`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SparseDotKernel;

@@ -18,7 +18,6 @@
 //! once into an [`ElementStore`] shared by all backends; pass an existing
 //! store with [`PairwiseJob::from_store`] to skip the ingest copy.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use pmr_cluster::Cluster;
@@ -268,7 +267,11 @@ where
     /// Errors if the plan/backend combination is invalid (a scheme is
     /// required by every backend except [`Backend::Sequential`]) or the MR
     /// pipeline fails; payload-count mismatches surface as
-    /// [`MrError::InvalidJob`].
+    /// [`MrError::InvalidJob`]. A run that writes its rows in place (all
+    /// pairs, [`ConcatSort`], fused, unfiltered) also checks that the scheme
+    /// delivered every pair exactly once: on the local backend a duplicate
+    /// or missing pair is [`MrError::InvalidJob`], on the MR backend
+    /// [`MrError::User`] from the driver merge.
     pub fn run(self) -> pmr_mapreduce::Result<PairwiseRun<R>> {
         let PairwiseJob {
             store,
@@ -357,7 +360,7 @@ where
                     options.fuse,
                     filter.as_deref(),
                     &effective,
-                );
+                )?;
                 PairwiseRun {
                     output,
                     report: RunReport::default(),
@@ -376,7 +379,7 @@ where
                     options.fuse,
                     filter.as_deref(),
                     &effective,
-                );
+                )?;
                 PairwiseRun {
                     output,
                     report: RunReport::default(),
@@ -385,8 +388,8 @@ where
                 }
             }
             (Backend::Local { threads }, Plan::Rounds(rounds)) => {
-                let mut merged: HashMap<u64, Vec<(u64, R)>> =
-                    (0..store.len() as u64).map(|id| (id, Vec::new())).collect();
+                // By element id, as in the MR rounds driver.
+                let mut merged: Vec<Vec<(u64, R)>> = vec![Vec::new(); store.len()];
                 let mut stats = LocalRunStats::default();
                 for round in rounds {
                     let (out, s) = run_local_impl(
@@ -399,9 +402,9 @@ where
                         options.fuse,
                         filter.as_deref(),
                         &effective,
-                    );
+                    )?;
                     for (id, mut partial) in out.per_element {
-                        merged.entry(id).or_default().append(&mut partial);
+                        merged[id as usize].append(&mut partial);
                     }
                     stats.tasks += s.tasks;
                     stats.evaluations += s.evaluations;
@@ -410,11 +413,10 @@ where
                         stats.pruning.get_or_insert_with(Default::default).absorb(p);
                     }
                 }
-                let mut per_element: Vec<(u64, Vec<(u64, R)>)> = merged
-                    .into_iter()
+                let per_element = (0u64..)
+                    .zip(merged)
                     .map(|(id, partials)| (id, aggregate_all(aggregator.as_ref(), id, partials)))
                     .collect();
-                per_element.sort_by_key(|(id, _)| *id);
                 PairwiseRun {
                     output: PairwiseOutput { per_element },
                     report: RunReport::default(),

@@ -31,10 +31,13 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use parking_lot::Mutex;
+use pmr_mapreduce::MrError;
 use pmr_obs::{hist, SpanKind, Telemetry};
 
 use crate::runner::filter::{PairFilter, PruneStats};
 use crate::runner::kernel::{evaluate_tiled, evaluate_tiled_fused, BatchComp, ScalarComp};
+use crate::runner::mr::SlotIndex;
+use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::{
     aggregate_all, Accumulator, Aggregator, CompFn, DecomposableAggregator, PairwiseOutput,
     Symmetry,
@@ -71,21 +74,19 @@ where
     R: Clone + Send,
 {
     let kernel = ScalarComp::new(comp.clone());
-    run_local_impl(
-        payloads,
-        scheme,
-        &kernel,
-        symmetry,
-        aggregator,
-        threads,
-        true,
-        None,
-        &Telemetry::disabled(),
-    )
+    run_local_kernel(payloads, scheme, &kernel, symmetry, aggregator, threads)
 }
 
 /// [`run_local`] evaluating through a batch kernel instead of a scalar
 /// [`CompFn`] — the fast path for comps with a vectorized form.
+///
+/// # Panics
+///
+/// If the scheme enumerates a pair twice or misses one while its
+/// `num_pairs` add up to every pair (see [`PairwiseJob`], which returns
+/// that as an error).
+///
+/// [`PairwiseJob`]: crate::runner::PairwiseJob
 pub fn run_local_kernel<T, R>(
     payloads: &[T],
     scheme: &dyn DistributionScheme,
@@ -109,6 +110,7 @@ where
         None,
         &Telemetry::disabled(),
     )
+    .unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Seeds per-worker deques longest-task-first, round-robin: sorting by
@@ -125,10 +127,11 @@ fn seed_deques(scheme: &dyn DistributionScheme, workers: usize) -> Vec<Mutex<Vec
     deques
 }
 
-/// Per-worker emission state: flat result triples for the general path, or
+/// Per-worker emission state: flat result triples for the general path,
 /// per-element accumulators when the aggregator is decomposable and the
 /// run is fused (results fold in-tile; the commit merges accumulators
-/// instead of scatter-filling rows).
+/// instead of scatter-filling rows), or one task's staged results when the
+/// run places rows.
 enum WorkerData<R> {
     Flat {
         /// Result triples, appended sequentially — the cheap emit layout;
@@ -147,17 +150,28 @@ enum WorkerData<R> {
         /// all its tasks.
         accs: Vec<Accumulator<R>>,
     },
+    Placed {
+        /// `stage[slot]` holds the current task's `(other, result)` entries
+        /// for the working set's `slot`-th element until the task ends and
+        /// copies them into their rows; the buffers are reused across tasks.
+        stage: Vec<Vec<(u64, R)>>,
+    },
 }
 
 /// The heart of the runner, shared with [`PairwiseJob`](crate::runner::job):
 /// each task becomes a [`SpanKind::Task`] span (node = worker index), and
 /// the run's evaluate/aggregate windows are emitted as job phases of job
-/// `"local"`. With `fuse` set and a decomposable aggregator, per-pair
-/// results are folded into per-worker accumulators at the tile flush and
-/// merged at commit; otherwise the flat emit + scatter path runs. A
-/// [`PairFilter`] gates the pair stream below enumeration: pruned pairs
-/// never enter a tile, and the enumerated/pruned tallies land in
-/// [`LocalRunStats::pruning`].
+/// `"local"`. When the run places rows (`runner::place`), each task
+/// stages its results by working-set slot and copies them, one row lock per
+/// touched element, into the exact-size rows at task end. Otherwise, with
+/// `fuse` set and a decomposable aggregator, per-pair results are folded
+/// into per-worker accumulators at the tile flush and merged at commit; and
+/// failing that the flat emit + scatter path runs. A [`PairFilter`] gates
+/// the pair stream below enumeration: pruned pairs never enter a tile, and
+/// the enumerated/pruned tallies land in [`LocalRunStats::pruning`].
+///
+/// A pair enumerated twice or never, on a placed run, is an
+/// [`MrError::InvalidJob`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_local_impl<T, R>(
     payloads: &[T],
@@ -169,7 +183,7 @@ pub(crate) fn run_local_impl<T, R>(
     fuse: bool,
     filter: Option<&dyn PairFilter>,
     telemetry: &Telemetry,
-) -> (PairwiseOutput<R>, LocalRunStats)
+) -> pmr_mapreduce::Result<(PairwiseOutput<R>, LocalRunStats)>
 where
     T: Sync,
     R: Clone + Send,
@@ -178,6 +192,10 @@ where
     let v = payloads.len();
     let num_tasks = scheme.num_tasks();
     let decomposable = if fuse { aggregator.decomposable() } else { None };
+    let placed = places_rows(aggregator, fuse, filter.is_some(), scheme);
+    // `rows[id]` is element `id`'s output row; only a placed run has them.
+    let rows: Vec<Mutex<Option<PlacedRow<R>>>> =
+        if placed { (0..v).map(|_| Mutex::new(None)).collect() } else { Vec::new() };
     // Never spawn more workers than tasks: a surplus worker would only
     // scan empty deques and exit, so don't pay its spawn either.
     let workers = threads.max(1).min(num_tasks.max(1) as usize);
@@ -189,6 +207,8 @@ where
         evaluations: u64,
         max_working_set: u64,
         prune: PruneStats,
+        /// The first placement error; the worker stops at it.
+        error: Option<String>,
     }
 
     // Each worker accumulates privately; merge after the scope ends.
@@ -196,9 +216,10 @@ where
     let results: Vec<WorkerResult<R>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let deques = &deques;
+                let (deques, rows) = (&deques, &rows);
                 scope.spawn(move |_| {
                     let data = match decomposable {
+                        Some(_) if placed => WorkerData::Placed { stage: Vec::new() },
                         Some(_) => WorkerData::Fused {
                             accs: (0..v as u64).map(|id| aggregator.init(id)).collect(),
                         },
@@ -210,6 +231,7 @@ where
                         evaluations: 0,
                         max_working_set: 0,
                         prune: PruneStats::default(),
+                        error: None,
                     };
                     loop {
                         // Pop-then-steal as separate statements: the own-
@@ -236,6 +258,28 @@ where
                         // untouched — no per-pair branch, no tallies.
                         let mut task_prune = PruneStats::default();
                         let task_evals = match &mut res.data {
+                            WorkerData::Placed { stage } => {
+                                let index = SlotIndex::new(&ws);
+                                if stage.len() < ws.len() {
+                                    stage.resize_with(ws.len(), Vec::new);
+                                }
+                                let evals = evaluate_tiled(
+                                    kernel,
+                                    symmetry,
+                                    |id| &payloads[id as usize],
+                                    |f| scheme.for_each_pair(t, f),
+                                    |a, b, rf, rr| {
+                                        let rb = rr.unwrap_or_else(|| rf.clone());
+                                        stage[index.slot(a)].push((b, rf));
+                                        stage[index.slot(b)].push((a, rb));
+                                    },
+                                );
+                                if let Err(err) = place_staged(rows, &ws, stage) {
+                                    res.error = Some(err);
+                                    break;
+                                }
+                                evals
+                            }
                             WorkerData::Fused { accs } => evaluate_tiled_fused(
                                 kernel,
                                 symmetry,
@@ -306,6 +350,9 @@ where
     })
     .expect("thread scope failed");
     drop(eval_phase);
+    if let Some(err) = results.iter().find_map(|res| res.error.as_ref()) {
+        return Err(MrError::InvalidJob(format!("placed rows: {err}")));
+    }
     let agg_phase = telemetry.job_phase("local", "aggregate");
 
     let mut stats = LocalRunStats::default();
@@ -326,6 +373,7 @@ where
                 emitted.push(e);
             }
             WorkerData::Fused { accs } => worker_accs.push(accs),
+            WorkerData::Placed { .. } => {}
         }
     }
     debug_assert_eq!(stats.tasks, num_tasks, "every task runs exactly once");
@@ -335,11 +383,27 @@ where
         stats.pruning = Some(prune_total);
     }
     let out = match decomposable {
+        Some(_) if placed => finish_rows(rows.into_iter().map(Mutex::into_inner), v as u64)
+            .map_err(|err| MrError::InvalidJob(format!("placed rows: {err}")))?,
         Some(dec) => merge_fused(worker_accs, dec, threads),
         None => merge_aggregate(emitted, counts, symmetry, aggregator, threads),
     };
     drop(agg_phase);
-    (out, stats)
+    Ok((out, stats))
+}
+
+/// Copies one task's staged results into their rows — one lock per touched
+/// working-set element — leaving the stage empty for the next task.
+fn place_staged<R: Clone>(
+    rows: &[Mutex<Option<PlacedRow<R>>>],
+    ws: &[u64],
+    stage: &mut [Vec<(u64, R)>],
+) -> Result<(), String> {
+    let v = rows.len() as u64;
+    for (&id, staged) in ws.iter().zip(stage.iter_mut()).filter(|(_, s)| !s.is_empty()) {
+        place(&mut rows[id as usize].lock(), id, v, staged.drain(..))?;
+    }
+    Ok(())
 }
 
 /// Merges the per-worker accumulator vectors in worker order, then

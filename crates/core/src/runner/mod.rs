@@ -26,6 +26,7 @@ pub mod job;
 pub mod kernel;
 pub mod local;
 pub mod mr;
+mod place;
 pub mod sequential;
 pub mod store;
 
@@ -175,6 +176,15 @@ pub trait Aggregator<R>: Send + Sync {
 pub trait DecomposableAggregator<R>: Aggregator<R> {
     /// Merges `other` into `acc`; both belong to the same element.
     fn merge(&self, acc: &mut Accumulator<R>, other: Accumulator<R>);
+
+    /// Whether the finished list of an element is exactly all of its
+    /// partials in ascending neighbour id, with nothing dropped or
+    /// combined. Returning `true` lets a run that covers every pair once
+    /// write each result straight into its place in an exact-size row
+    /// instead of folding, merging and finishing (see `runner::place`).
+    fn places_rows(&self) -> bool {
+        false
+    }
 }
 
 /// One-shot aggregation routed through the streaming API — the
@@ -236,6 +246,10 @@ impl<R> Aggregator<R> for ConcatSort {
 impl<R> DecomposableAggregator<R> for ConcatSort {
     fn merge(&self, acc: &mut Accumulator<R>, other: Accumulator<R>) {
         acc.partials.extend(other.partials);
+    }
+
+    fn places_rows(&self) -> bool {
+        true
     }
 }
 

@@ -22,12 +22,13 @@
 //! lists with the application's `aggregateResults`.
 //!
 //! **Fused path.** When the aggregator advertises
-//! [`DecomposableAggregator`](crate::runner::DecomposableAggregator) (and
-//! [`MrPairwiseOptions::fuse`] is set — the default), aggregation is fused
-//! into job 1's reduce tasks and **job 2 is skipped entirely**: pair
-//! results fold into per-element accumulators at the tile flush, each
-//! emitted copy carries folded partials, and the driver merges the copies'
-//! accumulators. Charged bytes stay byte-identical to the two-job model —
+//! [`DecomposableAggregator`] (and [`MrPairwiseOptions::fuse`] is set — the
+//! default), aggregation is fused into job 1's reduce tasks and **job 2 is
+//! skipped entirely**: pair results fold into per-element accumulators at
+//! the tile flush, each emitted copy carries folded partials, and the
+//! driver merges the copies' accumulators — or, when the run places rows
+//! (`runner::place`), writes every entry straight to its index in the
+//! element's row. Charged bytes stay byte-identical to the two-job model —
 //! the shuffle job 2 would have charged accrues under
 //! [`FUSED_CHARGED_SHUFFLE_COUNTER`] — while the physically moved shuffle
 //! bytes of job 2 disappear.
@@ -45,6 +46,7 @@ use pmr_obs::{hist, Telemetry};
 
 use crate::runner::filter::{PairFilter, PruneStats};
 use crate::runner::kernel::{evaluate_tiled, BatchComp};
+use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::store::ElementStore;
 use crate::runner::{Accumulator, Aggregator, DecomposableAggregator, PairwiseOutput, Symmetry};
 use crate::scheme::{BroadcastScheme, DistributionScheme};
@@ -86,7 +88,7 @@ pub struct MrPairwiseOptions {
     /// decomposable, skipping job 2 and its shuffle entirely (charged
     /// bytes are unchanged; only physically moved bytes collapse). Ignored
     /// — the two-job pipeline runs — when the aggregator does not
-    /// advertise [`DecomposableAggregator`](crate::runner::DecomposableAggregator).
+    /// advertise [`DecomposableAggregator`].
     pub fuse: bool,
 }
 
@@ -244,7 +246,7 @@ fn validate_working_set<T: Wire + Sync>(
 /// Working-set-local `id → slot` index: `slot(id)` is the position of `id`
 /// in the task's sorted working set, so per-element task state lives in
 /// plain `Vec`s instead of id-keyed hash maps. Sized once per task.
-enum SlotIndex<'a> {
+pub(crate) enum SlotIndex<'a> {
     /// `table[id - min]` is the slot, `u32::MAX` — past any per-slot `Vec`
     /// — in the gaps: block, broadcast and small design sets, whose span
     /// is a small multiple of their size.
@@ -258,7 +260,7 @@ enum SlotIndex<'a> {
 const DENSE_SPAN: u64 = 16;
 
 impl<'a> SlotIndex<'a> {
-    fn new(sorted: &'a [u64]) -> Self {
+    pub(crate) fn new(sorted: &'a [u64]) -> Self {
         match (sorted.first(), sorted.last()) {
             (Some(&min), Some(&max)) if max - min < DENSE_SPAN * sorted.len() as u64 => {
                 let mut table = vec![u32::MAX; (max - min) as usize + 1];
@@ -274,7 +276,7 @@ impl<'a> SlotIndex<'a> {
     /// An id outside the working set is a scheme bug (pairs are only
     /// enumerated within the set the scheme named): it panics here or, from
     /// a dense-table gap, at the caller's first use of the slot.
-    fn slot(&self, id: u64) -> usize {
+    pub(crate) fn slot(&self, id: u64) -> usize {
         match self {
             SlotIndex::Dense { min, table } => table[id.wrapping_sub(*min) as usize] as usize,
             SlotIndex::Sorted(ids) => {
@@ -602,28 +604,54 @@ fn record_analytic_meta(telemetry: &Telemetry, scheme: &dyn DistributionScheme, 
     );
 }
 
-/// Merges one fused job-1 part file — framed `(id, folded partials)`
-/// records — into the id-indexed accumulators: an element's first copy is
-/// adopted as its accumulator, every later one merged into it. A corrupt
-/// frame or an id outside the store is an error, as in job 2.
-fn merge_part<R: Wire>(
+/// Hands each `(id, folded partials)` frame of one fused job-1 part file to
+/// `copy` with the id's entry of the id-indexed `slots`. A corrupt frame or
+/// an id outside the store is an error, as in job 2.
+fn for_each_copy<S, R: Wire>(
     mut part: Bytes,
-    dec: &dyn DecomposableAggregator<R>,
-    accs: &mut [Option<Accumulator<R>>],
+    slots: &mut [S],
+    mut copy: impl FnMut(&mut S, u64, Vec<(u64, R)>) -> pmr_mapreduce::Result<()>,
 ) -> pmr_mapreduce::Result<()> {
     while !part.is_empty() {
         let raw = RawRecord::read_framed(&mut part)?;
         let id = u64::from_bytes(raw.key)?;
-        let slot = usize::try_from(id).ok().and_then(|i| accs.get_mut(i)).ok_or_else(|| {
+        let slot = usize::try_from(id).ok().and_then(|i| slots.get_mut(i)).ok_or_else(|| {
             MrError::User(format!("merge: element id {id} in job-1 output is not in the store"))
         })?;
-        let copy = Accumulator::from_parts(id, Wire::from_bytes(raw.value)?);
+        copy(slot, id, Wire::from_bytes(raw.value)?)?;
+    }
+    Ok(())
+}
+
+/// Merges one fused part file into the id-indexed accumulators: an
+/// element's first copy is adopted as its accumulator, every later one
+/// merged into it.
+fn merge_part<R: Wire>(
+    part: Bytes,
+    dec: &dyn DecomposableAggregator<R>,
+    accs: &mut [Option<Accumulator<R>>],
+) -> pmr_mapreduce::Result<()> {
+    for_each_copy(part, accs, |slot, id, partials| {
+        let copy = Accumulator::from_parts(id, partials);
         match slot {
             Some(acc) => dec.merge(acc, copy),
             None => *slot = Some(copy),
         }
-    }
-    Ok(())
+        Ok(())
+    })
+}
+
+/// Writes one fused part file's entries straight into the id-indexed
+/// placed rows (`runner::place`); a neighbour outside the run, the element
+/// itself, or one written twice is an error.
+fn place_part<R: Wire + Clone>(
+    part: Bytes,
+    rows: &mut [Option<PlacedRow<R>>],
+) -> pmr_mapreduce::Result<()> {
+    let v = rows.len() as u64;
+    for_each_copy(part, rows, |row, id, entries| {
+        place(row, id, v, entries).map_err(|err| MrError::User(format!("merge: {err}")))
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -651,6 +679,7 @@ where
     // Fuse only when asked *and* the aggregator advertises the capability;
     // anything else runs the paper's two-job pipeline unchanged.
     let fused = options.fuse && aggregator.decomposable().is_some();
+    let placed = places_rows(aggregator.as_ref(), fused, filter.is_some(), scheme.as_ref());
     let telemetry = cluster.telemetry().clone();
     telemetry.set_meta("scheme", scheme.name());
     telemetry.set_meta("scheme.v", scheme.v());
@@ -737,13 +766,24 @@ where
         let io = telemetry.job_phase(&format!("{dir}-io"), "merge-aggregate");
         // One streaming pass on the calling thread: each part file is read
         // once, in part order, and merged frame by frame, so the driver
-        // holds one part's bytes and the accumulators — never a row vector.
-        let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len()];
-        for path in cluster.dfs().list(&format!("{dir}/mid/")) {
-            merge_part(cluster.dfs().read(&path)?, dec, &mut accs)?;
-        }
-        let per_element =
-            (0u64..).zip(accs).filter_map(|(id, acc)| Some((id, dec.finish(acc?)))).collect();
+        // holds one part's bytes and the accumulators (or, placing, the
+        // output rows themselves) — never a second row vector.
+        let parts = cluster.dfs().list(&format!("{dir}/mid/"));
+        let per_element = if placed {
+            let mut rows: Vec<Option<PlacedRow<R>>> = (0..store.len()).map(|_| None).collect();
+            for path in parts {
+                place_part(cluster.dfs().read(&path)?, &mut rows)?;
+            }
+            finish_rows(rows, store.len() as u64)
+                .map_err(|err| MrError::User(format!("merge: {err}")))?
+                .per_element
+        } else {
+            let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len()];
+            for path in parts {
+                merge_part(cluster.dfs().read(&path)?, dec, &mut accs)?;
+            }
+            (0u64..).zip(accs).filter_map(|(id, acc)| Some((id, dec.finish(acc?)))).collect()
+        };
         drop(io);
 
         let fused_charge = job1.counters.get(FUSED_CHARGED_SHUFFLE_COUNTER).copied().unwrap_or(0);
@@ -1102,6 +1142,34 @@ mod tests {
         assert_eq!(accs[1].as_ref().unwrap().partials(), [(0, 7), (2, 9)]);
         assert_eq!(accs[3].as_ref().unwrap().partials(), [(1, 7)]);
         assert!(accs[0].is_none() && accs[2].is_none());
+    }
+
+    /// The placing merge, handed hand-written part files: a neighbour
+    /// outside the run, the element itself as its own neighbour, and a
+    /// neighbour delivered twice (across two copies) are each an error; a
+    /// well-formed file lands every entry at its index.
+    #[test]
+    fn fused_placing_merge_rejects_foreign_self_and_duplicate_neighbours() {
+        let place = |records: Vec<(u64, Vec<(u64, u64)>)>| {
+            let mut rows: Vec<Option<PlacedRow<u64>>> = (0..3).map(|_| None).collect();
+            place_part(encode_record_stream(records).0, &mut rows).map(|()| rows)
+        };
+        for (records, want) in [
+            (vec![(1u64, vec![(3u64, 7u64)])], "3 is not a neighbour"),
+            (vec![(1, vec![(1, 7)])], "1 is not a neighbour"),
+            (vec![(1, vec![(0, 7)]), (1, vec![(2, 9), (0, 7)])], "neighbour 0 written twice"),
+        ] {
+            let err = place(records).unwrap_err();
+            assert!(matches!(&err, MrError::User(msg) if msg.contains(want)), "{want}: {err}");
+        }
+        let rows = place(vec![(1, vec![(2, 9)]), (0, vec![(1, 7)]), (1, vec![(0, 7)])]).unwrap();
+        let err = finish_rows(rows, 3).unwrap_err();
+        assert!(err.contains("element 0: 1 of 2"), "{err}");
+        let all =
+            vec![(0, vec![(2, 5), (1, 7)]), (1, vec![(2, 9), (0, 7)]), (2, vec![(0, 5), (1, 9)])];
+        let out = finish_rows(place(all).unwrap(), 3).unwrap();
+        assert_eq!(out.results_of(1), Some(&[(0, 7), (2, 9)][..]));
+        assert_eq!(out.results_of(2), Some(&[(0, 5), (1, 9)][..]));
     }
 
     /// A truncated or corrupt frame in a part file surfaces as a codec

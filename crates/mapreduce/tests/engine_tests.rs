@@ -463,8 +463,11 @@ fn node_crashes_recover_with_identical_output() {
         (results, out.counters)
     };
     assert_eq!(clean.0, expected_counts());
+    // Whether a crash lands before a reducer has fetched the victim's map
+    // output depends on thread scheduling, so several seeds are tried and
+    // at least one must take the recovery path.
     let mut any_rerun = false;
-    for chaos_seed in [3u64, 17, 4242] {
+    for chaos_seed in [3u64, 17, 4242, 5, 23, 1009] {
         let cluster = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, chaos_seed));
         let inputs = write_sharded(&cluster, "in", 8, word_corpus()).unwrap();
         let out = Engine::new(&cluster)

@@ -2,14 +2,18 @@
 //! MR backend must skip job 2 entirely while staying bit-identical to the
 //! unfused two-job pipeline — same output, same charged bytes (the paper's
 //! cost model), collapsed moved bytes — across every scheme and backend,
-//! including seeded node-crash runs.
+//! including seeded node-crash runs. `ConcatSort` runs write their rows in
+//! place; they must match too, and a scheme that delivers a pair twice or
+//! not at all must be an error there, not an output.
 
 use std::sync::Arc;
 
 use pairwise_mr::apps::docsim::{dot_comp, tfidf};
 use pairwise_mr::apps::generate::zipf_documents;
 use pairwise_mr::apps::kernels::SparseDotKernel;
-use pairwise_mr::mapreduce::builtin;
+use pairwise_mr::core::hierarchical::TwoLevelBlock;
+use pairwise_mr::core::scheme::SchemeMetrics;
+use pairwise_mr::mapreduce::{builtin, MrError};
 use pairwise_mr::prelude::*;
 
 fn payloads(v: u64) -> Vec<u64> {
@@ -24,9 +28,27 @@ fn schemes(v: u64) -> Vec<(&'static str, Arc<dyn DistributionScheme>)> {
     vec![
         ("broadcast", Arc::new(BroadcastScheme::new(v, 6))),
         ("block", Arc::new(BlockScheme::new(v, 5))),
+        ("paired-block", Arc::new(PairedBlockScheme::new(v, 5))),
         ("design", Arc::new(DesignScheme::new(v))),
         ("quorum", Arc::new(QuorumScheme::new(v))),
     ]
+}
+
+/// One run of `scheme` on `backend`, everything else explicit.
+fn run_on(
+    scheme: &Arc<dyn DistributionScheme>,
+    backend: Backend<'_>,
+    symmetry: Symmetry,
+    aggregator: &Arc<dyn Aggregator<u64>>,
+    fuse: bool,
+) -> Result<PairwiseRun<u64>, MrError> {
+    PairwiseJob::new(&payloads(scheme.v()), comp())
+        .scheme_arc(Arc::clone(scheme))
+        .backend(backend)
+        .symmetry(symmetry)
+        .aggregator_arc(Arc::clone(aggregator))
+        .fuse(fuse)
+        .run()
 }
 
 fn mr_run(
@@ -35,13 +57,7 @@ fn mr_run(
     fuse: bool,
 ) -> PairwiseRun<u64> {
     let cluster = Cluster::new(ClusterConfig::with_nodes(4));
-    PairwiseJob::new(&payloads(scheme.v()), comp())
-        .scheme_arc(scheme)
-        .backend(Backend::Mr(&cluster))
-        .aggregator_arc(aggregator)
-        .fuse(fuse)
-        .run()
-        .unwrap()
+    run_on(&scheme, Backend::Mr(&cluster), Symmetry::Symmetric, &aggregator, fuse).unwrap()
 }
 
 #[test]
@@ -83,36 +99,136 @@ fn fused_mr_skips_job2_with_identical_output_and_charged_bytes() {
     }
 }
 
+/// Every scheme × symmetry × aggregator, fused and not, on 1–3 local
+/// threads and on MR, equals the sequential reference — `ConcatSort`'s
+/// placed rows as well as the filter and top-k accumulators. The fused
+/// `ConcatSort` MR run also survives a seeded crash, and the smallest `v`
+/// the schemes accept (2 and 3) runs through the same matrix.
 #[test]
 fn fused_output_identical_across_backends_and_aggregators() {
-    let v = 36u64;
-    let data = payloads(v);
     let aggregators: Vec<(&'static str, Arc<dyn Aggregator<u64>>)> = vec![
         ("concat", Arc::new(ConcatSort)),
         ("filter", Arc::new(FilterAggregator::new(|r: &u64| !r.is_multiple_of(3)))),
         ("topk", Arc::new(TopKAggregator::new(5, |r: &u64| *r as f64))),
     ];
-    for (agg_name, agg) in aggregators {
-        let reference = PairwiseJob::new(&data, comp())
-            .scheme(BlockScheme::new(v, 4))
-            .aggregator_arc(Arc::clone(&agg))
-            .run()
-            .unwrap()
-            .output;
-        for fuse in [true, false] {
-            for threads in [1usize, 4] {
-                let run = PairwiseJob::new(&data, comp())
-                    .scheme(BlockScheme::new(v, 4))
-                    .backend(Backend::Local { threads })
-                    .aggregator_arc(Arc::clone(&agg))
-                    .fuse(fuse)
-                    .run()
-                    .unwrap();
-                assert_eq!(run.output, reference, "{agg_name}: local/{threads} fuse={fuse}");
+    for v in [2u64, 3, 36] {
+        for (name, scheme) in schemes(v) {
+            for symmetry in [Symmetry::Symmetric, Symmetry::NonSymmetric] {
+                for (agg_name, agg) in &aggregators {
+                    let case = format!("v={v} {name} {symmetry:?} {agg_name}");
+                    let reference = PairwiseJob::new(&payloads(v), comp())
+                        .symmetry(symmetry)
+                        .aggregator_arc(Arc::clone(agg))
+                        .run()
+                        .unwrap()
+                        .output;
+                    for fuse in [true, false] {
+                        for threads in [1usize, 2, 3] {
+                            let local = Backend::Local { threads };
+                            let run = run_on(&scheme, local, symmetry, agg, fuse).unwrap();
+                            assert_eq!(
+                                run.output, reference,
+                                "{case}: local/{threads} fuse={fuse}"
+                            );
+                        }
+                        let cluster = Cluster::new(ClusterConfig::with_nodes(4));
+                        let run = run_on(&scheme, Backend::Mr(&cluster), symmetry, agg, fuse);
+                        assert_eq!(run.unwrap().output, reference, "{case}: mr fuse={fuse}");
+                    }
+                    if *agg_name == "concat" && v > 3 {
+                        let cluster = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, 23));
+                        let run = run_on(&scheme, Backend::Mr(&cluster), symmetry, agg, true);
+                        assert_eq!(run.unwrap().output, reference, "{case}: mr fused, one crash");
+                        assert_eq!(cluster.node_crashes(), 1, "{case}");
+                    }
+                }
             }
-            let run = mr_run(Arc::new(BlockScheme::new(v, 4)), Arc::clone(&agg), fuse);
-            assert_eq!(run.output, reference, "{agg_name}: mr fuse={fuse}");
         }
+    }
+}
+
+/// `BlockScheme` with one task's pair stream tampered with, while its
+/// `num_pairs` still adds up to every pair — the case only the write-once
+/// check can catch.
+struct Tampered {
+    inner: BlockScheme,
+    /// `true`: the first pair of task 0 is delivered twice; `false`: never.
+    duplicate: bool,
+}
+
+impl DistributionScheme for Tampered {
+    fn v(&self) -> u64 {
+        self.inner.v()
+    }
+    fn num_tasks(&self) -> u64 {
+        self.inner.num_tasks()
+    }
+    fn subsets_of(&self, element: u64) -> Vec<u64> {
+        self.inner.subsets_of(element)
+    }
+    fn working_set(&self, task: u64) -> Vec<u64> {
+        self.inner.working_set(task)
+    }
+    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
+        let mut pairs = self.inner.pairs(task);
+        if task == 0 {
+            match self.duplicate {
+                true => pairs.push(pairs[0]),
+                false => drop(pairs.remove(0)),
+            }
+        }
+        pairs
+    }
+    fn num_pairs(&self, task: u64) -> u64 {
+        self.inner.num_pairs(task)
+    }
+    fn name(&self) -> &'static str {
+        "tampered-block"
+    }
+    fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
+        self.inner.metrics(n_nodes)
+    }
+}
+
+#[test]
+fn placed_rows_reject_a_duplicated_or_dropped_pair() {
+    let concat: Arc<dyn Aggregator<u64>> = Arc::new(ConcatSort);
+    for duplicate in [true, false] {
+        let scheme: Arc<dyn DistributionScheme> =
+            Arc::new(Tampered { inner: BlockScheme::new(30, 4), duplicate });
+        let want = if duplicate { "written twice" } else { "neighbours written" };
+        for threads in [1usize, 3] {
+            let local = Backend::Local { threads };
+            let err = run_on(&scheme, local, Symmetry::Symmetric, &concat, true).unwrap_err();
+            assert!(
+                matches!(&err, MrError::InvalidJob(msg) if msg.contains(want)),
+                "duplicate={duplicate} local/{threads}: {err}"
+            );
+        }
+        let cluster = Cluster::new(ClusterConfig::with_nodes(3));
+        let err =
+            run_on(&scheme, Backend::Mr(&cluster), Symmetry::Symmetric, &concat, true).unwrap_err();
+        assert!(
+            matches!(&err, MrError::User(msg) if msg.contains(want)),
+            "duplicate={duplicate} mr: {err}"
+        );
+    }
+}
+
+/// Hierarchical rounds each cover part of the pairs, so they stay on the
+/// accumulator path and still reproduce the flat run.
+#[test]
+fn two_level_rounds_match_the_flat_placed_run() {
+    let v = 36u64;
+    let concat: Arc<dyn Aggregator<u64>> = Arc::new(ConcatSort);
+    let flat: Arc<dyn DistributionScheme> = Arc::new(BlockScheme::new(v, 6));
+    let local = Backend::Local { threads: 2 };
+    let flat = run_on(&flat, local, Symmetry::Symmetric, &concat, true).unwrap().output;
+    let cluster = Cluster::new(ClusterConfig::with_nodes(3));
+    for backend in [local, Backend::Mr(&cluster)] {
+        let rounds = TwoLevelBlock::new(v, 3, 2).rounds().into_iter().map(Arc::from).collect();
+        let run = PairwiseJob::new(&payloads(v), comp()).rounds(rounds).backend(backend).run();
+        assert_eq!(run.unwrap().output, flat);
     }
 }
 
@@ -236,5 +352,21 @@ fn fused_charge_matches_unfused_for_variable_length_results() {
             assert_eq!(f.shuffle_bytes, u.shuffle_bytes, "{name}/{label}: charged bytes");
         }
         assert_eq!(crashed.node_crashes(), 1, "{name}");
+    }
+}
+
+/// `String` results own heap memory, so `ConcatSort` runs over them stay
+/// on the accumulator path instead of placing rows — and still match.
+#[test]
+fn heap_owning_results_match_the_sequential_reference() {
+    let v = 40u64;
+    let data = payloads(v);
+    let job =
+        || PairwiseJob::new(&data, comp_fn(|a: &u64, b: &u64| "ab".repeat(((a ^ b) % 7) as usize)));
+    let reference = job().run().unwrap().output;
+    let cluster = Cluster::new(ClusterConfig::with_nodes(4));
+    for backend in [Backend::Local { threads: 3 }, Backend::Mr(&cluster)] {
+        let run = job().scheme(BlockScheme::new(v, 5)).backend(backend).run().unwrap();
+        assert_eq!(run.output, reference);
     }
 }
