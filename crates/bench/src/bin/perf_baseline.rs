@@ -34,7 +34,7 @@ use pmr_apps::kernels::{DenseSqDistKernel, SparseDotKernel};
 use pmr_apps::prune::PrefixFilter;
 use pmr_apps::{DenseVector, SparseVector};
 use pmr_cluster::{Cluster, ClusterConfig, SocketMode, Telemetry, TransportKind};
-use pmr_core::runner::local::{run_local, run_local_kernel};
+use pmr_core::runner::local::run_local;
 use pmr_core::runner::{
     aggregate_all, comp_fn, Aggregator, Backend, BatchComp, CompFn, ConcatSort, FilterAggregator,
     FnAggregator, PairFilter, PairwiseJob, PairwiseOutput, Symmetry,
@@ -102,10 +102,10 @@ fn measure<T: Send + Sync>(w: &Workload<T>) -> (f64, PairwiseOutput<f64>) {
     (pairs as f64 / best, out.unwrap())
 }
 
-/// [`measure`] through the batch-kernel path ([`run_local_kernel`]) under
-/// a caller-chosen aggregator — `&ConcatSort` takes the fused per-worker
-/// accumulator path, a [`FnAggregator`] control hides decomposability and
-/// forces the unfused flat-emit path.
+/// [`measure`] through a batch kernel under a caller-chosen aggregator —
+/// `&ConcatSort` takes the fused path, a [`FnAggregator`] control hides
+/// decomposability and forces the unfused path (every partial gathered,
+/// then aggregated once per element).
 fn measure_kernel<T: Send + Sync>(
     w: &Workload<T>,
     kernel: &dyn BatchComp<T, f64>,
@@ -117,7 +117,7 @@ fn measure_kernel<T: Send + Sync>(
     let mut out = None;
     for _ in 0..w.iters {
         let start = Instant::now();
-        let (o, _stats) = run_local_kernel(
+        let (o, _stats) = run_local(
             &w.data,
             w.scheme.as_ref(),
             kernel,

@@ -9,10 +9,11 @@
 //! kernel sees them, so non-candidate pairs are never resolved, never
 //! buffered into a tile, and never evaluated.
 //!
-//! The filter sits at exactly one seam — the `for_each_pair` stream each
-//! runner hands to `evaluate_tiled` (the private tiling entry point)
-//! — which is why all schemes, batch kernels, fused aggregation, and all
-//! backends (sequential/local/MR/process) work unchanged. Distribution,
+//! The filter sits at exactly one seam, written once: `evaluate_tiled`,
+//! the evaluation core every backend calls with its own sink, wraps the
+//! `for_each_pair` stream in the filter and keeps the tallies — which is
+//! why all schemes, batch kernels, fused aggregation, and all backends
+//! (sequential/local/MR/process) work unchanged. Distribution,
 //! replication, and working-set validation are untouched: the charged cost
 //! model and the unthresholded Table-1 numbers stay byte-identical, and
 //! the output still contains every element (an element whose pairs were

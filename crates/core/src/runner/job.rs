@@ -25,11 +25,10 @@ use pmr_mapreduce::{MrError, Wire};
 use pmr_obs::{RunReport, Telemetry};
 
 use crate::runner::filter::PairFilter;
-use crate::runner::kernel::{BatchComp, ScalarComp};
+use crate::runner::kernel::BatchComp;
 use crate::runner::local::{run_local_impl, LocalRunStats};
 use crate::runner::mr::{
-    run_mr_broadcast_impl, run_mr_impl, run_mr_rounds_impl, MrPairwiseOptions, MrRunReport,
-    EVALUATIONS_COUNTER,
+    run_mr_broadcast_impl, run_mr_impl, MrPairwiseOptions, MrRunReport, EVALUATIONS_COUNTER,
 };
 use crate::runner::sequential::run_sequential_impl;
 use crate::runner::store::ElementStore;
@@ -72,7 +71,7 @@ enum Plan {
     Scheme(Arc<dyn DistributionScheme>),
     /// The broadcast scheme via the single-job distributed-cache variant
     /// (paper §5.1) on MR; plain task execution elsewhere.
-    Broadcast(BroadcastScheme),
+    Broadcast(Arc<dyn DistributionScheme>),
     /// Hierarchical rounds executed sequentially (paper §7).
     Rounds(Vec<Arc<dyn DistributionScheme>>),
 }
@@ -168,12 +167,16 @@ where
     /// Uses the broadcast scheme via the single-job distributed-cache
     /// variant on MR (paper §5.1).
     pub fn broadcast(mut self, scheme: BroadcastScheme) -> Self {
-        self.plan = Plan::Broadcast(scheme);
+        self.plan = Plan::Broadcast(Arc::new(scheme));
         self
     }
 
-    /// Runs a hierarchical scheme's rounds sequentially, aggregating
-    /// between rounds (paper §7).
+    /// Runs a hierarchical scheme's rounds sequentially (paper §7): each
+    /// round runs as a plan of its own — on MR with its own jobs, DFS
+    /// directory and cleanup — gathering every partial, and the aggregator
+    /// runs once over each element's partials at the end.
+    /// [`PairwiseRun::mr`] holds one report per round, so peak
+    /// intermediate storage shows bounded by the largest round.
     pub fn rounds(mut self, rounds: Vec<Arc<dyn DistributionScheme>>) -> Self {
         self.plan = Plan::Rounds(rounds);
         self
@@ -253,10 +256,14 @@ where
 
     /// Enables or disables fused aggregation (default: enabled). With a
     /// [`DecomposableAggregator`](crate::runner::DecomposableAggregator),
-    /// the local backend merges per-worker accumulators at commit and the
-    /// MR backend aggregates inside job-1 reduce tasks, skipping job 2 and
-    /// its shuffle entirely; charged bytes are unchanged either way. A
-    /// non-decomposable aggregator always takes the unfused path.
+    /// the local backend folds each result into the aggregator's own
+    /// accumulators (or, for `ConcatSort` over every pair, writes its rows
+    /// in place) and the MR backend aggregates inside job-1 reduce tasks,
+    /// skipping job 2 and its shuffle entirely; charged bytes are unchanged
+    /// either way. Unfused — or with a non-decomposable aggregator — the
+    /// local backend gathers every partial of an element and runs the
+    /// aggregator once over them, in ascending neighbour id, and the MR
+    /// backend runs the paper's two jobs.
     pub fn fuse(mut self, fuse: bool) -> Self {
         self.options.fuse = fuse;
         self
@@ -286,9 +293,8 @@ where
             options,
         } = self;
         // Every backend evaluates through one kernel: the caller's batched
-        // one, or the comp wrapped scalar (bit-identical results either way).
-        let kernel: Arc<dyn BatchComp<T, R>> =
-            kernel.unwrap_or_else(|| Arc::new(ScalarComp::new(comp)));
+        // one, or the comp itself (bit-identical results either way).
+        let kernel: Arc<dyn BatchComp<T, R>> = kernel.unwrap_or_else(|| Arc::new(comp));
         // One sink for the whole run: the cluster's when it has one (the
         // engine records spans there), otherwise the builder's.
         let effective = match backend {
@@ -304,12 +310,7 @@ where
         }
         match &plan {
             Plan::None => {}
-            Plan::Scheme(s) => {
-                effective.set_meta("scheme", s.name());
-                effective.set_meta("scheme.v", s.v());
-                effective.set_meta("scheme.tasks", s.num_tasks());
-            }
-            Plan::Broadcast(s) => {
+            Plan::Scheme(s) | Plan::Broadcast(s) => {
                 effective.set_meta("scheme", s.name());
                 effective.set_meta("scheme.v", s.v());
                 effective.set_meta("scheme.tasks", s.num_tasks());
@@ -320,6 +321,46 @@ where
             }
         }
 
+        // One scheme on the local or MR backend: the single dispatch every
+        // plan goes through.
+        let run_scheme = |scheme: Arc<dyn DistributionScheme>,
+                          broadcast: bool,
+                          aggregator: Arc<dyn Aggregator<R>>,
+                          options: MrPairwiseOptions|
+         -> pmr_mapreduce::Result<PairwiseRun<R>> {
+            let (output, mr, local) = match backend {
+                Backend::Local { threads } => {
+                    let (output, stats) = run_local_impl(
+                        store.elements(),
+                        scheme.as_ref(),
+                        kernel.as_ref(),
+                        symmetry,
+                        aggregator.as_ref(),
+                        threads,
+                        options.fuse,
+                        filter.as_deref(),
+                        &effective,
+                    )?;
+                    (output, Vec::new(), Some(stats))
+                }
+                Backend::Mr(cluster) => {
+                    let run_mr = if broadcast { run_mr_broadcast_impl } else { run_mr_impl };
+                    let (output, report) = run_mr(
+                        cluster,
+                        scheme,
+                        &store,
+                        Arc::clone(&kernel),
+                        symmetry,
+                        aggregator,
+                        filter.clone(),
+                        options,
+                    )?;
+                    (output, vec![report], None)
+                }
+                Backend::Sequential => unreachable!("the sequential backend takes no scheme"),
+            };
+            Ok(PairwiseRun { output, report: RunReport::default(), mr, local })
+        };
         let mut run = match (backend, plan) {
             (Backend::Sequential, _) => {
                 let phase = effective.job_phase("sequential", "evaluate");
@@ -344,129 +385,45 @@ where
                     }),
                 }
             }
-            (Backend::Local { .. }, Plan::None) => {
-                return Err(MrError::InvalidJob(
-                    "the local backend needs a scheme (scheme/broadcast/rounds)".into(),
-                ));
+            (_, Plan::None) => {
+                let which = if let Backend::Mr(_) = backend { "MR" } else { "local" };
+                return Err(MrError::InvalidJob(format!(
+                    "the {which} backend needs a scheme (scheme/broadcast/rounds)"
+                )));
             }
-            (Backend::Local { threads }, Plan::Scheme(scheme)) => {
-                let (output, stats) = run_local_impl(
-                    store.elements(),
-                    scheme.as_ref(),
-                    kernel.as_ref(),
-                    symmetry,
-                    aggregator.as_ref(),
-                    threads,
-                    options.fuse,
-                    filter.as_deref(),
-                    &effective,
-                )?;
-                PairwiseRun {
-                    output,
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(stats),
-                }
-            }
-            (Backend::Local { threads }, Plan::Broadcast(scheme)) => {
-                let (output, stats) = run_local_impl(
-                    store.elements(),
-                    &scheme,
-                    kernel.as_ref(),
-                    symmetry,
-                    aggregator.as_ref(),
-                    threads,
-                    options.fuse,
-                    filter.as_deref(),
-                    &effective,
-                )?;
-                PairwiseRun {
-                    output,
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(stats),
-                }
-            }
-            (Backend::Local { threads }, Plan::Rounds(rounds)) => {
-                // By element id, as in the MR rounds driver.
+            (_, Plan::Scheme(scheme)) => run_scheme(scheme, false, aggregator, options)?,
+            (_, Plan::Broadcast(scheme)) => run_scheme(scheme, true, aggregator, options)?,
+            (_, Plan::Rounds(rounds)) => {
+                // Each round gathers every partial; by element id, they are
+                // appended across rounds and aggregated once at the end.
                 let mut merged: Vec<Vec<(u64, R)>> = vec![Vec::new(); store.len()];
-                let mut stats = LocalRunStats::default();
-                for round in rounds {
-                    let (out, s) = run_local_impl(
-                        store.elements(),
-                        round.as_ref(),
-                        kernel.as_ref(),
-                        symmetry,
-                        &ConcatSort,
-                        threads,
-                        options.fuse,
-                        filter.as_deref(),
-                        &effective,
-                    )?;
-                    for (id, mut partial) in out.per_element {
+                let mut mr = Vec::with_capacity(rounds.len());
+                let mut local =
+                    matches!(backend, Backend::Local { .. }).then(LocalRunStats::default);
+                for (i, round) in rounds.into_iter().enumerate() {
+                    let dfs_dir = format!("{}/round-{i}", options.dfs_dir);
+                    let opts = MrPairwiseOptions { dfs_dir: dfs_dir.clone(), ..options.clone() };
+                    let run = run_scheme(round, false, Arc::new(ConcatSort), opts)?;
+                    for (id, mut partial) in run.output.per_element {
                         merged[id as usize].append(&mut partial);
                     }
-                    stats.tasks += s.tasks;
-                    stats.evaluations += s.evaluations;
-                    stats.max_working_set = stats.max_working_set.max(s.max_working_set);
-                    if let Some(p) = s.pruning {
-                        stats.pruning.get_or_insert_with(Default::default).absorb(p);
+                    mr.extend(run.mr);
+                    if let (Some(total), Some(stats)) = (&mut local, run.local) {
+                        total.absorb(stats);
+                    }
+                    // The round's DFS files are no longer needed once merged.
+                    if let Backend::Mr(cluster) = backend {
+                        for path in cluster.dfs().list(&format!("{dfs_dir}/")) {
+                            cluster.dfs().delete(&path);
+                        }
                     }
                 }
                 let per_element = (0u64..)
                     .zip(merged)
                     .map(|(id, partials)| (id, aggregate_all(aggregator.as_ref(), id, partials)))
                     .collect();
-                PairwiseRun {
-                    output: PairwiseOutput { per_element },
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(stats),
-                }
-            }
-            (Backend::Mr(_), Plan::None) => {
-                return Err(MrError::InvalidJob(
-                    "the MR backend needs a scheme (scheme/broadcast/rounds)".into(),
-                ));
-            }
-            (Backend::Mr(cluster), Plan::Scheme(scheme)) => {
-                let (output, report) = run_mr_impl(
-                    cluster,
-                    scheme,
-                    &store,
-                    kernel,
-                    symmetry,
-                    aggregator,
-                    filter.clone(),
-                    options,
-                )?;
-                PairwiseRun { output, report: RunReport::default(), mr: vec![report], local: None }
-            }
-            (Backend::Mr(cluster), Plan::Broadcast(scheme)) => {
-                let (output, report) = run_mr_broadcast_impl(
-                    cluster,
-                    &scheme,
-                    &store,
-                    kernel,
-                    symmetry,
-                    aggregator,
-                    filter.clone(),
-                    options,
-                )?;
-                PairwiseRun { output, report: RunReport::default(), mr: vec![report], local: None }
-            }
-            (Backend::Mr(cluster), Plan::Rounds(rounds)) => {
-                let (output, reports) = run_mr_rounds_impl(
-                    cluster,
-                    rounds,
-                    &store,
-                    kernel,
-                    symmetry,
-                    aggregator,
-                    filter.clone(),
-                    options,
-                )?;
-                PairwiseRun { output, report: RunReport::default(), mr: reports, local: None }
+                let output = PairwiseOutput { per_element };
+                PairwiseRun { output, report: RunReport::default(), mr, local }
             }
         };
 

@@ -9,11 +9,15 @@
 //! registers, and rely on the scheme's cache-blocked enumeration order to
 //! find its operands L1-hot.
 //!
-//! The scalar [`CompFn`] path remains available through [`ScalarComp`],
-//! which adapts any `CompFn` into a (non-batched) kernel. A kernel's
-//! `eval` and `eval_batch` must agree **bit-for-bit**: `eval_batch`'s
-//! default implementation is the scalar loop, and overrides may reorder
-//! work across *pairs* but not change the arithmetic *within* one pair.
+//! A [`CompFn`] is itself a (non-batched) kernel, so a closure with no
+//! vectorized form runs through the same tiles. A kernel's `eval` and
+//! `eval_batch` must agree **bit-for-bit**: `eval_batch`'s default
+//! implementation is the scalar loop, and overrides may reorder work
+//! across *pairs* but not change the arithmetic *within* one pair.
+//!
+//! `evaluate_tiled` is the one evaluation core every backend calls with
+//! its own sink: a stream of pairs, an optional [`PairFilter`] below it,
+//! the tiles, the kernel, and the prune tallies.
 //!
 //! **Operand runs.** Step 2 of the paper evaluates every pair *inside a
 //! working set*, so one element meets many partners back to back, and a
@@ -31,7 +35,8 @@
 //! tile has, and where a tile cuts one, is up to the scheme, the filter
 //! and the runner, so every result must equal `eval` with no run at all.
 
-use crate::runner::{Accumulator, Aggregator, CompFn, Symmetry};
+use crate::runner::filter::{PairFilter, PruneStats};
+use crate::runner::{CompFn, Symmetry};
 
 /// Pairs buffered per tile flush. With the schemes'
 /// [`TILE_EDGE`](crate::enumeration::TILE_EDGE)² = 1024-pair index tiles,
@@ -68,20 +73,10 @@ pub trait BatchComp<T, R>: Send + Sync {
     }
 }
 
-/// Adapts a [`CompFn`] into a [`BatchComp`] with no batching — the
-/// compatibility path for closures that have no vectorized form.
-pub struct ScalarComp<T, R>(pub CompFn<T, R>);
-
-impl<T, R> ScalarComp<T, R> {
-    /// Wraps the comp.
-    pub fn new(comp: CompFn<T, R>) -> ScalarComp<T, R> {
-        ScalarComp(comp)
-    }
-}
-
-impl<T, R> BatchComp<T, R> for ScalarComp<T, R> {
+/// A comp is a kernel with no batching: tiles run the scalar loop.
+impl<T, R> BatchComp<T, R> for CompFn<T, R> {
     fn eval(&self, a: &T, b: &T) -> R {
-        (self.0)(a, b)
+        self(a, b)
     }
 }
 
@@ -92,49 +87,95 @@ impl<T, R> BatchComp<T, R> for ScalarComp<T, R> {
 /// `Some(comp(b, a))` for a non-symmetric one. The sink stores `forward`
 /// with `a` and the reverse (or the shared value) with `b` — storing in
 /// that order reproduces the per-direction emission order the scalar
-/// runners always used. Returns the number of evaluations performed.
+/// runners always used.
+///
+/// A `filter` gates the stream below the enumeration: a pruned pair is
+/// never resolved and never enters a tile. Returns the number of
+/// evaluations performed and the enumerated/pruned tallies; with no filter
+/// the stream is handed over untouched — no per-pair branch — and the
+/// tallies stay zero.
 ///
 /// `resolve` maps an element id to its payload; `stream` is typically
 /// `|f| scheme.for_each_pair(task, f)`.
 pub(crate) fn evaluate_tiled<'a, T: 'a, R: Clone>(
     kernel: &dyn BatchComp<T, R>,
     symmetry: Symmetry,
+    filter: Option<&dyn PairFilter>,
     resolve: impl Fn(u64) -> &'a T,
     stream: impl FnOnce(&mut dyn FnMut(u64, u64)),
     mut sink: impl FnMut(u64, u64, R, Option<R>),
-) -> u64 {
+) -> (u64, PruneStats) {
     let mut tile = Tile::new();
     let mut evaluations = 0u64;
-    stream(&mut |a, b| {
+    let mut prune = PruneStats::default();
+    // One tile push behind one `dyn` serves both paths: the unfiltered
+    // stream calls it directly, the filter per survivor. (Called
+    // statically from the filter arm as well, it measured a few per cent
+    // slower on the unfiltered path.)
+    let push: &mut dyn FnMut(u64, u64) = &mut |a, b| {
         tile.ids.push((a, b));
         tile.ops_a.push(resolve(a));
         tile.ops_b.push(resolve(b));
         if tile.ids.len() == TILE_PAIRS {
             evaluations += tile.flush(kernel, symmetry, &mut sink);
         }
-    });
+    };
+    match filter {
+        None => stream(push),
+        Some(pf) => stream(&mut |a, b| {
+            prune.candidates += 1;
+            if pf.is_candidate(a, b) {
+                push(a, b);
+            } else {
+                prune.pruned += 1;
+            }
+        }),
+    }
     evaluations += tile.flush(kernel, symmetry, &mut sink);
-    evaluations
+    (evaluations, prune)
 }
 
-/// [`evaluate_tiled`] with aggregation fused into the tile flush: each
-/// pair's results are folded straight into the id-indexed accumulators
-/// (`accs[id]` holds element `id`'s state) as the tile drains, so per-pair
-/// values never outlive the tile buffers. Returns the number of evaluations
-/// performed.
-pub(crate) fn evaluate_tiled_fused<'a, T: 'a, R: Clone>(
-    kernel: &dyn BatchComp<T, R>,
-    symmetry: Symmetry,
-    resolve: impl Fn(u64) -> &'a T,
-    stream: impl FnOnce(&mut dyn FnMut(u64, u64)),
-    aggregator: &dyn Aggregator<R>,
-    accs: &mut [Accumulator<R>],
-) -> u64 {
-    evaluate_tiled(kernel, symmetry, resolve, stream, |a, b, rf, rr| {
-        let rb = rr.unwrap_or_else(|| rf.clone());
-        aggregator.fold(&mut accs[a as usize], b, rf);
-        aggregator.fold(&mut accs[b as usize], a, rb);
-    })
+/// Working-set-local `id → slot` index: `slot(id)` is the position of `id`
+/// in the task's sorted working set, so per-element task state lives in
+/// plain `Vec`s instead of id-keyed hash maps. Sized once per task.
+pub(crate) enum SlotIndex<'a> {
+    /// `table[id - min]` is the slot, `u32::MAX` — past any per-slot `Vec`
+    /// — in the gaps: block, broadcast and small design sets, whose span
+    /// is a small multiple of their size.
+    Dense { min: u64, table: Vec<u32> },
+    /// Binary search on the sorted ids — a quorum set spread over `Z_v`
+    /// must not pay an O(v) table per task.
+    Sorted(&'a [u64]),
+}
+
+/// A working set gets the dense table while `max − min < DENSE_SPAN · len`.
+pub(crate) const DENSE_SPAN: u64 = 16;
+
+impl<'a> SlotIndex<'a> {
+    pub(crate) fn new(sorted: &'a [u64]) -> Self {
+        match (sorted.first(), sorted.last()) {
+            (Some(&min), Some(&max)) if max - min < DENSE_SPAN * sorted.len() as u64 => {
+                let mut table = vec![u32::MAX; (max - min) as usize + 1];
+                for (slot, &id) in sorted.iter().enumerate() {
+                    table[(id - min) as usize] = slot as u32;
+                }
+                SlotIndex::Dense { min, table }
+            }
+            _ => SlotIndex::Sorted(sorted),
+        }
+    }
+
+    /// An id outside the working set is a scheme bug (pairs are only
+    /// enumerated within the set the scheme named): it panics here or, from
+    /// a dense-table gap, at the caller's first use of the slot.
+    pub(crate) fn slot(&self, id: u64) -> usize {
+        match self {
+            SlotIndex::Dense { min, table } => table[id.wrapping_sub(*min) as usize] as usize,
+            SlotIndex::Sorted(ids) => {
+                ids.binary_search(&id).expect("scheme enumerated a pair outside its working set")
+            }
+        }
+    }
 }
 
 /// Reusable tile buffers — allocated once per task, reused across flushes.
@@ -209,9 +250,10 @@ mod tests {
         stream: impl FnOnce(&mut dyn FnMut(u64, u64)),
     ) -> (Vec<(u64, u64, i64)>, u64) {
         let mut got = Vec::new();
-        let evals = evaluate_tiled(
+        let (evals, _) = evaluate_tiled(
             kernel,
             symmetry,
+            None,
             |id| &data[id as usize],
             stream,
             |a, b, rf, rr| {
@@ -232,7 +274,7 @@ mod tests {
         let data: Vec<i64> = (0..200).map(|i| (i * i) % 131).collect();
         let pairs: Vec<(u64, u64)> =
             (0..n).map(|i| ((i % 199 + 1) as u64, (i % ((i % 199) + 1)) as u64)).collect();
-        let kernel = ScalarComp::new(comp_fn(|a: &i64, b: &i64| 3 * a - b));
+        let kernel = comp_fn(|a: &i64, b: &i64| 3 * a - b);
         for symmetry in [Symmetry::Symmetric, Symmetry::NonSymmetric] {
             let (got, evals) = collect(symmetry, &kernel, &data, |f| {
                 for &(a, b) in &pairs {
@@ -283,19 +325,59 @@ mod tests {
         for t in 0..scheme.num_tasks() {
             let (got, _) =
                 collect(Symmetry::Symmetric, &Doubling, &data, |f| scheme.for_each_pair(t, f));
-            let (want, _) = collect(
-                Symmetry::Symmetric,
-                &ScalarComp::new(comp_fn(|a: &i64, b: &i64| a * 2 + b)),
-                &data,
-                |f| scheme.for_each_pair(t, f),
-            );
+            let (want, _) =
+                collect(Symmetry::Symmetric, &comp_fn(|a: &i64, b: &i64| a * 2 + b), &data, |f| {
+                    scheme.for_each_pair(t, f)
+                });
             assert_eq!(got, want, "task {t}");
         }
     }
 
     #[test]
+    fn filter_gates_the_stream_and_tallies() {
+        struct EvenSum;
+        impl PairFilter for EvenSum {
+            fn name(&self) -> &'static str {
+                "even-sum"
+            }
+            fn is_candidate(&self, a: u64, b: u64) -> bool {
+                (a + b).is_multiple_of(2)
+            }
+        }
+        let data: Vec<i64> = (0..40).collect();
+        let kernel = comp_fn(|a: &i64, b: &i64| a - b);
+        let all = |f: &mut dyn FnMut(u64, u64)| BlockScheme::new(40, 3).for_each_pair(0, f);
+        let mut got = Vec::new();
+        let (evals, prune) = evaluate_tiled(
+            &kernel,
+            Symmetry::Symmetric,
+            Some(&EvenSum),
+            |id| &data[id as usize],
+            all,
+            |a, b, r, _| got.push((a, b, r)),
+        );
+        let mut want = Vec::new();
+        all(&mut |a, b| want.push((a, b)));
+        let enumerated = want.len() as u64;
+        want.retain(|&(a, b)| (a + b).is_multiple_of(2));
+        assert_eq!(got, want.iter().map(|&(a, b)| (a, b, a as i64 - b as i64)).collect::<Vec<_>>());
+        assert_eq!(evals, want.len() as u64);
+        assert_eq!(prune, PruneStats { candidates: enumerated, pruned: enumerated - evals });
+        // No filter: every pair, and no tallies.
+        let (evals, prune) = evaluate_tiled(
+            &kernel,
+            Symmetry::Symmetric,
+            None,
+            |id| &data[id as usize],
+            all,
+            |_, _, _, _| {},
+        );
+        assert_eq!((evals, prune), (enumerated, PruneStats::default()));
+    }
+
+    #[test]
     fn empty_stream_is_fine() {
-        let kernel = ScalarComp::new(comp_fn(|a: &i64, b: &i64| a + b));
+        let kernel = comp_fn(|a: &i64, b: &i64| a + b);
         let (got, evals) = collect(Symmetry::Symmetric, &kernel, &[1, 2], |_f| {});
         assert!(got.is_empty());
         assert_eq!(evals, 0);

@@ -22,10 +22,9 @@
 //! ## Evaluation
 //!
 //! Pairs are streamed via `DistributionScheme::for_each_pair` (no per-task
-//! pair vector) into L1-sized tiles evaluated by a [`BatchComp`] kernel;
-//! the [`CompFn`] entry point wraps the comp in a [`ScalarComp`], which
-//! evaluates tiles with the identical per-pair arithmetic — results are
-//! bit-for-bit the same on both paths.
+//! pair vector) into L1-sized tiles evaluated by a [`BatchComp`] kernel; a
+//! [`CompFn`](crate::runner::CompFn) is a kernel whose tiles run the
+//! scalar loop, so results are bit-for-bit the same on both paths.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -35,11 +34,10 @@ use pmr_mapreduce::MrError;
 use pmr_obs::{hist, SpanKind, Telemetry};
 
 use crate::runner::filter::{PairFilter, PruneStats};
-use crate::runner::kernel::{evaluate_tiled, evaluate_tiled_fused, BatchComp, ScalarComp};
-use crate::runner::mr::SlotIndex;
+use crate::runner::kernel::{evaluate_tiled, BatchComp, SlotIndex};
 use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::{
-    aggregate_all, Accumulator, Aggregator, CompFn, DecomposableAggregator, PairwiseOutput,
+    aggregate_all, Accumulator, Aggregator, ConcatSort, DecomposableAggregator, PairwiseOutput,
     Symmetry,
 };
 use crate::scheme::DistributionScheme;
@@ -58,27 +56,23 @@ pub struct LocalRunStats {
     pub pruning: Option<PruneStats>,
 }
 
-/// Evaluates all pairs of `payloads` under `scheme` on `threads` worker
-/// threads. Element `i` has id `i`; `payloads.len()` must equal
-/// `scheme.v()`.
-pub fn run_local<T, R>(
-    payloads: &[T],
-    scheme: &dyn DistributionScheme,
-    comp: &CompFn<T, R>,
-    symmetry: Symmetry,
-    aggregator: &dyn Aggregator<R>,
-    threads: usize,
-) -> (PairwiseOutput<R>, LocalRunStats)
-where
-    T: Sync,
-    R: Clone + Send,
-{
-    let kernel = ScalarComp::new(comp.clone());
-    run_local_kernel(payloads, scheme, &kernel, symmetry, aggregator, threads)
+impl LocalRunStats {
+    /// Folds another task's, worker's or hierarchical round's statistics
+    /// into these.
+    pub(crate) fn absorb(&mut self, other: LocalRunStats) {
+        self.tasks += other.tasks;
+        self.evaluations += other.evaluations;
+        self.max_working_set = self.max_working_set.max(other.max_working_set);
+        if let Some(p) = other.pruning {
+            self.pruning.get_or_insert_with(Default::default).absorb(p);
+        }
+    }
 }
 
-/// [`run_local`] evaluating through a batch kernel instead of a scalar
-/// [`CompFn`] — the fast path for comps with a vectorized form.
+/// Evaluates all pairs of `payloads` under `scheme` on `threads` worker
+/// threads. Element `i` has id `i`; `payloads.len()` must equal
+/// `scheme.v()`. A [`CompFn`](crate::runner::CompFn) is a kernel, so
+/// `&comp` works as well as a batched [`BatchComp`].
 ///
 /// # Panics
 ///
@@ -87,7 +81,7 @@ where
 /// that as an error).
 ///
 /// [`PairwiseJob`]: crate::runner::PairwiseJob
-pub fn run_local_kernel<T, R>(
+pub fn run_local<T, R>(
     payloads: &[T],
     scheme: &dyn DistributionScheme,
     kernel: &dyn BatchComp<T, R>,
@@ -127,27 +121,12 @@ fn seed_deques(scheme: &dyn DistributionScheme, workers: usize) -> Vec<Mutex<Vec
     deques
 }
 
-/// Per-worker emission state: flat result triples for the general path,
-/// per-element accumulators when the aggregator is decomposable and the
-/// run is fused (results fold in-tile; the commit merges accumulators
-/// instead of scatter-filling rows), or one task's staged results when the
-/// run places rows.
+/// Per-worker state: dense per-element accumulators the worker folds into
+/// across all its tasks, or — when the run places rows — one task's
+/// staged results.
 enum WorkerData<R> {
-    Flat {
-        /// Result triples, appended sequentially — the cheap emit layout;
-        /// grouping by element happens once, in the aggregate phase. For a
-        /// symmetric comp one `(a, b, r)` entry covers both directions;
-        /// for a non-symmetric comp each direction gets its own
-        /// `(with, other, r)` entry.
-        emitted: Vec<(u64, u64, R)>,
-        /// Per-element row sizes this worker contributes — counted during
-        /// emission (the array is L1-resident) so the merge can size every
-        /// row exactly without re-scanning the emit buffers.
-        counts: Vec<usize>,
-    },
-    Fused {
-        /// Dense per-element accumulators this worker folds into across
-        /// all its tasks.
+    Folded {
+        /// `accs[id]` is element `id`'s accumulator for this worker.
         accs: Vec<Accumulator<R>>,
     },
     Placed {
@@ -161,14 +140,18 @@ enum WorkerData<R> {
 /// The heart of the runner, shared with [`PairwiseJob`](crate::runner::job):
 /// each task becomes a [`SpanKind::Task`] span (node = worker index), and
 /// the run's evaluate/aggregate windows are emitted as job phases of job
-/// `"local"`. When the run places rows (`runner::place`), each task
-/// stages its results by working-set slot and copies them, one row lock per
-/// touched element, into the exact-size rows at task end. Otherwise, with
-/// `fuse` set and a decomposable aggregator, per-pair results are folded
-/// into per-worker accumulators at the tile flush and merged at commit; and
-/// failing that the flat emit + scatter path runs. A [`PairFilter`] gates
-/// the pair stream below enumeration: pruned pairs never enter a tile, and
-/// the enumerated/pruned tallies land in [`LocalRunStats::pruning`].
+/// `"local"`.
+///
+/// Results are collected under `dec`: the aggregator's decomposable form
+/// on a fused run, otherwise [`ConcatSort`]. When `dec` places rows
+/// (`runner::place`), each task stages its results by working-set slot
+/// and copies them, one row lock per touched element, into the exact-size
+/// rows at task end; otherwise each worker folds into accumulators of
+/// `dec` at the tile flush, merged at commit. When `dec` is not the
+/// aggregator itself, each finished row — every partial, in ascending
+/// neighbour id — then goes through the aggregator once. A [`PairFilter`]
+/// gates the pair stream below enumeration, and the enumerated/pruned
+/// tallies land in [`LocalRunStats::pruning`].
 ///
 /// A pair enumerated twice or never, on a placed run, is an
 /// [`MrError::InvalidJob`].
@@ -191,8 +174,13 @@ where
     assert_eq!(payloads.len() as u64, scheme.v(), "payload count must match the scheme's v");
     let v = payloads.len();
     let num_tasks = scheme.num_tasks();
-    let decomposable = if fuse { aggregator.decomposable() } else { None };
-    let placed = places_rows(aggregator, fuse, filter.is_some(), scheme);
+    // `then` is the aggregator still to run over each finished row.
+    let (dec, then): (&dyn DecomposableAggregator<R>, _) =
+        match aggregator.decomposable().filter(|_| fuse) {
+            Some(dec) => (dec, None),
+            None => (&ConcatSort, Some(aggregator)),
+        };
+    let placed = places_rows(dec, filter.is_some(), scheme);
     // `rows[id]` is element `id`'s output row; only a placed run has them.
     let rows: Vec<Mutex<Option<PlacedRow<R>>>> =
         if placed { (0..v).map(|_| Mutex::new(None)).collect() } else { Vec::new() };
@@ -203,10 +191,7 @@ where
 
     struct WorkerResult<R> {
         data: WorkerData<R>,
-        tasks: u64,
-        evaluations: u64,
-        max_working_set: u64,
-        prune: PruneStats,
+        stats: LocalRunStats,
         /// The first placement error; the worker stops at it.
         error: Option<String>,
     }
@@ -218,21 +203,13 @@ where
             .map(|w| {
                 let (deques, rows) = (&deques, &rows);
                 scope.spawn(move |_| {
-                    let data = match decomposable {
-                        Some(_) if placed => WorkerData::Placed { stage: Vec::new() },
-                        Some(_) => WorkerData::Fused {
-                            accs: (0..v as u64).map(|id| aggregator.init(id)).collect(),
-                        },
-                        None => WorkerData::Flat { emitted: Vec::new(), counts: vec![0; v] },
+                    let data = if placed {
+                        WorkerData::Placed { stage: Vec::new() }
+                    } else {
+                        WorkerData::Folded { accs: (0..v as u64).map(|id| dec.init(id)).collect() }
                     };
-                    let mut res = WorkerResult {
-                        data,
-                        tasks: 0,
-                        evaluations: 0,
-                        max_working_set: 0,
-                        prune: PruneStats::default(),
-                        error: None,
-                    };
+                    let mut res =
+                        WorkerResult { data, stats: LocalRunStats::default(), error: None };
                     loop {
                         // Pop-then-steal as separate statements: the own-
                         // deque guard must drop before any victim is
@@ -250,24 +227,21 @@ where
                             telemetry.span("local", SpanKind::Task, t as u32, 0, w as u32);
                         let mut lap_at = Instant::now();
                         let ws = scheme.working_set(t);
-                        res.max_working_set = res.max_working_set.max(ws.len() as u64);
                         span.add_records_in(ws.len() as u64);
-                        // The filter gates the pair stream below the
-                        // scheme's enumeration: a pruned pair never enters
-                        // a tile. With no filter the stream is handed over
-                        // untouched — no per-pair branch, no tallies.
-                        let mut task_prune = PruneStats::default();
-                        let task_evals = match &mut res.data {
+                        let resolve = |id: u64| &payloads[id as usize];
+                        let stream = |f: &mut dyn FnMut(u64, u64)| scheme.for_each_pair(t, f);
+                        let (task_evals, task_prune) = match &mut res.data {
                             WorkerData::Placed { stage } => {
                                 let index = SlotIndex::new(&ws);
                                 if stage.len() < ws.len() {
                                     stage.resize_with(ws.len(), Vec::new);
                                 }
-                                let evals = evaluate_tiled(
+                                let out = evaluate_tiled(
                                     kernel,
                                     symmetry,
-                                    |id| &payloads[id as usize],
-                                    |f| scheme.for_each_pair(t, f),
+                                    filter,
+                                    resolve,
+                                    stream,
                                     |a, b, rf, rr| {
                                         let rb = rr.unwrap_or_else(|| rf.clone());
                                         stage[index.slot(a)].push((b, rf));
@@ -278,67 +252,29 @@ where
                                     res.error = Some(err);
                                     break;
                                 }
-                                evals
+                                out
                             }
-                            WorkerData::Fused { accs } => evaluate_tiled_fused(
+                            WorkerData::Folded { accs } => evaluate_tiled(
                                 kernel,
                                 symmetry,
-                                |id| &payloads[id as usize],
-                                |f| match filter {
-                                    None => scheme.for_each_pair(t, f),
-                                    Some(pf) => scheme.for_each_pair(t, &mut |a, b| {
-                                        task_prune.candidates += 1;
-                                        if pf.is_candidate(a, b) {
-                                            f(a, b);
-                                        } else {
-                                            task_prune.pruned += 1;
-                                        }
-                                    }),
+                                filter,
+                                resolve,
+                                stream,
+                                |a, b, rf, rr| {
+                                    let rb = rr.unwrap_or_else(|| rf.clone());
+                                    dec.fold(&mut accs[a as usize], b, rf);
+                                    dec.fold(&mut accs[b as usize], a, rb);
                                 },
-                                aggregator,
-                                accs,
                             ),
-                            WorkerData::Flat { emitted, counts } => {
-                                let per_pair = match symmetry {
-                                    Symmetry::Symmetric => 1,
-                                    Symmetry::NonSymmetric => 2,
-                                };
-                                // Under a filter `num_pairs` is only an
-                                // upper bound — let the emit vector grow
-                                // instead of reserving for pruned pairs.
-                                if filter.is_none() {
-                                    emitted.reserve(per_pair * scheme.num_pairs(t) as usize);
-                                }
-                                evaluate_tiled(
-                                    kernel,
-                                    symmetry,
-                                    |id| &payloads[id as usize],
-                                    |f| match filter {
-                                        None => scheme.for_each_pair(t, f),
-                                        Some(pf) => scheme.for_each_pair(t, &mut |a, b| {
-                                            task_prune.candidates += 1;
-                                            if pf.is_candidate(a, b) {
-                                                f(a, b);
-                                            } else {
-                                                task_prune.pruned += 1;
-                                            }
-                                        }),
-                                    },
-                                    |a, b, rf, rr| {
-                                        counts[a as usize] += 1;
-                                        counts[b as usize] += 1;
-                                        let rev = rr.map(|rr| (b, a, rr));
-                                        emitted.push((a, b, rf));
-                                        if let Some(entry) = rev {
-                                            emitted.push(entry);
-                                        }
-                                    },
-                                )
-                            }
                         };
-                        res.tasks += 1;
-                        res.evaluations += task_evals;
-                        res.prune.absorb(task_prune);
+                        res.stats.absorb(LocalRunStats {
+                            tasks: 1,
+                            evaluations: task_evals,
+                            max_working_set: ws.len() as u64,
+                            // Counter hygiene: only a filtered run reports
+                            // pruning tallies.
+                            pruning: filter.map(|_| task_prune),
+                        });
                         span.lap("evaluate", &mut lap_at);
                         telemetry.record_value(hist::EVALUATIONS_PER_TASK, task_evals);
                     }
@@ -355,38 +291,34 @@ where
     }
     let agg_phase = telemetry.job_phase("local", "aggregate");
 
-    let mut stats = LocalRunStats::default();
-    let mut prune_total = PruneStats::default();
-    let mut emitted: Vec<Vec<(u64, u64, R)>> = Vec::with_capacity(results.len());
-    let mut counts = vec![0usize; v];
+    let mut stats =
+        LocalRunStats { pruning: filter.map(|_| PruneStats::default()), ..Default::default() };
     let mut worker_accs: Vec<Vec<Accumulator<R>>> = Vec::with_capacity(results.len());
     for res in results {
-        stats.tasks += res.tasks;
-        stats.evaluations += res.evaluations;
-        stats.max_working_set = stats.max_working_set.max(res.max_working_set);
-        prune_total.absorb(res.prune);
-        match res.data {
-            WorkerData::Flat { emitted: e, counts: wc } => {
-                for (c, w) in counts.iter_mut().zip(&wc) {
-                    *c += w;
-                }
-                emitted.push(e);
-            }
-            WorkerData::Fused { accs } => worker_accs.push(accs),
-            WorkerData::Placed { .. } => {}
+        stats.absorb(res.stats);
+        if let WorkerData::Folded { accs } = res.data {
+            worker_accs.push(accs);
         }
     }
     debug_assert_eq!(stats.tasks, num_tasks, "every task runs exactly once");
-    // Counter hygiene: only a filtered run reports pruning tallies, so an
-    // unfiltered run's stats (and report) are unchanged by this feature.
-    if filter.is_some() {
-        stats.pruning = Some(prune_total);
-    }
-    let out = match decomposable {
-        Some(_) if placed => finish_rows(rows.into_iter().map(Mutex::into_inner), v as u64)
-            .map_err(|err| MrError::InvalidJob(format!("placed rows: {err}")))?,
-        Some(dec) => merge_fused(worker_accs, dec, threads),
-        None => merge_aggregate(emitted, counts, symmetry, aggregator, threads),
+    let out = if placed {
+        let out = finish_rows(rows.into_iter().map(Mutex::into_inner), v as u64)
+            .map_err(|err| MrError::InvalidJob(format!("placed rows: {err}")))?;
+        match then {
+            None => out,
+            Some(agg) => finish_in_parallel(out.per_element, threads, |id, (_, row)| {
+                aggregate_all(agg, id, row)
+            }),
+        }
+    } else {
+        let accs = merge_workers(worker_accs, dec);
+        finish_in_parallel(accs, threads, |id, acc| {
+            let row = dec.finish(acc);
+            match then {
+                None => row,
+                Some(agg) => aggregate_all(agg, id, row),
+            }
+        })
     };
     drop(agg_phase);
     Ok((out, stats))
@@ -406,42 +338,50 @@ fn place_staged<R: Clone>(
     Ok(())
 }
 
-/// Merges the per-worker accumulator vectors in worker order, then
-/// finishes every element in parallel over contiguous id ranges. Merge
-/// order is irrelevant to the output — that is exactly the decomposability
-/// law the aggregator advertises — so the result is byte-identical across
-/// thread counts and to the unfused path.
-fn merge_fused<R: Clone + Send>(
+/// Merges the per-worker accumulator vectors into the first, in worker
+/// order. Merge order is irrelevant to the output — that is exactly the
+/// decomposability law the aggregator advertises — so the result is
+/// byte-identical across thread counts.
+fn merge_workers<R>(
     worker_accs: Vec<Vec<Accumulator<R>>>,
     dec: &dyn DecomposableAggregator<R>,
-    threads: usize,
-) -> PairwiseOutput<R> {
+) -> Vec<Accumulator<R>> {
     let mut workers = worker_accs.into_iter();
-    let Some(base) = workers.next() else {
-        return PairwiseOutput { per_element: Vec::new() };
-    };
-    let mut slots: Vec<Option<Accumulator<R>>> = base.into_iter().map(Some).collect();
+    let mut base = workers.next().unwrap_or_default();
     for accs in workers {
-        for (slot, other) in slots.iter_mut().zip(accs) {
+        for (acc, other) in base.iter_mut().zip(accs) {
             if !other.is_empty() {
-                dec.merge(slot.as_mut().expect("slot taken during merge"), other);
+                dec.merge(acc, other);
             }
         }
     }
-    let v = slots.len();
+    base
+}
+
+/// Turns each element's item (`items[id]`) into its finished row with
+/// `finish(id, item)`, in parallel over contiguous id ranges.
+fn finish_in_parallel<X: Send, R: Send>(
+    items: Vec<X>,
+    threads: usize,
+    finish: impl Fn(u64, X) -> Vec<(u64, R)> + Sync,
+) -> PairwiseOutput<R> {
+    let v = items.len();
     if v == 0 {
         return PairwiseOutput { per_element: Vec::new() };
     }
+    let mut slots: Vec<Option<X>> = items.into_iter().map(Some).collect();
     let mut per_element: Vec<(u64, Vec<(u64, R)>)> =
         (0..v as u64).map(|id| (id, Vec::new())).collect();
+    // More finishing threads than hardware threads only adds context
+    // switches (unlike the eval workers, no telemetry references these).
     let hw = std::thread::available_parallelism().map_or(threads, |p| p.get());
     let chunk = v.div_ceil(threads.max(1).min(hw).min(v));
+    let finish = &finish;
     crossbeam::thread::scope(|scope| {
-        for (acc_chunk, out_chunk) in slots.chunks_mut(chunk).zip(per_element.chunks_mut(chunk)) {
+        for (in_chunk, out_chunk) in slots.chunks_mut(chunk).zip(per_element.chunks_mut(chunk)) {
             scope.spawn(move |_| {
-                for (slot, out) in acc_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    let acc = slot.take().expect("accumulator finished twice");
-                    out.1 = dec.finish(acc);
+                for (slot, out) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
+                    out.1 = finish(out.0, slot.take().expect("element finished twice"));
                 }
             });
         }
@@ -450,63 +390,11 @@ fn merge_fused<R: Clone + Send>(
     PairwiseOutput { per_element }
 }
 
-/// Groups the workers' flat emissions into per-element rows sized exactly
-/// from the worker-side `counts` (no `Vec` growth in the scatter), then
-/// aggregates the rows in parallel over contiguous id ranges. A symmetric
-/// entry `(a, b, r)` lands in both rows; a non-symmetric `(with, other, r)`
-/// entry only in `with`'s. For each element the partials land in worker
-/// order — exactly the order a sequential merge produces — and every
-/// aggregator orders by the unique neighbor id, so the output is
-/// byte-identical no matter which thread aggregates which range.
-fn merge_aggregate<R: Clone + Send>(
-    emitted: Vec<Vec<(u64, u64, R)>>,
-    counts: Vec<usize>,
-    symmetry: Symmetry,
-    aggregator: &dyn Aggregator<R>,
-    threads: usize,
-) -> PairwiseOutput<R> {
-    let v = counts.len();
-    if v == 0 {
-        return PairwiseOutput { per_element: Vec::new() };
-    }
-    let mut rows: Vec<Vec<(u64, R)>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for flat in emitted {
-        for (a, b, r) in flat {
-            match symmetry {
-                Symmetry::Symmetric => {
-                    rows[a as usize].push((b, r.clone()));
-                    rows[b as usize].push((a, r));
-                }
-                Symmetry::NonSymmetric => rows[a as usize].push((b, r)),
-            }
-        }
-    }
-
-    // More aggregation threads than hardware threads only adds context
-    // switches (unlike the eval workers, no telemetry references these).
-    let hw = std::thread::available_parallelism().map_or(threads, |p| p.get());
-    let chunk = v.div_ceil(threads.max(1).min(hw).min(v));
-    crossbeam::thread::scope(|scope| {
-        for (k, out_chunk) in rows.chunks_mut(chunk).enumerate() {
-            scope.spawn(move |_| {
-                for (i, row) in out_chunk.iter_mut().enumerate() {
-                    let id = (k * chunk + i) as u64;
-                    *row = aggregate_all(aggregator, id, std::mem::take(row));
-                }
-            });
-        }
-    })
-    .expect("aggregate scope failed");
-    PairwiseOutput {
-        per_element: rows.into_iter().enumerate().map(|(id, r)| (id as u64, r)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::sequential::run_sequential;
-    use crate::runner::{comp_fn, ConcatSort};
+    use crate::runner::{comp_fn, CompFn};
     use crate::scheme::{BlockScheme, BroadcastScheme, DesignScheme};
 
     fn payloads(v: usize) -> Vec<i64> {
@@ -588,8 +476,7 @@ mod tests {
         let data = payloads(50);
         let s = BlockScheme::new(50, 4);
         let (scalar, _) = run_local(&data, &s, &comp(), Symmetry::Symmetric, &ConcatSort, 4);
-        let (batched, stats) =
-            run_local_kernel(&data, &s, &AbsDiff, Symmetry::Symmetric, &ConcatSort, 4);
+        let (batched, stats) = run_local(&data, &s, &AbsDiff, Symmetry::Symmetric, &ConcatSort, 4);
         assert_eq!(batched, scalar);
         assert_eq!(stats.evaluations, 50 * 49 / 2);
     }
@@ -614,8 +501,8 @@ mod tests {
         use crate::runner::{aggregate_all, FilterAggregator, FnAggregator, TopKAggregator};
         let data = payloads(40);
         let s = BlockScheme::new(40, 5);
-        // Semantically identical to ConcatSort but hides decomposability,
-        // forcing the flat scatter path for a direct comparison.
+        // Semantically identical to ConcatSort but hides decomposability, so
+        // the runner gathers every partial and aggregates each row once.
         let unfused = FnAggregator::new(|id, partials| aggregate_all(&ConcatSort, id, partials));
         let reference = run_sequential(&data, &comp(), Symmetry::Symmetric, &ConcatSort);
         for threads in [1usize, 4] {

@@ -34,7 +34,7 @@ pub use filter::{
     PairFilter, PruneStats, CANDIDATE_PAIRS_COUNTER, EVALUATED_PAIRS_COUNTER, PRUNED_PAIRS_COUNTER,
 };
 pub use job::{Backend, PairwiseJob, PairwiseRun};
-pub use kernel::{BatchComp, ScalarComp};
+pub use kernel::BatchComp;
 pub use store::ElementStore;
 
 use std::sync::Arc;
@@ -121,14 +121,16 @@ impl<R> Accumulator<R> {
 /// evaluated, [`finish`](Aggregator::finish) to produce the element's
 /// final list.
 ///
-/// New implementations override `fold`/`finish` (and implement
-/// [`DecomposableAggregator`] when the fold is order-insensitive, which
-/// lets every backend fuse aggregation into pair evaluation). Legacy
-/// implementations that only override the deprecated one-shot
-/// [`aggregate`](Aggregator::aggregate) keep working unchanged through the
-/// provided defaults. Override at least one of `finish`/`aggregate` — the
-/// defaults are each other's shim and recurse forever otherwise. For
-/// closures, see [`FnAggregator`].
+/// Implementations override `fold` as needed and `finish` always (and
+/// implement [`DecomposableAggregator`] when the fold is order-insensitive,
+/// which lets every backend fuse aggregation into pair evaluation). For
+/// one-shot closures, see [`FnAggregator`].
+///
+/// **Partial order.** A non-decomposable aggregator (or any aggregator on
+/// an unfused run) receives each element's partials in ascending
+/// neighbour id on the sequential and local backends (hierarchical rounds:
+/// round by round, each ascending). The MR backend's job 2 hands them over
+/// in shuffle order.
 pub trait Aggregator<R>: Send + Sync {
     /// Creates the accumulator for `element`.
     fn init(&self, element: u64) -> Accumulator<R> {
@@ -141,22 +143,7 @@ pub trait Aggregator<R>: Send + Sync {
     }
 
     /// Produces the element's final `(other, result)` list.
-    fn finish(&self, acc: Accumulator<R>) -> Vec<(u64, R)> {
-        #[allow(deprecated)] // shim keeping legacy one-shot impls working
-        self.aggregate(acc.element, acc.partials)
-    }
-
-    /// One-shot merge of all partials gathered for `element`.
-    #[deprecated(note = "implement `fold`/`finish` (and `DecomposableAggregator` where the fold \
-                is order-insensitive) instead of the one-shot signature; callers should \
-                use `aggregate_all`")]
-    fn aggregate(&self, element: u64, partials: Vec<(u64, R)>) -> Vec<(u64, R)> {
-        let mut acc = self.init(element);
-        for (other, result) in partials {
-            self.fold(&mut acc, other, result);
-        }
-        self.finish(acc)
-    }
+    fn finish(&self, acc: Accumulator<R>) -> Vec<(u64, R)>;
 
     /// Advertises the decomposable capability. Returning `Some` promises
     /// the decomposability law (see [`DecomposableAggregator`]) and lets
@@ -187,8 +174,8 @@ pub trait DecomposableAggregator<R>: Aggregator<R> {
     }
 }
 
-/// One-shot aggregation routed through the streaming API — the
-/// non-deprecated replacement for calling [`Aggregator::aggregate`].
+/// One-shot aggregation of all partials gathered for `element`, routed
+/// through the streaming API.
 pub fn aggregate_all<R>(
     aggregator: &dyn Aggregator<R>,
     element: u64,
@@ -203,7 +190,9 @@ pub fn aggregate_all<R>(
 
 /// Adapts a one-shot closure `(element, partials) -> merged` into an
 /// [`Aggregator`] — the blanket path for user logic with no streaming
-/// form. Deliberately not decomposable: the closure sees every partial.
+/// form. Deliberately not decomposable: the closure sees every partial,
+/// in ascending neighbour id on the sequential and local backends and in
+/// shuffle order on MR (see [`Aggregator`]).
 pub struct FnAggregator<R, F: Fn(u64, Vec<(u64, R)>) -> Vec<(u64, R)> + Send + Sync> {
     f: F,
     _pd: std::marker::PhantomData<fn() -> R>,
@@ -499,28 +488,6 @@ mod tests {
         assert!(acc.len() < agg.compaction_threshold(), "fold must compact in place");
         let out = agg.finish(acc);
         assert_eq!(out, vec![(1000, 1.0), (999, 2.0), (998, 3.0)]);
-    }
-
-    /// A legacy implementation overriding only the deprecated one-shot
-    /// method still works through every streaming entry point.
-    #[test]
-    fn deprecated_one_shot_shim_still_works() {
-        struct Legacy;
-        #[allow(deprecated)]
-        impl Aggregator<u64> for Legacy {
-            fn aggregate(&self, _element: u64, mut partials: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-                partials.sort_unstable();
-                partials
-            }
-        }
-        let agg = Legacy;
-        assert!(agg.decomposable().is_none());
-        let out = aggregate_all(&agg, 0, vec![(2u64, 9u64), (1, 4)]);
-        assert_eq!(out, vec![(1, 4), (2, 9)]);
-        let mut acc = agg.init(0);
-        agg.fold(&mut acc, 2, 9);
-        agg.fold(&mut acc, 1, 4);
-        assert_eq!(agg.finish(acc), vec![(1, 4), (2, 9)]);
     }
 
     #[test]

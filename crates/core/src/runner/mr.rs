@@ -44,12 +44,14 @@ use pmr_mapreduce::{
 };
 use pmr_obs::{hist, Telemetry};
 
-use crate::runner::filter::{PairFilter, PruneStats};
-use crate::runner::kernel::{evaluate_tiled, BatchComp};
+use crate::runner::filter::PairFilter;
+use crate::runner::kernel::{evaluate_tiled, BatchComp, SlotIndex};
 use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::store::ElementStore;
-use crate::runner::{Accumulator, Aggregator, DecomposableAggregator, PairwiseOutput, Symmetry};
-use crate::scheme::{BroadcastScheme, DistributionScheme};
+use crate::runner::{
+    aggregate_all, Accumulator, Aggregator, DecomposableAggregator, PairwiseOutput, Symmetry,
+};
+use crate::scheme::DistributionScheme;
 
 /// User counter: pairwise function evaluations performed inside tasks.
 pub const EVALUATIONS_COUNTER: &str = "pairwise.evaluations";
@@ -243,49 +245,6 @@ fn validate_working_set<T: Wire + Sync>(
     Ok((ids, payload_bytes))
 }
 
-/// Working-set-local `id → slot` index: `slot(id)` is the position of `id`
-/// in the task's sorted working set, so per-element task state lives in
-/// plain `Vec`s instead of id-keyed hash maps. Sized once per task.
-pub(crate) enum SlotIndex<'a> {
-    /// `table[id - min]` is the slot, `u32::MAX` — past any per-slot `Vec`
-    /// — in the gaps: block, broadcast and small design sets, whose span
-    /// is a small multiple of their size.
-    Dense { min: u64, table: Vec<u32> },
-    /// Binary search on the sorted ids — a quorum set spread over `Z_v`
-    /// must not pay an O(v) table per task.
-    Sorted(&'a [u64]),
-}
-
-/// A working set gets the dense table while `max − min < DENSE_SPAN · len`.
-const DENSE_SPAN: u64 = 16;
-
-impl<'a> SlotIndex<'a> {
-    pub(crate) fn new(sorted: &'a [u64]) -> Self {
-        match (sorted.first(), sorted.last()) {
-            (Some(&min), Some(&max)) if max - min < DENSE_SPAN * sorted.len() as u64 => {
-                let mut table = vec![u32::MAX; (max - min) as usize + 1];
-                for (slot, &id) in sorted.iter().enumerate() {
-                    table[(id - min) as usize] = slot as u32;
-                }
-                SlotIndex::Dense { min, table }
-            }
-            _ => SlotIndex::Sorted(sorted),
-        }
-    }
-
-    /// An id outside the working set is a scheme bug (pairs are only
-    /// enumerated within the set the scheme named): it panics here or, from
-    /// a dense-table gap, at the caller's first use of the slot.
-    pub(crate) fn slot(&self, id: u64) -> usize {
-        match self {
-            SlotIndex::Dense { min, table } => table[id.wrapping_sub(*min) as usize] as usize,
-            SlotIndex::Sorted(ids) => {
-                ids.binary_search(&id).expect("scheme enumerated a pair outside its working set")
-            }
-        }
-    }
-}
-
 /// What the three evaluators — job-1 reducer, its fused variant, and the
 /// broadcast mapper — share: one task's pairs go through the filter and the
 /// kernel tiles, and each per-direction result is handed to the caller's
@@ -313,23 +272,13 @@ impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
         mut sink: impl FnMut(usize, u64, R),
     ) {
         let index = SlotIndex::new(ids);
-        let mut prune = PruneStats::default();
         let filter = self.filter.as_deref();
-        let evals = evaluate_tiled(
+        let (evals, prune) = evaluate_tiled(
             self.kernel.as_ref(),
             self.symmetry,
+            filter,
             |id| store.get(id).expect("working-set id validated against the store"),
-            |f| match filter {
-                None => self.scheme.for_each_pair(task, f),
-                Some(pf) => self.scheme.for_each_pair(task, &mut |a, b| {
-                    prune.candidates += 1;
-                    if pf.is_candidate(a, b) {
-                        f(a, b);
-                    } else {
-                        prune.pruned += 1;
-                    }
-                }),
-            },
+            |f| self.scheme.for_each_pair(task, f),
             |a, b, rf, rr| {
                 let rb = rr.unwrap_or_else(|| rf.clone());
                 sink(index.slot(a), b, rf);
@@ -579,14 +528,41 @@ fn store_handle<T: Wire + Sync>(
     Arc::clone(store) as Arc<dyn std::any::Any + Send + Sync>
 }
 
-fn moved_counter(job: &JobOutput) -> u64 {
-    job.counters.get(pmr_mapreduce::builtin::SHUFFLE_MOVED_BYTES).copied().unwrap_or(0)
-}
-
-/// Sums a recovery counter over the run's jobs (absent on healthy runs —
-/// the engine only creates these counters when they fire).
-fn recovery_counter<'a>(jobs: impl IntoIterator<Item = &'a JobOutput>, name: &str) -> u64 {
-    jobs.into_iter().map(|j| j.counters.get(name).copied().unwrap_or(0)).sum()
+/// The run's report over its jobs — job 1 (or the single broadcast job)
+/// and, on the unfused two-job pipeline, job 2. Charged, moved and network
+/// bytes and the recovery counters are summed over the jobs (the engine
+/// creates a recovery counter only when it fires), peak intermediate bytes
+/// is the maximum, and the fused run's would-be job-2 charge is added to
+/// the charged shuffle.
+fn mr_report(
+    cluster: &Cluster,
+    wire_start: &WireSnapshot,
+    job1: JobOutput,
+    job2: Option<JobOutput>,
+    fused: bool,
+) -> MrRunReport {
+    let jobs = || std::iter::once(&job1).chain(job2.as_ref());
+    let sum =
+        |name: &str| -> u64 { jobs().map(|j| j.counters.get(name).copied().unwrap_or(0)).sum() };
+    MrRunReport {
+        evaluations: job1.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
+        replicated_records: job1.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
+        shuffle_bytes: sum(pmr_mapreduce::builtin::SHUFFLE_BYTES)
+            + sum(FUSED_CHARGED_SHUFFLE_COUNTER),
+        shuffle_moved_bytes: sum(pmr_mapreduce::builtin::SHUFFLE_MOVED_BYTES),
+        max_working_set_bytes: job1.stats.max_working_set_bytes,
+        network_bytes: jobs().map(|j| j.stats.network_bytes).sum(),
+        peak_intermediate_bytes: jobs().map(|j| j.stats.peak_intermediate_bytes).max().unwrap_or(0),
+        node_crashes: sum(pmr_mapreduce::builtin::NODE_CRASHES),
+        map_reruns: sum(pmr_mapreduce::builtin::MAP_RERUNS),
+        speculative_launched: sum(pmr_mapreduce::builtin::SPECULATIVE_LAUNCHED),
+        speculative_won: sum(pmr_mapreduce::builtin::SPECULATIVE_WON),
+        transport: cluster.transport().name(),
+        wire: cluster.wire_snapshot().delta(wire_start),
+        job1,
+        job2,
+        fused,
+    }
 }
 
 /// Stamps the scheme's closed-form predictions (Table 1) into the report
@@ -678,14 +654,10 @@ where
     }
     // Fuse only when asked *and* the aggregator advertises the capability;
     // anything else runs the paper's two-job pipeline unchanged.
-    let fused = options.fuse && aggregator.decomposable().is_some();
-    let placed = places_rows(aggregator.as_ref(), fused, filter.is_some(), scheme.as_ref());
+    let dec = aggregator.decomposable().filter(|_| options.fuse);
+    let fused = dec.is_some();
+    let placed = dec.is_some_and(|dec| places_rows(dec, filter.is_some(), scheme.as_ref()));
     let telemetry = cluster.telemetry().clone();
-    telemetry.set_meta("scheme", scheme.name());
-    telemetry.set_meta("scheme.v", scheme.v());
-    telemetry.set_meta("scheme.tasks", scheme.num_tasks());
-    telemetry.set_meta("backend", if cluster.is_distributed() { "process" } else { "mr" });
-    telemetry.set_meta("symmetry", format!("{symmetry:?}"));
     telemetry.set_meta("mr.fused", fused);
     let n = cluster.num_nodes();
     record_analytic_meta(&telemetry, scheme.as_ref(), n as u64);
@@ -756,13 +728,12 @@ where
         )?
     };
 
-    if fused {
+    if let Some(dec) = dec {
         // Job 2 is skipped outright: the driver merges the per-copy
         // accumulators off job 1's output and finishes each element. The
         // shuffle job 2 would have charged was accrued (exactly-once) by
         // the fused reduce tasks, so the reported charged bytes still
         // equal the unfused two-job total while nothing extra moved.
-        let dec = aggregator.decomposable().expect("fused run requires a decomposable aggregator");
         let io = telemetry.job_phase(&format!("{dir}-io"), "merge-aggregate");
         // One streaming pass on the calling thread: each part file is read
         // once, in part order, and merged frame by frame, so the driver
@@ -786,28 +757,7 @@ where
         };
         drop(io);
 
-        let fused_charge = job1.counters.get(FUSED_CHARGED_SHUFFLE_COUNTER).copied().unwrap_or(0);
-        let report = MrRunReport {
-            evaluations: job1.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
-            replicated_records: job1.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
-            shuffle_bytes: job1.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES] + fused_charge,
-            shuffle_moved_bytes: moved_counter(&job1),
-            max_working_set_bytes: job1.stats.max_working_set_bytes,
-            network_bytes: job1.stats.network_bytes,
-            peak_intermediate_bytes: job1.stats.peak_intermediate_bytes,
-            node_crashes: recovery_counter([&job1], pmr_mapreduce::builtin::NODE_CRASHES),
-            map_reruns: recovery_counter([&job1], pmr_mapreduce::builtin::MAP_RERUNS),
-            speculative_launched: recovery_counter(
-                [&job1],
-                pmr_mapreduce::builtin::SPECULATIVE_LAUNCHED,
-            ),
-            speculative_won: recovery_counter([&job1], pmr_mapreduce::builtin::SPECULATIVE_WON),
-            transport: cluster.transport().name(),
-            wire: cluster.wire_snapshot().delta(&wire_start),
-            job1,
-            job2: None,
-            fused: true,
-        };
+        let report = mr_report(cluster, &wire_start, job1, None, true);
         return Ok((PairwiseOutput { per_element }, report));
     }
 
@@ -830,95 +780,14 @@ where
     per_element.sort_by_key(|(id, _)| *id);
     drop(io);
 
-    let report = MrRunReport {
-        evaluations: job1.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
-        replicated_records: job1.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
-        shuffle_bytes: job1.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES]
-            + job2.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES],
-        shuffle_moved_bytes: moved_counter(&job1) + moved_counter(&job2),
-        max_working_set_bytes: job1.stats.max_working_set_bytes,
-        network_bytes: job1.stats.network_bytes + job2.stats.network_bytes,
-        peak_intermediate_bytes: job1
-            .stats
-            .peak_intermediate_bytes
-            .max(job2.stats.peak_intermediate_bytes),
-        node_crashes: recovery_counter([&job1, &job2], pmr_mapreduce::builtin::NODE_CRASHES),
-        map_reruns: recovery_counter([&job1, &job2], pmr_mapreduce::builtin::MAP_RERUNS),
-        speculative_launched: recovery_counter(
-            [&job1, &job2],
-            pmr_mapreduce::builtin::SPECULATIVE_LAUNCHED,
-        ),
-        speculative_won: recovery_counter([&job1, &job2], pmr_mapreduce::builtin::SPECULATIVE_WON),
-        transport: cluster.transport().name(),
-        wire: cluster.wire_snapshot().delta(&wire_start),
-        job1,
-        job2: Some(job2),
-        fused: false,
-    };
+    let report = mr_report(cluster, &wire_start, job1, Some(job2), false);
     Ok((PairwiseOutput { per_element }, report))
-}
-
-/// Runs a hierarchical scheme's rounds **sequentially**, each round as the
-/// full two-job pipeline, aggregating between rounds — the paper's §7
-/// extension ("each block is aggregated before the next one is processed").
-///
-/// Per-round partial results are concatenated and the caller's aggregator
-/// is applied once over the merged lists. Returns the per-round reports so
-/// experiments can show that peak intermediate storage is bounded by the
-/// largest *round* rather than the whole dataset's replication.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_mr_rounds_impl<T, R>(
-    cluster: &Cluster,
-    rounds: Vec<Arc<dyn DistributionScheme>>,
-    store: &Arc<ElementStore<T>>,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
-    aggregator: Arc<dyn Aggregator<R>>,
-    filter: Option<Arc<dyn PairFilter>>,
-    options: MrPairwiseOptions,
-) -> pmr_mapreduce::Result<(PairwiseOutput<R>, Vec<MrRunReport>)>
-where
-    T: Wire + Clone + Sync,
-    R: Wire + Clone + Sync,
-{
-    // By element id: every round's rows were checked against the store.
-    let mut merged: Vec<Vec<(u64, R)>> = vec![Vec::new(); store.len()];
-    let mut reports = Vec::with_capacity(rounds.len());
-    for (i, round) in rounds.into_iter().enumerate() {
-        let opts = MrPairwiseOptions {
-            dfs_dir: format!("{}/round-{i}", options.dfs_dir),
-            ..options.clone()
-        };
-        let (out, report) = run_mr_impl(
-            cluster,
-            round,
-            store,
-            Arc::clone(&kernel),
-            symmetry,
-            Arc::new(crate::runner::ConcatSort),
-            filter.clone(),
-            opts,
-        )?;
-        for (id, mut partial) in out.per_element {
-            merged[id as usize].append(&mut partial);
-        }
-        reports.push(report);
-        // The round's DFS files are no longer needed once merged.
-        cluster.dfs().list(&format!("{}/round-{i}/", options.dfs_dir)).iter().for_each(|p| {
-            cluster.dfs().delete(p);
-        });
-    }
-    let per_element = (0u64..)
-        .zip(merged)
-        .map(|(id, partials)| (id, crate::runner::aggregate_all(aggregator.as_ref(), id, partials)))
-        .collect();
-    Ok((PairwiseOutput { per_element }, reports))
 }
 
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mr_broadcast_impl<T, R>(
     cluster: &Cluster,
-    scheme: &BroadcastScheme,
+    scheme: Arc<dyn DistributionScheme>,
     store: &Arc<ElementStore<T>>,
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
@@ -938,13 +807,8 @@ where
         )));
     }
     let telemetry = cluster.telemetry().clone();
-    telemetry.set_meta("scheme", scheme.name());
-    telemetry.set_meta("scheme.v", scheme.v());
-    telemetry.set_meta("scheme.tasks", scheme.num_tasks());
-    telemetry.set_meta("backend", if cluster.is_distributed() { "process" } else { "mr" });
-    telemetry.set_meta("symmetry", format!("{symmetry:?}"));
     let n = cluster.num_nodes();
-    record_analytic_meta(&telemetry, scheme, n as u64);
+    record_analytic_meta(&telemetry, scheme.as_ref(), n as u64);
     let dir = &options.dfs_dir;
     let wire_start = cluster.wire_snapshot();
     // The §5.1 seeding cost: the dataset is broadcast to every node, and
@@ -973,7 +837,7 @@ where
             inputs,
             format!("{dir}/out"),
             BroadcastEvalMapper::<T, R>(TaskEvaluator {
-                scheme: Arc::new(scheme.clone()),
+                scheme: Arc::clone(&scheme),
                 kernel,
                 symmetry,
                 filter: filter.clone(),
@@ -1006,38 +870,17 @@ where
         for id in 0..store.len() as u64 {
             match have.peek() {
                 Some((next, _)) if *next == id => filled.push(have.next().unwrap()),
-                _ => filled
-                    .push((id, crate::runner::aggregate_all(aggregator.as_ref(), id, Vec::new()))),
+                _ => filled.push((id, aggregate_all(aggregator.as_ref(), id, Vec::new()))),
             }
         }
         per_element = filled;
     }
     drop(io);
 
-    let report = MrRunReport {
-        evaluations: job.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
-        replicated_records: job.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
-        shuffle_bytes: job.counters[pmr_mapreduce::builtin::SHUFFLE_BYTES],
-        shuffle_moved_bytes: moved_counter(&job),
-        max_working_set_bytes: job.stats.max_working_set_bytes,
-        network_bytes: job.stats.network_bytes,
-        peak_intermediate_bytes: job.stats.peak_intermediate_bytes,
-        node_crashes: recovery_counter([&job], pmr_mapreduce::builtin::NODE_CRASHES),
-        map_reruns: recovery_counter([&job], pmr_mapreduce::builtin::MAP_RERUNS),
-        speculative_launched: recovery_counter(
-            [&job],
-            pmr_mapreduce::builtin::SPECULATIVE_LAUNCHED,
-        ),
-        speculative_won: recovery_counter([&job], pmr_mapreduce::builtin::SPECULATIVE_WON),
-        transport: cluster.transport().name(),
-        wire: cluster.wire_snapshot().delta(&wire_start),
-        job1: job,
-        job2: None,
-        // The §5.1 variant is inherently single-job; its map-side emission
-        // stays unfused so the charged seeding/shuffle costs are the
-        // paper's unchanged.
-        fused: false,
-    };
+    // The §5.1 variant is inherently single-job; its map-side emission
+    // stays unfused so the charged seeding/shuffle costs are the paper's
+    // unchanged.
+    let report = mr_report(cluster, &wire_start, job, None, false);
     Ok((PairwiseOutput { per_element }, report))
 }
 
@@ -1045,8 +888,9 @@ where
 mod tests {
     use super::*;
     use crate::hierarchical::TwoLevelBlock;
-    use crate::runner::ConcatSort;
-    use crate::scheme::{BlockScheme, DesignScheme, QuorumScheme};
+    use crate::runner::kernel::DENSE_SPAN;
+    use crate::runner::{comp_fn, ConcatSort};
+    use crate::scheme::{BlockScheme, BroadcastScheme, DesignScheme, QuorumScheme};
     use bytes::BufMut;
     use pmr_cluster::{Cluster, ClusterConfig};
     use pmr_mapreduce::{encode_record_stream, IdentityMapper};
@@ -1288,9 +1132,7 @@ mod tests {
                 },
                 EvaluateReducer::<u64, u64>(TaskEvaluator {
                     scheme,
-                    kernel: Arc::new(crate::runner::ScalarComp::new(crate::runner::comp_fn(
-                        |a: &u64, b: &u64| a + b,
-                    ))),
+                    kernel: Arc::new(comp_fn(|a: &u64, b: &u64| a + b)),
                     symmetry: Symmetry::Symmetric,
                     filter: None,
                     telemetry: cluster.telemetry().clone(),

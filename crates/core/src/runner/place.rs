@@ -13,14 +13,15 @@
 //! exactly `v − 1` times by the end has a hole. Either is an error, never a
 //! silently wrong row.
 
-use crate::runner::{Aggregator, PairwiseOutput};
+use crate::runner::{DecomposableAggregator, PairwiseOutput};
 use crate::scheme::DistributionScheme;
 
-/// Whether a run may place rows. Each condition excludes a case whose rows
-/// are not the full neighbour list or would cost more to fill:
+/// Whether a run that collects its results under `dec` may place rows —
+/// the caller decides what `dec` is (a fused run's aggregator, or
+/// `ConcatSort` gathering every partial). Each condition excludes a case
+/// whose rows are not the full neighbour list or would cost more to fill:
 ///
-/// * the run is fused and the aggregator places rows — `TopK` and `Filter`
-///   keep a subset, a non-decomposable aggregator sees every partial;
+/// * `dec` places rows — `TopK` and `Filter` keep a subset;
 /// * no [`PairFilter`](crate::runner::PairFilter) is attached — a pruned
 ///   pair is a hole by design;
 /// * `R` owns no heap memory — the placeholder fill clones one result
@@ -28,15 +29,11 @@ use crate::scheme::DistributionScheme;
 /// * the tasks cover every pair, `Σ num_pairs(t) = v(v−1)/2` — a
 ///   hierarchical round holds part of the pairs.
 pub(crate) fn places_rows<R>(
-    aggregator: &dyn Aggregator<R>,
-    fuse: bool,
+    dec: &dyn DecomposableAggregator<R>,
     filtered: bool,
     scheme: &dyn DistributionScheme,
 ) -> bool {
-    fuse && !filtered
-        && !std::mem::needs_drop::<R>()
-        && aggregator.decomposable().is_some_and(|dec| dec.places_rows())
-        && covers_every_pair(scheme)
+    dec.places_rows() && !filtered && !std::mem::needs_drop::<R>() && covers_every_pair(scheme)
 }
 
 fn covers_every_pair(scheme: &dyn DistributionScheme) -> bool {
@@ -117,17 +114,18 @@ mod tests {
 
     #[test]
     fn gate_admits_only_unfiltered_fused_all_pairs_concat_of_plain_results() {
+        // Whether the run is fused is the caller's term: an unfused MR run
+        // never reaches the gate.
         let block = BlockScheme::new(20, 3);
-        assert!(places_rows::<f64>(&ConcatSort, true, false, &block));
-        assert!(!places_rows::<f64>(&ConcatSort, false, false, &block), "unfused");
-        assert!(!places_rows::<f64>(&ConcatSort, true, true, &block), "filtered");
-        assert!(!places_rows::<String>(&ConcatSort, true, false, &block), "heap-owning R");
+        assert!(places_rows::<f64>(&ConcatSort, false, &block));
+        assert!(!places_rows::<f64>(&ConcatSort, true, &block), "filtered");
+        assert!(!places_rows::<String>(&ConcatSort, false, &block), "heap-owning R");
         let topk = TopKAggregator::new(3, |r: &f64| *r);
-        assert!(!places_rows(&topk, true, false, &block), "top-k");
+        assert!(!places_rows(&topk, false, &block), "top-k");
         let filter = FilterAggregator::new(|r: &f64| *r > 0.0);
-        assert!(!places_rows(&filter, true, false, &block), "filter aggregator");
+        assert!(!places_rows(&filter, false, &block), "filter aggregator");
         let round = TwoLevelBlock::new(20, 2, 2).round(0);
-        assert!(!places_rows::<f64>(&ConcatSort, true, false, round.as_ref()), "one round");
+        assert!(!places_rows::<f64>(&ConcatSort, false, round.as_ref()), "one round");
     }
 
     fn row_of(element: u64, v: u64, others: &[u64]) -> Result<Option<PlacedRow<u64>>, String> {

@@ -6,23 +6,13 @@
 //! so the ground truth exercises the identical kernel code path.
 
 use crate::runner::filter::{PairFilter, PruneStats};
-use crate::runner::kernel::{evaluate_tiled_fused, BatchComp, ScalarComp};
-use crate::runner::{finalize_dense, Accumulator, Aggregator, CompFn, PairwiseOutput, Symmetry};
+use crate::runner::kernel::{evaluate_tiled, BatchComp};
+use crate::runner::{finalize_dense, Accumulator, Aggregator, PairwiseOutput, Symmetry};
 
-/// Evaluates `comp` on all pairs of `payloads` sequentially. Element `i` of
-/// the slice has id `i`. Ground truth for every other backend.
+/// Evaluates `kernel` on all pairs of `payloads` sequentially. Element `i`
+/// of the slice has id `i`. Ground truth for every other backend; a
+/// [`CompFn`](crate::runner::CompFn) is a kernel, so `&comp` works too.
 pub fn run_sequential<T, R: Clone>(
-    payloads: &[T],
-    comp: &CompFn<T, R>,
-    symmetry: Symmetry,
-    aggregator: &dyn Aggregator<R>,
-) -> PairwiseOutput<R> {
-    let kernel = ScalarComp::new(comp.clone());
-    run_sequential_kernel(payloads, &kernel, symmetry, aggregator)
-}
-
-/// [`run_sequential`] through a batch kernel.
-pub fn run_sequential_kernel<T, R: Clone>(
     payloads: &[T],
     kernel: &dyn BatchComp<T, R>,
     symmetry: Symmetry,
@@ -35,6 +25,9 @@ pub fn run_sequential_kernel<T, R: Clone>(
 /// through a [`PairFilter`] (pruned pairs never reach a tile). Returns the
 /// output, the evaluations performed, and — only when a filter was
 /// active — the enumerated/pruned tallies.
+///
+/// An element's partials reach the aggregator in ascending neighbour id:
+/// `a` meets `0..a` first, then every `b > a` in turn.
 pub(crate) fn run_sequential_impl<T, R: Clone>(
     payloads: &[T],
     kernel: &dyn BatchComp<T, R>,
@@ -47,34 +40,23 @@ pub(crate) fn run_sequential_impl<T, R: Clone>(
     // this is the old bucket layout, and a decomposable aggregator gets to
     // filter/compact while the pair results are still tile-hot.
     let mut accs: Vec<Accumulator<R>> = (0..v).map(|id| aggregator.init(id)).collect();
-    let mut prune = PruneStats::default();
-    let evals = evaluate_tiled_fused(
+    let (evals, prune) = evaluate_tiled(
         kernel,
         symmetry,
+        filter,
         |id| &payloads[id as usize],
-        |f| match filter {
-            None => {
-                for a in 1..v {
-                    for b in 0..a {
-                        f(a, b);
-                    }
-                }
-            }
-            Some(pf) => {
-                for a in 1..v {
-                    for b in 0..a {
-                        prune.candidates += 1;
-                        if pf.is_candidate(a, b) {
-                            f(a, b);
-                        } else {
-                            prune.pruned += 1;
-                        }
-                    }
+        |f| {
+            for a in 1..v {
+                for b in 0..a {
+                    f(a, b);
                 }
             }
         },
-        aggregator,
-        &mut accs,
+        |a, b, rf, rr| {
+            let rb = rr.unwrap_or_else(|| rf.clone());
+            aggregator.fold(&mut accs[a as usize], b, rf);
+            aggregator.fold(&mut accs[b as usize], a, rb);
+        },
     );
     (finalize_dense(accs, aggregator), evals, filter.map(|_| prune))
 }

@@ -111,21 +111,6 @@ proptest! {
         // bearing in this law.
         law(&TopKAggregator::new(k, |r: &u64| *r as f64), element, &values, idseed, &cuts)?;
     }
-
-    /// The streaming entry points agree with the deprecated one-shot
-    /// signature for the built-ins, so migrated call sites see identical
-    /// results.
-    #[test]
-    fn streaming_matches_deprecated_one_shot(
-        values in prop::collection::vec(0u64..1000, 0..60),
-        element in 0u64..100,
-        idseed in 0u64..u64::MAX,
-    ) {
-        let partials = with_unique_ids(&values, idseed);
-        #[allow(deprecated)]
-        let legacy = ConcatSort.aggregate(element, partials.clone());
-        prop_assert_eq!(aggregate_all(&ConcatSort, element, partials), legacy);
-    }
 }
 
 /// Not a proptest (the bound is structural, not data-dependent): top-k

@@ -101,7 +101,9 @@ fn fused_mr_skips_job2_with_identical_output_and_charged_bytes() {
 
 /// Every scheme × symmetry × aggregator, fused and not, on 1–3 local
 /// threads and on MR, equals the sequential reference — `ConcatSort`'s
-/// placed rows as well as the filter and top-k accumulators. The fused
+/// placed rows as well as the filter and top-k accumulators, and (local
+/// only) an order-keeping closure aggregator, which must see each element's
+/// partials in the sequential order. The fused
 /// `ConcatSort` MR run also survives a seeded crash, and the smallest `v`
 /// the schemes accept (2 and 3) runs through the same matrix.
 #[test]
@@ -110,6 +112,11 @@ fn fused_output_identical_across_backends_and_aggregators() {
         ("concat", Arc::new(ConcatSort)),
         ("filter", Arc::new(FilterAggregator::new(|r: &u64| !r.is_multiple_of(3)))),
         ("topk", Arc::new(TopKAggregator::new(5, |r: &u64| *r as f64))),
+        // Not decomposable and order-keeping: it sees each element's
+        // partials in the order the backend hands them over, ascending
+        // neighbour id on Sequential and Local (local rows only: MR job 2
+        // keeps shuffle order).
+        ("ordered", Arc::new(FnAggregator::new(|_, partials| partials))),
     ];
     for v in [2u64, 3, 36] {
         for (name, scheme) in schemes(v) {
@@ -130,6 +137,9 @@ fn fused_output_identical_across_backends_and_aggregators() {
                                 run.output, reference,
                                 "{case}: local/{threads} fuse={fuse}"
                             );
+                        }
+                        if *agg_name == "ordered" {
+                            continue;
                         }
                         let cluster = Cluster::new(ClusterConfig::with_nodes(4));
                         let run = run_on(&scheme, Backend::Mr(&cluster), symmetry, agg, fuse);

@@ -127,14 +127,30 @@ fn two_level_rounds_match_flat_and_bound_intermediate() {
     let tlb = TwoLevelBlock::new(48, 3, 2);
     let rounds: Vec<Arc<dyn DistributionScheme>> =
         tlb.rounds().into_iter().map(Arc::from).collect();
-    let cluster = Cluster::new(ClusterConfig::with_nodes(3));
+    let cluster = Cluster::new(ClusterConfig::with_nodes(3)).with_telemetry(Telemetry::enabled());
     let hierarchical = PairwiseJob::new(&payloads, Arc::clone(&comp))
-        .rounds(rounds)
+        .rounds(rounds.clone())
         .backend(Backend::Mr(&cluster))
         .run()
         .unwrap();
     assert_eq!(hierarchical.output, reference);
     assert_eq!(hierarchical.mr.len() as u64, tlb.num_rounds());
+
+    // The report names the plan, not the last round run under it, on
+    // either backend.
+    let local = PairwiseJob::new(&payloads, Arc::clone(&comp))
+        .rounds(rounds)
+        .backend(Backend::Local { threads: 2 })
+        .telemetry(Telemetry::enabled())
+        .run()
+        .unwrap();
+    assert_eq!(local.output, reference);
+    for (backend, run) in [("mr", &hierarchical), ("local", &local)] {
+        let meta = |key: &str| run.report.meta.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        assert_eq!(meta("scheme").map(String::as_str), Some("hierarchical-rounds"), "{backend}");
+        assert_eq!(meta("backend").map(String::as_str), Some(backend));
+        assert_eq!(meta("scheme.tasks"), None, "{backend}");
+    }
 
     // Compare against the flat block scheme with matching task granularity.
     let cluster_flat = Cluster::new(ClusterConfig::with_nodes(3));
