@@ -187,9 +187,10 @@ pub struct SparseDotKernel;
 
 /// Shortest operand run that takes the term table. A run of two already
 /// reads 170 against 640 ns/pair for the merge join on 43-term documents
-/// (a merge step costs about five probes). A lone pair — all a filtered
-/// join leaves — has nothing to share the scatter with and keeps
-/// [`SparseVector::dot`], which gallops when the two lengths are far apart.
+/// (a merge step costs about five probes). A lone pair — an element with
+/// one surviving partner in a filtered join — has nothing to share the
+/// scatter with and keeps [`SparseVector::dot`], which gallops when the
+/// two lengths are far apart.
 const MIN_RUN: usize = 2;
 
 /// Largest term id the table covers: 2^18 + 1 `u32` slots, 1 MiB. The

@@ -20,7 +20,10 @@
 //!
 //! Both filters are built once from the full element set (the driver
 //! holds it anyway — pairwise jobs start from an in-memory store) and
-//! are `Send + Sync`, so every worker shares one immutable copy.
+//! are `Send + Sync`, so every worker shares one immutable copy. Both
+//! also *generate* a task's candidates from its working set — the pairs
+//! sharing a prefix term or an LSH bucket — so a task walks those pairs
+//! instead of probing all of its own.
 //!
 //! [`PairwiseJob`]: pmr_core::runner::job::PairwiseJob
 
@@ -177,6 +180,90 @@ impl PairFilter for PrefixFilter {
         intersects(&ea.ranks[..ea.prefix_len], &eb.ranks)
             && intersects(&eb.ranks[..eb.prefix_len], &ea.ranks)
     }
+
+    /// The pairs sharing a *prefix* rank — exactly the candidates. A pair
+    /// passes `is_candidate` iff `prefix(a) ∩ b` and `prefix(b) ∩ a` are
+    /// both nonempty, and that holds iff `prefix(a) ∩ prefix(b)` is: if the
+    /// prefixes were disjoint, a rank `r_a ∈ prefix(a) ∩ b` would lie in
+    /// `b`'s suffix and a rank `r_b ∈ prefix(b) ∩ a` in `a`'s, and ranks
+    /// ascend from prefix into suffix, so `r_a < r_b < r_a`. No postings
+    /// are kept: the working set's own prefixes are grouped per task.
+    fn generate_candidates(
+        &self,
+        working_set: &[u64],
+        limit: u64,
+        f: &mut dyn FnMut(u64, u64),
+    ) -> bool {
+        pairs_sharing_a_key(
+            working_set,
+            |id| {
+                let e = &self.elems[id as usize];
+                e.ranks[..e.prefix_len].iter().copied()
+            },
+            limit,
+            f,
+        )
+    }
+}
+
+/// Calls `f(a, b)`, `a > b`, once for every pair of `working_set`
+/// (ascending ids) whose `keys` share at least one key, first-operand-major,
+/// and returns `true` — or returns `false`, having called `f` not at all,
+/// when the key groups hold more than `limit` pairs (counted before a pair
+/// sharing several keys is deduplicated).
+fn pairs_sharing_a_key<K: Ord + Copy, I: Iterator<Item = K>>(
+    working_set: &[u64],
+    keys: impl Fn(u64) -> I,
+    limit: u64,
+    f: &mut dyn FnMut(u64, u64),
+) -> bool {
+    // `(key, slot)` for every key of every working-set element; slot `s`'s
+    // keys are `entries[starts[s]..starts[s + 1]]` until the sort.
+    let mut entries: Vec<(K, u32)> = Vec::new();
+    let mut starts = Vec::with_capacity(working_set.len() + 1);
+    for (slot, &id) in working_set.iter().enumerate() {
+        starts.push(entries.len());
+        entries.extend(keys(id).map(|k| (k, slot as u32)));
+    }
+    starts.push(entries.len());
+    entries.sort_unstable();
+    // `group[p]`: where the key group of sorted entry `p` begins. The
+    // pairs inside the groups are the walk below, so they are the bound.
+    let mut group = Vec::with_capacity(entries.len());
+    let (mut begin, mut walk) = (0usize, 0u64);
+    for (p, &(key, _)) in entries.iter().enumerate() {
+        if key != entries[begin].0 {
+            begin = p;
+        }
+        group.push(begin);
+        walk += (p - begin) as u64;
+    }
+    if walk > limit {
+        return false;
+    }
+    // `at[starts[s]..starts[s + 1]]`: where slot `s`'s keys sorted to.
+    let mut at = vec![0usize; entries.len()];
+    let mut next = starts.clone();
+    for (p, &(_, slot)) in entries.iter().enumerate() {
+        at[next[slot as usize]] = p;
+        next[slot as usize] += 1;
+    }
+    // Slots ascend inside a group, so the members ahead of `a`'s entry are
+    // its smaller partners; `seen[b] == a` marks `b` as already paired
+    // (and `a` itself, should a key repeat).
+    let mut seen = vec![u32::MAX; working_set.len()];
+    for (a, &id) in working_set.iter().enumerate() {
+        seen[a] = a as u32;
+        for &p in &at[starts[a]..starts[a + 1]] {
+            for &(_, b) in &entries[group[p]..p] {
+                if seen[b as usize] != a as u32 {
+                    seen[b as usize] = a as u32;
+                    f(id, working_set[b as usize]);
+                }
+            }
+        }
+    }
+    true
 }
 
 /// Default LSH geometry: 32 bands × 2 rows = 64 minhash functions.
@@ -263,6 +350,22 @@ impl PairFilter for LshFilter {
         let (ha, hb) = (&self.band_hashes[a as usize], &self.band_hashes[b as usize]);
         ha.iter().zip(hb).any(|(x, y)| x == y)
     }
+
+    /// The pairs sharing a `(band, band hash)` bucket — exactly the
+    /// candidates.
+    fn generate_candidates(
+        &self,
+        working_set: &[u64],
+        limit: u64,
+        f: &mut dyn FnMut(u64, u64),
+    ) -> bool {
+        pairs_sharing_a_key(
+            working_set,
+            |id| self.band_hashes[id as usize].iter().copied().enumerate(),
+            limit,
+            f,
+        )
+    }
 }
 
 /// SplitMix64: the one-shot mixer used for all hashing here (deterministic,
@@ -343,6 +446,42 @@ mod tests {
         // Probability sanity: near-duplicates land on the steep side.
         assert!(f.candidate_probability(0.9) > 0.999);
         assert!(f.candidate_probability(0.05) < 0.1);
+    }
+
+    /// Over a whole working set with room to spare, each filter generates
+    /// precisely its candidate pairs, once each and first-operand-major;
+    /// one pair short of its walk it declines without emitting anything.
+    #[test]
+    fn generation_names_exactly_the_candidates() {
+        let a: Vec<(u32, f64)> = (0..12).map(|i| (i, 1.0 + i as f64)).collect();
+        let mut data = vecs(&[&a, &a[..10], &[(40, 1.0), (41, 2.0)], &[], &[(40, 1.0)], &a[2..]]);
+        data.extend(vecs(&[&[(3, 1.0), (40, 1.0)], &[(41, 1.0)], &a]));
+        let ids: Vec<u64> = (0..data.len() as u64).collect();
+        let filters: [Box<dyn PairFilter>; 3] = [
+            Box::new(PrefixFilter::build(&data, 0.5)),
+            Box::new(PrefixFilter::build(&data, 0.9)),
+            Box::new(LshFilter::build(&data, 8, 1, 7)),
+        ];
+        for filter in &filters {
+            let mut want = Vec::new();
+            for x in 1..ids.len() as u64 {
+                want.extend((0..x).filter(|&y| filter.is_candidate(x, y)).map(|y| (x, y)));
+            }
+            let mut got = Vec::new();
+            assert!(filter.generate_candidates(&ids, u64::MAX, &mut |x, y| got.push((x, y))));
+            assert!(got.windows(2).all(|w| w[0].0 <= w[1].0), "first-operand-major: {got:?}");
+            got.sort_unstable();
+            assert_eq!(got, want, "{}", filter.name());
+            // The walk's length is the smallest limit that generates.
+            let walk =
+                (0..).find(|&l| filter.generate_candidates(&ids, l, &mut |_, _| {})).unwrap();
+            assert!(walk >= want.len() as u64);
+            let mut called = false;
+            if walk > 0 {
+                assert!(!filter.generate_candidates(&ids, walk - 1, &mut |_, _| called = true));
+            }
+            assert!(!called, "{}: declined after emitting", filter.name());
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use crate::enumeration::{
-    diag_count, diag_unrank, for_each_pair_rect, for_each_pair_triangle, pair_count,
+    diag_count, diag_rank, diag_unrank, for_each_pair_rect, for_each_pair_triangle, pair_count,
 };
 use crate::scheme::{DesignScheme, DistributionScheme, SchemeMetrics};
 
@@ -71,10 +71,10 @@ impl DistributionScheme for SubsetBlockScheme {
         let g = (element - self.base) / self.e;
         let mut tasks = Vec::with_capacity(self.h as usize);
         for j in 0..=g {
-            tasks.push(crate::enumeration::diag_rank(g, j));
+            tasks.push(diag_rank(g, j));
         }
         for i in g + 1..self.h {
-            tasks.push(crate::enumeration::diag_rank(i, g));
+            tasks.push(diag_rank(i, g));
         }
         tasks
     }
@@ -115,6 +115,12 @@ impl DistributionScheme for SubsetBlockScheme {
         } else {
             for_each_pair_rect(self.stripe(i), self.stripe(j), f);
         }
+    }
+
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        let range = self.base..self.base + self.len;
+        (range.contains(&a) && range.contains(&b))
+            .then(|| diag_rank((a - self.base) / self.e, (b - self.base) / self.e))
     }
 
     fn name(&self) -> &'static str {
@@ -230,6 +236,13 @@ impl DistributionScheme for BipartiteGridScheme {
         for_each_pair_rect(self.col_tile(x), self.row_tile(y), f);
     }
 
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        let cols = self.col_base..self.col_base + self.col_len;
+        let rows = self.row_base..self.row_base + self.row_len;
+        (cols.contains(&a) && rows.contains(&b))
+            .then(|| (a - self.col_base) / self.ce * self.f + (b - self.row_base) / self.re)
+    }
+
     fn name(&self) -> &'static str {
         "two-level-block/grid-round"
     }
@@ -255,8 +268,10 @@ pub struct TaskSliceScheme {
 }
 
 impl TaskSliceScheme {
-    /// Wraps the given task ids of `inner` as a standalone round.
+    /// Wraps the given task ids of `inner`, strictly ascending, as a
+    /// standalone round.
     pub fn new(inner: Arc<dyn DistributionScheme>, tasks: Vec<u64>) -> TaskSliceScheme {
+        assert!(tasks.windows(2).all(|w| w[0] < w[1]), "slice tasks must be strictly ascending");
         TaskSliceScheme { inner, tasks }
     }
 }
@@ -294,6 +309,11 @@ impl DistributionScheme for TaskSliceScheme {
 
     fn num_pairs(&self, task: u64) -> u64 {
         self.inner.num_pairs(self.tasks[task as usize])
+    }
+
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        let owner = self.inner.owner_of(a, b)?;
+        self.tasks.binary_search(&owner).ok().map(|slot| slot as u64)
     }
 
     fn name(&self) -> &'static str {
@@ -460,6 +480,8 @@ pub fn verify_rounds_exactly_once(
 mod tests {
     use super::*;
     use crate::scheme::measure;
+    use crate::scheme::tests::owner_of_is_the_enumeration;
+    use proptest::prelude::*;
 
     #[test]
     fn two_level_rounds_cover_exactly_once() {
@@ -529,6 +551,32 @@ mod tests {
             let round = bd.round(r);
             let copies = measure(&round).total_copies;
             assert!(copies < full_copies, "round {r}: {copies} vs {full_copies}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every round scheme — both two-level round kinds, a batched
+        /// design round, a slice of a two-level round — owns exactly the
+        /// pairs its tasks enumerate and answers `None` for the rest.
+        #[test]
+        fn round_owner_of_is_some_exactly_on_the_round(
+            v in 2u64..160,
+            coarse in 1u64..5,
+            fine in 1u64..4,
+            batches in 1u64..5,
+        ) {
+            let tlb = TwoLevelBlock::new(v, coarse, fine);
+            let mut rounds = tlb.rounds();
+            let bd = BatchedDesign::new(v, batches);
+            rounds.extend(bd.rounds().into_iter().map(|r| Box::new(r) as Box<dyn DistributionScheme>));
+            let last: Arc<dyn DistributionScheme> = Arc::from(tlb.round(tlb.num_rounds() - 1));
+            let odd = (0..last.num_tasks()).filter(|t| t % 2 == 1).collect();
+            rounds.push(Box::new(TaskSliceScheme::new(last, odd)));
+            for round in &rounds {
+                prop_assert_eq!(owner_of_is_the_enumeration(round.as_ref()), Ok(()));
+            }
         }
     }
 

@@ -22,7 +22,8 @@
 //! ## Evaluation
 //!
 //! Pairs are streamed via `DistributionScheme::for_each_pair` (no per-task
-//! pair vector) into L1-sized tiles evaluated by a [`BatchComp`] kernel; a
+//! pair vector) — under a generating [`PairFilter`], a task's candidates
+//! instead — into L1-sized tiles evaluated by a [`BatchComp`] kernel; a
 //! [`CompFn`](crate::runner::CompFn) is a kernel whose tiles run the
 //! scalar loop, so results are bit-for-bit the same on both paths.
 
@@ -34,7 +35,7 @@ use pmr_mapreduce::MrError;
 use pmr_obs::{hist, SpanKind, Telemetry};
 
 use crate::runner::filter::{PairFilter, PruneStats};
-use crate::runner::kernel::{evaluate_tiled, BatchComp, SlotIndex};
+use crate::runner::kernel::{evaluate_tiled, BatchComp, Pairs, SlotIndex};
 use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::{
     aggregate_all, Accumulator, Aggregator, ConcatSort, DecomposableAggregator, PairwiseOutput,
@@ -150,8 +151,8 @@ enum WorkerData<R> {
 /// `dec` at the tile flush, merged at commit. When `dec` is not the
 /// aggregator itself, each finished row — every partial, in ascending
 /// neighbour id — then goes through the aggregator once. A [`PairFilter`]
-/// gates the pair stream below enumeration, and the enumerated/pruned
-/// tallies land in [`LocalRunStats::pruning`].
+/// gates each task's pairs below enumeration (generating them where it
+/// can), and the prune tallies land in [`LocalRunStats::pruning`].
 ///
 /// A pair enumerated twice or never, on a placed run, is an
 /// [`MrError::InvalidJob`].
@@ -229,7 +230,7 @@ where
                         let ws = scheme.working_set(t);
                         span.add_records_in(ws.len() as u64);
                         let resolve = |id: u64| &payloads[id as usize];
-                        let stream = |f: &mut dyn FnMut(u64, u64)| scheme.for_each_pair(t, f);
+                        let pairs = || Pairs::Task { scheme, task: t, working_set: &ws };
                         let (task_evals, task_prune) = match &mut res.data {
                             WorkerData::Placed { stage } => {
                                 let index = SlotIndex::new(&ws);
@@ -241,7 +242,7 @@ where
                                     symmetry,
                                     filter,
                                     resolve,
-                                    stream,
+                                    pairs(),
                                     |a, b, rf, rr| {
                                         let rb = rr.unwrap_or_else(|| rf.clone());
                                         stage[index.slot(a)].push((b, rf));
@@ -259,7 +260,7 @@ where
                                 symmetry,
                                 filter,
                                 resolve,
-                                stream,
+                                pairs(),
                                 |a, b, rf, rr| {
                                     let rb = rr.unwrap_or_else(|| rf.clone());
                                     dec.fold(&mut accs[a as usize], b, rf);

@@ -45,7 +45,7 @@ use pmr_mapreduce::{
 use pmr_obs::{hist, Telemetry};
 
 use crate::runner::filter::PairFilter;
-use crate::runner::kernel::{evaluate_tiled, BatchComp, SlotIndex};
+use crate::runner::kernel::{evaluate_tiled, BatchComp, Pairs, SlotIndex};
 use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::store::ElementStore;
 use crate::runner::{
@@ -278,7 +278,7 @@ impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
             self.symmetry,
             filter,
             |id| store.get(id).expect("working-set id validated against the store"),
-            |f| self.scheme.for_each_pair(task, f),
+            Pairs::Task { scheme: self.scheme.as_ref(), task, working_set: ids },
             |a, b, rf, rr| {
                 let rb = rr.unwrap_or_else(|| rf.clone());
                 sink(index.slot(a), b, rf);

@@ -6,7 +6,7 @@
 //! so the ground truth exercises the identical kernel code path.
 
 use crate::runner::filter::{PairFilter, PruneStats};
-use crate::runner::kernel::{evaluate_tiled, BatchComp};
+use crate::runner::kernel::{evaluate_tiled, BatchComp, Pairs};
 use crate::runner::{finalize_dense, Accumulator, Aggregator, PairwiseOutput, Symmetry};
 
 /// Evaluates `kernel` on all pairs of `payloads` sequentially. Element `i`
@@ -22,7 +22,9 @@ pub fn run_sequential<T, R: Clone>(
 }
 
 /// The shared core: streams the full strict upper triangle, optionally
-/// through a [`PairFilter`] (pruned pairs never reach a tile). Returns the
+/// through a [`PairFilter`] (pruned pairs never reach a tile). The filter
+/// probes every pair here, never generates: this is the oracle the
+/// generating backends are checked against. Returns the
 /// output, the evaluations performed, and — only when a filter was
 /// active — the enumerated/pruned tallies.
 ///
@@ -45,13 +47,13 @@ pub(crate) fn run_sequential_impl<T, R: Clone>(
         symmetry,
         filter,
         |id| &payloads[id as usize],
-        |f| {
+        Pairs::Stream(&|f| {
             for a in 1..v {
                 for b in 0..a {
                     f(a, b);
                 }
             }
-        },
+        }),
         |a, b, rf, rr| {
             let rb = rr.unwrap_or_else(|| rf.clone());
             aggregator.fold(&mut accs[a as usize], b, rf);

@@ -10,7 +10,7 @@
 //! elements, each element in `h` blocks, at most `e²` evaluations per task.
 
 use crate::enumeration::{
-    diag_count, diag_rank, diag_unrank, for_each_pair_rect, for_each_pair_triangle,
+    diag_count, diag_rank, diag_unrank, for_each_pair_rect, for_each_pair_triangle, pair_rank,
 };
 use crate::scheme::{DistributionScheme, SchemeMetrics};
 
@@ -152,6 +152,12 @@ impl DistributionScheme for BlockScheme {
         }
     }
 
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        debug_assert!(b < a && a < self.v);
+        // `a > b` puts `a` in the column stripe, `b` in the row stripe.
+        Some(diag_rank(self.stripe_of(a), self.stripe_of(b)))
+    }
+
     fn name(&self) -> &'static str {
         "block"
     }
@@ -239,11 +245,11 @@ impl DistributionScheme for PairedBlockScheme {
         let mut tasks = Vec::with_capacity(h as usize);
         // Off-diagonal blocks where g is the column stripe (g > j)…
         for j in 0..g {
-            tasks.push(crate::enumeration::pair_rank(g, j));
+            tasks.push(pair_rank(g, j));
         }
         // …or the row stripe (i > g).
         for i in g + 1..h {
-            tasks.push(crate::enumeration::pair_rank(i, g));
+            tasks.push(pair_rank(i, g));
         }
         // Plus the merged diagonal task containing stripe g.
         tasks.push(self.num_offdiag() + g / 2);
@@ -323,6 +329,12 @@ impl DistributionScheme for PairedBlockScheme {
                 tri(first) + if first + 1 < self.inner.h { tri(first + 1) } else { 0 }
             }
         }
+    }
+
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        debug_assert!(b < a && a < self.inner.v);
+        let (col, row) = (self.inner.stripe_of(a), self.inner.stripe_of(b));
+        Some(if col == row { self.num_offdiag() + col / 2 } else { pair_rank(col, row) })
     }
 
     fn name(&self) -> &'static str {

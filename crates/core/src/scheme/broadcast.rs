@@ -6,7 +6,7 @@
 //! triangle is enumerated (Figure 5) and split into `p` contiguous label
 //! ranges of `h = ⌈v(v−1)/2p⌉` pairs each.
 
-use crate::enumeration::{pair_count, pair_unrank, pairs_in_range};
+use crate::enumeration::{pair_count, pair_rank, pair_unrank, pairs_in_range};
 use crate::scheme::{DistributionScheme, SchemeMetrics};
 
 /// Broadcast scheme: full replication, contiguous pair-label ranges.
@@ -103,6 +103,11 @@ impl DistributionScheme for BroadcastScheme {
     fn num_pairs(&self, task: u64) -> u64 {
         let (s, e) = self.label_range(task);
         e - s
+    }
+
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        debug_assert!(b < a && a < self.v);
+        Some(pair_rank(a, b) / self.chunk)
     }
 
     fn name(&self) -> &'static str {

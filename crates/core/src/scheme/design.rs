@@ -108,6 +108,22 @@ impl DistributionScheme for DesignScheme {
         k * k.saturating_sub(1) / 2
     }
 
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        debug_assert!(b < a && a < self.v);
+        // The one block on both points: merge their ascending block lists.
+        let (mut on_a, mut on_b) =
+            (self.point_to_blocks[a as usize].iter(), self.point_to_blocks[b as usize].iter());
+        let (mut x, mut y) = (on_a.next(), on_b.next());
+        while let (Some(&p), Some(&q)) = (x, y) {
+            match p.cmp(&q) {
+                std::cmp::Ordering::Less => x = on_a.next(),
+                std::cmp::Ordering::Greater => y = on_b.next(),
+                std::cmp::Ordering::Equal => return Some(p as u64),
+            }
+        }
+        None // only a design that is not pairwise balanced gets here
+    }
+
     fn name(&self) -> &'static str {
         "design"
     }

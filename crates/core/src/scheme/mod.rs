@@ -12,7 +12,9 @@
 //! Correctness contract (the paper's §5 "Problem" statement): across all
 //! tasks, every unordered pair `{a, b} ⊂ 0..v` appears in **exactly one**
 //! task's pair relation, and each task's pairs draw only from its working
-//! set. [`verify_exactly_once`] checks this exhaustively.
+//! set. [`DistributionScheme::owner_of`] names that one task for any pair
+//! in closed form; [`verify_exactly_once`] checks the contract
+//! exhaustively.
 
 pub mod block;
 pub mod broadcast;
@@ -63,6 +65,17 @@ pub trait DistributionScheme: Send + Sync {
     fn num_pairs(&self, task: u64) -> u64 {
         self.pairs(task).len() as u64
     }
+
+    /// The task whose pair relation holds `(a, b)` (`a > b`, both below
+    /// `v`), or `None` when no task of this scheme evaluates it — the
+    /// exactly-once contract stated one pair at a time:
+    /// `owner_of(a, b) == Some(t)` exactly when `(a, b)` is one of
+    /// `for_each_pair(t)`'s pairs. A full scheme owns every pair; a
+    /// hierarchical round owns only its share. Every scheme answers in
+    /// closed form, without enumerating — a filter that *generates* its
+    /// candidates from a working set keeps a pair only where its task
+    /// owns it (see [`crate::runner::filter`]).
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64>;
 
     /// Human-readable scheme name.
     fn name(&self) -> &'static str;
@@ -206,4 +219,64 @@ pub fn verify_exactly_once(scheme: &dyn DistributionScheme) -> Result<(), Scheme
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::enumeration::{pair_count, pair_rank};
+    use proptest::prelude::*;
+
+    /// `owner_of(a, b) == Some(t)` exactly when `for_each_pair(t)` yields
+    /// `(a, b)`, and `None` for every pair no task yields (a round's
+    /// complement); a pair yielded by two tasks is an error too.
+    pub(crate) fn owner_of_is_the_enumeration(
+        scheme: &dyn DistributionScheme,
+    ) -> Result<(), String> {
+        let v = scheme.v();
+        let mut owner = vec![None; pair_count(v) as usize];
+        let mut twice = None;
+        for t in 0..scheme.num_tasks() {
+            scheme.for_each_pair(t, &mut |a, b| {
+                if owner[pair_rank(a, b) as usize].replace(t).is_some() {
+                    twice = Some((a, b));
+                }
+            });
+        }
+        if let Some((a, b)) = twice {
+            return Err(format!("{}: ({a}, {b}) enumerated twice", scheme.name()));
+        }
+        for a in 1..v {
+            for b in 0..a {
+                let (got, want) = (scheme.owner_of(a, b), owner[pair_rank(a, b) as usize]);
+                if got != want {
+                    return Err(format!(
+                        "{}: owner_of({a}, {b}) = {got:?}, enumerated by {want:?}",
+                        scheme.name()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The exactly-once contract, one pair at a time, on the five flat
+        /// schemes at several task counts.
+        #[test]
+        fn owner_of_names_the_enumerating_task(v in 2u64..300, h in 1u64..12, p in 1u64..40) {
+            let schemes: Vec<Box<dyn DistributionScheme>> = vec![
+                Box::new(BlockScheme::new(v, h)),
+                Box::new(PairedBlockScheme::new(v, h)),
+                Box::new(DesignScheme::new(v)),
+                Box::new(QuorumScheme::new(v)),
+                Box::new(BroadcastScheme::new(v, p)),
+            ];
+            for scheme in &schemes {
+                prop_assert_eq!(owner_of_is_the_enumeration(scheme.as_ref()), Ok(()));
+            }
+        }
+    }
 }

@@ -88,23 +88,6 @@ impl QuorumScheme {
     pub fn cover(&self) -> &[u64] {
         &self.cover
     }
-
-    /// The canonical owner task of the pair `{x, y}`.
-    #[cfg(test)]
-    fn owner_of(&self, x: u64, y: u64) -> u64 {
-        let v = self.v;
-        let fwd = ((y + v) - x) % v; // distance walking x → y
-        let (x0, d) = if fwd <= v - fwd { (x, fwd) } else { (y, v - fwd) };
-        let alpha = self.owner[d as usize - 1];
-        if 2 * d == v {
-            // Antipodal pair: two rotations contain it; the one whose walk
-            // starts at the endpoint below v/2 emits it (`for_each_pair`
-            // skips the wrapped representative), and exactly one endpoint
-            // of an antipodal pair lies below v/2.
-            return ((x.min(y) + v) - alpha) % v;
-        }
-        ((x0 + v) - alpha) % v
-    }
 }
 
 impl DistributionScheme for QuorumScheme {
@@ -166,6 +149,23 @@ impl DistributionScheme for QuorumScheme {
             let x = (self.owner[half as usize - 1] + task) % self.v;
             (half - 1) + u64::from(x < half)
         }
+    }
+
+    /// `(x₀ − α_d) mod v` (module docs); either argument order works.
+    fn owner_of(&self, x: u64, y: u64) -> Option<u64> {
+        debug_assert!(x != y && x.max(y) < self.v);
+        let v = self.v;
+        let fwd = ((y + v) - x) % v; // distance walking x → y
+        let (x0, d) = if fwd <= v - fwd { (x, fwd) } else { (y, v - fwd) };
+        let alpha = self.owner[d as usize - 1];
+        if 2 * d == v {
+            // Antipodal pair: two rotations contain it; the one whose walk
+            // starts at the endpoint below v/2 emits it (`for_each_pair`
+            // skips the wrapped representative), and exactly one endpoint
+            // of an antipodal pair lies below v/2.
+            return Some(((x.min(y) + v) - alpha) % v);
+        }
+        Some(((x0 + v) - alpha) % v)
     }
 
     fn name(&self) -> &'static str {
@@ -248,8 +248,8 @@ mod tests {
             let s = QuorumScheme::new(v);
             for t in 0..v {
                 for (a, b) in s.pairs(t) {
-                    assert_eq!(s.owner_of(a, b), t, "v={v} pair=({a},{b})");
-                    assert_eq!(s.owner_of(b, a), t, "v={v} pair=({b},{a})");
+                    assert_eq!(s.owner_of(a, b), Some(t), "v={v} pair=({a},{b})");
+                    assert_eq!(s.owner_of(b, a), Some(t), "v={v} pair=({b},{a})");
                 }
             }
         }

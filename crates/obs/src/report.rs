@@ -64,7 +64,7 @@ pub struct TransportReport {
 }
 
 /// Candidate-pruning section of a run report (schema 8): which pruner
-/// screened the pair relation and how many enumerated pairs it admitted.
+/// screened the pair relation and how many of its pairs it admitted.
 ///
 /// Absent (`None` on [`RunReport::pruning`]) for unfiltered runs, whose
 /// reports stay byte-identical to pre-pruning schemas modulo the tag.
@@ -74,7 +74,8 @@ pub struct PruningReport {
     pub pruner: String,
     /// Whether the pruner is exact (recall 1.0 by construction).
     pub exact: bool,
-    /// Pairs enumerated by the distribution scheme(s).
+    /// Pairs of the distribution scheme(s)' relation — probed, or passed
+    /// over by a filter that generated its candidates.
     pub candidates: u64,
     /// Pairs rejected before evaluation.
     pub pruned: u64,

@@ -192,6 +192,9 @@ impl DistributionScheme for Tampered {
     fn num_pairs(&self, task: u64) -> u64 {
         self.inner.num_pairs(task)
     }
+    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+        self.inner.owner_of(a, b)
+    }
     fn name(&self) -> &'static str {
         "tampered-block"
     }
