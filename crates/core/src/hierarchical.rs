@@ -11,7 +11,9 @@
 //! *rounds* processed one after another; within a round, a fine tiling
 //! yields the parallel tasks. Working sets shrink with the fine factor
 //! while materialized intermediate data is bounded by one round's
-//! replication instead of the whole dataset's.
+//! replication instead of the whole dataset's. Both kinds of round are
+//! [`GroupedScheme`]s: a diagonal round is the block cover of one coarse
+//! stripe, an off-diagonal round an `f × f` grid over two.
 //!
 //! [`BatchedDesign`] realizes the design-scheme variant: *"it is similarly
 //! possible to process and aggregate subsets of all blocks sequentially,
@@ -19,245 +21,9 @@
 
 use std::sync::Arc;
 
-use crate::enumeration::{
-    diag_count, diag_rank, diag_unrank, for_each_pair_rect, for_each_pair_triangle, pair_count,
-};
-use crate::scheme::{DesignScheme, DistributionScheme, SchemeMetrics};
-
-// ---------------------------------------------------------------------------
-// Round building blocks
-// ---------------------------------------------------------------------------
-
-/// A block-scheme round over a contiguous element range
-/// `[base, base + len)` — the fine tiling of a coarse *diagonal* block.
-#[derive(Debug, Clone)]
-pub struct SubsetBlockScheme {
-    v: u64,
-    base: u64,
-    len: u64,
-    h: u64,
-    e: u64,
-}
-
-impl SubsetBlockScheme {
-    /// Fine-tiles the strict upper triangle of `[base, base+len)` with
-    /// factor `h`. `v` is the *global* element count (ids stay global).
-    pub fn new(v: u64, base: u64, len: u64, h: u64) -> SubsetBlockScheme {
-        assert!(base + len <= v);
-        let h = h.clamp(1, len.max(1));
-        SubsetBlockScheme { v, base, len, h, e: len.div_ceil(h).max(1) }
-    }
-
-    fn stripe(&self, g: u64) -> std::ops::Range<u64> {
-        let s = self.base + (g * self.e).min(self.len);
-        let e = self.base + ((g + 1) * self.e).min(self.len);
-        s..e
-    }
-}
-
-impl DistributionScheme for SubsetBlockScheme {
-    fn v(&self) -> u64 {
-        self.v
-    }
-
-    fn num_tasks(&self) -> u64 {
-        diag_count(self.h)
-    }
-
-    fn subsets_of(&self, element: u64) -> Vec<u64> {
-        if element < self.base || element >= self.base + self.len {
-            return Vec::new();
-        }
-        let g = (element - self.base) / self.e;
-        let mut tasks = Vec::with_capacity(self.h as usize);
-        for j in 0..=g {
-            tasks.push(diag_rank(g, j));
-        }
-        for i in g + 1..self.h {
-            tasks.push(diag_rank(i, g));
-        }
-        tasks
-    }
-
-    fn working_set(&self, task: u64) -> Vec<u64> {
-        let (i, j) = diag_unrank(task);
-        if i == j {
-            self.stripe(i).collect()
-        } else {
-            self.stripe(j).chain(self.stripe(i)).collect()
-        }
-    }
-
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        let (i, j) = diag_unrank(task);
-        let mut out = Vec::new();
-        if i == j {
-            let r = self.stripe(i);
-            for a in r.clone() {
-                for b in r.start..a {
-                    out.push((a, b));
-                }
-            }
-        } else {
-            for a in self.stripe(i) {
-                for b in self.stripe(j) {
-                    out.push((a, b));
-                }
-            }
-        }
-        out
-    }
-
-    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
-        let (i, j) = diag_unrank(task);
-        if i == j {
-            for_each_pair_triangle(self.stripe(i), f);
-        } else {
-            for_each_pair_rect(self.stripe(i), self.stripe(j), f);
-        }
-    }
-
-    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
-        let range = self.base..self.base + self.len;
-        (range.contains(&a) && range.contains(&b))
-            .then(|| diag_rank((a - self.base) / self.e, (b - self.base) / self.e))
-    }
-
-    fn name(&self) -> &'static str {
-        "two-level-block/diagonal-round"
-    }
-
-    fn metrics(&self, _n: u64) -> SchemeMetrics {
-        SchemeMetrics {
-            scheme: self.name(),
-            num_tasks: self.num_tasks(),
-            communication_elements: 2 * self.len * self.h,
-            replication_factor: self.h as f64,
-            working_set_size: 2 * self.e,
-            evaluations_per_task: (self.e * self.e) as f64,
-        }
-    }
-}
-
-/// A grid round over two disjoint contiguous ranges — the fine tiling of a
-/// coarse *off-diagonal* block (a bipartite rectangle of pairs).
-#[derive(Debug, Clone)]
-pub struct BipartiteGridScheme {
-    v: u64,
-    row_base: u64,
-    row_len: u64,
-    col_base: u64,
-    col_len: u64,
-    /// Fine grid factor: the rectangle is tiled `f × f`.
-    f: u64,
-    re: u64,
-    ce: u64,
-}
-
-impl BipartiteGridScheme {
-    /// Tiles `cols × rows` (all `col > row` element pairs) into an `f × f`
-    /// grid. Requires `col_base ≥ row_base + row_len` so every cross pair
-    /// satisfies `a > b`.
-    pub fn new(
-        v: u64,
-        row_base: u64,
-        row_len: u64,
-        col_base: u64,
-        col_len: u64,
-        f: u64,
-    ) -> BipartiteGridScheme {
-        assert!(col_base >= row_base + row_len, "ranges must be disjoint and ordered");
-        assert!(col_base + col_len <= v && row_base + row_len <= v);
-        let f = f.clamp(1, row_len.max(col_len).max(1));
-        BipartiteGridScheme {
-            v,
-            row_base,
-            row_len,
-            col_base,
-            col_len,
-            f,
-            re: row_len.div_ceil(f).max(1),
-            ce: col_len.div_ceil(f).max(1),
-        }
-    }
-
-    fn row_tile(&self, y: u64) -> std::ops::Range<u64> {
-        let s = self.row_base + (y * self.re).min(self.row_len);
-        let e = self.row_base + ((y + 1) * self.re).min(self.row_len);
-        s..e
-    }
-
-    fn col_tile(&self, x: u64) -> std::ops::Range<u64> {
-        let s = self.col_base + (x * self.ce).min(self.col_len);
-        let e = self.col_base + ((x + 1) * self.ce).min(self.col_len);
-        s..e
-    }
-}
-
-impl DistributionScheme for BipartiteGridScheme {
-    fn v(&self) -> u64 {
-        self.v
-    }
-
-    fn num_tasks(&self) -> u64 {
-        self.f * self.f
-    }
-
-    fn subsets_of(&self, element: u64) -> Vec<u64> {
-        if element >= self.row_base && element < self.row_base + self.row_len {
-            let y = (element - self.row_base) / self.re;
-            (0..self.f).map(|x| x * self.f + y).collect()
-        } else if element >= self.col_base && element < self.col_base + self.col_len {
-            let x = (element - self.col_base) / self.ce;
-            (0..self.f).map(|y| x * self.f + y).collect()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn working_set(&self, task: u64) -> Vec<u64> {
-        let (x, y) = (task / self.f, task % self.f);
-        self.row_tile(y).chain(self.col_tile(x)).collect()
-    }
-
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        let (x, y) = (task / self.f, task % self.f);
-        let mut out = Vec::new();
-        for a in self.col_tile(x) {
-            for b in self.row_tile(y) {
-                out.push((a, b));
-            }
-        }
-        out
-    }
-
-    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
-        let (x, y) = (task / self.f, task % self.f);
-        for_each_pair_rect(self.col_tile(x), self.row_tile(y), f);
-    }
-
-    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
-        let cols = self.col_base..self.col_base + self.col_len;
-        let rows = self.row_base..self.row_base + self.row_len;
-        (cols.contains(&a) && rows.contains(&b))
-            .then(|| (a - self.col_base) / self.ce * self.f + (b - self.row_base) / self.re)
-    }
-
-    fn name(&self) -> &'static str {
-        "two-level-block/grid-round"
-    }
-
-    fn metrics(&self, _n: u64) -> SchemeMetrics {
-        SchemeMetrics {
-            scheme: self.name(),
-            num_tasks: self.num_tasks(),
-            communication_elements: (self.row_len + self.col_len) * self.f * 2,
-            replication_factor: self.f as f64,
-            working_set_size: self.re + self.ce,
-            evaluations_per_task: (self.re * self.ce) as f64,
-        }
-    }
-}
+use crate::enumeration::{diag_count, diag_unrank};
+use crate::scheme::block::{Blocks, Grid, Stripes};
+use crate::scheme::{DesignScheme, DistributionScheme, GroupedScheme, SchemeError, SchemeMetrics};
 
 /// A sequential *slice* of another scheme's tasks (for processing "subsets
 /// of all blocks sequentially").
@@ -297,10 +63,6 @@ impl DistributionScheme for TaskSliceScheme {
 
     fn working_set(&self, task: u64) -> Vec<u64> {
         self.inner.working_set(self.tasks[task as usize])
-    }
-
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        self.inner.pairs(self.tasks[task as usize])
     }
 
     fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
@@ -360,18 +122,19 @@ impl TwoLevelBlock {
         diag_count(self.coarse)
     }
 
-    /// Builds round `r` as a standalone scheme over global element ids.
+    /// Builds round `r` as a standalone scheme over global element ids: a
+    /// coarse diagonal block is fine-tiled as a block scheme over its
+    /// stripe, an off-diagonal one as an `f × f` grid.
     pub fn round(&self, r: u64) -> Box<dyn DistributionScheme> {
-        let e = self.coarse_edge();
+        let coarse = Stripes::new(0..self.v, self.coarse);
         let (i, j) = diag_unrank(r);
-        let sbase = (j * e).min(self.v);
-        let slen = ((j + 1) * e).min(self.v) - sbase;
         if i == j {
-            Box::new(SubsetBlockScheme::new(self.v, sbase, slen, self.fine))
+            let name = "two-level-block/diagonal-round";
+            let cover = Blocks::over(coarse.range(j), self.fine, name);
+            Box::new(GroupedScheme { v: self.v, cover })
         } else {
-            let cbase = (i * e).min(self.v);
-            let clen = ((i + 1) * e).min(self.v) - cbase;
-            Box::new(BipartiteGridScheme::new(self.v, sbase, slen, cbase, clen, self.fine))
+            let cover = Grid::over(coarse.range(j), coarse.range(i), self.fine);
+            Box::new(GroupedScheme { v: self.v, cover })
         }
     }
 
@@ -439,41 +202,12 @@ impl BatchedDesign {
 
 /// Verifies that a set of rounds jointly covers every pair of `0..v`
 /// exactly once (the hierarchical analogue of
-/// [`crate::scheme::verify_exactly_once`]).
+/// [`crate::scheme::verify_exactly_once`], over the same stream walk).
 pub fn verify_rounds_exactly_once(
     rounds: &[Box<dyn DistributionScheme>],
     v: u64,
-) -> Result<(), crate::scheme::SchemeError> {
-    let total = pair_count(v);
-    let mut cover = vec![0u8; total as usize];
-    for round in rounds {
-        for t in 0..round.num_tasks() {
-            let ws = round.working_set(t);
-            for (a, b) in round.pairs(t) {
-                if a <= b || a >= v {
-                    return Err(crate::scheme::SchemeError::MalformedPair {
-                        task: t,
-                        pair: (a, b),
-                    });
-                }
-                if ws.binary_search(&a).is_err() || ws.binary_search(&b).is_err() {
-                    return Err(crate::scheme::SchemeError::PairOutsideWorkingSet {
-                        task: t,
-                        pair: (a, b),
-                    });
-                }
-                let r = crate::enumeration::pair_rank(a, b) as usize;
-                cover[r] = cover[r].saturating_add(1);
-            }
-        }
-    }
-    for (r, &c) in cover.iter().enumerate() {
-        if c != 1 {
-            let (a, b) = crate::enumeration::pair_unrank(r as u64);
-            return Err(crate::scheme::SchemeError::Coverage { a, b, count: c as u64 });
-        }
-    }
-    Ok(())
+) -> Result<(), SchemeError> {
+    crate::scheme::verify_rounds(rounds.iter().map(|r| r.as_ref()), v)
 }
 
 #[cfg(test)]

@@ -8,11 +8,55 @@
 //!
 //! Table-1 characteristics: `h(h+1)/2` tasks, working sets of `≤ 2e`
 //! elements, each element in `h` blocks, at most `e²` evaluations per task.
+//!
+//! As [`PairCover`]s the stripes are the groups: [`Blocks`] makes each cell
+//! of the stripe triangle a line, [`PairedBlocks`] merges neighbouring
+//! diagonal cells, and `Grid` tiles one off-diagonal cell of a coarser
+//! block scheme (the two-level rounds of [`crate::hierarchical`]).
 
-use crate::enumeration::{
-    diag_count, diag_rank, diag_unrank, for_each_pair_rect, for_each_pair_triangle, pair_rank,
-};
-use crate::scheme::{DistributionScheme, SchemeMetrics};
+use std::ops::Range;
+
+use crate::enumeration::{diag_count, diag_rank, diag_unrank, pair_rank, pair_unrank};
+use crate::scheme::{GroupedScheme, PairCover, SchemeMetrics};
+
+/// `n` contiguous stripes of `e` elements over a range; the trailing
+/// stripes may be short or empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stripes {
+    base: u64,
+    len: u64,
+    /// Number of stripes.
+    n: u64,
+    /// Stripe width `e = ⌈len/n⌉` (at least 1).
+    e: u64,
+}
+
+impl Stripes {
+    pub(crate) fn new(range: Range<u64>, n: u64) -> Stripes {
+        let (base, len) = (range.start, range.end - range.start);
+        Stripes { base, len, n, e: len.div_ceil(n).max(1) }
+    }
+
+    pub(crate) fn range(&self, g: u64) -> Range<u64> {
+        self.base + (g * self.e).min(self.len)..self.base + ((g + 1) * self.e).min(self.len)
+    }
+
+    fn of(&self, x: u64) -> Option<u64> {
+        (self.base..self.base + self.len).contains(&x).then(|| (x - self.base) / self.e)
+    }
+
+    /// The Table-1 row of a block scheme over these stripes.
+    fn metrics(&self, scheme: &'static str, num_tasks: u64) -> SchemeMetrics {
+        SchemeMetrics {
+            scheme,
+            num_tasks,
+            communication_elements: 2 * self.len * self.n,
+            replication_factor: self.n as f64,
+            working_set_size: 2 * self.e,
+            evaluations_per_task: (self.e * self.e) as f64,
+        }
+    }
+}
 
 /// Block scheme with blocking factor `h`.
 ///
@@ -24,12 +68,23 @@ use crate::scheme::{DistributionScheme, SchemeMetrics};
 /// assert_eq!(s.subsets_of(7).len(), 3);   // every element in h blocks
 /// assert!(s.working_set(1).len() <= 10);  // ≤ 2e elements
 /// ```
+pub type BlockScheme = GroupedScheme<Blocks>;
+
+/// The block cover: stripes are the groups, and each cell `(I, J)`, `I ≥ J`,
+/// of the stripe triangle is a line owning that one stripe pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockScheme {
-    v: u64,
-    h: u64,
-    /// Edge length `e = ⌈v/h⌉`.
-    e: u64,
+pub struct Blocks {
+    stripes: Stripes,
+    name: &'static str,
+}
+
+impl Blocks {
+    /// The `h(h+1)/2` blocks over the strict upper triangle of `range`,
+    /// `h` clamped to its length so stripes are nonempty.
+    pub(crate) fn over(range: Range<u64>, h: u64, name: &'static str) -> Blocks {
+        let len = range.end - range.start;
+        Blocks { stripes: Stripes::new(range, h.clamp(1, len.max(1))), name }
+    }
 }
 
 impl BlockScheme {
@@ -38,30 +93,17 @@ impl BlockScheme {
     pub fn new(v: u64, h: u64) -> BlockScheme {
         assert!(v >= 2, "need at least 2 elements");
         assert!(h >= 1, "blocking factor must be ≥ 1");
-        let h = h.min(v);
-        BlockScheme { v, h, e: v.div_ceil(h) }
+        GroupedScheme { v, cover: Blocks::over(0..v, h, "block") }
     }
 
     /// The blocking factor `h`.
     pub fn blocking_factor(&self) -> u64 {
-        self.h
+        self.cover.stripes.n
     }
 
     /// The block edge length `e = ⌈v/h⌉`.
     pub fn edge(&self) -> u64 {
-        self.e
-    }
-
-    /// The stripe (0-based) an element belongs to.
-    #[inline]
-    fn stripe_of(&self, element: u64) -> u64 {
-        element / self.e
-    }
-
-    /// Element range of stripe `g`: `[g·e, min((g+1)·e, v))`.
-    #[inline]
-    fn stripe_range(&self, g: u64) -> std::ops::Range<u64> {
-        (g * self.e).min(self.v)..((g + 1) * self.e).min(self.v)
+        self.cover.stripes.e
     }
 
     /// The `(column-stripe, row-stripe)` position of a task (`I ≥ J`,
@@ -76,101 +118,53 @@ impl BlockScheme {
     }
 }
 
-impl DistributionScheme for BlockScheme {
-    fn v(&self) -> u64 {
-        self.v
+impl PairCover for Blocks {
+    fn group(&self, g: u64) -> Range<u64> {
+        self.stripes.range(g)
     }
 
-    fn num_tasks(&self) -> u64 {
-        diag_count(self.h)
+    fn group_of(&self, e: u64) -> Option<u64> {
+        self.stripes.of(e)
     }
 
-    fn subsets_of(&self, element: u64) -> Vec<u64> {
-        debug_assert!(element < self.v);
-        let g = self.stripe_of(element);
-        // Element in stripe g joins: blocks (g, j) for j ≤ g and blocks
-        // (i, g) for i ≥ g — h tasks total (the diagonal block counted once).
-        let mut tasks = Vec::with_capacity(self.h as usize);
-        for j in 0..=g {
-            tasks.push(diag_rank(g, j));
-        }
-        for i in g + 1..self.h {
-            tasks.push(diag_rank(i, g));
-        }
-        tasks
+    fn num_lines(&self) -> u64 {
+        diag_count(self.stripes.n)
     }
 
-    fn working_set(&self, task: u64) -> Vec<u64> {
-        let (i, j) = self.position(task);
+    fn groups_on(&self, line: u64) -> Vec<u64> {
+        let (i, j) = diag_unrank(line);
+        // Row stripe (smaller indexes) then column stripe.
         if i == j {
-            self.stripe_range(i).collect()
+            vec![i]
         } else {
-            // Row stripe (smaller indexes) then column stripe.
-            self.stripe_range(j).chain(self.stripe_range(i)).collect()
+            vec![j, i]
         }
     }
 
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        let (i, j) = self.position(task);
-        let mut out = Vec::new();
-        if i == j {
-            let r = self.stripe_range(i);
-            for a in r.clone() {
-                for b in r.start..a {
-                    out.push((a, b));
-                }
-            }
-        } else {
-            // Column stripe i holds the larger indexes: all cross pairs
-            // already satisfy a > b.
-            for a in self.stripe_range(i) {
-                for b in self.stripe_range(j) {
-                    out.push((a, b));
-                }
-            }
-        }
-        out
+    fn lines_through(&self, g: u64) -> Vec<u64> {
+        // Blocks (g, j) for j ≤ g and (i, g) for i > g: h lines, the
+        // diagonal block counted once.
+        (0..=g)
+            .map(|j| diag_rank(g, j))
+            .chain((g + 1..self.stripes.n).map(|i| diag_rank(i, g)))
+            .collect()
     }
 
-    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
-        let (i, j) = self.position(task);
-        if i == j {
-            for_each_pair_triangle(self.stripe_range(i), f);
-        } else {
-            for_each_pair_rect(self.stripe_range(i), self.stripe_range(j), f);
-        }
+    fn for_each_owned(&self, line: u64, mut f: impl FnMut(u64, u64)) {
+        let (i, j) = diag_unrank(line);
+        f(i, j);
     }
 
-    fn num_pairs(&self, task: u64) -> u64 {
-        let (i, j) = self.position(task);
-        let span = |r: std::ops::Range<u64>| r.end - r.start;
-        let ci = span(self.stripe_range(i));
-        if i == j {
-            ci * ci.saturating_sub(1) / 2
-        } else {
-            ci * span(self.stripe_range(j))
-        }
-    }
-
-    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
-        debug_assert!(b < a && a < self.v);
-        // `a > b` puts `a` in the column stripe, `b` in the row stripe.
-        Some(diag_rank(self.stripe_of(a), self.stripe_of(b)))
+    fn owner(&self, g: u64, h: u64) -> Option<u64> {
+        Some(diag_rank(g, h))
     }
 
     fn name(&self) -> &'static str {
-        "block"
+        self.name
     }
 
     fn metrics(&self, _n_nodes: u64) -> SchemeMetrics {
-        SchemeMetrics {
-            scheme: self.name(),
-            num_tasks: diag_count(self.h),
-            communication_elements: 2 * self.v * self.h,
-            replication_factor: self.h as f64,
-            working_set_size: 2 * self.e,
-            evaluations_per_task: (self.e * self.e) as f64,
-        }
+        self.stripes.metrics(self.name, self.num_lines())
     }
 }
 
@@ -185,156 +179,89 @@ impl DistributionScheme for BlockScheme {
 /// block `(g+1, g)`). Task count drops from `h(h+1)/2` to
 /// `h(h−1)/2 + ⌈h/2⌉` and diagonal tasks carry `e(e−1)` evaluations —
 /// comparable to the `e²` of off-diagonal tasks, improving balance.
+pub type PairedBlockScheme = GroupedScheme<PairedBlocks>;
+
+/// The paired-diagonal cover: lines `0..h(h−1)/2` are the off-diagonal
+/// cells in strict-triangle order, the rest own two diagonals each.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairedBlockScheme {
-    inner: BlockScheme,
+pub struct PairedBlocks {
+    stripes: Stripes,
 }
 
 impl PairedBlockScheme {
     /// Creates the paired-diagonal variant with blocking factor `h`.
     pub fn new(v: u64, h: u64) -> PairedBlockScheme {
-        PairedBlockScheme { inner: BlockScheme::new(v, h) }
+        let Blocks { stripes, .. } = BlockScheme::new(v, h).cover;
+        GroupedScheme { v, cover: PairedBlocks { stripes } }
     }
 
     /// The effective blocking factor.
     pub fn blocking_factor(&self) -> u64 {
-        self.inner.h
+        self.cover.stripes.n
     }
 
     /// The block edge length `e = ⌈v/h⌉`.
     pub fn edge(&self) -> u64 {
-        self.inner.e
+        self.cover.stripes.e
     }
+}
 
+impl PairedBlocks {
     fn num_offdiag(&self) -> u64 {
-        self.inner.h * (self.inner.h - 1) / 2
+        self.stripes.n * (self.stripes.n - 1) / 2
     }
 
-    /// Splits a task id into `OffDiag(col, row)` or `DiagPair(first stripe)`.
-    fn classify(&self, task: u64) -> PairedTask {
-        let off = self.num_offdiag();
-        if task < off {
-            // Strict-triangle enumeration over (col, row), col > row:
-            // rank = col(col−1)/2 + row.
-            let (col, row) = crate::enumeration::pair_unrank(task);
-            PairedTask::OffDiag { col, row }
+    /// The diagonals a merged line owns: `first` and, unless it is the
+    /// last stripe, `first + 1`.
+    fn diagonals(&self, line: u64) -> Range<u64> {
+        let first = 2 * (line - self.num_offdiag());
+        first..(first + 2).min(self.stripes.n)
+    }
+}
+
+impl PairCover for PairedBlocks {
+    fn group(&self, g: u64) -> Range<u64> {
+        self.stripes.range(g)
+    }
+
+    fn group_of(&self, e: u64) -> Option<u64> {
+        self.stripes.of(e)
+    }
+
+    fn num_lines(&self) -> u64 {
+        self.num_offdiag() + self.stripes.n.div_ceil(2)
+    }
+
+    fn groups_on(&self, line: u64) -> Vec<u64> {
+        if line < self.num_offdiag() {
+            let (col, row) = pair_unrank(line);
+            vec![row, col]
         } else {
-            PairedTask::DiagPair { first: 2 * (task - off) }
-        }
-    }
-}
-
-enum PairedTask {
-    OffDiag { col: u64, row: u64 },
-    DiagPair { first: u64 },
-}
-
-impl DistributionScheme for PairedBlockScheme {
-    fn v(&self) -> u64 {
-        self.inner.v
-    }
-
-    fn num_tasks(&self) -> u64 {
-        self.num_offdiag() + self.inner.h.div_ceil(2)
-    }
-
-    fn subsets_of(&self, element: u64) -> Vec<u64> {
-        debug_assert!(element < self.inner.v);
-        let g = self.inner.stripe_of(element);
-        let h = self.inner.h;
-        let mut tasks = Vec::with_capacity(h as usize);
-        // Off-diagonal blocks where g is the column stripe (g > j)…
-        for j in 0..g {
-            tasks.push(pair_rank(g, j));
-        }
-        // …or the row stripe (i > g).
-        for i in g + 1..h {
-            tasks.push(pair_rank(i, g));
-        }
-        // Plus the merged diagonal task containing stripe g.
-        tasks.push(self.num_offdiag() + g / 2);
-        tasks
-    }
-
-    fn working_set(&self, task: u64) -> Vec<u64> {
-        match self.classify(task) {
-            PairedTask::OffDiag { col, row } => {
-                self.inner.stripe_range(row).chain(self.inner.stripe_range(col)).collect()
-            }
-            PairedTask::DiagPair { first } => {
-                let mut ws: Vec<u64> = self.inner.stripe_range(first).collect();
-                if first + 1 < self.inner.h {
-                    ws.extend(self.inner.stripe_range(first + 1));
-                }
-                ws
-            }
+            self.diagonals(line).collect()
         }
     }
 
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        match self.classify(task) {
-            PairedTask::OffDiag { col, row } => {
-                let mut out = Vec::new();
-                for a in self.inner.stripe_range(col) {
-                    for b in self.inner.stripe_range(row) {
-                        out.push((a, b));
-                    }
-                }
-                out
-            }
-            PairedTask::DiagPair { first } => {
-                let mut out = Vec::new();
-                let mut triangle = |g: u64| {
-                    let r = self.inner.stripe_range(g);
-                    for a in r.clone() {
-                        for b in r.start..a {
-                            out.push((a, b));
-                        }
-                    }
-                };
-                triangle(first);
-                if first + 1 < self.inner.h {
-                    triangle(first + 1);
-                }
-                out
-            }
+    fn lines_through(&self, g: u64) -> Vec<u64> {
+        // Off-diagonal cells with g as column or row stripe, then the
+        // merged diagonal line holding stripe g.
+        (0..g)
+            .map(|j| pair_rank(g, j))
+            .chain((g + 1..self.stripes.n).map(|i| pair_rank(i, g)))
+            .chain([self.num_offdiag() + g / 2])
+            .collect()
+    }
+
+    fn for_each_owned(&self, line: u64, mut f: impl FnMut(u64, u64)) {
+        if line < self.num_offdiag() {
+            let (col, row) = pair_unrank(line);
+            f(col, row);
+        } else {
+            self.diagonals(line).for_each(|g| f(g, g));
         }
     }
 
-    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
-        match self.classify(task) {
-            PairedTask::OffDiag { col, row } => {
-                for_each_pair_rect(self.inner.stripe_range(col), self.inner.stripe_range(row), f);
-            }
-            PairedTask::DiagPair { first } => {
-                for_each_pair_triangle(self.inner.stripe_range(first), f);
-                if first + 1 < self.inner.h {
-                    for_each_pair_triangle(self.inner.stripe_range(first + 1), f);
-                }
-            }
-        }
-    }
-
-    fn num_pairs(&self, task: u64) -> u64 {
-        let span = |r: std::ops::Range<u64>| r.end - r.start;
-        match self.classify(task) {
-            PairedTask::OffDiag { col, row } => {
-                span(self.inner.stripe_range(col)) * span(self.inner.stripe_range(row))
-            }
-            PairedTask::DiagPair { first } => {
-                let tri = |g: u64| {
-                    let c = span(self.inner.stripe_range(g));
-                    c * c.saturating_sub(1) / 2
-                };
-                tri(first) + if first + 1 < self.inner.h { tri(first + 1) } else { 0 }
-            }
-        }
-    }
-
-    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
-        debug_assert!(b < a && a < self.inner.v);
-        let (col, row) = (self.inner.stripe_of(a), self.inner.stripe_of(b));
-        Some(if col == row { self.num_offdiag() + col / 2 } else { pair_rank(col, row) })
+    fn owner(&self, g: u64, h: u64) -> Option<u64> {
+        Some(if g == h { self.num_offdiag() + g / 2 } else { pair_rank(g, h) })
     }
 
     fn name(&self) -> &'static str {
@@ -342,14 +269,84 @@ impl DistributionScheme for PairedBlockScheme {
     }
 
     fn metrics(&self, _n_nodes: u64) -> SchemeMetrics {
-        let e = self.inner.e;
+        self.stripes.metrics(self.name(), self.num_lines())
+    }
+}
+
+/// An `f × f` grid over the cross product of two disjoint ranges, columns
+/// above rows — the fine tiling of a coarse *off-diagonal* block. Groups
+/// `0..f` are the row tiles, `f..2f` the column tiles; line `x·f + y`
+/// owns column tile `x` against row tile `y`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Grid {
+    rows: Stripes,
+    cols: Stripes,
+}
+
+impl Grid {
+    /// Tiles `cols × rows` into an `f × f` grid; `cols` lies above `rows`.
+    pub(crate) fn over(rows: Range<u64>, cols: Range<u64>, f: u64) -> Grid {
+        assert!(cols.start >= rows.end, "ranges must be disjoint and ordered");
+        let f = f.clamp(1, (rows.end - rows.start).max(cols.end - cols.start).max(1));
+        Grid { rows: Stripes::new(rows, f), cols: Stripes::new(cols, f) }
+    }
+}
+
+impl PairCover for Grid {
+    fn group(&self, g: u64) -> Range<u64> {
+        let f = self.rows.n;
+        if g < f {
+            self.rows.range(g)
+        } else {
+            self.cols.range(g - f)
+        }
+    }
+
+    fn group_of(&self, e: u64) -> Option<u64> {
+        self.rows.of(e).or_else(|| self.cols.of(e).map(|x| self.rows.n + x))
+    }
+
+    fn num_lines(&self) -> u64 {
+        self.rows.n * self.rows.n
+    }
+
+    fn groups_on(&self, line: u64) -> Vec<u64> {
+        let f = self.rows.n;
+        vec![line % f, f + line / f]
+    }
+
+    fn lines_through(&self, g: u64) -> Vec<u64> {
+        let f = self.rows.n;
+        if g < f {
+            (0..f).map(|x| x * f + g).collect()
+        } else {
+            (0..f).map(|y| (g - f) * f + y).collect()
+        }
+    }
+
+    fn for_each_owned(&self, line: u64, mut f: impl FnMut(u64, u64)) {
+        let n = self.rows.n;
+        f(n + line / n, line % n);
+    }
+
+    fn owner(&self, g: u64, h: u64) -> Option<u64> {
+        let f = self.rows.n;
+        (g >= f && h < f).then(|| (g - f) * f + h)
+    }
+
+    fn name(&self) -> &'static str {
+        "two-level-block/grid-round"
+    }
+
+    fn metrics(&self, _n_nodes: u64) -> SchemeMetrics {
+        let (f, re, ce) = (self.rows.n, self.rows.e, self.cols.e);
         SchemeMetrics {
             scheme: self.name(),
-            num_tasks: self.num_tasks(),
-            communication_elements: 2 * self.inner.v * self.inner.h,
-            replication_factor: self.inner.h as f64,
-            working_set_size: 2 * e,
-            evaluations_per_task: (e * e) as f64,
+            num_tasks: f * f,
+            communication_elements: (self.rows.len + self.cols.len) * f * 2,
+            replication_factor: f as f64,
+            working_set_size: re + ce,
+            evaluations_per_task: (re * ce) as f64,
         }
     }
 }
@@ -358,7 +355,7 @@ impl DistributionScheme for PairedBlockScheme {
 mod tests {
     use super::*;
     use crate::enumeration::pair_count;
-    use crate::scheme::{measure, verify_exactly_once};
+    use crate::scheme::{measure, verify_exactly_once, DistributionScheme};
 
     #[test]
     fn figure6_layout() {

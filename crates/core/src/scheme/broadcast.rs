@@ -6,7 +6,7 @@
 //! triangle is enumerated (Figure 5) and split into `p` contiguous label
 //! ranges of `h = ⌈v(v−1)/2p⌉` pairs each.
 
-use crate::enumeration::{pair_count, pair_rank, pair_unrank, pairs_in_range};
+use crate::enumeration::{pair_count, pair_rank, pairs_in_range};
 use crate::scheme::{DistributionScheme, SchemeMetrics};
 
 /// Broadcast scheme: full replication, contiguous pair-label ranges.
@@ -85,11 +85,6 @@ impl DistributionScheme for BroadcastScheme {
         (0..self.v).collect()
     }
 
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        let (s, e) = self.label_range(task);
-        pairs_in_range(s, e).collect()
-    }
-
     fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
         // A label range walks rows of the triangle: `b` advances
         // contiguously within each row, which is already cache-friendly —
@@ -129,36 +124,6 @@ impl DistributionScheme for BroadcastScheme {
             evaluations_per_task: pair_count(self.v) as f64 / nonempty as f64,
         }
     }
-}
-
-/// The elements a broadcast task actually touches (tighter than the full
-/// working set; exposed for the map-side evaluation path, which only loads
-/// what it needs from the distributed cache).
-pub fn touched_elements(scheme: &BroadcastScheme, task: u64) -> Vec<u64> {
-    let (s, e) = scheme.label_range(task);
-    if s >= e {
-        return Vec::new();
-    }
-    // Contiguous label ranges touch: all elements below the largest `a`,
-    // but the smallest rows only partially. Walk boundaries instead of all
-    // pairs: the range covers full rows (a_s..a_e) plus partial first/last.
-    let mut touched: Vec<u64> = Vec::new();
-    let (a_first, _) = pair_unrank(s);
-    let (a_last, _) = pair_unrank(e - 1);
-    // All b-values ≤ a_last − 1 can appear; enumerate precisely only for
-    // small ranges, else fall back to the covering interval.
-    if e - s <= 4096 {
-        let mut set = std::collections::BTreeSet::new();
-        for (a, b) in pairs_in_range(s, e) {
-            set.insert(a);
-            set.insert(b);
-        }
-        touched.extend(set);
-    } else {
-        touched.extend(0..=a_last);
-        let _ = a_first;
-    }
-    touched
 }
 
 #[cfg(test)]
@@ -249,17 +214,6 @@ mod tests {
                 analytic.evaluations_per_task <= measured.max_evaluations as f64,
                 "v={v} tasks={tasks}: mean over nonempty tasks can't exceed the max"
             );
-        }
-    }
-
-    #[test]
-    fn touched_elements_subset_of_pairs() {
-        let s = BroadcastScheme::new(30, 5);
-        for t in 0..5 {
-            let touched = touched_elements(&s, t);
-            for (a, b) in s.pairs(t) {
-                assert!(touched.contains(&a) && touched.contains(&b), "task {t}");
-            }
         }
     }
 }

@@ -10,10 +10,12 @@
 //! Table-1 characteristics: `q² + q + 1 ≥ v` tasks, working sets of
 //! `≈ √v` elements, replication `≈ √v`, `≈ (v−1)/2` evaluations per task.
 
+use std::ops::Range;
+
 use pmr_designs::plane::truncated_plane;
 use pmr_designs::BlockDesign;
 
-use crate::scheme::{DistributionScheme, SchemeMetrics};
+use crate::scheme::{GroupedScheme, PairCover, SchemeMetrics};
 
 /// Design scheme backed by a (possibly truncated) projective plane.
 ///
@@ -25,9 +27,12 @@ use crate::scheme::{DistributionScheme, SchemeMetrics};
 /// assert!(s.working_set(0).len() <= 8);   // blocks have ≤ q + 1 elements
 /// verify_exactly_once(&s).unwrap();       // every pair in exactly one task
 /// ```
+pub type DesignScheme = GroupedScheme<DesignBlocks>;
+
+/// The design cover: every element is its own group and every block of the
+/// design is a line owning all pairs of its points.
 #[derive(Debug, Clone)]
-pub struct DesignScheme {
-    v: u64,
+pub struct DesignBlocks {
     q: u64,
     design: BlockDesign,
     /// Inverted index: element → blocks containing it.
@@ -41,7 +46,7 @@ impl DesignScheme {
         assert!(v >= 2, "need at least 2 elements");
         let (design, q) = truncated_plane(v);
         let point_to_blocks = design.point_to_blocks();
-        DesignScheme { v, q, design, point_to_blocks }
+        GroupedScheme { v, cover: DesignBlocks { q, design, point_to_blocks } }
     }
 
     /// Builds the scheme from a caller-supplied design (must be pairwise
@@ -49,67 +54,56 @@ impl DesignScheme {
     pub fn from_design(design: BlockDesign, q: u64) -> DesignScheme {
         debug_assert!(design.verify().is_ok(), "design is not pairwise balanced");
         let point_to_blocks = design.point_to_blocks();
-        DesignScheme { v: design.v(), q, design, point_to_blocks }
+        GroupedScheme { v: design.v(), cover: DesignBlocks { q, design, point_to_blocks } }
     }
 
     /// The plane order `q` used.
     pub fn order(&self) -> u64 {
-        self.q
+        self.cover.q
     }
 
     /// The underlying block design.
     pub fn design(&self) -> &BlockDesign {
-        &self.design
+        &self.cover.design
     }
 }
 
-impl DistributionScheme for DesignScheme {
-    fn v(&self) -> u64 {
-        self.v
+impl PairCover for DesignBlocks {
+    fn group(&self, g: u64) -> Range<u64> {
+        g..g + 1
     }
 
-    fn num_tasks(&self) -> u64 {
+    fn group_of(&self, e: u64) -> Option<u64> {
+        Some(e)
+    }
+
+    fn num_lines(&self) -> u64 {
         self.design.num_blocks() as u64
     }
 
-    fn subsets_of(&self, element: u64) -> Vec<u64> {
-        debug_assert!(element < self.v);
-        self.point_to_blocks[element as usize].iter().map(|&b| b as u64).collect()
+    fn groups_on(&self, line: u64) -> Vec<u64> {
+        self.design.blocks()[line as usize].clone()
     }
 
-    fn working_set(&self, task: u64) -> Vec<u64> {
-        self.design.blocks()[task as usize].clone()
+    fn lines_through(&self, g: u64) -> Vec<u64> {
+        self.point_to_blocks[g as usize].iter().map(|&b| b as u64).collect()
     }
 
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        let block = &self.design.blocks()[task as usize];
-        let mut out = Vec::with_capacity(block.len() * block.len().saturating_sub(1) / 2);
+    fn for_each_owned(&self, line: u64, mut f: impl FnMut(u64, u64)) {
+        let block = &self.design.blocks()[line as usize];
         for (idx, &a) in block.iter().enumerate().skip(1) {
             for &b in &block[..idx] {
-                out.push((a, b)); // blocks are sorted ascending, so a > b
-            }
-        }
-        out
-    }
-
-    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
-        // Blocks hold only k ≈ √v elements — the whole working set is
-        // L1-resident, so the plain triangle walk is already optimal.
-        let block = &self.design.blocks()[task as usize];
-        for (idx, &a) in block.iter().enumerate().skip(1) {
-            for &b in &block[..idx] {
-                f(a, b);
+                f(a, b); // blocks are sorted ascending, so a > b
             }
         }
     }
 
-    fn num_pairs(&self, task: u64) -> u64 {
-        let k = self.design.blocks()[task as usize].len() as u64;
+    fn num_pairs(&self, line: u64) -> u64 {
+        let k = self.design.blocks()[line as usize].len() as u64;
         k * k.saturating_sub(1) / 2
     }
 
-    fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
-        debug_assert!(b < a && a < self.v);
+    fn owner(&self, a: u64, b: u64) -> Option<u64> {
         // The one block on both points: merge their ascending block lists.
         let (mut on_a, mut on_b) =
             (self.point_to_blocks[a as usize].iter(), self.point_to_blocks[b as usize].iter());
@@ -129,13 +123,14 @@ impl DistributionScheme for DesignScheme {
     }
 
     fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
-        let sqrt_v = (self.v as f64).sqrt();
+        let v = self.design.v();
+        let sqrt_v = (v as f64).sqrt();
         // Communication ≈ 2v√v, capped at 2vn (sending to all nodes);
         // Table 1's "max 2vn" column note.
-        let comm = (2.0 * self.v as f64 * sqrt_v).min(2.0 * (self.v * n_nodes) as f64);
+        let comm = (2.0 * v as f64 * sqrt_v).min(2.0 * (v * n_nodes) as f64);
         SchemeMetrics {
             scheme: self.name(),
-            num_tasks: self.num_tasks(),
+            num_tasks: self.num_lines(),
             communication_elements: comm as u64,
             replication_factor: self.q as f64 + 1.0, // exact: r = q + 1 ≈ √v
             working_set_size: self.q + 1,            // block size k = q + 1 ≈ √v
@@ -150,7 +145,7 @@ impl DistributionScheme for DesignScheme {
 mod tests {
     use super::*;
     use crate::enumeration::pair_count;
-    use crate::scheme::{measure, verify_exactly_once};
+    use crate::scheme::{measure, verify_exactly_once, DistributionScheme};
 
     #[test]
     fn covers_every_pair_exactly_once() {

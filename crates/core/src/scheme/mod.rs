@@ -3,7 +3,7 @@
 //! A scheme answers the two questions of the paper's abstract solution:
 //! *which working sets does an element belong to* (`getSubsets`, here
 //! [`DistributionScheme::subsets_of`]) and *which pairs does a task
-//! evaluate* (`getPairs`, here [`DistributionScheme::pairs`]).
+//! evaluate* (`getPairs`, here [`DistributionScheme::for_each_pair`]).
 //!
 //! Elements are identified by **dense indexes** `0..v` (the paper's
 //! `s₁…s_v`, shifted to 0-based). Applications with sparse ids map them to
@@ -14,16 +14,25 @@
 //! task's pair relation, and each task's pairs draw only from its working
 //! set. [`DistributionScheme::owner_of`] names that one task for any pair
 //! in closed form; [`verify_exactly_once`] checks the contract
-//! exhaustively.
+//! exhaustively, over the same pair stream the runners walk.
+//!
+//! Three types implement the trait. [`GroupedScheme`] is every scheme that
+//! splits `0..v` into element groups and covers the group pairs with lines
+//! ([`grouped`]): block, paired-diagonal block, design, quorum and the
+//! two-level block rounds. [`BroadcastScheme`] splits pair *labels*, not
+//! elements, and [`crate::hierarchical::TaskSliceScheme`] takes a slice of
+//! any scheme's tasks.
 
 pub mod block;
 pub mod broadcast;
 pub mod design;
+pub mod grouped;
 pub mod quorum;
 
 pub use block::{BlockScheme, PairedBlockScheme};
 pub use broadcast::BroadcastScheme;
 pub use design::DesignScheme;
+pub use grouped::{GroupedScheme, PairCover};
 pub use quorum::QuorumScheme;
 
 /// A partitioning of the Cartesian product `S × S` into per-task work.
@@ -41,29 +50,24 @@ pub trait DistributionScheme: Send + Sync {
     /// All elements of task `t`'s working set, ascending.
     fn working_set(&self, task: u64) -> Vec<u64>;
 
-    /// The pairs task `t` evaluates — the paper's `getPairs`. Every pair
-    /// `(a, b)` satisfies `a > b` and both endpoints lie in
-    /// `working_set(t)`.
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)>;
-
-    /// Streams task `t`'s pairs into `f` without materializing a pair
-    /// vector — the hot-path form of [`pairs`](Self::pairs). Yields exactly
-    /// the same multiset of `(a, b)` pairs; the *order* may differ (native
-    /// implementations walk cache-blocked
+    /// Streams the pairs task `t` evaluates into `f` — the paper's
+    /// `getPairs`. Every pair `(a, b)` satisfies `a > b` and both endpoints
+    /// lie in `working_set(t)`. Grouped schemes walk cache-blocked
     /// [`TILE_EDGE`](crate::enumeration::TILE_EDGE)-square tiles so both
-    /// operands stay L1-hot across a tile). All consumers of pair streams
+    /// operands stay L1-hot across a tile; all consumers of pair streams
     /// are order-insensitive: evaluation results are keyed by `(a, b)` and
     /// aggregators sort per-element lists by neighbor id.
-    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
-        for (a, b) in self.pairs(task) {
-            f(a, b);
-        }
-    }
+    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64));
 
-    /// Number of pairs task `t` evaluates (default: `pairs(t).len()`;
-    /// schemes override with a closed form).
-    fn num_pairs(&self, task: u64) -> u64 {
-        self.pairs(task).len() as u64
+    /// Number of pairs task `t` evaluates, in closed form.
+    fn num_pairs(&self, task: u64) -> u64;
+
+    /// Task `t`'s pairs collected from [`for_each_pair`](Self::for_each_pair)
+    /// — for tests and small tools; runners stream.
+    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
+        let mut out = Vec::with_capacity(self.num_pairs(task) as usize);
+        self.for_each_pair(task, &mut |a, b| out.push((a, b)));
+        out
     }
 
     /// The task whose pair relation holds `(a, b)` (`a > b`, both below
@@ -194,31 +198,38 @@ pub enum SchemeError {
 /// Exhaustively verifies the paper's exactly-once demand:
 /// every unordered pair of `0..v` is evaluated by exactly one task, all
 /// pairs are well-formed, and tasks only pair elements of their working
-/// set. `O(v²)` memory — for tests and small `v`.
+/// set. Walks [`DistributionScheme::for_each_pair`], the stream runners
+/// evaluate. `O(v²)` memory — for tests and small `v`.
 pub fn verify_exactly_once(scheme: &dyn DistributionScheme) -> Result<(), SchemeError> {
-    let v = scheme.v();
-    let total = crate::enumeration::pair_count(v);
-    let mut cover = vec![0u8; total as usize];
-    for t in 0..scheme.num_tasks() {
-        let ws = scheme.working_set(t);
-        for (a, b) in scheme.pairs(t) {
-            if a <= b || a >= v {
-                return Err(SchemeError::MalformedPair { task: t, pair: (a, b) });
-            }
-            if ws.binary_search(&a).is_err() || ws.binary_search(&b).is_err() {
-                return Err(SchemeError::PairOutsideWorkingSet { task: t, pair: (a, b) });
-            }
-            let r = crate::enumeration::pair_rank(a, b) as usize;
-            cover[r] = cover[r].saturating_add(1);
+    verify_rounds([scheme], scheme.v())
+}
+
+/// [`verify_exactly_once`] over the tasks of several rounds together.
+pub(crate) fn verify_rounds<'a>(
+    rounds: impl IntoIterator<Item = &'a dyn DistributionScheme>,
+    v: u64,
+) -> Result<(), SchemeError> {
+    let mut cover = vec![0u8; crate::enumeration::pair_count(v) as usize];
+    for round in rounds {
+        for task in 0..round.num_tasks() {
+            let ws = round.working_set(task);
+            let mut err = None;
+            round.for_each_pair(task, &mut |a, b| {
+                if a <= b || a >= v {
+                    err.get_or_insert(SchemeError::MalformedPair { task, pair: (a, b) });
+                } else if ws.binary_search(&a).is_err() || ws.binary_search(&b).is_err() {
+                    err.get_or_insert(SchemeError::PairOutsideWorkingSet { task, pair: (a, b) });
+                } else {
+                    let r = crate::enumeration::pair_rank(a, b) as usize;
+                    cover[r] = cover[r].saturating_add(1);
+                }
+            });
+            err.map_or(Ok(()), Err)?;
         }
     }
-    for (r, &c) in cover.iter().enumerate() {
-        if c != 1 {
-            let (a, b) = crate::enumeration::pair_unrank(r as u64);
-            return Err(SchemeError::Coverage { a, b, count: c as u64 });
-        }
-    }
-    Ok(())
+    let Some(r) = cover.iter().position(|&c| c != 1) else { return Ok(()) };
+    let (a, b) = crate::enumeration::pair_unrank(r as u64);
+    Err(SchemeError::Coverage { a, b, count: cover[r] as u64 })
 }
 
 #[cfg(test)]
@@ -258,6 +269,80 @@ pub(crate) mod tests {
             }
         }
         Ok(())
+    }
+
+    /// `BlockScheme` whose task-0 stream drops (or repeats) its first pair
+    /// while `pairs()` still lists every pair once.
+    struct Tampered {
+        inner: BlockScheme,
+        duplicate: bool,
+    }
+
+    impl DistributionScheme for Tampered {
+        fn v(&self) -> u64 {
+            self.inner.v()
+        }
+        fn num_tasks(&self) -> u64 {
+            self.inner.num_tasks()
+        }
+        fn subsets_of(&self, element: u64) -> Vec<u64> {
+            self.inner.subsets_of(element)
+        }
+        fn working_set(&self, task: u64) -> Vec<u64> {
+            self.inner.working_set(task)
+        }
+        fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
+            let mut first = task == 0;
+            self.inner.for_each_pair(task, &mut |a, b| {
+                if std::mem::take(&mut first) {
+                    if !self.duplicate {
+                        return;
+                    }
+                    f(a, b);
+                }
+                f(a, b);
+            });
+        }
+        fn num_pairs(&self, task: u64) -> u64 {
+            self.inner.num_pairs(task)
+        }
+        fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
+            self.inner.pairs(task)
+        }
+        fn owner_of(&self, a: u64, b: u64) -> Option<u64> {
+            self.inner.owner_of(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "tampered-block"
+        }
+        fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
+            self.inner.metrics(n_nodes)
+        }
+    }
+
+    /// Both verifiers walk the stream the runners evaluate, so a dropped or
+    /// repeated pair fails them even though `pairs()` is intact.
+    #[test]
+    fn verifiers_reject_a_tampered_stream() {
+        for (duplicate, count) in [(false, 0), (true, 2)] {
+            let scheme = Tampered { inner: BlockScheme::new(20, 3), duplicate };
+            let got = verify_exactly_once(&scheme);
+            assert!(
+                matches!(got, Err(SchemeError::Coverage { count: c, .. }) if c == count),
+                "duplicate={duplicate}: {got:?}"
+            );
+            let rounds: Vec<Box<dyn DistributionScheme>> = vec![Box::new(scheme)];
+            let got = crate::hierarchical::verify_rounds_exactly_once(&rounds, 20);
+            assert!(
+                matches!(got, Err(SchemeError::Coverage { count: c, .. }) if c == count),
+                "rounds, duplicate={duplicate}: {got:?}"
+            );
+        }
+        let intact = Tampered { inner: BlockScheme::new(20, 3), duplicate: false };
+        assert_eq!(
+            (0..intact.num_tasks()).map(|t| intact.pairs(t).len() as u64).sum::<u64>(),
+            pair_count(20)
+        );
     }
 
     proptest! {

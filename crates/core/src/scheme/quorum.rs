@@ -22,9 +22,11 @@
 //! Table-1 characteristics: `v` tasks, working sets of `k ≈ √v` elements,
 //! replication exactly `k`, `≈ (v−1)/2` evaluations per task.
 
+use std::ops::Range;
+
 use pmr_designs::quorum::{difference_cover, is_difference_cover};
 
-use crate::scheme::{DistributionScheme, SchemeMetrics};
+use crate::scheme::{GroupedScheme, PairCover, SchemeMetrics};
 
 /// Quorum scheme backed by the cyclic development of a difference cover.
 ///
@@ -36,8 +38,12 @@ use crate::scheme::{DistributionScheme, SchemeMetrics};
 /// assert_eq!(s.num_tasks(), 57);          // one rotation per element
 /// verify_exactly_once(&s).unwrap();       // every pair in exactly one task
 /// ```
+pub type QuorumScheme = GroupedScheme<Rotations>;
+
+/// The quorum cover: every element is its own group and every rotation of
+/// the difference cover is a line owning one pair per circular distance.
 #[derive(Debug, Clone)]
-pub struct QuorumScheme {
+pub struct Rotations {
     v: u64,
     /// The difference cover `A`, sorted ascending.
     cover: Vec<u64>,
@@ -76,57 +82,51 @@ impl QuorumScheme {
             }
         }
         debug_assert!(owner.iter().all(|&x| x != u64::MAX));
-        QuorumScheme { v, cover, owner }
+        GroupedScheme { v, cover: Rotations { v, cover, owner } }
     }
 
     /// The quorum size `k = |A|`: working-set size and exact replication.
     pub fn quorum_size(&self) -> u64 {
-        self.cover.len() as u64
+        self.cover.cover.len() as u64
     }
 
     /// The underlying difference cover, sorted ascending.
     pub fn cover(&self) -> &[u64] {
-        &self.cover
+        &self.cover.cover
     }
 }
 
-impl DistributionScheme for QuorumScheme {
-    fn v(&self) -> u64 {
+impl PairCover for Rotations {
+    fn group(&self, g: u64) -> Range<u64> {
+        g..g + 1
+    }
+
+    fn group_of(&self, e: u64) -> Option<u64> {
+        Some(e)
+    }
+
+    fn num_lines(&self) -> u64 {
         self.v
     }
 
-    fn num_tasks(&self) -> u64 {
-        self.v
-    }
-
-    fn subsets_of(&self, element: u64) -> Vec<u64> {
-        debug_assert!(element < self.v);
-        let mut out: Vec<u64> =
-            self.cover.iter().map(|&a| ((element + self.v) - a) % self.v).collect();
+    fn groups_on(&self, line: u64) -> Vec<u64> {
+        let mut out: Vec<u64> = self.cover.iter().map(|&a| (a + line) % self.v).collect();
         out.sort_unstable();
         out
     }
 
-    fn working_set(&self, task: u64) -> Vec<u64> {
-        let mut out: Vec<u64> = self.cover.iter().map(|&a| (a + task) % self.v).collect();
+    fn lines_through(&self, g: u64) -> Vec<u64> {
+        let mut out: Vec<u64> = self.cover.iter().map(|&a| ((g + self.v) - a) % self.v).collect();
         out.sort_unstable();
         out
     }
 
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity((self.v / 2) as usize);
-        self.for_each_pair(task, &mut |a, b| out.push((a, b)));
-        out
-    }
-
-    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
-        // One pair per circular distance: the working set holds only
-        // k ≈ √v elements, so like the design scheme the whole walk is
-        // L1-resident and needs no tiling.
+    fn for_each_owned(&self, line: u64, mut f: impl FnMut(u64, u64)) {
+        // One pair per circular distance.
         let v = self.v;
         for (i, &alpha) in self.owner.iter().enumerate() {
             let d = i as u64 + 1;
-            let x = (alpha + task) % v;
+            let x = (alpha + line) % v;
             let y = (x + d) % v;
             if 2 * d == v && x > y {
                 continue; // antipodal dedupe: the rotation starting low wins
@@ -139,28 +139,27 @@ impl DistributionScheme for QuorumScheme {
         }
     }
 
-    fn num_pairs(&self, task: u64) -> u64 {
+    fn num_pairs(&self, line: u64) -> u64 {
         let half = self.v / 2;
         if self.v % 2 == 1 {
             half
         } else {
             // Distances 1..v/2−1 always emit; the antipodal distance emits
             // only from the rotation whose walk starts in the lower half.
-            let x = (self.owner[half as usize - 1] + task) % self.v;
+            let x = (self.owner[half as usize - 1] + line) % self.v;
             (half - 1) + u64::from(x < half)
         }
     }
 
     /// `(x₀ − α_d) mod v` (module docs); either argument order works.
-    fn owner_of(&self, x: u64, y: u64) -> Option<u64> {
-        debug_assert!(x != y && x.max(y) < self.v);
+    fn owner(&self, x: u64, y: u64) -> Option<u64> {
         let v = self.v;
         let fwd = ((y + v) - x) % v; // distance walking x → y
         let (x0, d) = if fwd <= v - fwd { (x, fwd) } else { (y, v - fwd) };
         let alpha = self.owner[d as usize - 1];
         if 2 * d == v {
             // Antipodal pair: two rotations contain it; the one whose walk
-            // starts at the endpoint below v/2 emits it (`for_each_pair`
+            // starts at the endpoint below v/2 emits it (`for_each_owned`
             // skips the wrapped representative), and exactly one endpoint
             // of an antipodal pair lies below v/2.
             return Some(((x.min(y) + v) - alpha) % v);
@@ -191,7 +190,7 @@ impl DistributionScheme for QuorumScheme {
 mod tests {
     use super::*;
     use crate::enumeration::pair_count;
-    use crate::scheme::{measure, verify_exactly_once};
+    use crate::scheme::{measure, verify_exactly_once, DistributionScheme};
 
     #[test]
     fn covers_every_pair_exactly_once() {

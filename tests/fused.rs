@@ -179,15 +179,17 @@ impl DistributionScheme for Tampered {
     fn working_set(&self, task: u64) -> Vec<u64> {
         self.inner.working_set(task)
     }
-    fn pairs(&self, task: u64) -> Vec<(u64, u64)> {
-        let mut pairs = self.inner.pairs(task);
-        if task == 0 {
-            match self.duplicate {
-                true => pairs.push(pairs[0]),
-                false => drop(pairs.remove(0)),
+    fn for_each_pair(&self, task: u64, f: &mut dyn FnMut(u64, u64)) {
+        let mut first = task == 0;
+        self.inner.for_each_pair(task, &mut |a, b| {
+            if std::mem::take(&mut first) {
+                match self.duplicate {
+                    true => f(a, b),
+                    false => return,
+                }
             }
-        }
-        pairs
+            f(a, b);
+        });
     }
     fn num_pairs(&self, task: u64) -> u64 {
         self.inner.num_pairs(task)
