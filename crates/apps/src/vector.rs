@@ -19,11 +19,12 @@ impl DenseVector {
         self.0.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// Inner product with another vector. Dimensions must match — checked
-    /// in debug builds only; datasets are validated once up front via
-    /// [`crate::kernels::validate_uniform_dim`] instead of per pair.
+    /// Inner product with another vector. Panics when the dimensions
+    /// differ, as the distances do; the batch kernels' inner loops check
+    /// in debug builds only, because [`crate::kernels::validate_uniform_dim`]
+    /// validates datasets once up front.
     pub fn dot(&self, other: &DenseVector) -> f64 {
-        debug_assert_eq!(self.dim(), other.dim(), "dimension mismatch");
+        assert_eq!(self.dim(), other.dim(), "dimension mismatch");
         self.0.iter().zip(&other.0).map(|(a, b)| a * b).sum()
     }
 

@@ -53,7 +53,7 @@ fn main() {
     let mut rows = Vec::new();
     for (wname, maxws) in maxws_list {
         for (iname, maxis) in maxis_list {
-            let t = max_dataset_bytes_block(maxws, maxis);
+            let t = max_dataset_bytes_block(maxws as u64, maxis as u64) as f64;
             // h is an integer, so probe comfortably inside/outside the
             // continuous threshold.
             let feasible_below = h_bounds(t * 0.9, maxws, maxis).is_some();

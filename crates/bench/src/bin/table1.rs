@@ -10,11 +10,11 @@
 //! ```
 
 use pmr_bench::{fmt_f64, fmt_u64, print_table};
-use pmr_core::analysis::table1::{block_row, broadcast_row, design_row, validate, Scenario};
+use pmr_core::analysis::table1::{table1, validate, Scenario};
 use pmr_core::enumeration::pair_count;
 
-fn metrics_rows(v: u64, n: u64, h: u64, p: u64) -> Vec<Vec<String>> {
-    [broadcast_row(v, p, n), block_row(v, h, n), design_row(v, n)]
+fn metrics_rows(sc: Scenario) -> Vec<Vec<String>> {
+    table1(sc)[..3]
         .iter()
         .map(|m| {
             vec![
@@ -37,7 +37,7 @@ fn main() {
     let (v, n, h) = (10_000u64, 100u64, 20u64);
     println!("paper-scale scenario: v = {v}, n = {n}, h = {h}, broadcast p = n");
     println!("total pairs: {}", fmt_u64(pair_count(v)));
-    print_table("Table 1 (analytic, closed forms)", &header, &metrics_rows(v, n, h, n));
+    print_table("Table 1 (analytic, closed forms)", &header, &metrics_rows(Scenario::new(v, n, h)));
     println!("\nformulas: broadcast 2vp / p / v / v(v-1)/2p;  block 2vh / h / 2⌈v/h⌉ / ⌈v/h⌉²;");
     println!("          design ≈2v√v (max 2vn) / q+1 / q+1 / C(q+1,2), q = 101 for v = 10,000");
 

@@ -9,7 +9,7 @@ use pmr_apps::prune::{LshFilter, PrefixFilter};
 use pmr_cluster::{Cluster, ClusterConfig, SocketMode, TransportKind};
 use pmr_core::analysis::costmodel::{rank_feasible_schemes, replication_frontier, CostParams};
 use pmr_core::analysis::limits::{fig9b_point, h_bounds, reducer_capacity};
-use pmr_core::analysis::table1::{block_row, broadcast_row, design_row, quorum_row};
+use pmr_core::analysis::table1::{table1 as table1_rows, Scenario};
 use pmr_core::runner::{comp_fn, Aggregator, Backend, CompFn, FilterAggregator, PairwiseJob};
 use pmr_core::scheme::{
     measure, verify_exactly_once, BlockScheme, BroadcastScheme, DesignScheme, DistributionScheme,
@@ -452,7 +452,7 @@ fn plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     check("broadcast", point.broadcast);
     check("block", point.block);
     check("design", point.design_both);
-    check("quorum", point.quorum);
+    check("quorum", point.design_both);
     if let Some((lo, hi)) = h_bounds((v * s) as f64, maxws, maxis) {
         println!("  block h range: [{lo}, {hi}]");
     }
@@ -532,7 +532,7 @@ fn table1(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "{:>10}  {:>10}  {:>14}  {:>12}  {:>12}  {:>14}",
         "scheme", "tasks", "comm [sends]", "replication", "working set", "evals/task"
     )?;
-    for m in [broadcast_row(v, n, n), block_row(v, h, n), design_row(v, n), quorum_row(v, n)] {
+    for m in table1_rows(Scenario::new(v, n, h)) {
         writeln!(
             out,
             "{:>10}  {:>10}  {:>14}  {:>12.1}  {:>12}  {:>14.1}",

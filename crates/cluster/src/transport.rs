@@ -36,7 +36,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1082,9 +1082,7 @@ pub struct MultiProcessTransport {
 }
 
 /// Resolves the worker binary: the `PMR_WORKER_BIN` environment variable
-/// when set, otherwise a `pmr-worker` next to (or above) the running
-/// executable — which finds `target/<profile>/pmr-worker` both from
-/// normal binaries and from test executables in `target/<profile>/deps`.
+/// when set, otherwise [`worker_near`] the running executable.
 fn worker_binary() -> Result<PathBuf> {
     if let Ok(path) = std::env::var("PMR_WORKER_BIN") {
         let path = PathBuf::from(path);
@@ -1098,17 +1096,22 @@ fn worker_binary() -> Result<PathBuf> {
     }
     let exe = std::env::current_exe()
         .map_err(|e| ClusterError::Transport(format!("cannot locate current executable: {e}")))?;
-    for dir in exe.ancestors().skip(1) {
-        let candidate = dir.join("pmr-worker");
-        if candidate.is_file() {
-            return Ok(candidate);
-        }
-    }
-    Err(ClusterError::Transport(
-        "pmr-worker binary not found near the current executable; \
-         build it (cargo build -p pmr-cluster --bin pmr-worker) or set PMR_WORKER_BIN"
-            .to_string(),
-    ))
+    worker_near(&exe).ok_or_else(|| {
+        ClusterError::Transport(
+            "pmr-worker binary not found next to the current executable; \
+             build it (cargo build -p pmr-cluster --bin pmr-worker) or set PMR_WORKER_BIN"
+                .to_string(),
+        )
+    })
+}
+
+/// The `pmr-worker` beside `exe` (`target/<profile>/`), or one directory up
+/// when `exe` is a test executable in `target/<profile>/deps/`. Nowhere
+/// else: a walk further up could pick a stale worker of another profile.
+fn worker_near(exe: &Path) -> Option<PathBuf> {
+    let dir = exe.parent()?;
+    let up = dir.file_name().is_some_and(|name| name == "deps").then(|| dir.parent()).flatten();
+    [Some(dir), up].into_iter().flatten().map(|d| d.join("pmr-worker")).find(|w| w.is_file())
 }
 
 enum Listener {
@@ -1366,6 +1369,31 @@ impl Drop for MultiProcessTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_lookup_stays_beside_the_executable() {
+        let root = std::env::temp_dir().join(format!("pmr-worker-lookup-{}", std::process::id()));
+        let release = root.join("target/release");
+        std::fs::create_dir_all(release.join("deps")).unwrap();
+        let touch = |p: &Path| std::fs::write(p, b"").unwrap();
+        // A decoy two levels above `deps/`, and one above a plain binary.
+        touch(&root.join("target/pmr-worker"));
+        touch(&root.join("pmr-worker"));
+        assert_eq!(worker_near(&release.join("deps/test-abc")), None);
+        assert_eq!(worker_near(&release.join("pairwise")), None);
+        touch(&release.join("pmr-worker"));
+        assert_eq!(worker_near(&release.join("pairwise")), Some(release.join("pmr-worker")));
+        assert_eq!(worker_near(&release.join("deps/test-abc")), Some(release.join("pmr-worker")));
+        // Only a directory named `deps` looks one level up.
+        std::fs::create_dir_all(release.join("examples")).unwrap();
+        assert_eq!(worker_near(&release.join("examples/quickstart")), None);
+        touch(&release.join("deps/pmr-worker"));
+        assert_eq!(
+            worker_near(&release.join("deps/test-abc")),
+            Some(release.join("deps/pmr-worker"))
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 
     #[test]
     fn classification_follows_engine_naming() {

@@ -20,8 +20,12 @@
 //! which `pmr-bench --bin scheme_advisor` validates against real measured
 //! wall times on the local backend.
 
-use crate::analysis::table1::{block_row, broadcast_row, design_row, quorum_row};
-use crate::scheme::SchemeMetrics;
+use std::ops::RangeInclusive;
+
+use crate::analysis::limits::{
+    h_bounds, max_v_broadcast, max_v_design_both, reducer_capacity, replication_rate_lower_bound,
+};
+use crate::scheme::{BlockScheme, BroadcastScheme, DesignScheme, QuorumScheme, Shape};
 
 /// Workload and environment parameters for the makespan model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,19 +75,21 @@ pub struct CostEstimate {
     pub total_us: f64,
 }
 
-fn estimate_from_metrics(m: &SchemeMetrics, p: &CostParams) -> CostEstimate {
+/// The makespan estimate for one cover family at one parameter, from its
+/// [`Shape`].
+pub fn estimate(p: &CostParams, shape: &Shape) -> CostEstimate {
     let slots = (p.n_nodes * p.slots_per_node).max(1);
-    let waves = m.num_tasks.div_ceil(slots).max(1);
+    let waves = shape.lines.div_ceil(slots).max(1);
     let bw_us = p.network_bytes_per_sec / 1_000_000.0; // bytes per µs
-    let ws_transfer_us = (m.working_set_size * p.element_bytes) as f64 / bw_us;
-    let per_task_us = p.task_overhead_us + ws_transfer_us + m.evaluations_per_task * p.comp_cost_us;
+    let ws_transfer_us = (shape.working_set * p.element_bytes) as f64 / bw_us;
+    let per_task_us = p.task_overhead_us + ws_transfer_us + shape.pairs_per_line * p.comp_cost_us;
     let compute_us = waves as f64 * per_task_us;
     // Aggregation: each of the v·r copies travels once more; n links in
     // parallel.
-    let aggregate_bytes = m.replication_factor * (p.v * p.element_bytes) as f64;
+    let aggregate_bytes = shape.replication as f64 * (p.v * p.element_bytes) as f64;
     let aggregate_us = aggregate_bytes / (bw_us * p.n_nodes as f64);
     CostEstimate {
-        scheme: m.scheme,
+        scheme: shape.scheme,
         waves,
         compute_us,
         aggregate_us,
@@ -91,70 +97,68 @@ fn estimate_from_metrics(m: &SchemeMetrics, p: &CostParams) -> CostEstimate {
     }
 }
 
-/// Cost estimate for the broadcast approach with `tasks` tasks
-/// (defaulting, like the paper suggests, to one per slot).
-pub fn broadcast_cost(p: &CostParams, tasks: Option<u64>) -> CostEstimate {
-    let t = tasks.unwrap_or((p.n_nodes * p.slots_per_node).max(1));
-    estimate_from_metrics(&broadcast_row(p.v, t, p.n_nodes), p)
+/// The blocking factor in `hs` with the lowest model makespan (the knob
+/// the paper leaves to the user): a geometric sweep, `h ← max(h·num/den,
+/// h+1)`, then every `h` within `r` of the sweep's best. The first minimum
+/// wins.
+fn cheapest_h(p: &CostParams, hs: RangeInclusive<u64>, (num, den): (u64, u64), r: u64) -> u64 {
+    let cost = |h| estimate(p, &BlockScheme::shape(p.v, h)).total_us;
+    let pick = |best: (u64, f64), h| match cost(h) {
+        c if c < best.1 => (h, c),
+        _ => best,
+    };
+    let start = (*hs.start(), cost(*hs.start()));
+    let sweep = std::iter::successors(Some(*hs.start()), |&h| Some((h * num / den).max(h + 1)));
+    let coarse = sweep.take_while(|h| hs.contains(h)).fold(start, pick);
+    let near = coarse.0.saturating_sub(r)..=coarse.0 + r;
+    near.filter(|h| hs.contains(h)).fold(coarse, pick).0
 }
 
-/// Cost estimate for the block approach with blocking factor `h`.
-pub fn block_cost(p: &CostParams, h: u64) -> CostEstimate {
-    estimate_from_metrics(&block_row(p.v, h.max(1), p.n_nodes), p)
-}
-
-/// Cost estimate for the design approach.
-pub fn design_cost(p: &CostParams) -> CostEstimate {
-    estimate_from_metrics(&design_row(p.v, p.n_nodes), p)
-}
-
-/// Cost estimate for the quorum approach.
-pub fn quorum_cost(p: &CostParams) -> CostEstimate {
-    estimate_from_metrics(&quorum_row(p.v, p.n_nodes), p)
-}
-
-/// Searches `1 ≤ h ≤ v` for the blocking factor minimizing the model
-/// makespan (the knob the paper leaves to the user).
-pub fn best_block_h(p: &CostParams) -> (u64, CostEstimate) {
-    let mut best = (1u64, block_cost(p, 1));
-    // The cost is unimodal-ish in h; a coarse geometric sweep plus local
-    // refinement is robust and cheap.
-    let mut candidates: Vec<u64> = Vec::new();
-    let mut h = 1u64;
-    while h <= p.v {
-        candidates.push(h);
-        h = (h * 3 / 2).max(h + 1);
-    }
-    for &h in &candidates {
-        let c = block_cost(p, h);
-        if c.total_us < best.1.total_us {
-            best = (h, c);
+/// Each family at the parameter the model picks, and whether it fits the
+/// environment `(maxws, maxis)` on the paper's curves (all fit without
+/// one): one broadcast task per slot, and block's cheapest `h` — over
+/// `1..=v`, swept coarsely and refined, or finely over its `h_bounds`.
+fn choices(p: &CostParams, env: Option<(f64, f64)>) -> [(Shape, Option<u64>, bool); 4] {
+    let (v, s) = (p.v, p.element_bytes as f64);
+    let fits = |max_v: f64| v as f64 <= max_v;
+    let h_range = env.map(|(maxws, maxis)| {
+        h_bounds(v as f64 * s, maxws, maxis)
+            .map(|(lo, hi)| lo..=hi.min(v))
+            .filter(|r| !r.is_empty())
+    });
+    let (h, block_fits) = match h_range {
+        Some(Some(range)) => (cheapest_h(p, range, (5, 4), 0), true),
+        unbounded_or_infeasible => {
+            (cheapest_h(p, 1..=v, (3, 2), 4), unbounded_or_infeasible.is_none())
         }
-    }
-    let center = best.0;
-    for h in center.saturating_sub(4)..=center + 4 {
-        if h >= 1 && h <= p.v {
-            let c = block_cost(p, h);
-            if c.total_us < best.1.total_us {
-                best = (h, c);
-            }
-        }
-    }
-    best
+    };
+    let design_fits = env.is_none_or(|(maxws, maxis)| fits(max_v_design_both(s, maxws, maxis)));
+    [
+        (
+            BroadcastScheme::shape(v, (p.n_nodes * p.slots_per_node).max(1)),
+            None,
+            env.is_none_or(|(maxws, _)| fits(max_v_broadcast(s, maxws))),
+        ),
+        (BlockScheme::shape(v, h), Some(h), block_fits),
+        (DesignScheme::shape(v), None, design_fits),
+        (QuorumScheme::shape(v), None, design_fits),
+    ]
 }
 
-/// Ranks all four approaches for the given parameters, fastest first.
-/// The block entry uses [`best_block_h`].
+fn rank(p: &CostParams, env: Option<(f64, f64)>) -> Vec<(CostEstimate, Option<u64>)> {
+    let mut out: Vec<_> = choices(p, env)
+        .into_iter()
+        .filter(|&(_, _, fits)| fits)
+        .map(|(shape, h, _)| (estimate(p, &shape), h))
+        .collect();
+    out.sort_by(|(a, _), (b, _)| a.total_us.total_cmp(&b.total_us));
+    out
+}
+
+/// Ranks all four approaches for the given parameters, fastest first,
+/// with block's blocking factor.
 pub fn rank_schemes(p: &CostParams) -> Vec<(CostEstimate, Option<u64>)> {
-    let (h, block) = best_block_h(p);
-    let mut v = vec![
-        (broadcast_cost(p, None), None),
-        (block, Some(h)),
-        (design_cost(p), None),
-        (quorum_cost(p), None),
-    ];
-    v.sort_by(|(a, _), (b, _)| a.total_us.total_cmp(&b.total_us));
-    v
+    rank(p, None)
 }
 
 /// Like [`rank_schemes`] but drops schemes that violate the environment
@@ -166,37 +170,7 @@ pub fn rank_feasible_schemes(
     maxws: f64,
     maxis: f64,
 ) -> Vec<(CostEstimate, Option<u64>)> {
-    use crate::analysis::limits;
-    let s = p.element_bytes as f64;
-    let dataset = p.v as f64 * s;
-    let mut out: Vec<(CostEstimate, Option<u64>)> = Vec::new();
-
-    if (p.v as f64) <= limits::max_v_broadcast(s, maxws) {
-        out.push((broadcast_cost(p, None), None));
-    }
-    if let Some((lo, hi)) = limits::h_bounds(dataset, maxws, maxis) {
-        // Best h restricted to the feasible interval.
-        let mut best: Option<(u64, CostEstimate)> = None;
-        let mut h = lo;
-        while h <= hi {
-            let c = block_cost(p, h);
-            if best.as_ref().is_none_or(|(_, b)| c.total_us < b.total_us) {
-                best = Some((h, c));
-            }
-            h = (h * 5 / 4).max(h + 1);
-        }
-        if let Some((h, c)) = best {
-            out.push((c, Some(h)));
-        }
-    }
-    if (p.v as f64) <= limits::max_v_design_both(s, maxws, maxis) {
-        out.push((design_cost(p), None));
-    }
-    if (p.v as f64) <= limits::max_v_quorum(s, maxws, maxis) {
-        out.push((quorum_cost(p), None));
-    }
-    out.sort_by(|(a, _), (b, _)| a.total_us.total_cmp(&b.total_us));
-    out
+    rank(p, Some((maxws, maxis)))
 }
 
 /// One scheme's placement against the Afrati–Ullman replication-rate lower
@@ -224,49 +198,19 @@ pub struct FrontierRow {
 /// Places every scheme against the Afrati–Ullman replication-rate lower
 /// bound (arXiv 1206.4377) for the environment `maxws`/`maxis`: the
 /// replication-rate frontier the `scheme_advisor` reports. The block row
-/// uses the best feasible `h` (falling back to [`best_block_h`] when no
-/// feasible `h` exists, marked infeasible).
+/// uses the best feasible `h` (the best `h` overall, marked infeasible,
+/// when none is feasible).
 pub fn replication_frontier(p: &CostParams, maxws: f64, maxis: f64) -> Vec<FrontierRow> {
-    use crate::analysis::limits;
-    let s = p.element_bytes as f64;
-    let v = p.v;
-    let q_cap = limits::reducer_capacity(s, maxws);
-    let env_bound = limits::replication_rate_lower_bound(v, q_cap);
-    let dataset = v as f64 * s;
-
-    let h_range = limits::h_bounds(dataset, maxws, maxis);
-    let block_h = match h_range {
-        Some((lo, hi)) => {
-            let mut best = (lo, block_cost(p, lo));
-            let mut h = lo;
-            while h <= hi {
-                let c = block_cost(p, h);
-                if c.total_us < best.1.total_us {
-                    best = (h, c);
-                }
-                h = (h * 5 / 4).max(h + 1);
-            }
-            best.0
-        }
-        None => best_block_h(p).0,
-    };
-
-    let rows: Vec<(SchemeMetrics, bool)> = vec![
-        (
-            broadcast_row(v, (p.n_nodes * p.slots_per_node).max(1), p.n_nodes),
-            (v as f64) <= limits::max_v_broadcast(s, maxws),
-        ),
-        (block_row(v, block_h, p.n_nodes), h_range.is_some()),
-        (design_row(v, p.n_nodes), (v as f64) <= limits::max_v_design_both(s, maxws, maxis)),
-        (quorum_row(v, p.n_nodes), (v as f64) <= limits::max_v_quorum(s, maxws, maxis)),
-    ];
-    rows.into_iter()
-        .map(|(m, feasible)| FrontierRow {
-            scheme: m.scheme,
-            replication: m.replication_factor,
-            working_set: m.working_set_size,
-            env_lower_bound: env_bound,
-            own_lower_bound: limits::replication_rate_lower_bound(v, m.working_set_size),
+    let env_lower_bound =
+        replication_rate_lower_bound(p.v, reducer_capacity(p.element_bytes as f64, maxws));
+    choices(p, Some((maxws, maxis)))
+        .into_iter()
+        .map(|(shape, _, feasible)| FrontierRow {
+            scheme: shape.scheme,
+            replication: shape.replication as f64,
+            working_set: shape.working_set,
+            env_lower_bound,
+            own_lower_bound: replication_rate_lower_bound(p.v, shape.working_set),
             feasible,
         })
         .collect()
@@ -276,15 +220,19 @@ pub fn replication_frontier(p: &CostParams, maxws: f64, maxis: f64) -> Vec<Front
 mod tests {
     use super::*;
 
+    fn cost(ranked: &[(CostEstimate, Option<u64>)], scheme: &str) -> (CostEstimate, Option<u64>) {
+        *ranked.iter().find(|(e, _)| e.scheme == scheme).unwrap()
+    }
+
     #[test]
     fn expensive_comp_dominates_everything() {
         // When comp is very expensive, total time ≈ total evals / slots ·
         // cost for every scheme; they converge within task-overhead noise.
         let p =
             CostParams { comp_cost_us: 1e6, element_bytes: 1 << 10, v: 1000, ..Default::default() };
-        let b = broadcast_cost(&p, None);
-        let (_, bl) = best_block_h(&p);
-        let d = design_cost(&p);
+        let ranked = rank_schemes(&p);
+        let (b, bl, d) =
+            (cost(&ranked, "broadcast").0, cost(&ranked, "block").0, cost(&ranked, "design").0);
         let lo = b.total_us.min(bl.total_us).min(d.total_us);
         let hi = b.total_us.max(bl.total_us).max(d.total_us);
         assert!(hi / lo < 3.0, "b={} bl={} d={}", b.total_us, bl.total_us, d.total_us);
@@ -313,17 +261,18 @@ mod tests {
     #[test]
     fn best_h_beats_extremes() {
         let p = CostParams::default();
-        let (h, best) = best_block_h(&p);
-        assert!(h >= 1);
-        assert!(best.total_us <= block_cost(&p, 1).total_us);
-        assert!(best.total_us <= block_cost(&p, p.v).total_us);
+        let (best, h) = cost(&rank_schemes(&p), "block");
+        assert!(h.unwrap() >= 1);
+        assert!(best.total_us <= estimate(&p, &BlockScheme::shape(p.v, 1)).total_us);
+        assert!(best.total_us <= estimate(&p, &BlockScheme::shape(p.v, p.v)).total_us);
     }
 
     #[test]
     fn makespan_decreases_with_more_nodes() {
         let small = CostParams { n_nodes: 4, ..Default::default() };
         let big = CostParams { n_nodes: 64, ..Default::default() };
-        assert!(design_cost(&big).total_us < design_cost(&small).total_us);
+        let design = DesignScheme::shape(10_000);
+        assert!(estimate(&big, &design).total_us < estimate(&small, &design).total_us);
         assert!(rank_schemes(&big)[0].0.total_us < rank_schemes(&small)[0].0.total_us);
     }
 
@@ -349,8 +298,13 @@ mod tests {
     #[test]
     fn breakdown_sums_to_total() {
         let p = CostParams::default();
-        for est in [broadcast_cost(&p, None), block_cost(&p, 16), design_cost(&p), quorum_cost(&p)]
-        {
+        let shapes = [
+            BroadcastScheme::shape(p.v, 32),
+            BlockScheme::shape(p.v, 16),
+            DesignScheme::shape(p.v),
+            QuorumScheme::shape(p.v),
+        ];
+        for est in shapes.map(|shape| estimate(&p, &shape)) {
             assert!((est.compute_us + est.aggregate_us - est.total_us).abs() < 1e-6);
             assert!(est.waves >= 1);
         }

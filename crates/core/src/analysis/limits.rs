@@ -13,14 +13,18 @@
 //! | block     | `2·v·s/h`        | `v·s·h`                  |
 //! | design    | `≈ √v·s`         | `≈ v·s·√v = v^{3/2}·s`   |
 //!
+//! Quorum working sets and intermediate data grow as design's, so quorum
+//! is held to design's curves.
+//!
 //! Figure 8(a): largest `v` before the broadcast working set hits `maxws`.
 //! Figure 8(b): largest `v` before the design intermediate data hits
 //! `maxis`. Figure 9(a): the valid range of the blocking factor `h`.
 //! Figure 9(b): the largest `v` for all three schemes.
 //!
 //! All functions take byte quantities; closed forms mirror the paper's
-//! curves, `*_exact` variants use the exact plane order instead of the
-//! `√v` approximation.
+//! curves and are certified against exact integer predicates where byte
+//! budgets are integers. [`max_v_design_exact`] uses the exact plane order
+//! instead of the `√v` approximation.
 
 use pmr_designs::primes::{isqrt128, smallest_plane_order};
 
@@ -74,16 +78,12 @@ pub fn max_v_design(element_size: f64, maxis: f64) -> f64 {
     approx
 }
 
-/// The design scheme's working-set limit (not drawn in the paper's Figure
-/// 9(b), which uses only the storage limit): `√v·s ≤ maxws ⇒ v ≤ (maxws/s)²`.
-pub fn max_v_design_ws(element_size: f64, maxws: f64) -> f64 {
-    (maxws / element_size).powi(2).floor()
-}
-
-/// Design-scheme limit honoring **both** constraints. Stricter than the
-/// paper's Figure 9(b) curve for large elements; see EXPERIMENTS.md.
+/// Design-scheme limit honoring **both** constraints: [`max_v_design`] and
+/// the working-set limit `√v·s ≤ maxws ⇒ v ≤ (maxws/s)²`, which the paper's
+/// Figure 9(b) curve leaves out. Stricter than that curve for large
+/// elements; see EXPERIMENTS.md. Quorum's limit too.
 pub fn max_v_design_both(element_size: f64, maxws: f64, maxis: f64) -> f64 {
-    max_v_design(element_size, maxis).min(max_v_design_ws(element_size, maxws))
+    max_v_design(element_size, maxis).min((maxws / element_size).powi(2).floor())
 }
 
 /// Exact Figure 8(b): the largest `v ≥ 2` with
@@ -97,8 +97,8 @@ pub fn max_v_design_exact(element_size: u64, maxis: u64) -> u64 {
     if !fits(2) {
         return 0;
     }
-    // Exponential probe then binary search (the predicate is monotone in v
-    // up to the granularity of q jumps, so finish with a local walk).
+    // Exponential probe then binary search; `fits(lo)` holds throughout, and
+    // the predicate is monotone: v and q(v) both never decrease.
     let mut hi = 2u64;
     while fits(hi) && hi < 1 << 40 {
         hi *= 2;
@@ -112,59 +112,30 @@ pub fn max_v_design_exact(element_size: u64, maxis: u64) -> u64 {
             hi = mid;
         }
     }
-    // q(v) is a step function; walk down over a possible non-monotone edge.
-    while lo > 2 && !fits(lo) {
-        lo -= 1;
-    }
     lo
 }
 
-/// Exact Figure 9(b) block threshold: the largest dataset size `D` (bytes)
-/// with `2·D² ≤ maxws·maxis`, via a `u128` integer square root. The `f64`
-/// form `√(maxws·maxis/2)` loses integer precision once the product
-/// exceeds `2^53` and could flip feasibility by one byte.
-pub fn max_dataset_bytes_block_exact(maxws: u64, maxis: u64) -> u64 {
+/// The largest dataset size `D` in bytes for which the block approach has a
+/// valid blocking factor: `2·D² ≤ maxws·maxis`, the paper's necessary
+/// condition `vs ≤ √(maxws·maxis/2)`, via a `u128` integer square root. The
+/// `f64` form loses integer precision once the product exceeds `2^53` and
+/// could flip feasibility by one byte.
+pub fn max_dataset_bytes_block(maxws: u64, maxis: u64) -> u64 {
     // 2D² ≤ W·I ⇔ D² ≤ ⌊W·I/2⌋ (both sides integral), so the floor sqrt
     // is exact. The result fits u64: √(2^128/2) < 2^64.
     isqrt128((maxws as u128) * (maxis as u128) / 2) as u64
 }
 
-/// Exact Figure 9(b) block curve: the largest `v` with
-/// `2·(v·s)² ≤ maxws·maxis`, all in integer arithmetic.
-pub fn max_v_block_exact(element_size: u64, maxws: u64, maxis: u64) -> u64 {
-    max_dataset_bytes_block_exact(maxws, maxis) / element_size.max(1)
-}
-
 /// Figure 9(b) block curve: the largest `v` such that *some* valid `h`
-/// exists, i.e. `v·s ≤ √(maxws·maxis/2)`. Integer byte budgets take the
-/// exact `u128` path ([`max_v_block_exact`]).
+/// exists, i.e. `v·s ≤ √(maxws·maxis/2)`. Integer byte quantities take the
+/// exact path ([`max_dataset_bytes_block`]).
 pub fn max_v_block(element_size: f64, maxws: f64, maxis: f64) -> f64 {
     if let (Some(s), Some(w), Some(i)) =
         (as_exact_u64(element_size), as_exact_u64(maxws), as_exact_u64(maxis))
     {
-        return max_v_block_exact(s, w, i) as f64;
+        return (max_dataset_bytes_block(w, i) / s) as f64;
     }
     ((maxws * maxis / 2.0).sqrt() / element_size).floor()
-}
-
-/// The largest dataset size in bytes for which the block approach has a
-/// valid blocking factor: `vs ≤ √(maxws·maxis/2)` (paper's necessary
-/// condition). Integer byte budgets take the exact `u128` path
-/// ([`max_dataset_bytes_block_exact`]).
-pub fn max_dataset_bytes_block(maxws: f64, maxis: f64) -> f64 {
-    if let (Some(w), Some(i)) = (as_exact_u64(maxws), as_exact_u64(maxis)) {
-        return max_dataset_bytes_block_exact(w, i) as f64;
-    }
-    (maxws * maxis / 2.0).sqrt()
-}
-
-/// Quorum-scheme feasibility (Kleinheksel–Somani cyclic quorums): working
-/// sets hold `k ≈ √v` elements, so `√v·s ≤ maxws` bounds the working set
-/// and `v·k·s ≈ v^{3/2}·s ≤ maxis` bounds the intermediate data — the same
-/// analytic curves as the design scheme, but attained at **every** `v`
-/// (no plane-order rounding) with exactly uniform working sets.
-pub fn max_v_quorum(element_size: f64, maxws: f64, maxis: f64) -> f64 {
-    max_v_design(element_size, maxis).min(max_v_design_ws(element_size, maxws))
 }
 
 /// Afrati–Ullman (arXiv 1206.4377) replication-rate lower bound for the
@@ -186,12 +157,7 @@ pub fn replication_rate_lower_bound(v: u64, reducer_elements: u64) -> f64 {
 /// The reducer capacity in elements that `maxws` affords: the `q` to feed
 /// [`replication_rate_lower_bound`] for a given environment.
 pub fn reducer_capacity(element_size: f64, maxws: f64) -> u64 {
-    let q = (maxws / element_size).floor();
-    if q < 0.0 {
-        0
-    } else {
-        q as u64
-    }
+    max_v_broadcast(element_size, maxws) as u64 // a broadcast task is one reducer
 }
 
 /// Figure 9(a): the valid blocking-factor range for a dataset of
@@ -206,11 +172,9 @@ pub fn h_bounds(vs_bytes: f64, maxws: f64, maxis: f64) -> Option<(u64, u64)> {
 /// Figure 9(b): all three curves at one element size. Fields are the
 /// largest feasible `v` per scheme (the paper's curve definitions:
 /// broadcast by `maxws`, block by the `h`-range existence condition,
-/// design by `maxis`).
+/// design by `maxis`; quorum's curve is `design_both`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig9bPoint {
-    /// Element size, bytes.
-    pub element_size: f64,
     /// Broadcast limit.
     pub broadcast: f64,
     /// Block limit.
@@ -219,20 +183,15 @@ pub struct Fig9bPoint {
     pub design: f64,
     /// Design limit honoring the working-set constraint too.
     pub design_both: f64,
-    /// Quorum limit (both constraints; the design curves without
-    /// plane-order rounding).
-    pub quorum: f64,
 }
 
 /// Evaluates Figure 9(b) at one element size.
 pub fn fig9b_point(element_size: f64, maxws: f64, maxis: f64) -> Fig9bPoint {
     Fig9bPoint {
-        element_size,
         broadcast: max_v_broadcast(element_size, maxws),
         block: max_v_block(element_size, maxws, maxis),
         design: max_v_design(element_size, maxis),
         design_both: max_v_design_both(element_size, maxws, maxis),
-        quorum: max_v_quorum(element_size, maxws, maxis),
     }
 }
 
@@ -316,7 +275,7 @@ mod tests {
     fn fig9a_existence_condition() {
         let maxws = 200.0 * MB;
         let maxis = 1.0 * TB;
-        let threshold = max_dataset_bytes_block(maxws, maxis); // = 10 GB
+        let threshold = max_dataset_bytes_block(maxws as u64, maxis as u64) as f64; // = 10 GB
         assert!((threshold - 10.0 * GB).abs() < 1.0);
         assert!(h_bounds(threshold * 0.99, maxws, maxis).is_some());
         assert!(h_bounds(threshold * 1.25, maxws, maxis).is_none());
@@ -390,7 +349,7 @@ mod tests {
             (3, u64::MAX),
             (1, 1),
         ] {
-            let d = max_dataset_bytes_block_exact(w, i) as u128;
+            let d = max_dataset_bytes_block(w, i) as u128;
             let budget = w as u128 * i as u128;
             assert!(2 * d * d <= budget, "w={w} i={i} d={d}");
             assert!(
@@ -401,7 +360,7 @@ mod tests {
         // A perfect-square product beyond 2^53: exact answer recovered.
         let d0 = (1u64 << 53) + 12_345;
         // 2·d0² = w·i with w = 2·d0, i = d0.
-        assert_eq!(max_dataset_bytes_block_exact(2 * d0, d0), d0);
+        assert_eq!(max_dataset_bytes_block(2 * d0, d0), d0);
     }
 
     #[test]
@@ -410,20 +369,10 @@ mod tests {
         for (s, w, i) in
             [(100_000u64, 200_000_000u64, 1_000_000_000u64), (1_000, 1 << 20, 1 << 30), (1, 4, 8)]
         {
-            let exact = max_v_block_exact(s, w, i);
+            let exact = max_dataset_bytes_block(w, i) / s;
             let f = ((w as f64 * i as f64 / 2.0).sqrt() / s as f64).floor();
             assert_eq!(exact as f64, f, "s={s} w={w} i={i}");
             assert_eq!(max_v_block(s as f64, w as f64, i as f64), exact as f64);
-        }
-    }
-
-    #[test]
-    fn quorum_limit_tracks_design_curves() {
-        // Same analytic curves as design-with-both-constraints.
-        for s in [1.0 * KB, 100.0 * KB, 1.0 * MB, 10.0 * MB] {
-            let p = fig9b_point(s, 200.0 * MB, 1.0 * TB);
-            assert_eq!(p.quorum, p.design_both, "s={s}");
-            assert!(p.quorum <= p.design);
         }
     }
 

@@ -7,11 +7,10 @@ use crate::scheme::{
     measure, BlockScheme, BroadcastScheme, DesignScheme, DistributionScheme, QuorumScheme,
     SchemeMetrics,
 };
-use pmr_designs::primes::smallest_plane_order;
-use pmr_designs::quorum::difference_cover_size;
 
-/// Shared scenario parameters (the paper's `v`, `n` and, for the block
-/// approach, `h`; the broadcast task count defaults to `n`).
+/// Shared scenario parameters: the paper's `v`, `n` and, for the block
+/// approach, `h`. Broadcast runs one task per node (paper: the task count
+/// "can be any number, e.g., the number of nodes").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scenario {
     /// Dataset cardinality.
@@ -20,84 +19,26 @@ pub struct Scenario {
     pub n: u64,
     /// Blocking factor for the block approach.
     pub h: u64,
-    /// Task count for the broadcast approach (paper: "can be any number,
-    /// e.g., the number of nodes").
-    pub broadcast_tasks: u64,
 }
 
 impl Scenario {
-    /// A scenario with `broadcast_tasks = n`.
+    /// The scenario `(v, n, h)`.
     pub fn new(v: u64, n: u64, h: u64) -> Scenario {
-        Scenario { v, n, h, broadcast_tasks: n }
+        Scenario { v, n, h }
     }
 }
 
 /// All four Table-1 rows for a scenario (the paper's three schemes plus
-/// the cyclic-quorum extension).
+/// the cyclic-quorum extension), from each family's closed-form
+/// [`Shape`](crate::scheme::Shape): valid at any scale.
 pub fn table1(sc: Scenario) -> [SchemeMetrics; 4] {
     [
-        BroadcastScheme::new(sc.v, sc.broadcast_tasks).metrics(sc.n),
-        BlockScheme::new(sc.v, sc.h).metrics(sc.n),
-        DesignScheme::new(sc.v).metrics(sc.n),
-        QuorumScheme::new(sc.v).metrics(sc.n),
+        BroadcastScheme::shape(sc.v, sc.n),
+        BlockScheme::shape(sc.v, sc.h),
+        DesignScheme::shape(sc.v),
+        QuorumScheme::shape(sc.v),
     ]
-}
-
-/// Closed-form Table-1 row for the broadcast approach without constructing
-/// the scheme (valid at any scale).
-pub fn broadcast_row(v: u64, p: u64, _n: u64) -> SchemeMetrics {
-    SchemeMetrics {
-        scheme: "broadcast",
-        num_tasks: p,
-        communication_elements: 2 * v * p,
-        replication_factor: p as f64,
-        working_set_size: v,
-        evaluations_per_task: pair_count(v) as f64 / p as f64,
-    }
-}
-
-/// Closed-form Table-1 row for the block approach.
-pub fn block_row(v: u64, h: u64, _n: u64) -> SchemeMetrics {
-    let e = v.div_ceil(h);
-    SchemeMetrics {
-        scheme: "block",
-        num_tasks: h * (h + 1) / 2,
-        communication_elements: 2 * v * h,
-        replication_factor: h as f64,
-        working_set_size: 2 * e,
-        evaluations_per_task: (e * e) as f64,
-    }
-}
-
-/// Closed-form Table-1 row for the design approach (uses the exact plane
-/// order `q`, with the paper's `√v` approximations for communication).
-pub fn design_row(v: u64, n: u64) -> SchemeMetrics {
-    let q = smallest_plane_order(v);
-    let sqrt_v = (v as f64).sqrt();
-    SchemeMetrics {
-        scheme: "design",
-        num_tasks: q * q + q + 1,
-        communication_elements: (2.0 * v as f64 * sqrt_v).min(2.0 * (v * n) as f64) as u64,
-        replication_factor: q as f64 + 1.0,
-        working_set_size: q + 1,
-        // Exact per-task bound C(q+1, 2); the paper's ≈ (v−1)/2.
-        evaluations_per_task: (q * (q + 1)) as f64 / 2.0,
-    }
-}
-
-/// Closed-form Table-1 row for the quorum approach. Builds the difference
-/// cover (cheap: `O(v^{3/2})` for the pruning pass) to report the exact
-/// quorum size `k`; everything else is closed-form in `v` and `k`.
-pub fn quorum_row(v: u64, n: u64) -> SchemeMetrics {
-    let k = difference_cover_size(v);
-    SchemeMetrics {
-        scheme: "quorum",
-        num_tasks: v,
-        communication_elements: ((2 * v * k) as f64).min(2.0 * (v * n) as f64) as u64,
-        replication_factor: k as f64,
-        working_set_size: k,
-        evaluations_per_task: (v / 2) as f64, // ⌊v/2⌋ ≈ the paper's (v−1)/2
-    }
+    .map(|shape| shape.metrics(sc.n))
 }
 
 /// One scheme's analytic-vs-measured comparison.
@@ -120,7 +61,7 @@ pub struct ValidationRow {
 /// Walks all four schemes for a scenario and checks the analytic claims.
 pub fn validate(sc: Scenario) -> Vec<ValidationRow> {
     let schemes: Vec<Box<dyn DistributionScheme>> = vec![
-        Box::new(BroadcastScheme::new(sc.v, sc.broadcast_tasks)),
+        Box::new(BroadcastScheme::new(sc.v, sc.n)),
         Box::new(BlockScheme::new(sc.v, sc.h)),
         Box::new(DesignScheme::new(sc.v)),
         Box::new(QuorumScheme::new(sc.v)),
@@ -149,22 +90,32 @@ mod tests {
 
     #[test]
     fn closed_forms_match_constructed_schemes() {
-        let sc = Scenario::new(500, 8, 10);
-        let [bc, bl, de, qu] = table1(sc);
-        assert_eq!(bc, broadcast_row(500, 8, 8));
-        assert_eq!(bl, block_row(500, 10, 8));
-        assert_eq!(qu, quorum_row(500, 8));
-        // The constructed design drops truncation-emptied blocks, so its
-        // task count can be slightly below the closed form's q² + q + 1.
-        let row = design_row(500, 8);
-        assert!(
-            de.num_tasks <= row.num_tasks
-                && de.num_tasks + row.replication_factor as u64 >= row.num_tasks
-        );
-        assert_eq!(de.communication_elements, row.communication_elements);
-        assert_eq!(de.replication_factor, row.replication_factor);
-        assert_eq!(de.working_set_size, row.working_set_size);
-        assert_eq!(de.evaluations_per_task, row.evaluations_per_task);
+        // Each family's closed form against the scheme it describes, field
+        // by field, including task counts above the pair count (empty
+        // broadcast ranges) and blocking factors above v (clamped).
+        for v in 2u64..64 {
+            for n in [1u64, 8, 1_000] {
+                for p in [1u64, 2, 3, 7, 16, 100, 5_000] {
+                    let (row, built) = (BroadcastScheme::shape(v, p), BroadcastScheme::new(v, p));
+                    assert_eq!(row.metrics(n), built.metrics(n), "broadcast v={v} p={p} n={n}");
+                }
+                for h in [1u64, 2, 3, 5, 8, 13, 40, 70] {
+                    let (row, built) = (BlockScheme::shape(v, h), BlockScheme::new(v, h));
+                    assert_eq!(row.metrics(n), built.metrics(n), "block v={v} h={h} n={n}");
+                }
+                let (row, built) = (QuorumScheme::shape(v), QuorumScheme::new(v));
+                assert_eq!(row.metrics(n), built.metrics(n), "quorum v={v} n={n}");
+                // The constructed design drops truncation-emptied blocks, so
+                // its task count can be below the closed form's q² + q + 1.
+                let (row, de) =
+                    (DesignScheme::shape(v).metrics(n), DesignScheme::new(v).metrics(n));
+                assert!(de.num_tasks <= row.num_tasks, "design v={v}");
+                assert_eq!(SchemeMetrics { num_tasks: row.num_tasks, ..de }, row, "design v={v}");
+            }
+        }
+        // Slightly below, at a large truncation.
+        let (row, de) = (DesignScheme::shape(500).metrics(8), DesignScheme::new(500).metrics(8));
+        assert!(de.num_tasks + row.replication_factor as u64 >= row.num_tasks);
     }
 
     #[test]
@@ -181,18 +132,15 @@ mod tests {
     #[test]
     fn paper_table1_formula_spotcheck() {
         // v = 10,000, n = 100 nodes, h = 20.
-        let bc = broadcast_row(10_000, 100, 100);
+        let [bc, bl, de, qu] = table1(Scenario::new(10_000, 100, 20));
         assert_eq!(bc.communication_elements, 2 * 10_000 * 100);
         assert_eq!(bc.working_set_size, 10_000);
-        let bl = block_row(10_000, 20, 100);
         assert_eq!(bl.num_tasks, 210); // h(h+1)/2
         assert_eq!(bl.working_set_size, 1000); // 2⌈v/h⌉
         assert_eq!(bl.evaluations_per_task, 250_000.0); // ⌈v/h⌉²
-        let de = design_row(10_000, 100);
         assert_eq!(de.num_tasks, 10_303); // q=101 ⇒ q²+q+1
         assert_eq!(de.replication_factor, 102.0);
         assert_eq!(de.evaluations_per_task, 5_151.0); // C(q+1, 2) ≈ (v−1)/2
-        let qu = quorum_row(10_000, 100);
         assert_eq!(qu.num_tasks, 10_000); // one rotation per element
         assert_eq!(qu.evaluations_per_task, 5_000.0); // ⌊v/2⌋
                                                       // k ≈ √v: between the counting bound and 2√v.

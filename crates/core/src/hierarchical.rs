@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use crate::enumeration::{diag_count, diag_unrank};
 use crate::scheme::block::{Blocks, Grid, Stripes};
-use crate::scheme::{DesignScheme, DistributionScheme, GroupedScheme, SchemeError, SchemeMetrics};
+use crate::scheme::{DesignScheme, DistributionScheme, GroupedScheme, SchemeError, Shape};
 
 /// A sequential *slice* of another scheme's tasks (for processing "subsets
 /// of all blocks sequentially").
@@ -45,10 +45,6 @@ impl TaskSliceScheme {
 impl DistributionScheme for TaskSliceScheme {
     fn v(&self) -> u64 {
         self.inner.v()
-    }
-
-    fn num_tasks(&self) -> u64 {
-        self.tasks.len() as u64
     }
 
     fn subsets_of(&self, element: u64) -> Vec<u64> {
@@ -82,10 +78,8 @@ impl DistributionScheme for TaskSliceScheme {
         "task-slice"
     }
 
-    fn metrics(&self, n: u64) -> SchemeMetrics {
-        let mut m = self.inner.metrics(n);
-        m.num_tasks = self.tasks.len() as u64;
-        m
+    fn shape(&self) -> Shape {
+        Shape { lines: self.tasks.len() as u64, ..self.inner.shape() }
     }
 }
 

@@ -630,6 +630,25 @@ fn place_part<R: Wire + Clone>(
     })
 }
 
+/// Job 1 (distribute, then evaluate): the fused and the two-job pipelines
+/// differ only in its reducer.
+fn job1_spec<T: Wire + Sync, Red: Reducer<KIn = u64, VIn = u64>>(
+    dir: &str,
+    inputs: Vec<String>,
+    scheme: &Arc<dyn DistributionScheme>,
+    reducer: Red,
+    num_reducers: usize,
+    options: &MrPairwiseOptions,
+    store: &Arc<ElementStore<T>>,
+) -> JobSpec<DistributeMapper<T>, Red> {
+    let mapper = DistributeMapper { scheme: Arc::clone(scheme), _pd: std::marker::PhantomData };
+    let name = format!("{dir}-j1-distribute-evaluate");
+    JobSpec::new(name, inputs, format!("{dir}/mid"), mapper, reducer, num_reducers)
+        .partitioner(Arc::new(ModuloPartitioner))
+        .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+        .store(store_handle(store))
+}
+
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mr_impl<T, R>(
     cluster: &Cluster,
@@ -693,39 +712,11 @@ where
         telemetry: telemetry.clone(),
     };
     let job1 = if fused {
-        engine.run(
-            JobSpec::new(
-                format!("{dir}-j1-distribute-evaluate"),
-                inputs,
-                format!("{dir}/mid"),
-                DistributeMapper::<T> {
-                    scheme: Arc::clone(&scheme),
-                    _pd: std::marker::PhantomData,
-                },
-                FusedEvaluateReducer::<T, R> { eval, aggregator: Arc::clone(&aggregator) },
-                reducers_job1,
-            )
-            .partitioner(Arc::new(ModuloPartitioner))
-            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-            .store(store_handle(store)),
-        )?
+        let reducer = FusedEvaluateReducer::<T, R> { eval, aggregator: Arc::clone(&aggregator) };
+        engine.run(job1_spec(dir, inputs, &scheme, reducer, reducers_job1, &options, store))?
     } else {
-        engine.run(
-            JobSpec::new(
-                format!("{dir}-j1-distribute-evaluate"),
-                inputs,
-                format!("{dir}/mid"),
-                DistributeMapper::<T> {
-                    scheme: Arc::clone(&scheme),
-                    _pd: std::marker::PhantomData,
-                },
-                EvaluateReducer::<T, R>(eval),
-                reducers_job1,
-            )
-            .partitioner(Arc::new(ModuloPartitioner))
-            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-            .store(store_handle(store)),
-        )?
+        let reducer = EvaluateReducer::<T, R>(eval);
+        engine.run(job1_spec(dir, inputs, &scheme, reducer, reducers_job1, &options, store))?
     };
 
     if let Some(dec) = dec {

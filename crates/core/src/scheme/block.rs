@@ -17,7 +17,7 @@
 use std::ops::Range;
 
 use crate::enumeration::{diag_count, diag_rank, diag_unrank, pair_rank, pair_unrank};
-use crate::scheme::{GroupedScheme, PairCover, SchemeMetrics};
+use crate::scheme::{GroupedScheme, PairCover, Shape};
 
 /// `n` contiguous stripes of `e` elements over a range; the trailing
 /// stripes may be short or empty.
@@ -45,15 +45,16 @@ impl Stripes {
         (self.base..self.base + self.len).contains(&x).then(|| (x - self.base) / self.e)
     }
 
-    /// The Table-1 row of a block scheme over these stripes.
-    fn metrics(&self, scheme: &'static str, num_tasks: u64) -> SchemeMetrics {
-        SchemeMetrics {
+    /// The shape of a block cover with `lines` lines over these stripes.
+    fn shape(&self, scheme: &'static str, lines: u64) -> Shape {
+        Shape {
             scheme,
-            num_tasks,
-            communication_elements: 2 * self.len * self.n,
-            replication_factor: self.n as f64,
-            working_set_size: 2 * self.e,
-            evaluations_per_task: (self.e * self.e) as f64,
+            lines,
+            replication: self.n,
+            working_set: 2 * self.e,
+            pairs_per_line: (self.e * self.e) as f64,
+            communication: 2 * self.len * self.n,
+            node_cap: None,
         }
     }
 }
@@ -96,6 +97,13 @@ impl BlockScheme {
         GroupedScheme { v, cover: Blocks::over(0..v, h, "block") }
     }
 
+    /// The closed form of `BlockScheme::new(v, h)`: `h(h+1)/2` lines,
+    /// replication `h`, working sets of `2⌈v/h⌉`, `⌈v/h⌉²` pairs per line
+    /// and `2vh` sends, with `h` clamped to `v` as the scheme clamps it.
+    pub fn shape(v: u64, h: u64) -> Shape {
+        Blocks::over(0..v, h, "block").shape()
+    }
+
     /// The blocking factor `h`.
     pub fn blocking_factor(&self) -> u64 {
         self.cover.stripes.n
@@ -127,10 +135,6 @@ impl PairCover for Blocks {
         self.stripes.of(e)
     }
 
-    fn num_lines(&self) -> u64 {
-        diag_count(self.stripes.n)
-    }
-
     fn groups_on(&self, line: u64) -> Vec<u64> {
         let (i, j) = diag_unrank(line);
         // Row stripe (smaller indexes) then column stripe.
@@ -159,12 +163,8 @@ impl PairCover for Blocks {
         Some(diag_rank(g, h))
     }
 
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn metrics(&self, _n_nodes: u64) -> SchemeMetrics {
-        self.stripes.metrics(self.name, self.num_lines())
+    fn shape(&self) -> Shape {
+        self.stripes.shape(self.name, diag_count(self.stripes.n))
     }
 }
 
@@ -228,10 +228,6 @@ impl PairCover for PairedBlocks {
         self.stripes.of(e)
     }
 
-    fn num_lines(&self) -> u64 {
-        self.num_offdiag() + self.stripes.n.div_ceil(2)
-    }
-
     fn groups_on(&self, line: u64) -> Vec<u64> {
         if line < self.num_offdiag() {
             let (col, row) = pair_unrank(line);
@@ -264,12 +260,9 @@ impl PairCover for PairedBlocks {
         Some(if g == h { self.num_offdiag() + g / 2 } else { pair_rank(g, h) })
     }
 
-    fn name(&self) -> &'static str {
-        "block-paired-diagonal"
-    }
-
-    fn metrics(&self, _n_nodes: u64) -> SchemeMetrics {
-        self.stripes.metrics(self.name(), self.num_lines())
+    fn shape(&self) -> Shape {
+        let lines = self.num_offdiag() + self.stripes.n.div_ceil(2);
+        self.stripes.shape("block-paired-diagonal", lines)
     }
 }
 
@@ -306,10 +299,6 @@ impl PairCover for Grid {
         self.rows.of(e).or_else(|| self.cols.of(e).map(|x| self.rows.n + x))
     }
 
-    fn num_lines(&self) -> u64 {
-        self.rows.n * self.rows.n
-    }
-
     fn groups_on(&self, line: u64) -> Vec<u64> {
         let f = self.rows.n;
         vec![line % f, f + line / f]
@@ -334,19 +323,16 @@ impl PairCover for Grid {
         (g >= f && h < f).then(|| (g - f) * f + h)
     }
 
-    fn name(&self) -> &'static str {
-        "two-level-block/grid-round"
-    }
-
-    fn metrics(&self, _n_nodes: u64) -> SchemeMetrics {
+    fn shape(&self) -> Shape {
         let (f, re, ce) = (self.rows.n, self.rows.e, self.cols.e);
-        SchemeMetrics {
-            scheme: self.name(),
-            num_tasks: f * f,
-            communication_elements: (self.rows.len + self.cols.len) * f * 2,
-            replication_factor: f as f64,
-            working_set_size: re + ce,
-            evaluations_per_task: (re * ce) as f64,
+        Shape {
+            scheme: "two-level-block/grid-round",
+            lines: f * f,
+            replication: f,
+            working_set: re + ce,
+            pairs_per_line: (re * ce) as f64,
+            communication: (self.rows.len + self.cols.len) * f * 2,
+            node_cap: None,
         }
     }
 }

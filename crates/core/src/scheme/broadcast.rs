@@ -7,7 +7,7 @@
 //! ranges of `h = ⌈v(v−1)/2p⌉` pairs each.
 
 use crate::enumeration::{pair_count, pair_rank, pairs_in_range};
-use crate::scheme::{DistributionScheme, SchemeMetrics};
+use crate::scheme::{DistributionScheme, Shape};
 
 /// Broadcast scheme: full replication, contiguous pair-label ranges.
 ///
@@ -41,6 +41,24 @@ impl BroadcastScheme {
         BroadcastScheme { v, tasks, chunk }
     }
 
+    /// The closed form of `BroadcastScheme::new(v, tasks)`. Elements travel
+    /// only to tasks that own a pair: with more tasks than pairs the
+    /// trailing label ranges are empty, so replication and communication
+    /// count the `⌈P/⌈P/p⌉⌉` nonempty tasks, `P = v(v−1)/2`.
+    pub fn shape(v: u64, tasks: u64) -> Shape {
+        let total = pair_count(v);
+        let nonempty = total.div_ceil(total.div_ceil(tasks).max(1));
+        Shape {
+            scheme: "broadcast",
+            lines: tasks,
+            replication: nonempty,
+            working_set: v,
+            pairs_per_line: total as f64 / nonempty as f64,
+            communication: 2 * v * nonempty,
+            node_cap: None,
+        }
+    }
+
     /// The label range `[start, end)` of task `t`.
     pub fn label_range(&self, task: u64) -> (u64, u64) {
         let total = pair_count(self.v);
@@ -60,21 +78,11 @@ impl DistributionScheme for BroadcastScheme {
         self.v
     }
 
-    fn num_tasks(&self) -> u64 {
-        self.tasks
-    }
-
     fn subsets_of(&self, element: u64) -> Vec<u64> {
         debug_assert!(element < self.v);
-        // Every element is replicated to every task whose label range
-        // contains at least one pair involving it — the paper simply
-        // replicates to all tasks; we match that (all nonempty tasks).
-        (0..self.tasks)
-            .filter(|&t| {
-                let (s, e) = self.label_range(t);
-                s < e
-            })
-            .collect()
+        // The paper replicates every element to every task; we match that
+        // for the nonempty tasks, which come first.
+        (0..self.shape().replication).collect()
     }
 
     fn working_set(&self, task: u64) -> Vec<u64> {
@@ -105,24 +113,8 @@ impl DistributionScheme for BroadcastScheme {
         Some(pair_rank(a, b) / self.chunk)
     }
 
-    fn name(&self) -> &'static str {
-        "broadcast"
-    }
-
-    fn metrics(&self, _n_nodes: u64) -> SchemeMetrics {
-        // Elements only travel to tasks that own at least one pair: with
-        // more tasks than pairs the trailing label ranges are empty, get no
-        // working set, and must not inflate the analytic communication and
-        // replication numbers (Table 1 assumes p ≤ v(v−1)/2 implicitly).
-        let nonempty = pair_count(self.v).div_ceil(self.chunk);
-        SchemeMetrics {
-            scheme: self.name(),
-            num_tasks: self.tasks,
-            communication_elements: 2 * self.v * nonempty,
-            replication_factor: nonempty as f64,
-            working_set_size: self.v,
-            evaluations_per_task: pair_count(self.v) as f64 / nonempty as f64,
-        }
+    fn shape(&self) -> Shape {
+        BroadcastScheme::shape(self.v, self.tasks) // the closed form above
     }
 }
 

@@ -13,9 +13,10 @@
 use std::ops::Range;
 
 use pmr_designs::plane::truncated_plane;
+use pmr_designs::primes::smallest_plane_order;
 use pmr_designs::BlockDesign;
 
-use crate::scheme::{GroupedScheme, PairCover, SchemeMetrics};
+use crate::scheme::{GroupedScheme, PairCover, Shape};
 
 /// Design scheme backed by a (possibly truncated) projective plane.
 ///
@@ -57,6 +58,13 @@ impl DesignScheme {
         GroupedScheme { v: design.v(), cover: DesignBlocks { q, design, point_to_blocks } }
     }
 
+    /// The closed form of `DesignScheme::new(v)`: `q² + q + 1` lines (the
+    /// built scheme drops those truncation empties) of `q + 1` points, each
+    /// point on `q + 1` lines, for the `q` of [`smallest_plane_order`].
+    pub fn shape(v: u64) -> Shape {
+        plane(v, smallest_plane_order(v))
+    }
+
     /// The plane order `q` used.
     pub fn order(&self) -> u64 {
         self.cover.q
@@ -75,10 +83,6 @@ impl PairCover for DesignBlocks {
 
     fn group_of(&self, e: u64) -> Option<u64> {
         Some(e)
-    }
-
-    fn num_lines(&self) -> u64 {
-        self.design.num_blocks() as u64
     }
 
     fn groups_on(&self, line: u64) -> Vec<u64> {
@@ -118,26 +122,23 @@ impl PairCover for DesignBlocks {
         None // only a design that is not pairwise balanced gets here
     }
 
-    fn name(&self) -> &'static str {
-        "design"
+    fn shape(&self) -> Shape {
+        Shape { lines: self.design.num_blocks() as u64, ..plane(self.design.v(), self.q) }
     }
+}
 
-    fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
-        let v = self.design.v();
-        let sqrt_v = (v as f64).sqrt();
-        // Communication ≈ 2v√v, capped at 2vn (sending to all nodes);
-        // Table 1's "max 2vn" column note.
-        let comm = (2.0 * v as f64 * sqrt_v).min(2.0 * (v * n_nodes) as f64);
-        SchemeMetrics {
-            scheme: self.name(),
-            num_tasks: self.num_lines(),
-            communication_elements: comm as u64,
-            replication_factor: self.q as f64 + 1.0, // exact: r = q + 1 ≈ √v
-            working_set_size: self.q + 1,            // block size k = q + 1 ≈ √v
-            // Exact per-task bound C(q+1, 2) = q(q+1)/2; equals the paper's
-            // (v−1)/2 when v = q² + q + 1 and approximates it otherwise.
-            evaluations_per_task: (self.q * (self.q + 1)) as f64 / 2.0,
-        }
+/// The shape of a plane of order `q` over `v` points.
+fn plane(v: u64, q: u64) -> Shape {
+    Shape {
+        scheme: "design",
+        lines: q * q + q + 1,
+        replication: q + 1, // ≈ √v
+        working_set: q + 1,
+        // C(q+1, 2): the paper's (v−1)/2 when v = q² + q + 1.
+        pairs_per_line: (q * (q + 1)) as f64 / 2.0,
+        // Table 1's "≈ 2v√v, max 2vn".
+        communication: (2.0 * v as f64 * (v as f64).sqrt()) as u64,
+        node_cap: Some(2 * v),
     }
 }
 

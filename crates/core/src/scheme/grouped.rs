@@ -28,7 +28,7 @@
 use std::ops::Range;
 
 use crate::enumeration::{for_each_pair_rect, for_each_pair_triangle};
-use crate::scheme::{DistributionScheme, SchemeMetrics};
+use crate::scheme::{DistributionScheme, Shape};
 
 /// The decision a grouped scheme makes: which groups each line holds and
 /// which group pairs it owns.
@@ -39,9 +39,6 @@ pub trait PairCover: Send + Sync {
     /// The group holding element `e`, or `None` when no group does (an
     /// element outside a round's ranges).
     fn group_of(&self, e: u64) -> Option<u64>;
-
-    /// Number of lines (tasks).
-    fn num_lines(&self) -> u64;
 
     /// The groups line `line` holds, ascending.
     fn groups_on(&self, line: u64) -> Vec<u64>;
@@ -69,11 +66,8 @@ pub trait PairCover: Send + Sync {
         n
     }
 
-    /// Human-readable scheme name.
-    fn name(&self) -> &'static str;
-
-    /// The analytic Table-1 row on `n_nodes` nodes.
-    fn metrics(&self, n_nodes: u64) -> SchemeMetrics;
+    /// The cover's closed form: its name, lines (tasks) and sizes.
+    fn shape(&self) -> Shape;
 }
 
 fn span(r: Range<u64>) -> u64 {
@@ -91,10 +85,6 @@ pub struct GroupedScheme<C> {
 impl<C: PairCover> DistributionScheme for GroupedScheme<C> {
     fn v(&self) -> u64 {
         self.v
-    }
-
-    fn num_tasks(&self) -> u64 {
-        self.cover.num_lines()
     }
 
     fn subsets_of(&self, element: u64) -> Vec<u64> {
@@ -128,11 +118,7 @@ impl<C: PairCover> DistributionScheme for GroupedScheme<C> {
         self.cover.owner(self.cover.group_of(a)?, self.cover.group_of(b)?)
     }
 
-    fn name(&self) -> &'static str {
-        self.cover.name()
-    }
-
-    fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
-        self.cover.metrics(n_nodes)
+    fn shape(&self) -> Shape {
+        self.cover.shape()
     }
 }

@@ -41,7 +41,9 @@ pub trait DistributionScheme: Send + Sync {
     fn v(&self) -> u64;
 
     /// Number of tasks `p` (working sets) the work is split into.
-    fn num_tasks(&self) -> u64;
+    fn num_tasks(&self) -> u64 {
+        self.shape().lines
+    }
 
     /// The working sets containing element `e` — the paper's
     /// `getSubsets(id(element))`. Determines the element's replication.
@@ -82,10 +84,58 @@ pub trait DistributionScheme: Send + Sync {
     fn owner_of(&self, a: u64, b: u64) -> Option<u64>;
 
     /// Human-readable scheme name.
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &'static str {
+        self.shape().scheme
+    }
+
+    /// The scheme's closed form: its cover family's shape at its parameter.
+    fn shape(&self) -> Shape;
 
     /// The analytic Table-1 row for this scheme on `n` nodes.
-    fn metrics(&self, n_nodes: u64) -> SchemeMetrics;
+    fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
+        self.shape().metrics(n_nodes)
+    }
+}
+
+/// The closed form of a cover family at `(v, parameter)`, computed without
+/// building the scheme (`BlockScheme::shape(v, h)`, …). Table 1, the cost
+/// model and the feasibility limits read it, and a built scheme answers
+/// [`DistributionScheme::metrics`] from its own, so the two agree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Shape {
+    /// Scheme name.
+    pub scheme: &'static str,
+    /// Lines (tasks) `p`.
+    pub lines: u64,
+    /// Lines through a group: the copies of each element.
+    pub replication: u64,
+    /// Groups per line × group size: the largest working set.
+    pub working_set: u64,
+    /// Pairs of the largest line (broadcast: the even share of its
+    /// nonempty lines, Table 1's `v(v−1)/2p`).
+    pub pairs_per_line: f64,
+    /// Element sends in the family's Table-1 form: each copy travels to its
+    /// task and back (`2vp`, `2vh`, design's `≈ 2v√v`).
+    pub communication: u64,
+    /// Sends per node when Table 1 caps communication at every node holding
+    /// every element once (design's "max 2vn", and quorum's): `2v`.
+    pub node_cap: Option<u64>,
+}
+
+impl Shape {
+    /// The Table-1 row on `n_nodes` nodes.
+    pub fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
+        SchemeMetrics {
+            scheme: self.scheme,
+            num_tasks: self.lines,
+            communication_elements: self
+                .node_cap
+                .map_or(self.communication, |c| self.communication.min(c.saturating_mul(n_nodes))),
+            replication_factor: self.replication as f64,
+            working_set_size: self.working_set,
+            evaluations_per_task: self.pairs_per_line,
+        }
+    }
 }
 
 /// Analytic per-scheme metrics — one row of the paper's Table 1.
@@ -315,8 +365,8 @@ pub(crate) mod tests {
         fn name(&self) -> &'static str {
             "tampered-block"
         }
-        fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
-            self.inner.metrics(n_nodes)
+        fn shape(&self) -> Shape {
+            self.inner.shape()
         }
     }
 

@@ -24,9 +24,9 @@
 
 use std::ops::Range;
 
-use pmr_designs::quorum::{difference_cover, is_difference_cover};
+use pmr_designs::quorum::{difference_cover, difference_cover_size, is_difference_cover};
 
-use crate::scheme::{GroupedScheme, PairCover, SchemeMetrics};
+use crate::scheme::{GroupedScheme, PairCover, Shape};
 
 /// Quorum scheme backed by the cyclic development of a difference cover.
 ///
@@ -85,6 +85,12 @@ impl QuorumScheme {
         GroupedScheme { v, cover: Rotations { v, cover, owner } }
     }
 
+    /// The closed form of `QuorumScheme::new(v)`: `v` rotations of a
+    /// [`difference_cover_size`]`(v)`-element cover.
+    pub fn shape(v: u64) -> Shape {
+        rotations(v, difference_cover_size(v))
+    }
+
     /// The quorum size `k = |A|`: working-set size and exact replication.
     pub fn quorum_size(&self) -> u64 {
         self.cover.cover.len() as u64
@@ -103,10 +109,6 @@ impl PairCover for Rotations {
 
     fn group_of(&self, e: u64) -> Option<u64> {
         Some(e)
-    }
-
-    fn num_lines(&self) -> u64 {
-        self.v
     }
 
     fn groups_on(&self, line: u64) -> Vec<u64> {
@@ -167,22 +169,21 @@ impl PairCover for Rotations {
         Some(((x0 + v) - alpha) % v)
     }
 
-    fn name(&self) -> &'static str {
-        "quorum"
+    fn shape(&self) -> Shape {
+        rotations(self.v, self.cover.len() as u64)
     }
+}
 
-    fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
-        let k = self.cover.len() as u64;
-        // Communication 2vk (k ≈ √v), capped at 2vn like the design row.
-        let comm = (2 * self.v * k) as f64;
-        SchemeMetrics {
-            scheme: self.name(),
-            num_tasks: self.v,
-            communication_elements: comm.min(2.0 * (self.v * n_nodes) as f64) as u64,
-            replication_factor: k as f64, // exact: every element in k rotations
-            working_set_size: k,          // exact and uniform across tasks
-            evaluations_per_task: (self.v / 2) as f64, // ⌊v/2⌋, the max task
-        }
+/// The shape of the `v` rotations of a `k`-element difference cover.
+fn rotations(v: u64, k: u64) -> Shape {
+    Shape {
+        scheme: "quorum",
+        lines: v,
+        replication: k,
+        working_set: k,
+        pairs_per_line: (v / 2) as f64, // the largest rotation
+        communication: 2 * v * k,       // capped at 2vn like design's
+        node_cap: Some(2 * v),
     }
 }
 

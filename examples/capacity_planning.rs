@@ -13,6 +13,7 @@ use pairwise_mr::core::analysis::costmodel::{rank_feasible_schemes, CostParams};
 use pairwise_mr::core::analysis::limits::{
     block_design_crossover, fig9b_point, h_bounds, units::*,
 };
+use pairwise_mr::core::scheme::DesignScheme;
 use pairwise_mr::designs::primes::smallest_plane_order;
 
 fn main() {
@@ -46,14 +47,15 @@ fn main() {
     }
 
     // --- If design: the plane parameters (§5.3). ---
-    let q = smallest_plane_order(v);
+    let design = DesignScheme::shape(v);
     println!(
-        "\ndesign approach: projective plane of order q = {q} (q̂ = {} tasks),\n  \
+        "\ndesign approach: projective plane of order q = {} (q̂ = {} tasks),\n  \
          working sets of {} elements = {:.1} MB, replication {}×",
-        q * q + q + 1,
-        q + 1,
-        (q + 1) as f64 * element / MB,
-        q + 1
+        smallest_plane_order(v),
+        design.lines,
+        design.working_set,
+        design.working_set as f64 * element / MB,
+        design.replication
     );
 
     // --- Crossover context. ---

@@ -12,7 +12,7 @@ use pairwise_mr::apps::docsim::{dot_comp, tfidf};
 use pairwise_mr::apps::generate::zipf_documents;
 use pairwise_mr::apps::kernels::SparseDotKernel;
 use pairwise_mr::core::hierarchical::TwoLevelBlock;
-use pairwise_mr::core::scheme::SchemeMetrics;
+use pairwise_mr::core::scheme::Shape;
 use pairwise_mr::mapreduce::{builtin, MrError};
 use pairwise_mr::prelude::*;
 
@@ -200,8 +200,8 @@ impl DistributionScheme for Tampered {
     fn name(&self) -> &'static str {
         "tampered-block"
     }
-    fn metrics(&self, n_nodes: u64) -> SchemeMetrics {
-        self.inner.metrics(n_nodes)
+    fn shape(&self) -> Shape {
+        self.inner.shape()
     }
 }
 

@@ -8,7 +8,7 @@ use pairwise_mr::core::analysis::limits::{
     block_design_crossover, fig9b_point, h_bounds, max_dataset_bytes_block, max_v_broadcast,
     max_v_design, units::*,
 };
-use pairwise_mr::core::analysis::table1::{block_row, broadcast_row, design_row};
+use pairwise_mr::core::analysis::table1::{table1, Scenario};
 use pairwise_mr::core::enumeration::pair_count;
 use pairwise_mr::core::scheme::{measure, verify_exactly_once, DesignScheme};
 use pairwise_mr::designs::primes::{plane_size, smallest_plane_order};
@@ -58,12 +58,13 @@ fn section5_exactly_once_for_truncated_design() {
 #[test]
 fn table1_formulas() {
     let (v, n, h) = (10_000u64, 100u64, 20u64);
-    assert_eq!(broadcast_row(v, n, n).communication_elements, 2 * v * n);
-    assert_eq!(block_row(v, h, n).communication_elements, 2 * v * h);
+    let [broadcast, block, design, _] = table1(Scenario::new(v, n, h));
+    assert_eq!(broadcast.communication_elements, 2 * v * n);
+    assert_eq!(block.communication_elements, 2 * v * h);
     // Design comm ≈ 2v√v capped at 2vn; with n = 100 < √v + 1 the cap binds.
-    assert_eq!(design_row(v, n).communication_elements, 2 * v * n);
-    assert_eq!(block_row(v, h, n).working_set_size, 2 * (v / h));
-    assert_eq!(design_row(v, n).replication_factor, 102.0);
+    assert_eq!(design.communication_elements, 2 * v * n);
+    assert_eq!(block.working_set_size, 2 * (v / h));
+    assert_eq!(design.replication_factor, 102.0);
 }
 
 /// Figure 8(a): broadcast limit `maxws/s` at chart anchor points.
@@ -94,7 +95,7 @@ fn figure9a_4gb_datum() {
 /// default limits.
 #[test]
 fn figure9a_existence_threshold() {
-    let t = max_dataset_bytes_block(200.0 * MB, 1.0 * TB);
+    let t = max_dataset_bytes_block(200_000_000, 1_000_000_000_000) as f64;
     assert!((t - 10.0 * GB).abs() < 1e3);
     assert!(h_bounds(9.0 * GB, 200.0 * MB, 1.0 * TB).is_some());
     assert!(h_bounds(11.0 * GB, 200.0 * MB, 1.0 * TB).is_none());
