@@ -27,9 +27,7 @@ use pmr_obs::{RunReport, Telemetry};
 use crate::runner::filter::PairFilter;
 use crate::runner::kernel::BatchComp;
 use crate::runner::local::{run_local_impl, LocalRunStats};
-use crate::runner::mr::{
-    run_mr_broadcast_impl, run_mr_impl, MrPairwiseOptions, MrRunReport, EVALUATIONS_COUNTER,
-};
+use crate::runner::mr::{run_mr_impl, MrPairwiseOptions, MrRunReport, EVALUATIONS_COUNTER};
 use crate::runner::sequential::run_sequential_impl;
 use crate::runner::store::ElementStore;
 use crate::runner::{aggregate_all, Aggregator, CompFn, ConcatSort, PairwiseOutput, Symmetry};
@@ -344,10 +342,10 @@ where
                     (output, Vec::new(), Some(stats))
                 }
                 Backend::Mr(cluster) => {
-                    let run_mr = if broadcast { run_mr_broadcast_impl } else { run_mr_impl };
-                    let (output, report) = run_mr(
+                    let (output, report) = run_mr_impl(
                         cluster,
                         scheme,
+                        broadcast,
                         &store,
                         Arc::clone(&kernel),
                         symmetry,

@@ -286,11 +286,10 @@ where
         handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
     })
     .expect("thread scope failed");
-    drop(eval_phase);
     if let Some(err) = results.iter().find_map(|res| res.error.as_ref()) {
         return Err(MrError::InvalidJob(format!("placed rows: {err}")));
     }
-    let agg_phase = telemetry.job_phase("local", "aggregate");
+    let agg_phase = eval_phase.next("aggregate");
 
     let mut stats =
         LocalRunStats { pruning: filter.map(|_| PruneStats::default()), ..Default::default() };

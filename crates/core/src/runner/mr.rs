@@ -70,17 +70,11 @@ pub const FUSED_CHARGED_SHUFFLE_COUNTER: &str = "pairwise.fused.charged.shuffle.
 /// output — callers resolve ids against the store.
 type OutputRow<R> = (u64, Vec<(u64, R)>);
 
-/// Options for an MR pairwise run.
+/// Options for an MR pairwise run. The job shapes follow from the cluster
+/// size `n`: `2n` input shards (`n` task shards for broadcast), and
+/// `min(num_tasks, 4n)` job-1 and `min(v, 4n)` aggregation reducers.
 #[derive(Debug, Clone)]
 pub struct MrPairwiseOptions {
-    /// Input shards written to the DFS (models the output of a preceding
-    /// job). 0 = twice the node count.
-    pub input_shards: usize,
-    /// Reduce tasks for job 1 (working-set evaluation). 0 = auto:
-    /// `min(num_tasks, 4n)`.
-    pub reducers_job1: usize,
-    /// Reduce tasks for job 2 (aggregation). 0 = auto: `min(v, 4n)`.
-    pub reducers_job2: usize,
     /// Memory-accounting overhead factor for working sets (paper §6 saw
     /// limits hit "a little earlier than expected"; `(1, 1)` = none).
     pub memory_overhead: (u64, u64),
@@ -98,9 +92,6 @@ impl Default for MrPairwiseOptions {
     fn default() -> Self {
         static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
         MrPairwiseOptions {
-            input_shards: 0,
-            reducers_job1: 0,
-            reducers_job2: 0,
             memory_overhead: (1, 1),
             dfs_dir: format!("pairwise-run-{}", RUN_SEQ.fetch_add(1, Ordering::Relaxed)),
             fuse: true,
@@ -512,12 +503,9 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Mapper for BroadcastEvalMapper<T, R
 // Drivers
 // ---------------------------------------------------------------------------
 
-fn auto(n: usize, cap: u64, requested: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        (4 * n).min(cap.max(1) as usize)
-    }
+/// Reduce tasks for a job over `cap` keys on `n` nodes: `min(cap, 4n)`.
+fn auto(n: usize, cap: u64) -> usize {
+    (4 * n).min(cap.max(1) as usize)
 }
 
 /// The store handle as attached to a [`JobSpec`] (type-erased; tasks get
@@ -637,22 +625,29 @@ fn job1_spec<T: Wire + Sync, Red: Reducer<KIn = u64, VIn = u64>>(
     inputs: Vec<String>,
     scheme: &Arc<dyn DistributionScheme>,
     reducer: Red,
-    num_reducers: usize,
     options: &MrPairwiseOptions,
     store: &Arc<ElementStore<T>>,
+    nodes: usize,
 ) -> JobSpec<DistributeMapper<T>, Red> {
     let mapper = DistributeMapper { scheme: Arc::clone(scheme), _pd: std::marker::PhantomData };
     let name = format!("{dir}-j1-distribute-evaluate");
-    JobSpec::new(name, inputs, format!("{dir}/mid"), mapper, reducer, num_reducers)
+    let reducers = auto(nodes, scheme.num_tasks());
+    JobSpec::new(name, inputs, format!("{dir}/mid"), mapper, reducer, reducers)
         .partitioner(Arc::new(ModuloPartitioner))
         .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
         .store(store_handle(store))
 }
 
+/// The one MR driver. Job 1 is the paper's distribute-and-evaluate job —
+/// or, with `broadcast`, the §5.1 single job that evaluates in the map
+/// over the distributed-cache dataset and aggregates in the reduce. A
+/// fused run merges job 1's output on the driver; any other non-broadcast
+/// run aggregates in job 2. Every run then collects `{dir}/out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mr_impl<T, R>(
     cluster: &Cluster,
     scheme: Arc<dyn DistributionScheme>,
+    broadcast: bool,
     store: &Arc<ElementStore<T>>,
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
@@ -671,52 +666,84 @@ where
             scheme.v()
         )));
     }
+    let telemetry = cluster.telemetry().clone();
+    let dir = &options.dfs_dir;
+    let distributed = cluster.is_distributed();
+    // Runner-level I/O gets its own phase track (job `{dir}-io`) so the
+    // report's phases tile the whole run, not just the engine jobs. Its
+    // first phase opens with the driver and so also covers its setup.
+    let io_job = format!("{dir}-io");
+    let io =
+        telemetry.job_phase(&io_job, if distributed { "seed-store" } else { "distribute-input" });
     // Fuse only when asked *and* the aggregator advertises the capability;
-    // anything else runs the paper's two-job pipeline unchanged.
-    let dec = aggregator.decomposable().filter(|_| options.fuse);
+    // anything else runs the paper's two-job pipeline unchanged. The §5.1
+    // variant is inherently single-job; its map-side emission stays
+    // unfused so the charged seeding/shuffle costs are the paper's.
+    let dec = aggregator.decomposable().filter(|_| options.fuse && !broadcast);
     let fused = dec.is_some();
     let placed = dec.is_some_and(|dec| places_rows(dec, filter.is_some(), scheme.as_ref()));
-    let telemetry = cluster.telemetry().clone();
-    telemetry.set_meta("mr.fused", fused);
+    if !broadcast {
+        telemetry.set_meta("mr.fused", fused);
+    }
     let n = cluster.num_nodes();
     record_analytic_meta(&telemetry, scheme.as_ref(), n as u64);
-    let dir = &options.dfs_dir;
     let wire_start = cluster.wire_snapshot();
-    // Distributed runs ship the encoded element store to every worker once
-    // up front — the id-indexed resolver a real deployment would hold
-    // node-locally. Measured on the wire (`seed` class), never charged.
-    if cluster.is_distributed() {
-        let io = telemetry.job_phase(&format!("{dir}-io"), "seed-store");
-        cluster.seed_workers(&format!("seed/{dir}/store"), &store.dataset_bytes())?;
-        drop(io);
-    }
-    let shards = if options.input_shards == 0 { 2 * n } else { options.input_shards };
-    // Runner-level I/O gets its own phase track (job `{dir}-io`) so the
-    // report's phases tile the whole run, not just the engine jobs.
-    let io = telemetry.job_phase(&format!("{dir}-io"), "distribute-input");
-    let inputs = write_sharded(
-        cluster,
-        &format!("{dir}/input"),
-        shards,
-        store.elements().iter().cloned().enumerate().map(|(i, p)| (i as u64, p)),
-    )?;
-    drop(io);
-
+    // The encoded dataset: the §5.1 broadcast's cache file, and what
+    // distributed runs ship to every worker once up front — the
+    // id-indexed resolver a real deployment would hold node-locally.
+    // Measured on the wire (`seed` class), never charged.
+    let dataset_bytes = (broadcast || distributed).then(|| store.dataset_bytes());
+    let io = match &dataset_bytes {
+        Some(dataset) if distributed => {
+            cluster.seed_workers(&format!("seed/{dir}/store"), dataset)?;
+            io.next("distribute-input")
+        }
+        _ => io,
+    };
     let engine = Engine::new(cluster);
-    let reducers_job1 = auto(n, scheme.num_tasks(), options.reducers_job1);
     let eval = TaskEvaluator {
         scheme: Arc::clone(&scheme),
         kernel,
         symmetry,
-        filter,
+        filter: filter.clone(),
         telemetry: telemetry.clone(),
     };
-    let job1 = if fused {
-        let reducer = FusedEvaluateReducer::<T, R> { eval, aggregator: Arc::clone(&aggregator) };
-        engine.run(job1_spec(dir, inputs, &scheme, reducer, reducers_job1, &options, store))?
+    let job1 = if let Some(dataset) = dataset_bytes.filter(|_| broadcast) {
+        // Input = one record per (nonempty) task: the unit of map-side work.
+        let tasks: Vec<(u64, ())> =
+            (0..scheme.num_tasks()).filter(|&t| scheme.num_pairs(t) > 0).map(|t| (t, ())).collect();
+        let shards = n.min(tasks.len().max(1));
+        let inputs = write_sharded(cluster, &format!("{dir}/tasks"), shards, tasks)?;
+        drop(io);
+        engine.run(
+            JobSpec::new(
+                format!("{dir}-broadcast-evaluate-aggregate"),
+                inputs,
+                format!("{dir}/out"),
+                BroadcastEvalMapper::<T, R>(eval),
+                AggregateReducer::<T, R> {
+                    aggregator: Arc::clone(&aggregator),
+                    _pd: std::marker::PhantomData,
+                },
+                auto(n, scheme.v()),
+            )
+            .partitioner(Arc::new(ModuloPartitioner))
+            .cache_file("dataset", dataset)
+            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+            .store(store_handle(store)),
+        )?
     } else {
-        let reducer = EvaluateReducer::<T, R>(eval);
-        engine.run(job1_spec(dir, inputs, &scheme, reducer, reducers_job1, &options, store))?
+        let elements = store.elements().iter().cloned().enumerate().map(|(i, p)| (i as u64, p));
+        let inputs = write_sharded(cluster, &format!("{dir}/input"), 2 * n, elements)?;
+        drop(io);
+        if fused {
+            let reducer =
+                FusedEvaluateReducer::<T, R> { eval, aggregator: Arc::clone(&aggregator) };
+            engine.run(job1_spec(dir, inputs, &scheme, reducer, &options, store, n))?
+        } else {
+            let reducer = EvaluateReducer::<T, R>(eval);
+            engine.run(job1_spec(dir, inputs, &scheme, reducer, &options, store, n))?
+        }
     };
 
     if let Some(dec) = dec {
@@ -725,7 +752,7 @@ where
         // shuffle job 2 would have charged was accrued (exactly-once) by
         // the fused reduce tasks, so the reported charged bytes still
         // equal the unfused two-job total while nothing extra moved.
-        let io = telemetry.job_phase(&format!("{dir}-io"), "merge-aggregate");
+        let io = telemetry.job_phase(&io_job, "merge-aggregate");
         // One streaming pass on the calling thread: each part file is read
         // once, in part order, and merged frame by frame, so the driver
         // holds one part's bytes and the accumulators (or, placing, the
@@ -746,107 +773,35 @@ where
             }
             (0u64..).zip(accs).filter_map(|(id, acc)| Some((id, dec.finish(acc?)))).collect()
         };
-        drop(io);
-
         let report = mr_report(cluster, &wire_start, job1, None, true);
+        drop(io);
         return Ok((PairwiseOutput { per_element }, report));
     }
 
-    let job2 = engine.run(
-        JobSpec::new(
-            format!("{dir}-j2-aggregate"),
-            job1.output_paths.clone(),
-            format!("{dir}/out"),
-            GroupByElementMapper::<T, R> { _pd: std::marker::PhantomData },
-            AggregateReducer::<T, R> { aggregator, _pd: std::marker::PhantomData },
-            auto(n, scheme.v(), options.reducers_job2),
+    let job2 = if broadcast {
+        None
+    } else {
+        Some(
+            engine.run(
+                JobSpec::new(
+                    format!("{dir}-j2-aggregate"),
+                    job1.output_paths.clone(),
+                    format!("{dir}/out"),
+                    GroupByElementMapper::<T, R> { _pd: std::marker::PhantomData },
+                    AggregateReducer::<T, R> {
+                        aggregator: Arc::clone(&aggregator),
+                        _pd: std::marker::PhantomData,
+                    },
+                    auto(n, scheme.v()),
+                )
+                .partitioner(Arc::new(ModuloPartitioner))
+                .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+                .store(store_handle(store)),
+            )?,
         )
-        .partitioner(Arc::new(ModuloPartitioner))
-        .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-        .store(store_handle(store)),
-    )?;
+    };
 
-    let io = telemetry.job_phase(&format!("{dir}-io"), "collect-output");
-    let mut per_element: Vec<OutputRow<R>> = read_output(cluster, &format!("{dir}/out"))?;
-    per_element.sort_by_key(|(id, _)| *id);
-    drop(io);
-
-    let report = mr_report(cluster, &wire_start, job1, Some(job2), false);
-    Ok((PairwiseOutput { per_element }, report))
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_mr_broadcast_impl<T, R>(
-    cluster: &Cluster,
-    scheme: Arc<dyn DistributionScheme>,
-    store: &Arc<ElementStore<T>>,
-    kernel: Arc<dyn BatchComp<T, R>>,
-    symmetry: Symmetry,
-    aggregator: Arc<dyn Aggregator<R>>,
-    filter: Option<Arc<dyn PairFilter>>,
-    options: MrPairwiseOptions,
-) -> pmr_mapreduce::Result<(PairwiseOutput<R>, MrRunReport)>
-where
-    T: Wire + Clone + Sync,
-    R: Wire + Clone + Sync,
-{
-    if store.len() as u64 != scheme.v() {
-        return Err(MrError::InvalidJob(format!(
-            "payload count {} != scheme v {}",
-            store.len(),
-            scheme.v()
-        )));
-    }
-    let telemetry = cluster.telemetry().clone();
-    let n = cluster.num_nodes();
-    record_analytic_meta(&telemetry, scheme.as_ref(), n as u64);
-    let dir = &options.dfs_dir;
-    let wire_start = cluster.wire_snapshot();
-    // The §5.1 seeding cost: the dataset is broadcast to every node, and
-    // the per-node store view resolves against it. Distributed runs also
-    // ship the encoded store to every worker (`seed` wire class).
-    let dataset_bytes = store.dataset_bytes();
-    if cluster.is_distributed() {
-        let io = telemetry.job_phase(&format!("{dir}-io"), "seed-store");
-        cluster.seed_workers(&format!("seed/{dir}/store"), &dataset_bytes)?;
-        drop(io);
-    }
-
-    // Input = one record per (nonempty) task: the unit of map-side work.
-    let tasks: Vec<(u64, ())> =
-        (0..scheme.num_tasks()).filter(|&t| scheme.num_pairs(t) > 0).map(|t| (t, ())).collect();
-    let shards = if options.input_shards == 0 { n } else { options.input_shards };
-    let io = telemetry.job_phase(&format!("{dir}-io"), "distribute-input");
-    let inputs =
-        write_sharded(cluster, &format!("{dir}/tasks"), shards.min(tasks.len().max(1)), tasks)?;
-    drop(io);
-
-    let engine = Engine::new(cluster);
-    let job = engine.run(
-        JobSpec::new(
-            format!("{dir}-broadcast-evaluate-aggregate"),
-            inputs,
-            format!("{dir}/out"),
-            BroadcastEvalMapper::<T, R>(TaskEvaluator {
-                scheme: Arc::clone(&scheme),
-                kernel,
-                symmetry,
-                filter: filter.clone(),
-                telemetry: telemetry.clone(),
-            }),
-            AggregateReducer::<T, R> {
-                aggregator: Arc::clone(&aggregator),
-                _pd: std::marker::PhantomData,
-            },
-            auto(n, scheme.v(), options.reducers_job2),
-        )
-        .partitioner(Arc::new(ModuloPartitioner))
-        .cache_file("dataset", dataset_bytes)
-        .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-        .store(store_handle(store)),
-    )?;
-
-    let io = telemetry.job_phase(&format!("{dir}-io"), "collect-output");
+    let io = telemetry.job_phase(&io_job, "collect-output");
     let mut per_element: Vec<OutputRow<R>> = read_output(cluster, &format!("{dir}/out"))?;
     per_element.sort_by_key(|(id, _)| *id);
     // The broadcast mapper only emits elements that produced results, so a
@@ -855,7 +810,7 @@ where
     // over zero partials), keeping pruned output identical across
     // backends. Unfiltered runs never hit this: every element has v−1
     // pairs, so every id was emitted.
-    if filter.is_some() && per_element.len() < store.len() {
+    if broadcast && filter.is_some() && per_element.len() < store.len() {
         let mut filled: Vec<OutputRow<R>> = Vec::with_capacity(store.len());
         let mut have = per_element.into_iter().peekable();
         for id in 0..store.len() as u64 {
@@ -866,12 +821,8 @@ where
         }
         per_element = filled;
     }
+    let report = mr_report(cluster, &wire_start, job1, job2, false);
     drop(io);
-
-    // The §5.1 variant is inherently single-job; its map-side emission
-    // stays unfused so the charged seeding/shuffle costs are the paper's
-    // unchanged.
-    let report = mr_report(cluster, &wire_start, job, None, false);
     Ok((PairwiseOutput { per_element }, report))
 }
 

@@ -73,22 +73,20 @@ fn job_phases_tile_each_jobs_wall_time() {
     assert_eq!(jobs.len(), 2, "jobs: {jobs:?}");
     for job in &jobs {
         let phases: Vec<_> = report.job_phases.iter().filter(|p| p.job == *job).collect();
-        // setup → map → reduce → finalize, opened back-to-back.
+        // setup → map → reduce → finalize, handed over back-to-back.
         assert_eq!(
             phases.iter().map(|p| p.phase.as_str()).collect::<Vec<_>>(),
             ["setup", "map", "reduce", "finalize"],
             "{job}"
         );
-        // Consecutive guards take two clock readings (drop, then create),
-        // so allow microsecond-rounding gaps but nothing that would hide
-        // untracked work between phases.
+        // Each hand-over takes one clock reading that closes one phase and
+        // opens the next, so the phases tile their window exactly.
         for pair in phases.windows(2) {
-            assert!(pair[1].start_us >= pair[0].end_us, "overlap inside {job}");
-            assert!(pair[1].start_us - pair[0].end_us <= 100, "gap inside {job}");
+            assert_eq!(pair[1].start_us, pair[0].end_us, "gap inside {job}");
         }
         let window = phases.last().unwrap().end_us - phases.first().unwrap().start_us;
         let total = report.job_phase_total_us(job);
-        assert!(window - total <= 300, "{job}: phases must tile their window");
+        assert_eq!(window, total, "{job}: phases must tile their window");
     }
     // The phase windows must also cover (±5%) the engine's own measure of
     // each job's wall time — the acceptance bar for the report.

@@ -82,6 +82,8 @@ const OPEN: u32 = u32::MAX;
 /// Per-phase scheduling state: node work queues plus the commit, retry,
 /// and speculation bookkeeping of every task in the phase.
 struct PhaseBoard {
+    /// Which kind of task the phase runs.
+    kind: TaskKind,
     /// Per-node FIFO of task indices.
     queues: Vec<Mutex<VecDeque<usize>>>,
     /// Tasks not yet committed.
@@ -109,7 +111,7 @@ struct PhaseBoard {
 
 impl PhaseBoard {
     /// Builds a board with `assignment[t]` = node index of task `t`.
-    fn new(n: usize, assignment: &[usize]) -> PhaseBoard {
+    fn new(kind: TaskKind, n: usize, assignment: &[usize]) -> PhaseBoard {
         let tasks = assignment.len();
         let queues: Vec<Mutex<VecDeque<usize>>> =
             (0..n).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -117,6 +119,7 @@ impl PhaseBoard {
             queues[nd].lock().push_back(t);
         }
         PhaseBoard {
+            kind,
             queues,
             remaining: AtomicUsize::new(tasks),
             winner: (0..tasks).map(|_| AtomicU32::new(OPEN)).collect(),
@@ -127,6 +130,14 @@ impl PhaseBoard {
             running: Mutex::new(Vec::new()),
             epoch: Mutex::new(0),
             parked: Condvar::new(),
+        }
+    }
+
+    /// The kind's name in task names and trace details.
+    fn name(&self) -> &'static str {
+        match self.kind {
+            TaskKind::Map => "map",
+            TaskKind::Reduce => "reduce",
         }
     }
 
@@ -255,11 +266,41 @@ fn commit_scratch(counters: &Counters, scratch: &Counters) {
     }
 }
 
-/// Result of a reduce-task body, held back until the attempt wins commit.
+/// What every task of one job shares: the job's identity, spec and
+/// counters, the map side's splits and published output, and the locks
+/// that serialize recovery of lost map outputs.
+struct JobCtx<'a, M, R>
+where
+    M: Mapper,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    cluster: &'a Cluster,
+    jid: u32,
+    spec: &'a JobSpec<M, R>,
+    counters: Counters,
+    cache_prefix: String,
+    splits: Vec<pmr_cluster::InputSplit>,
+    /// Per-(map task, partition) extra charge billed via `emit_charged`:
+    /// bytes the cost model prices into the shuffle transfer of that
+    /// partition even though they are never materialized. Published at
+    /// commit (and idempotently re-published by recovery re-runs — the
+    /// values are a deterministic function of the task), read by reduce
+    /// tasks.
+    charges: Vec<AtomicU64>,
+    /// Node each map task's committed output lives on: initialized to the
+    /// assignment, overwritten by the winning attempt's node and by
+    /// recovery re-runs.
+    map_sites: Vec<AtomicU32>,
+    map_board: PhaseBoard,
+    /// Serializes recovery of one lost map output; re-runs continue the
+    /// map task's attempt numbering.
+    recovery: Vec<Mutex<()>>,
+}
+
+/// A reduce attempt's output, held back until the attempt wins commit.
 struct ReduceDone {
     out: bytes::Bytes,
     offsets: Vec<u64>,
-    span: Span,
     lap_at: Instant,
 }
 
@@ -287,17 +328,17 @@ impl<'c> Engine<'c> {
         if spec.inputs.is_empty() {
             return Err(MrError::InvalidJob("job has no inputs".into()));
         }
+        // Job-level phase windows hand over at one clock reading, so their
+        // wall times tile the job's wall time exactly.
+        let cluster = self.cluster;
+        let telemetry = cluster.telemetry().clone();
+        let phase = telemetry.job_phase(&spec.name, "setup");
         let jid = self.job_seq.fetch_add(1, Ordering::Relaxed);
         let counters = Counters::new();
-        let cluster = self.cluster;
         let n = cluster.num_nodes();
         let net_before = cluster.traffic().remote_bytes();
         let sim_before = cluster.traffic().simulated_time_us();
         let crashes_before = cluster.node_crashes();
-        // Job-level phase windows are opened back-to-back so their wall
-        // times tile the job's wall time.
-        let telemetry = cluster.telemetry().clone();
-        let mut phase = telemetry.job_phase(&spec.name, "setup");
 
         // --- Distribute cache files to every live node (paper §5.1). ---
         let cache_prefix = format!("mr/{jid}/cache/");
@@ -319,25 +360,15 @@ impl<'c> Engine<'c> {
             cluster.check_intermediate_capacity()?;
         }
 
-        // --- Plan input splits. ---
-        let mut total_len = 0u64;
+        // --- Plan input splits: one per DFS block. ---
+        let mut splits = Vec::new();
         for path in &spec.inputs {
             if !cluster.dfs().exists(path) {
                 return Err(MrError::InvalidJob(format!("input path not found: {path}")));
             }
-            total_len += cluster.dfs().len(path)?;
-        }
-        let mut splits = Vec::new();
-        for path in &spec.inputs {
-            let flen = cluster.dfs().len(path)?;
-            let desired = if spec.desired_map_tasks == 0 {
-                usize::MAX // one split per block
-            } else {
-                (((spec.desired_map_tasks as u64 * flen) + total_len - 1) / total_len.max(1)).max(1)
-                    as usize
-            };
-            let per_block = flen.div_ceil(cluster.dfs().block_size()).max(1) as usize;
-            splits.extend(cluster.dfs().splits(path, desired.min(per_block))?);
+            let per_block =
+                cluster.dfs().len(path)?.div_ceil(cluster.dfs().block_size()).max(1) as usize;
+            splits.extend(cluster.dfs().splits(path, per_block)?);
         }
         if splits.is_empty() {
             return Err(MrError::InvalidJob("inputs contain no records".into()));
@@ -367,35 +398,135 @@ impl<'c> Engine<'c> {
             .collect();
 
         // --- Map phase. ---
-        drop(phase);
-        phase = telemetry.job_phase(&spec.name, "map");
+        let mut phase = phase.next("map");
         let num_maps = splits.len();
-        // Per-(map task, partition) extra charge billed via `emit_charged`:
-        // bytes the cost model prices into the shuffle transfer of that
-        // partition even though they are never materialized. Published at
-        // commit (and idempotently re-published by recovery re-runs — the
-        // values are a deterministic function of the task), read by reduce
-        // tasks.
-        let charges: Vec<AtomicU64> =
-            (0..num_maps * spec.num_reducers).map(|_| AtomicU64::new(0)).collect();
-        // Node each map task's committed output lives on: initialized to
-        // the assignment, overwritten by the winning attempt's node and by
-        // recovery re-runs.
-        let map_sites: Vec<AtomicU32> =
-            map_assignment.iter().map(|&nd| AtomicU32::new(nd as u32)).collect();
+        let job = JobCtx {
+            cluster,
+            jid,
+            spec: &spec,
+            counters,
+            cache_prefix,
+            splits,
+            charges: (0..num_maps * spec.num_reducers).map(|_| AtomicU64::new(0)).collect(),
+            map_sites: map_assignment.iter().map(|&nd| AtomicU32::new(nd as u32)).collect(),
+            map_board: PhaseBoard::new(TaskKind::Map, n, &map_assignment),
+            recovery: (0..num_maps).map(|_| Mutex::new(())).collect(),
+        };
+        let counters = &job.counters;
         let error: Mutex<Option<MrError>> = Mutex::new(None);
-        let map_board = PhaseBoard::new(n, &map_assignment);
+        job.run_phase(
+            &job.map_board,
+            cluster.config().node.map_slots,
+            &error,
+            |task, me, backup| job.attempt_map(task, me, backup),
+        );
+        let charged_total: u64 = job.charges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+        if let Some(e) = error.lock().take() {
+            self.cleanup(jid, charged_total);
+            return Err(e);
+        }
+        phase.add_bytes(
+            counters.get(builtin::MAP_OUTPUT_BYTES),
+            counters.get(builtin::MAP_OUTPUT_MOVED_BYTES),
+        );
+
+        // Intermediate data is fully materialized (and charged) now:
+        // record the peak.
+        let peak_intermediate = cluster.intermediate_bytes();
+        counters.record_max(INTERMEDIATE_PEAK_COUNTER, peak_intermediate);
+
+        // --- Reduce phase. ---
+        let mut phase = phase.next("reduce");
+        let reduce_assignment: Vec<usize> = (0..spec.num_reducers).map(|r| r % n).collect();
+        let reduce_board = PhaseBoard::new(TaskKind::Reduce, n, &reduce_assignment);
+        job.run_phase(
+            &reduce_board,
+            cluster.config().node.reduce_slots,
+            &error,
+            |task, me, backup| {
+                job.drive(
+                    &reduce_board,
+                    task,
+                    me,
+                    backup,
+                    |attempt, scratch| job.reduce_body(task, attempt, me, scratch),
+                    |done, span| job.write_part(task, done, span),
+                )
+                .map(drop)
+            },
+        );
+        phase.add_bytes(
+            counters.get(builtin::SHUFFLE_BYTES),
+            counters.get(builtin::SHUFFLE_MOVED_BYTES),
+        );
+        let phase = phase.next("finalize");
+        // Pull any worker-side trace rings into the coordinator's trace
+        // while the workers are quiescent (no-op on in-process runs or
+        // with tracing disabled).
+        cluster.drain_worker_traces();
+        self.cleanup(jid, charged_total);
+        if let Some(e) = error.lock().take() {
+            return Err(e);
+        }
+
+        let crash_delta = cluster.node_crashes() - crashes_before;
+        if crash_delta > 0 {
+            counters.add(builtin::NODE_CRASHES, crash_delta);
+        }
+        let output_paths: Vec<String> =
+            (0..spec.num_reducers).map(|r| format!("{}/part-{r:05}", spec.output)).collect();
+        let stats = JobStats {
+            map_tasks: num_maps,
+            reduce_tasks: spec.num_reducers,
+            network_bytes: cluster.traffic().remote_bytes() - net_before,
+            max_working_set_bytes: counters.get(WS_PEAK_COUNTER),
+            peak_intermediate_bytes: peak_intermediate,
+            simulated_network_time_us: cluster.traffic().simulated_time_us() - sim_before,
+            wall_time_us: 0, // read as the last window closes, below
+        };
+        let mut output = JobOutput { output_paths, counters: counters.snapshot(), stats };
+        // Releasing the job's state belongs to its wall time and its last
+        // window, so a phase the caller opens next starts close to where
+        // this one ends.
+        drop(job);
+        drop(spec);
+        output.stats.wall_time_us = started.elapsed().as_micros() as u64;
+        drop(phase);
+        Ok(output)
+    }
+
+    /// Deletes the job's node-local files and releases the job's charged
+    /// (unmaterialized) intermediate bytes.
+    fn cleanup(&self, jid: u32, charged: u64) {
+        for node in self.cluster.nodes() {
+            node.delete_local_prefix(&format!("mr/{jid}/"));
+        }
+        self.cluster.uncharge_intermediate(charged);
+    }
+}
+
+impl<M, R> JobCtx<'_, M, R>
+where
+    M: Mapper,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    /// Runs one phase to completion on `slots` worker threads per node.
+    /// Each worker pops its node's queue (or, idle, backs up a straggler)
+    /// and hands the task to `attempt(task, node, is_backup)`; an attempt
+    /// whose node died under it is re-queued on a live node, and the first
+    /// other error stops every worker of the phase.
+    fn run_phase(
+        &self,
+        board: &PhaseBoard,
+        slots: usize,
+        error: &Mutex<Option<MrError>>,
+        attempt: impl Fn(usize, NodeId, bool) -> Result<()> + Sync,
+    ) {
+        let cluster = self.cluster;
+        let attempt = &attempt;
         crossbeam::thread::scope(|scope| {
-            for node_idx in 0..n {
-                for _slot in 0..cluster.config().node.map_slots.max(1) {
-                    let board = &map_board;
-                    let error = &error;
-                    let splits = &splits;
-                    let spec = &spec;
-                    let counters = &counters;
-                    let cache_prefix = &cache_prefix;
-                    let charges = &charges;
-                    let map_sites = &map_sites;
+            for node_idx in 0..cluster.num_nodes() {
+                for _slot in 0..slots.max(1) {
                     scope.spawn(move |_| {
                         let me = NodeId(node_idx as u32);
                         loop {
@@ -428,37 +559,13 @@ impl<'c> Engine<'c> {
                                     }
                                 }
                             };
-                            if is_backup {
-                                counters.inc(builtin::SPECULATIVE_LAUNCHED);
-                                cluster.telemetry().event(
-                                    "speculative.launch",
-                                    format!("backup attempt of map task {task} on {me}"),
-                                );
-                            }
-                            let r = self.drive_map(
-                                jid,
-                                task,
-                                me,
-                                is_backup,
-                                board,
-                                &splits[task],
-                                spec,
-                                counters,
-                                cache_prefix,
-                                charges,
-                                map_sites,
-                            );
-                            match r {
+                            match attempt(task, me, is_backup) {
                                 Ok(()) => {}
                                 Err(MrError::Cluster(ClusterError::NodeDead(_))) => {
                                     board.requeue_on_live(cluster, task);
                                 }
                                 Err(e) => {
-                                    let mut guard = error.lock();
-                                    if guard.is_none() {
-                                        *guard = Some(e);
-                                    }
-                                    drop(guard);
+                                    error.lock().get_or_insert(e);
                                     board.wake_all();
                                     return;
                                 }
@@ -473,272 +580,133 @@ impl<'c> Engine<'c> {
                 }
             }
         })
-        .expect("map worker panicked");
-        let charged_total: u64 = charges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        if let Some(e) = error.lock().take() {
-            self.cleanup(jid, charged_total);
-            return Err(e);
-        }
-        phase.add_bytes(
-            counters.get(builtin::MAP_OUTPUT_BYTES),
-            counters.get(builtin::MAP_OUTPUT_MOVED_BYTES),
-        );
-
-        // Intermediate data is fully materialized (and charged) now:
-        // record the peak.
-        let peak_intermediate = cluster.intermediate_bytes();
-        counters.record_max(INTERMEDIATE_PEAK_COUNTER, peak_intermediate);
-
-        // --- Reduce phase. ---
-        drop(phase);
-        phase = telemetry.job_phase(&spec.name, "reduce");
-        let reduce_assignment: Vec<usize> = (0..spec.num_reducers).map(|r| r % n).collect();
-        let reduce_board = PhaseBoard::new(n, &reduce_assignment);
-        // Serializes recovery of one lost map output; re-runs continue the
-        // map task's attempt numbering.
-        let recovery: Vec<Mutex<()>> = (0..num_maps).map(|_| Mutex::new(())).collect();
-        crossbeam::thread::scope(|scope| {
-            for node_idx in 0..n {
-                for _slot in 0..cluster.config().node.reduce_slots.max(1) {
-                    let board = &reduce_board;
-                    let map_board = &map_board;
-                    let error = &error;
-                    let splits = &splits;
-                    let spec = &spec;
-                    let counters = &counters;
-                    let cache_prefix = &cache_prefix;
-                    let charges = &charges;
-                    let map_sites = &map_sites;
-                    let recovery = &recovery;
-                    scope.spawn(move |_| {
-                        let me = NodeId(node_idx as u32);
-                        loop {
-                            // Snapshot before the error check — see the map
-                            // loop.
-                            let seen = board.wake_epoch();
-                            if error.lock().is_some() {
-                                return;
-                            }
-                            if !cluster.is_alive(me) {
-                                board.drain_dead(cluster, node_idx);
-                                return;
-                            }
-                            let popped = board.queues[node_idx].lock().pop_front();
-                            let (task, is_backup) = match popped {
-                                Some(t) => (t, false),
-                                None => {
-                                    if board.remaining.load(Ordering::SeqCst) == 0 {
-                                        return;
-                                    }
-                                    let mult = cluster.config().speculation_multiplier;
-                                    match mult.and_then(|m| board.pick_speculation(node_idx, m)) {
-                                        Some(t) => (t, true),
-                                        None => {
-                                            board.park(seen, mult.map(|_| SPECULATION_RECHECK));
-                                            continue;
-                                        }
-                                    }
-                                }
-                            };
-                            if is_backup {
-                                counters.inc(builtin::SPECULATIVE_LAUNCHED);
-                                cluster.telemetry().event(
-                                    "speculative.launch",
-                                    format!("backup attempt of reduce task {task} on {me}"),
-                                );
-                            }
-                            let r = self.drive_reduce(
-                                jid,
-                                task,
-                                me,
-                                is_backup,
-                                board,
-                                map_board,
-                                num_maps,
-                                splits,
-                                spec,
-                                counters,
-                                cache_prefix,
-                                charges,
-                                map_sites,
-                                recovery,
-                            );
-                            match r {
-                                Ok(()) => {}
-                                Err(MrError::Cluster(ClusterError::NodeDead(_))) => {
-                                    board.requeue_on_live(cluster, task);
-                                }
-                                Err(e) => {
-                                    let mut guard = error.lock();
-                                    if guard.is_none() {
-                                        *guard = Some(e);
-                                    }
-                                    drop(guard);
-                                    board.wake_all();
-                                    return;
-                                }
-                            }
-                            // See the map loop: parked workers re-scan
-                            // after every attempt resolution.
-                            board.wake_all();
-                        }
-                    });
-                }
-            }
-        })
-        .expect("reduce worker panicked");
-        phase.add_bytes(
-            counters.get(builtin::SHUFFLE_BYTES),
-            counters.get(builtin::SHUFFLE_MOVED_BYTES),
-        );
-        drop(phase);
-        let phase = telemetry.job_phase(&spec.name, "finalize");
-        // Pull any worker-side trace rings into the coordinator's trace
-        // while the workers are quiescent (no-op on in-process runs or
-        // with tracing disabled).
-        cluster.drain_worker_traces();
-        self.cleanup(jid, charged_total);
-        if let Some(e) = error.lock().take() {
-            return Err(e);
-        }
-
-        let crash_delta = cluster.node_crashes() - crashes_before;
-        if crash_delta > 0 {
-            counters.add(builtin::NODE_CRASHES, crash_delta);
-        }
-        let output_paths: Vec<String> =
-            (0..spec.num_reducers).map(|r| format!("{}/part-{r:05}", spec.output)).collect();
-        let stats = JobStats {
-            map_tasks: num_maps,
-            reduce_tasks: spec.num_reducers,
-            network_bytes: cluster.traffic().remote_bytes() - net_before,
-            max_working_set_bytes: counters.get(WS_PEAK_COUNTER),
-            peak_intermediate_bytes: peak_intermediate,
-            simulated_network_time_us: cluster.traffic().simulated_time_us() - sim_before,
-            wall_time_us: started.elapsed().as_micros() as u64,
-        };
-        drop(phase);
-        Ok(JobOutput { output_paths, counters: counters.snapshot(), stats })
+        .unwrap_or_else(|_| panic!("{} worker panicked", board.name()));
     }
 
-    /// Deletes the job's node-local files and releases the job's charged
-    /// (unmaterialized) intermediate bytes.
-    fn cleanup(&self, jid: u32, charged: u64) {
-        for node in self.cluster.nodes() {
-            node.delete_local_prefix(&format!("mr/{jid}/"));
-        }
-        self.cluster.uncharge_intermediate(charged);
-    }
-
-    /// Retry wrapper + commit protocol of one map task on one node.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_map<M, R>(
+    /// Retry wrapper and commit protocol of one task on node `me`, shared
+    /// by both kinds. `body` runs an attempt against scratch counters and
+    /// returns its held-back output with the still-open span; only the
+    /// attempt that wins the task's commit CAS hands that output to
+    /// `publish`, merges its scratch counters and finishes the task. A
+    /// losing attempt's span is cancelled and its counters dropped.
+    /// Returns whether this call committed the task.
+    fn drive<T>(
         &self,
-        jid: u32,
+        board: &PhaseBoard,
         task: usize,
         me: NodeId,
         is_backup: bool,
-        board: &PhaseBoard,
-        split: &pmr_cluster::InputSplit,
-        spec: &JobSpec<M, R>,
-        counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-    ) -> Result<()>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
+        body: impl FnOnce(u32, &Counters) -> Result<(T, Span)>,
+        publish: impl FnOnce(T, &mut Span) -> Result<()>,
+    ) -> Result<bool> {
         let cluster = self.cluster;
+        let kind = board.name();
+        if is_backup {
+            self.counters.inc(builtin::SPECULATIVE_LAUNCHED);
+            cluster.telemetry().event(
+                "speculative.launch",
+                format!("backup attempt of {kind} task {task} on {me}"),
+            );
+        }
+        let attempts_counter = match board.kind {
+            TaskKind::Map => builtin::MAP_TASK_ATTEMPTS,
+            TaskKind::Reduce => builtin::REDUCE_TASK_ATTEMPTS,
+        };
         let max_attempts = cluster.config().max_task_attempts.max(1);
-        loop {
+        let attempt = loop {
             if !board.is_open(task) {
-                return Ok(()); // a sibling attempt already committed
+                return Ok(false); // a sibling attempt already committed
             }
             if !cluster.is_alive(me) {
                 return Err(ClusterError::NodeDead(me).into());
             }
             let attempt = board.next_attempt[task].fetch_add(1, Ordering::SeqCst);
-            counters.inc(builtin::MAP_TASK_ATTEMPTS);
-            let aid = TaskAttemptId { job: jid, kind: TaskKind::Map, task: task as u32, attempt };
-            if cluster.injector().should_fail(aid) {
-                counters.inc(builtin::FAILED_ATTEMPTS);
-                let fails = board.failures[task].fetch_add(1, Ordering::SeqCst) + 1;
-                if fails >= max_attempts {
-                    return Err(MrError::TaskFailed {
-                        task: format!("job{jid}/map{task}"),
-                        attempts: max_attempts,
-                    });
-                }
-                continue;
+            self.counters.inc(attempts_counter);
+            let aid = TaskAttemptId { job: self.jid, kind: board.kind, task: task as u32, attempt };
+            if !cluster.injector().should_fail(aid) {
+                break attempt;
             }
-            let run_started = Instant::now();
-            board.note_start(task, me.0, run_started);
-            let scratch = Counters::new();
-            let body = self.map_body(
-                jid,
-                task as u32,
-                attempt,
-                me,
-                split,
-                spec,
-                &scratch,
-                cache_prefix,
-                cluster.telemetry(),
-            );
-            board.note_end(task, me.0);
-            let (partition_charges, mut span) = body?;
-            if board.try_win(task, attempt) {
-                let mut task_charge = 0u64;
-                for (p, c) in partition_charges.iter().enumerate() {
-                    charges[task * spec.num_reducers + p].store(*c, Ordering::Relaxed);
-                    task_charge += c;
-                }
-                cluster.charge_intermediate(task_charge);
-                map_sites[task].store(me.0, Ordering::SeqCst);
-                commit_scratch(counters, &scratch);
-                drop(span);
-                board.finish(run_started.elapsed().as_micros() as u64);
-                if is_backup {
-                    counters.inc(builtin::SPECULATIVE_WON);
-                    cluster
-                        .telemetry()
-                        .event("speculative.win", format!("backup of map task {task} won on {me}"));
-                }
-                let _ = cluster.note_task_completion();
-                cluster.check_intermediate_capacity()?;
-            } else {
-                span.cancel();
+            self.counters.inc(builtin::FAILED_ATTEMPTS);
+            if board.failures[task].fetch_add(1, Ordering::SeqCst) + 1 >= max_attempts {
+                return Err(MrError::TaskFailed {
+                    task: format!("job{}/{kind}{task}", self.jid),
+                    attempts: max_attempts,
+                });
             }
-            return Ok(());
+        };
+        let run_started = Instant::now();
+        board.note_start(task, me.0, run_started);
+        let scratch = Counters::new();
+        let done = body(attempt, &scratch);
+        board.note_end(task, me.0);
+        let (out, mut span) = done?;
+        if !board.try_win(task, attempt) {
+            span.cancel();
+            return Ok(false);
         }
+        publish(out, &mut span)?;
+        commit_scratch(&self.counters, &scratch);
+        drop(span);
+        board.finish(run_started.elapsed().as_micros() as u64);
+        if is_backup {
+            self.counters.inc(builtin::SPECULATIVE_WON);
+            cluster
+                .telemetry()
+                .event("speculative.win", format!("backup of {kind} task {task} won on {me}"));
+        }
+        let _ = cluster.note_task_completion();
+        Ok(true)
+    }
+
+    /// One map task through the commit protocol: the winner publishes its
+    /// per-partition charges and output site, charges the extra bytes as
+    /// intermediate storage, and the cluster's capacity is checked.
+    fn attempt_map(&self, task: usize, me: NodeId, is_backup: bool) -> Result<()> {
+        let cluster = self.cluster;
+        let committed = self.drive(
+            &self.map_board,
+            task,
+            me,
+            is_backup,
+            |attempt, scratch| self.map_body(task, attempt, me, scratch, cluster.telemetry()),
+            |partition_charges, _| {
+                cluster.charge_intermediate(self.publish_map_output(task, me, &partition_charges));
+                Ok(())
+            },
+        )?;
+        if committed {
+            cluster.check_intermediate_capacity()?;
+        }
+        Ok(())
+    }
+
+    /// Makes map task `m`'s output readable by reducers: its per-partition
+    /// charges and the node its partition files live on. Returns the
+    /// task's total charge.
+    fn publish_map_output(&self, m: usize, site: NodeId, partition_charges: &[u64]) -> u64 {
+        for (p, &c) in partition_charges.iter().enumerate() {
+            self.charges[m * self.spec.num_reducers + p].store(c, Ordering::Relaxed);
+        }
+        self.map_sites[m].store(site.0, Ordering::SeqCst);
+        partition_charges.iter().sum()
     }
 
     /// Body of one map attempt: read split, map, spill-merge, sort,
     /// combine, write partition files to the local store. Returns the
     /// per-partition extra charges and the (still-open) task span; nothing
     /// globally visible is published here — that is the committer's job.
-    #[allow(clippy::too_many_arguments)]
-    fn map_body<M, R>(
+    fn map_body(
         &self,
-        jid: u32,
-        task: u32,
+        task: usize,
         attempt: u32,
         node_id: NodeId,
-        split: &pmr_cluster::InputSplit,
-        spec: &JobSpec<M, R>,
         scratch: &Counters,
-        cache_prefix: &str,
         telemetry: &Telemetry,
-    ) -> Result<(Vec<u64>, Span)>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        let cluster = self.cluster;
+    ) -> Result<(Vec<u64>, Span)> {
+        let (cluster, spec, jid) = (self.cluster, self.spec, self.jid);
+        let split = &self.splits[task];
         let node = cluster.node(node_id);
-        let mut span = telemetry.span(&spec.name, SpanKind::Map, task, attempt, node_id.0);
+        let mut span = telemetry.span(&spec.name, SpanKind::Map, task as u32, attempt, node_id.0);
         let mut lap_at = Instant::now();
         let data = cluster.dfs().read_range_from(
             &split.path,
@@ -754,7 +722,7 @@ impl<'c> Engine<'c> {
         span.lap("read", &mut lap_at);
         let mut partitions: Vec<Vec<RawRecord>> = vec![Vec::new(); spec.num_reducers];
         let cache =
-            TaskCache { node, prefix: cache_prefix.to_string(), store: spec.store.as_deref() };
+            TaskCache { node, prefix: self.cache_prefix.clone(), store: spec.store.as_deref() };
         let sink = crate::api::SpillSink {
             node,
             prefix: format!("mr/{jid}/m/{task}/spill/"),
@@ -841,130 +809,21 @@ impl<'c> Engine<'c> {
         Ok((partition_charges, span))
     }
 
-    /// Retry wrapper + commit protocol of one reduce task on one node.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_reduce<M, R>(
-        &self,
-        jid: u32,
-        task: usize,
-        me: NodeId,
-        is_backup: bool,
-        board: &PhaseBoard,
-        map_board: &PhaseBoard,
-        num_maps: usize,
-        splits: &[pmr_cluster::InputSplit],
-        spec: &JobSpec<M, R>,
-        counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-        recovery: &[Mutex<()>],
-    ) -> Result<()>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        let cluster = self.cluster;
-        let max_attempts = cluster.config().max_task_attempts.max(1);
-        loop {
-            if !board.is_open(task) {
-                return Ok(());
-            }
-            if !cluster.is_alive(me) {
-                return Err(ClusterError::NodeDead(me).into());
-            }
-            let attempt = board.next_attempt[task].fetch_add(1, Ordering::SeqCst);
-            counters.inc(builtin::REDUCE_TASK_ATTEMPTS);
-            let aid =
-                TaskAttemptId { job: jid, kind: TaskKind::Reduce, task: task as u32, attempt };
-            if cluster.injector().should_fail(aid) {
-                counters.inc(builtin::FAILED_ATTEMPTS);
-                let fails = board.failures[task].fetch_add(1, Ordering::SeqCst) + 1;
-                if fails >= max_attempts {
-                    return Err(MrError::TaskFailed {
-                        task: format!("job{jid}/reduce{task}"),
-                        attempts: max_attempts,
-                    });
-                }
-                continue;
-            }
-            let run_started = Instant::now();
-            board.note_start(task, me.0, run_started);
-            let scratch = Counters::new();
-            let body = self.reduce_body(
-                jid,
-                task as u32,
-                attempt,
-                me,
-                map_board,
-                num_maps,
-                splits,
-                spec,
-                &scratch,
-                counters,
-                cache_prefix,
-                charges,
-                map_sites,
-                recovery,
-            );
-            board.note_end(task, me.0);
-            let mut done = body?;
-            if board.try_win(task, attempt) {
-                // Only the winner touches the DFS output path, so a losing
-                // sibling can never clobber or merge into committed output.
-                // The delete keeps re-running a whole job over the same
-                // output directory idempotent.
-                let path = format!("{}/part-{task:05}", spec.output);
-                cluster.dfs().delete(&path);
-                cluster.dfs().create_with_records(&path, done.out, Some(done.offsets))?;
-                done.span.lap("write", &mut done.lap_at);
-                commit_scratch(counters, &scratch);
-                drop(done.span);
-                board.finish(run_started.elapsed().as_micros() as u64);
-                if is_backup {
-                    counters.inc(builtin::SPECULATIVE_WON);
-                    cluster.telemetry().event(
-                        "speculative.win",
-                        format!("backup of reduce task {task} won on {me}"),
-                    );
-                }
-                let _ = cluster.note_task_completion();
-            } else {
-                done.span.cancel();
-            }
-            return Ok(());
-        }
-    }
-
     /// Body of one reduce attempt: shuffle (with lost-map recovery), sort,
     /// reduce. The output is returned, not written — the committer writes
     /// the DFS part file only for the winning attempt.
-    #[allow(clippy::too_many_arguments)]
-    fn reduce_body<M, R>(
+    fn reduce_body(
         &self,
-        jid: u32,
-        task: u32,
+        task: usize,
         attempt: u32,
         node_id: NodeId,
-        map_board: &PhaseBoard,
-        num_maps: usize,
-        splits: &[pmr_cluster::InputSplit],
-        spec: &JobSpec<M, R>,
         scratch: &Counters,
-        job_counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-        recovery: &[Mutex<()>],
-    ) -> Result<ReduceDone>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
-        let cluster = self.cluster;
+    ) -> Result<(ReduceDone, Span)> {
+        let (cluster, spec, jid) = (self.cluster, self.spec, self.jid);
         let node = cluster.node(node_id);
         let telemetry = cluster.telemetry();
-        let mut span = telemetry.span(&spec.name, SpanKind::Reduce, task, attempt, node_id.0);
+        let mut span =
+            telemetry.span(&spec.name, SpanKind::Reduce, task as u32, attempt, node_id.0);
         let mut lap_at = Instant::now();
 
         // Shuffle: fetch this task's partition from every map output's
@@ -976,15 +835,15 @@ impl<'c> Engine<'c> {
         // partition) triggers re-execution of the lost map task here.
         let mut records: Vec<RawRecord> = Vec::new();
         let mut fetched_bytes = 0u64;
-        for m in 0..num_maps {
+        for m in 0..self.splits.len() {
             let name = format!("mr/{jid}/m/{m}/p/{task}");
             loop {
-                let src = NodeId(map_sites[m].load(Ordering::SeqCst));
+                let src = NodeId(self.map_sites[m].load(Ordering::SeqCst));
                 match cluster.node(src).read_local(&name) {
                     Ok(data) => {
                         let moved = data.len() as u64;
                         let extra =
-                            charges[m * spec.num_reducers + task as usize].load(Ordering::Relaxed);
+                            self.charges[m * spec.num_reducers + task].load(Ordering::Relaxed);
                         scratch.add(builtin::SHUFFLE_BYTES, moved + extra);
                         scratch.add(builtin::SHUFFLE_MOVED_BYTES, moved);
                         fetched_bytes += moved + extra;
@@ -999,21 +858,7 @@ impl<'c> Engine<'c> {
                         break;
                     }
                     Err(ClusterError::NoSuchFile(_)) => break, // empty partition on a live node
-                    Err(ClusterError::NodeDead(_)) => {
-                        self.recover_map_output(
-                            jid,
-                            m,
-                            node_id,
-                            map_board,
-                            splits,
-                            spec,
-                            job_counters,
-                            cache_prefix,
-                            charges,
-                            map_sites,
-                            recovery,
-                        )?;
-                    }
+                    Err(ClusterError::NodeDead(_)) => self.recover_map_output(m, node_id)?,
                     Err(e) => return Err(e.into()),
                 }
             }
@@ -1034,7 +879,7 @@ impl<'c> Engine<'c> {
         let mut out = BytesMut::new();
         let mut offsets: Vec<u64> = Vec::new();
         let cache =
-            TaskCache { node, prefix: cache_prefix.to_string(), store: spec.store.as_deref() };
+            TaskCache { node, prefix: self.cache_prefix.clone(), store: spec.store.as_deref() };
         let mut i = 0;
         while i < records.len() {
             let mut j = i + 1;
@@ -1061,7 +906,19 @@ impl<'c> Engine<'c> {
         scratch.add(builtin::REDUCE_OUTPUT_BYTES, out.len() as u64);
         span.add_bytes_out(out.len() as u64);
         span.add_records_out(offsets.len() as u64);
-        Ok(ReduceDone { out: out.freeze(), offsets, span, lap_at })
+        Ok((ReduceDone { out: out.freeze(), offsets, lap_at }, span))
+    }
+
+    /// Publishes a winning reduce attempt: its DFS part file. Only the
+    /// winner touches the output path, so a losing sibling can never
+    /// clobber or merge into committed output; the delete keeps re-running
+    /// a whole job over the same output directory idempotent.
+    fn write_part(&self, task: usize, mut done: ReduceDone, span: &mut Span) -> Result<()> {
+        let path = format!("{}/part-{task:05}", self.spec.output);
+        self.cluster.dfs().delete(&path);
+        self.cluster.dfs().create_with_records(&path, done.out, Some(done.offsets))?;
+        span.lap("write", &mut done.lap_at);
+        Ok(())
     }
 
     /// Re-executes a committed map task whose output died with its node
@@ -1073,55 +930,23 @@ impl<'c> Engine<'c> {
     /// charged through the traffic accountant and storage ledgers. The
     /// per-partition charges it republishes are a deterministic function
     /// of the task, so the idempotent `store` leaves them unchanged.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_map_output<M, R>(
-        &self,
-        jid: u32,
-        m: usize,
-        me: NodeId,
-        map_board: &PhaseBoard,
-        splits: &[pmr_cluster::InputSplit],
-        spec: &JobSpec<M, R>,
-        job_counters: &Counters,
-        cache_prefix: &str,
-        charges: &[AtomicU64],
-        map_sites: &[AtomicU32],
-        recovery: &[Mutex<()>],
-    ) -> Result<()>
-    where
-        M: Mapper,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
-    {
+    fn recover_map_output(&self, m: usize, me: NodeId) -> Result<()> {
         let cluster = self.cluster;
-        let _serialized = recovery[m].lock();
-        let site = NodeId(map_sites[m].load(Ordering::SeqCst));
+        let _serialized = self.recovery[m].lock();
+        let site = NodeId(self.map_sites[m].load(Ordering::SeqCst));
         if cluster.is_alive(site) {
             return Ok(()); // another reducer recovered it while we waited
         }
         if !cluster.is_alive(me) {
             return Err(ClusterError::NodeDead(me).into());
         }
-        job_counters.inc(builtin::MAP_RERUNS);
+        self.counters.inc(builtin::MAP_RERUNS);
         let rerun_started = Instant::now();
-        let attempt = map_board.next_attempt[m].fetch_add(1, Ordering::SeqCst);
-        let scratch = Counters::new();
-        let disabled = Telemetry::disabled();
-        let (partition_charges, span) = self.map_body(
-            jid,
-            m as u32,
-            attempt,
-            me,
-            &splits[m],
-            spec,
-            &scratch,
-            cache_prefix,
-            &disabled,
-        )?;
+        let attempt = self.map_board.next_attempt[m].fetch_add(1, Ordering::SeqCst);
+        let (partition_charges, span) =
+            self.map_body(m, attempt, me, &Counters::new(), &Telemetry::disabled())?;
         drop(span); // disabled telemetry: records nothing
-        for (p, c) in partition_charges.iter().enumerate() {
-            charges[m * spec.num_reducers + p].store(*c, Ordering::Relaxed);
-        }
-        map_sites[m].store(me.0, Ordering::SeqCst);
+        self.publish_map_output(m, me, &partition_charges);
         // Emitted after the re-run so the trace carries its measured
         // duration — the critical-path analyzer attributes this window
         // of the recovering reducer's shuffle to recovery.

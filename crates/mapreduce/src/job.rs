@@ -32,9 +32,6 @@ where
     pub combiner: Option<Arc<dyn RawCombiner>>,
     /// Number of reduce tasks.
     pub num_reducers: usize,
-    /// Desired number of map tasks (actual count derives from input splits;
-    /// 0 means one per DFS block).
-    pub desired_map_tasks: usize,
     /// Files broadcast to every node before the job starts (the paper's
     /// §5.1 distributed cache).
     pub cache_files: Vec<(String, Bytes)>,
@@ -61,7 +58,7 @@ where
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
     /// Creates a job spec with defaults: hash partitioning, no combiner, no
-    /// cache files, map tasks = one per block.
+    /// cache files. The engine runs one map task per DFS block of input.
     pub fn new(
         name: impl Into<String>,
         inputs: Vec<String>,
@@ -78,7 +75,6 @@ where
             reducer,
             combiner: None,
             num_reducers,
-            desired_map_tasks: 0,
             cache_files: Vec::new(),
             partitioner: Arc::new(HashPartitioner),
             memory_overhead: (1, 1),
@@ -90,12 +86,6 @@ where
     /// Sets a combiner, builder-style.
     pub fn combiner(mut self, c: Arc<dyn RawCombiner>) -> Self {
         self.combiner = Some(c);
-        self
-    }
-
-    /// Sets the desired number of map tasks, builder-style.
-    pub fn map_tasks(mut self, n: usize) -> Self {
-        self.desired_map_tasks = n;
         self
     }
 

@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::too_many_arguments)]
 
 pub mod api;
 pub mod counters;

@@ -530,6 +530,56 @@ fn speculative_backup_preserves_results() {
     results.sort();
     assert_eq!(results, expected_counts(), "speculation must not change results");
     assert_eq!(out.counters[builtin::MAP_OUTPUT_RECORDS], 16, "exactly-once despite backups");
+
+    // The same commit protocol serves reduce tasks: one group is slow to
+    // reduce, and a reduce-side backup must leave output and counters as a
+    // healthy run's.
+    struct SlowWordReducer;
+    impl Reducer for SlowWordReducer {
+        type KIn = String;
+        type VIn = u64;
+        type KOut = String;
+        type VOut = u64;
+        fn reduce(
+            &self,
+            word: String,
+            values: Values<'_, u64>,
+            ctx: &mut ReduceContext<'_, String, u64>,
+        ) -> pmr_mapreduce::Result<()> {
+            if word == "fox" {
+                std::thread::sleep(std::time::Duration::from_millis(40));
+            }
+            SumReducer.reduce(word, values, ctx)
+        }
+    }
+    let healthy_cluster = Cluster::new(ClusterConfig::with_nodes(4));
+    let inputs = write_sharded(&healthy_cluster, "in", 4, word_corpus()).unwrap();
+    let healthy = Engine::new(&healthy_cluster)
+        .run(JobSpec::new("wc-healthy", inputs, "out", TokenizeMapper, SumReducer, 3))
+        .unwrap();
+    let cluster = Cluster::new(ClusterConfig::with_nodes(4).speculation(1.0))
+        .with_telemetry(pmr_cluster::Telemetry::enabled());
+    let inputs = write_sharded(&cluster, "in", 4, word_corpus()).unwrap();
+    let out = Engine::new(&cluster)
+        .run(JobSpec::new("wc-slow-reduce", inputs, "out", TokenizeMapper, SlowWordReducer, 3))
+        .unwrap();
+    let launched = out.counters.get(builtin::SPECULATIVE_LAUNCHED).copied().unwrap_or(0);
+    let won = out.counters.get(builtin::SPECULATIVE_WON).copied().unwrap_or(0);
+    assert!(launched >= 1, "the straggling reduce task should get a backup attempt");
+    assert!(won <= launched);
+    assert!(
+        cluster.telemetry().report().events.iter().any(|e| e.kind == "speculative.launch"
+            && e.detail.starts_with("backup attempt of reduce task")),
+        "the backup must be a reduce attempt"
+    );
+    let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
+    results.sort();
+    assert_eq!(results, expected_counts(), "reduce speculation must not change results");
+    assert_eq!(
+        out.counters[builtin::REDUCE_OUTPUT_RECORDS],
+        healthy.counters[builtin::REDUCE_OUTPUT_RECORDS],
+        "exactly-once despite reduce backups"
+    );
 }
 
 #[test]

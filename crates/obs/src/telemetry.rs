@@ -218,21 +218,7 @@ impl Telemetry {
     pub fn job_phase(&self, job: &str, phase: &str) -> PhaseGuard {
         PhaseGuard(self.0.as_ref().map(|sink| {
             let start_us = sink.epoch.elapsed().as_micros() as u64;
-            sink.lock().trace.push(TraceEvent {
-                at_us: start_us,
-                kind: trace::kind::PHASE_START,
-                job: job.to_string(),
-                phase: phase.to_string(),
-                ..TraceEvent::default()
-            });
-            PhaseGuardInner {
-                sink: Arc::clone(sink),
-                job: job.to_string(),
-                phase: phase.to_string(),
-                start_us,
-                bytes_charged: 0,
-                bytes_moved: 0,
-            }
+            PhaseGuardInner::open(Arc::clone(sink), job.to_string(), phase, start_us)
         }))
     }
 
@@ -418,7 +404,61 @@ struct PhaseGuardInner {
 /// Guard of one [`Telemetry::job_phase`] window.
 pub struct PhaseGuard(Option<PhaseGuardInner>);
 
+impl PhaseGuardInner {
+    /// Records the window's start in the trace and returns its guard state.
+    fn open(sink: Arc<Sink>, job: String, phase: &str, start_us: u64) -> PhaseGuardInner {
+        sink.lock().trace.push(TraceEvent {
+            at_us: start_us,
+            kind: trace::kind::PHASE_START,
+            job: job.clone(),
+            phase: phase.to_string(),
+            ..TraceEvent::default()
+        });
+        PhaseGuardInner {
+            sink,
+            job,
+            phase: phase.to_string(),
+            start_us,
+            bytes_charged: 0,
+            bytes_moved: 0,
+        }
+    }
+
+    /// Records the window as ending at `end_us`.
+    fn close(self, end_us: u64) {
+        let mut st = self.sink.lock();
+        st.trace.push(TraceEvent {
+            at_us: end_us,
+            kind: trace::kind::PHASE_END,
+            job: self.job.clone(),
+            phase: self.phase.clone(),
+            bytes: self.bytes_charged,
+            dur_us: end_us.saturating_sub(self.start_us),
+            ..TraceEvent::default()
+        });
+        st.job_phases.push(JobPhase {
+            job: self.job,
+            phase: self.phase,
+            start_us: self.start_us,
+            end_us,
+            bytes_charged: self.bytes_charged,
+            bytes_moved: self.bytes_moved,
+        });
+    }
+}
+
 impl PhaseGuard {
+    /// Ends this window and opens the job's next `phase` at the same clock
+    /// reading, so back-to-back phases tile with no gap between them.
+    pub fn next(mut self, phase: &str) -> PhaseGuard {
+        PhaseGuard(self.0.take().map(|inner| {
+            let at_us = inner.sink.epoch.elapsed().as_micros() as u64;
+            let (sink, job) = (Arc::clone(&inner.sink), inner.job.clone());
+            inner.close(at_us);
+            PhaseGuardInner::open(sink, job, phase, at_us)
+        }))
+    }
+
     /// Adds to the phase's charged/moved byte totals (recorded on drop).
     /// Charged bytes follow the paper's cost model; moved bytes are what
     /// physically crossed between stores.
@@ -434,24 +474,7 @@ impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if let Some(inner) = self.0.take() {
             let end_us = inner.sink.epoch.elapsed().as_micros() as u64;
-            let mut st = inner.sink.lock();
-            st.trace.push(TraceEvent {
-                at_us: end_us,
-                kind: trace::kind::PHASE_END,
-                job: inner.job.clone(),
-                phase: inner.phase.clone(),
-                bytes: inner.bytes_charged,
-                dur_us: end_us.saturating_sub(inner.start_us),
-                ..TraceEvent::default()
-            });
-            st.job_phases.push(JobPhase {
-                job: inner.job,
-                phase: inner.phase,
-                start_us: inner.start_us,
-                end_us,
-                bytes_charged: inner.bytes_charged,
-                bytes_moved: inner.bytes_moved,
-            });
+            inner.close(end_us);
         }
     }
 }

@@ -59,7 +59,7 @@ fn disabled_sink_hot_path_does_not_allocate() {
         telemetry.record_value("hist", task as u64);
         telemetry.transfer(0, 1, 1024, 3);
         telemetry.placement(1, 1024);
-        drop(telemetry.job_phase("job", "phase"));
+        drop(telemetry.job_phase("job", "phase").next("next-phase"));
         let _ = telemetry.now_us();
         let _ = telemetry.clone();
         // Distributed-tracing paths: merging worker rings and sampling
