@@ -1,14 +1,17 @@
 //! Batch evaluation kernels for the hot path
-//! ([`pmr_core::runner::BatchComp`]): unrolled multi-accumulator dense
-//! kernels and a run-aware sparse kernel.
+//! ([`pmr_core::runner::BatchComp`]): four-lane dense kernels and a sparse
+//! kernel, both of which use the operand runs of a tile.
 //!
 //! The dense kernels keep four independent accumulators and combine them
 //! as `(s0 + s1) + (s2 + s3)` — a fixed summation order shared by `eval`
 //! and `eval_batch`, so the scalar fallback and the batched path are
-//! bit-identical (the [`BatchComp`] contract). Dimension agreement is
-//! validated **once per dataset** at kernel construction
-//! ([`validate_uniform_dim`]); the per-pair inner loops carry only a
-//! `debug_assert!`.
+//! bit-identical (the [`BatchComp`] contract). Their `eval_batch` walks a
+//! tile's operand runs: on an x86-64 host with AVX2 it advances four
+//! partners of a run against one load of the shared operand, each pair's
+//! four accumulators being the four lanes of its own register, so every
+//! pair keeps its own summation order. Dimension agreement is validated
+//! **once per dataset** at kernel construction ([`validate_uniform_dim`]);
+//! the per-pair inner loops carry only a `debug_assert!`.
 
 use crate::vector::{DenseVector, SparseVector};
 use pmr_core::runner::BatchComp;
@@ -30,82 +33,185 @@ pub fn validate_uniform_dim(data: &[DenseVector]) -> Result<usize, String> {
     Ok(dim)
 }
 
-/// Inner product with four independent accumulators. `chunks_exact` keeps
-/// the inner loop free of bounds checks so LLVM can emit packed doubles;
-/// lane-wise packed IEEE ops are the very same operations as the scalar
-/// ones, so the result is still bit-identical to the plain 4-accumulator
-/// loop.
-#[inline(always)]
-fn dot4(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len().min(y.len());
-    let (x, y) = (&x[..n], &y[..n]);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0, 0.0, 0.0);
-    let (mut cx, mut cy) = (x.chunks_exact(4), y.chunks_exact(4));
-    for (a, b) in (&mut cx).zip(&mut cy) {
-        s0 += a[0] * b[0];
-        s1 += a[1] * b[1];
-        s2 += a[2] * b[2];
-        s3 += a[3] * b[3];
-    }
-    for (a, b) in cx.remainder().iter().zip(cy.remainder()) {
-        s0 += a * b;
-    }
-    (s0 + s1) + (s2 + s3)
+/// What one coordinate pair adds to its accumulator lane — the one place
+/// the three dense kernels differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneOp {
+    /// `x · y`: the inner product.
+    Product,
+    /// `(x − y)²`: the squared Euclidean distance.
+    SqDiff,
+    /// `(x − x̄)(y − ȳ)`: the covariance, divided by `n − 1` at the end.
+    Centred,
 }
 
-/// Squared Euclidean distance with four independent accumulators — the
-/// summation order `BENCH_pairwise.json` entries are recorded against.
-#[inline(always)]
-fn sq_dist4(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len().min(y.len());
-    let (x, y) = (&x[..n], &y[..n]);
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0, 0.0, 0.0);
-    let (mut cx, mut cy) = (x.chunks_exact(4), y.chunks_exact(4));
-    for (a, b) in (&mut cx).zip(&mut cy) {
-        let d0 = a[0] - b[0];
-        let d1 = a[1] - b[1];
-        let d2 = a[2] - b[2];
-        let d3 = a[3] - b[3];
-        s0 += d0 * d0;
-        s1 += d1 * d1;
-        s2 += d2 * d2;
-        s3 += d3 * d3;
+impl LaneOp {
+    /// The lane term of one coordinate pair, given the operands' centres.
+    #[inline(always)]
+    fn term(self, x: f64, y: f64, mx: f64, my: f64) -> f64 {
+        match self {
+            LaneOp::Product => x * y,
+            LaneOp::SqDiff => {
+                let d = x - y;
+                d * d
+            }
+            LaneOp::Centred => (x - mx) * (y - my),
+        }
     }
-    for (a, b) in cx.remainder().iter().zip(cy.remainder()) {
-        let d = a - b;
-        s0 += d * d;
+
+    /// The operand's centre: for [`LaneOp::Centred`] the plain
+    /// left-to-right mean of [`DenseVector::mean`], unused otherwise.
+    #[inline(always)]
+    fn centre(self, x: &[f64]) -> f64 {
+        match self {
+            LaneOp::Centred => x.iter().sum::<f64>() / x.len() as f64,
+            LaneOp::Product | LaneOp::SqDiff => 0.0,
+        }
     }
-    (s0 + s1) + (s2 + s3)
+
+    /// Adds the coordinates past the last full chunk of four into lane 0
+    /// and combines the lanes as `(s0 + s1) + (s2 + s3)`: the end of every
+    /// pair, whichever loop ran its chunks. A covariance of fewer than two
+    /// coordinates is 0.
+    #[inline(always)]
+    fn finish(self, mut s: [f64; 4], x: &[f64], y: &[f64], mx: f64, my: f64) -> f64 {
+        let n = x.len();
+        let tail = n - n % 4;
+        for (&a, &b) in x[tail..].iter().zip(&y[tail..]) {
+            s[0] += self.term(a, b, mx, my);
+        }
+        let sum = (s[0] + s[1]) + (s[2] + s[3]);
+        match self {
+            LaneOp::Centred if n < 2 => 0.0,
+            LaneOp::Centred => sum / (n - 1) as f64,
+            LaneOp::Product | LaneOp::SqDiff => sum,
+        }
+    }
+
+    /// One pair with four independent accumulators over the first
+    /// `min(len)` coordinates: the reference `eval` of every dense kernel.
+    /// `chunks_exact` keeps the inner loop free of bounds checks.
+    #[inline(always)]
+    fn eval(self, x: &[f64], y: &[f64]) -> f64 {
+        let n = x.len().min(y.len());
+        let (x, y) = (&x[..n], &y[..n]);
+        let (mx, my) = (self.centre(x), self.centre(y));
+        let mut s = [0.0f64; 4];
+        for (a, b) in x.chunks_exact(4).zip(y.chunks_exact(4)) {
+            for lane in 0..4 {
+                s[lane] += self.term(a[lane], b[lane], mx, my);
+            }
+        }
+        self.finish(s, x, y, mx, my)
+    }
+
+    /// `eval` of every pair of the tile, in order. A run of four or more
+    /// pairs sharing an operand (the longer run on either side, found with
+    /// `std::ptr::eq`) goes four partners at a time to [`avx2::quad`] when `wide`
+    /// is set and the host has AVX2; the rest of a run, lone pairs, and
+    /// partners shorter than the shared operand take the scalar
+    /// [`LaneOp::eval`]. With `wide` unset this is the one path of a host
+    /// without AVX2.
+    #[inline(always)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    fn eval_runs(self, a: &[&DenseVector], b: &[&DenseVector], out: &mut Vec<f64>, wide: bool) {
+        let run_at = |ops: &[&DenseVector], i: usize| {
+            ops[i..].iter().take_while(|x| std::ptr::eq(**x, ops[i])).count()
+        };
+        #[cfg(target_arch = "x86_64")]
+        let wide = wide && std::is_x86_feature_detected!("avx2");
+        let mut i = 0;
+        while i < a.len() {
+            let (run_a, run_b) = (run_at(a, i), run_at(b, i));
+            let (shared, partners, len) =
+                if run_a >= run_b { (a[i], b, run_a) } else { (b[i], a, run_b) };
+            let end = i + len;
+            #[cfg(target_arch = "x86_64")]
+            if wide && len >= 4 {
+                let x = &shared.0[..];
+                let n = x.len();
+                let mx = self.centre(x);
+                while end - i >= 4 {
+                    let ys = [0, 1, 2, 3].map(|k| &partners[i + k].0[..]);
+                    if ys.iter().all(|y| y.len() >= n) {
+                        let ys = ys.map(|y| &y[..n]);
+                        let mys = ys.map(|y| self.centre(y));
+                        // SAFETY: `quad` is safe code whose only requirement
+                        // is the AVX2 target feature, and `wide` is true
+                        // here only when `is_x86_feature_detected!("avx2")`
+                        // found it on this host.
+                        #[allow(unsafe_code)]
+                        let quad = unsafe { avx2::quad(self, x, mx, ys, mys) };
+                        out.extend(quad);
+                    } else {
+                        out.extend((i..i + 4).map(|k| self.eval(&a[k].0, &b[k].0)));
+                    }
+                    i += 4;
+                }
+            }
+            out.extend((i..end).map(|k| self.eval(&a[k].0, &b[k].0)));
+            i = end;
+        }
+    }
 }
 
-/// Covariance `Σ (xᵢ − x̄)(yᵢ − ȳ) / (n − 1)` with four independent
-/// cross-product accumulators; the means use the plain left-to-right sum
-/// of [`DenseVector::mean`].
-#[inline(always)]
-fn cov4(x: &[f64], y: &[f64]) -> f64 {
-    let n = x.len().min(y.len());
-    if n < 2 {
-        return 0.0;
+/// The AVX2 body of the dense kernels' run walk.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::LaneOp;
+    use std::arch::x86_64::*;
+
+    /// Four pairs `(x, ys[k])` of one operand run, all of `x`'s length:
+    /// each chunk of four coordinates of `x` is loaded once and advanced
+    /// against the four partners, pair `k`'s accumulators `s0..s3` being
+    /// the four lanes of its own register. Packed IEEE `sub`, `mul` and
+    /// `add` are the scalar operations lane by lane, and nothing is fused,
+    /// so every result is the bits of [`LaneOp::eval`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn quad(op: LaneOp, x: &[f64], mx: f64, ys: [&[f64]; 4], mys: [f64; 4]) -> [f64; 4] {
+        let (vmx, vmy) = (_mm256_set1_pd(mx), mys.map(|m| _mm256_set1_pd(m)));
+        let acc = match op {
+            LaneOp::Product => chunks(x, ys, |vx, vy, _| _mm256_mul_pd(vx, vy)),
+            LaneOp::SqDiff => chunks(x, ys, |vx, vy, _| {
+                let d = _mm256_sub_pd(vx, vy);
+                _mm256_mul_pd(d, d)
+            }),
+            LaneOp::Centred => chunks(x, ys, |vx, vy, k| {
+                _mm256_mul_pd(_mm256_sub_pd(vx, vmx), _mm256_sub_pd(vy, vmy[k]))
+            }),
+        };
+        [0, 1, 2, 3].map(|k| {
+            let (lo, hi) = (_mm256_castpd256_pd128(acc[k]), _mm256_extractf128_pd::<1>(acc[k]));
+            let high = |h| _mm_cvtsd_f64(_mm_unpackhi_pd(h, h));
+            let s = [_mm_cvtsd_f64(lo), high(lo), _mm_cvtsd_f64(hi), high(hi)];
+            op.finish(s, x, ys[k], mx, mys[k])
+        })
     }
-    let (x, y) = (&x[..n], &y[..n]);
-    let mx = x.iter().sum::<f64>() / n as f64;
-    let my = y.iter().sum::<f64>() / n as f64;
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0, 0.0, 0.0);
-    let (mut cx, mut cy) = (x.chunks_exact(4), y.chunks_exact(4));
-    for (a, b) in (&mut cx).zip(&mut cy) {
-        s0 += (a[0] - mx) * (b[0] - my);
-        s1 += (a[1] - mx) * (b[1] - my);
-        s2 += (a[2] - mx) * (b[2] - my);
-        s3 += (a[3] - mx) * (b[3] - my);
+
+    /// The chunk loop of [`quad`] for one lane term `term(x, y, partner)`,
+    /// compiled once per lane operation.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn chunks(
+        x: &[f64],
+        ys: [&[f64]; 4],
+        term: impl Fn(__m256d, __m256d, usize) -> __m256d,
+    ) -> [__m256d; 4] {
+        let load = |c: &[f64]| _mm256_set_pd(c[3], c[2], c[1], c[0]);
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let [y0, y1, y2, y3] = ys.map(|y| y.chunks_exact(4));
+        for ((((xc, c0), c1), c2), c3) in x.chunks_exact(4).zip(y0).zip(y1).zip(y2).zip(y3) {
+            let vx = load(xc);
+            for (k, yc) in [c0, c1, c2, c3].into_iter().enumerate() {
+                acc[k] = _mm256_add_pd(acc[k], term(vx, load(yc), k));
+            }
+        }
+        acc
     }
-    for (a, b) in cx.remainder().iter().zip(cy.remainder()) {
-        s0 += (a - mx) * (b - my);
-    }
-    ((s0 + s1) + (s2 + s3)) / (n - 1) as f64
 }
 
 macro_rules! dense_kernel {
-    ($(#[$doc:meta])* $name:ident, $inner:ident, $label:literal) => {
+    ($(#[$doc:meta])* $name:ident, $op:expr, $label:literal) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy)]
         pub struct $name {
@@ -129,15 +235,15 @@ macro_rules! dense_kernel {
             fn eval(&self, a: &DenseVector, b: &DenseVector) -> f64 {
                 debug_assert_eq!(a.dim(), self.dim, "dimension mismatch");
                 debug_assert_eq!(b.dim(), self.dim, "dimension mismatch");
-                $inner(&a.0, &b.0)
+                $op.eval(&a.0, &b.0)
             }
 
             fn eval_batch(&self, a: &[&DenseVector], b: &[&DenseVector], out: &mut Vec<f64>) {
-                for (x, y) in a.iter().zip(b) {
-                    debug_assert_eq!(x.dim(), self.dim, "dimension mismatch");
-                    debug_assert_eq!(y.dim(), self.dim, "dimension mismatch");
-                    out.push($inner(&x.0, &y.0));
-                }
+                debug_assert!(
+                    a.iter().chain(b).all(|x| x.dim() == self.dim),
+                    "dimension mismatch"
+                );
+                $op.eval_runs(a, b, out, true);
             }
 
             fn name(&self) -> &'static str {
@@ -151,7 +257,7 @@ dense_kernel!(
     /// Batched inner product (covariance workload's `A × Aᵀ` building
     /// block when rows are pre-centered).
     DenseDotKernel,
-    dot4,
+    LaneOp::Product,
     "dense-dot"
 );
 
@@ -160,7 +266,7 @@ dense_kernel!(
     /// kernel. Matches the scalar `sq_dist` comp of the perf harness
     /// bit-for-bit.
     DenseSqDistKernel,
-    sq_dist4,
+    LaneOp::SqDiff,
     "dense-sq-dist"
 );
 
@@ -169,7 +275,7 @@ dense_kernel!(
     /// summation order, so results differ in the last ulps from the plain
     /// left-to-right [`crate::covariance::covariance`] comp.
     DenseCovKernel,
-    cov4,
+    LaneOp::Centred,
     "dense-cov"
 );
 
@@ -365,19 +471,58 @@ mod tests {
         assert_eq!(cov.eval(&short[0], &short[1]), 0.0);
     }
 
-    /// `eval_batch` over the two operand arrays against per-pair `eval`,
-    /// by bits (any NaN equals any NaN: Rust leaves the sign and payload of
-    /// an arithmetic NaN unspecified).
+    /// Equal by bits, except that any NaN equals any NaN: Rust leaves the
+    /// sign and payload of an arithmetic NaN unspecified.
+    fn same_bits(r: f64, want: f64) -> bool {
+        r.to_bits() == want.to_bits() || (r.is_nan() && want.is_nan())
+    }
+
+    /// `eval_batch` over the two operand arrays against per-pair `eval`.
     fn assert_batch_is_eval(a: &[&SparseVector], b: &[&SparseVector]) {
         let mut out = Vec::new();
         SparseDotKernel.eval_batch(a, b, &mut out);
         assert_eq!(out.len(), a.len());
         for (k, r) in out.iter().enumerate() {
             let want = SparseDotKernel.eval(a[k], b[k]);
-            assert!(
-                r.to_bits() == want.to_bits() || (r.is_nan() && want.is_nan()),
-                "pair {k}: batched {r:?}, eval {want:?}"
-            );
+            assert!(same_bits(*r, want), "pair {k}: batched {r:?}, eval {want:?}");
+        }
+    }
+
+    /// A dense tile through the run walk with the AVX2 body on and off
+    /// (off is the one path of a host without AVX2) and through the
+    /// kernel's `eval_batch`, each against the kernels' `eval`. A tile with
+    /// vectors of another length than the kernel's skips `eval_batch`,
+    /// whose `debug_assert!` rejects them; the walk, like `eval`, takes the
+    /// first `min(len)` coordinates of a pair.
+    fn assert_dense_batch_is_eval(op: LaneOp, a: &[&DenseVector], b: &[&DenseVector], dim: usize) {
+        let walk = |wide| {
+            let mut out = Vec::new();
+            op.eval_runs(a, b, &mut out, wide);
+            out
+        };
+        let mut paths = vec![("run walk", walk(true)), ("portable run walk", walk(false))];
+        if a.iter().chain(b).all(|x| x.dim() == dim) {
+            let mut out = Vec::new();
+            dense_kernel_for(op, dim).eval_batch(a, b, &mut out);
+            paths.push(("eval_batch", out));
+        }
+        for (path, out) in paths {
+            assert_eq!(out.len(), a.len());
+            for (k, r) in out.iter().enumerate() {
+                let want = op.eval(&a[k].0, &b[k].0);
+                assert!(
+                    same_bits(*r, want),
+                    "{op:?} dim {dim} {path} pair {k}: batched {r:?}, eval {want:?}"
+                );
+            }
+        }
+    }
+
+    fn dense_kernel_for(op: LaneOp, dim: usize) -> Box<dyn BatchComp<DenseVector, f64>> {
+        match op {
+            LaneOp::Product => Box::new(DenseDotKernel::new(dim)),
+            LaneOp::SqDiff => Box::new(DenseSqDistKernel::new(dim)),
+            LaneOp::Centred => Box::new(DenseCovKernel::new(dim)),
         }
     }
 
@@ -468,8 +613,63 @@ mod tests {
         }
     }
 
+    /// `gene_expression` vectors with NaN, ±∞ and -0.0 written over some
+    /// entries; `ragged` also gives some vectors another length.
+    fn awkward_vectors(v: usize, dim: usize, seed: u64, ragged: bool) -> Vec<DenseVector> {
+        let mut data = gene_expression(v, dim, 3, 0.3, seed);
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        for (i, x) in data.iter_mut().enumerate() {
+            if i % 7 == 3 {
+                x.0[(i + seed as usize) % dim] = odd[i / 7 % odd.len()];
+            }
+            if ragged && i % 5 == 1 {
+                x.0.truncate(dim - 1);
+            }
+            if ragged && i % 5 == 2 {
+                x.0.extend([1.5, -2.5]);
+            }
+        }
+        data
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The dense twin of the sparse stream test: every task of every
+        /// scheme, tiles cut anywhere, both operand orders, for every lane
+        /// operation at dimensions that leave every tail length.
+        #[test]
+        fn dense_batch_is_eval_on_every_scheme_stream(
+            v in 2u64..48,
+            h in 1u64..7,
+            tile in 1usize..80,
+            dim in prop::sample::select(vec![1usize, 3, 4, 5, 19, 64, 512]),
+            ragged in any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            let data = awkward_vectors(v as usize, dim, seed, ragged);
+            let schemes: Vec<Box<dyn DistributionScheme>> = vec![
+                Box::new(BroadcastScheme::new(v, h + 1)),
+                Box::new(BlockScheme::new(v, h)),
+                Box::new(DesignScheme::new(v)),
+                Box::new(QuorumScheme::new(v)),
+            ];
+            for scheme in &schemes {
+                for t in 0..scheme.num_tasks() {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    scheme.for_each_pair(t, &mut |i, j| {
+                        a.push(&data[i as usize]);
+                        b.push(&data[j as usize]);
+                    });
+                    for (ca, cb) in a.chunks(tile).zip(b.chunks(tile)) {
+                        for op in [LaneOp::Product, LaneOp::SqDiff, LaneOp::Centred] {
+                            assert_dense_batch_is_eval(op, ca, cb, dim);
+                            assert_dense_batch_is_eval(op, cb, ca, dim);
+                        }
+                    }
+                }
+            }
+        }
 
         /// Every task of every scheme, cut into tiles of any length and
         /// fed both ways round: block, design and broadcast stream runs on

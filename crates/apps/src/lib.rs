@@ -17,7 +17,8 @@
 //!   banding) for thresholded similarity joins;
 //! * [`vector`] / [`generate`] — payload types and synthetic data.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod covariance;

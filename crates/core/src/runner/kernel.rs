@@ -33,10 +33,12 @@
 //! over first-operand-major too (one element's surviving partners back to
 //! back, runs as long as its survivors); a probed stream keeps what runs
 //! its survivors leave. A kernel may use a run (`std::ptr::eq` on
-//! neighbouring operands) to set up per-operand state once — `pmr-apps`' sparse dot scatters the
-//! shared vector into a term table — but only for speed: which runs a
-//! tile has, and where a tile cuts one, is up to the scheme, the filter
-//! and the runner, so every result must equal `eval` with no run at all.
+//! neighbouring operands) to set up per-operand state once — `pmr-apps`'
+//! sparse dot scatters the shared vector into a term table, its dense
+//! kernels load each chunk of the shared vector once for four partners —
+//! but only for speed: which runs a tile has, and where a tile cuts one,
+//! is up to the scheme, the filter and the runner, so every result must
+//! equal `eval` with no run at all.
 
 use crate::runner::filter::{for_each_candidate, probe, PairFilter, PruneStats};
 use crate::runner::{CompFn, Symmetry};

@@ -65,22 +65,26 @@ pub enum Symmetry {
 /// result)` list an [`Aggregator`] folds pair results into. A concrete
 /// struct rather than an associated type so `dyn Aggregator<R>` stays
 /// object-safe everywhere the runners pass trait objects.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Accumulator<R> {
     element: u64,
     partials: Vec<(u64, R)>,
+    /// How many leading partials the last [`TopKAggregator`] compaction
+    /// left sorted. Its folds and merges only append behind them;
+    /// `from_parts` and `partials_mut` set the count back to 0.
+    ranked: usize,
 }
 
 impl<R> Accumulator<R> {
     /// An empty accumulator for `element`.
     pub fn new(element: u64) -> Self {
-        Accumulator { element, partials: Vec::new() }
+        Accumulator { element, partials: Vec::new(), ranked: 0 }
     }
 
     /// Rebuilds an accumulator from partials a previous fold produced
     /// (e.g. read back off the wire between fused MR stages).
     pub fn from_parts(element: u64, partials: Vec<(u64, R)>) -> Self {
-        Accumulator { element, partials }
+        Accumulator { element, partials, ranked: 0 }
     }
 
     /// The element this accumulator belongs to.
@@ -95,6 +99,7 @@ impl<R> Accumulator<R> {
 
     /// Mutable partial list, for aggregators that compact in place.
     pub fn partials_mut(&mut self) -> &mut Vec<(u64, R)> {
+        self.ranked = 0;
         &mut self.partials
     }
 
@@ -111,6 +116,14 @@ impl<R> Accumulator<R> {
     /// Consumes the accumulator, returning its partial list.
     pub fn into_partials(self) -> Vec<(u64, R)> {
         self.partials
+    }
+}
+
+/// Two accumulators are equal when they hold the same partials for the
+/// same element, however they were compacted.
+impl<R: PartialEq> PartialEq for Accumulator<R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.element == other.element && self.partials == other.partials
     }
 }
 
@@ -355,16 +368,20 @@ impl<R, F: Fn(&R) -> f64 + Send + Sync> TopKAggregator<R, F> {
         TopKAggregator { k, score, _pd: std::marker::PhantomData }
     }
 
-    /// Sorts by `(score, id)` — a strict total order since neighbor ids
-    /// are unique per element — and keeps the `k` best. The `k` best of
-    /// any subset contain that subset's contribution to the global `k`
-    /// best, so compacting intermediate accumulators never changes the
+    /// The `(score, id)` order — strict and total since neighbor ids are
+    /// unique per element; smaller is better.
+    fn order(&self, (oa, ra): &(u64, R), (ob, rb): &(u64, R)) -> std::cmp::Ordering {
+        (self.score)(ra).total_cmp(&(self.score)(rb)).then(oa.cmp(ob))
+    }
+
+    /// Sorts by [`order`](Self::order) and keeps the `k` best. The `k`
+    /// best of any subset contain that subset's contribution to the global
+    /// `k` best, so compacting intermediate accumulators never changes the
     /// finished list.
-    fn compact(&self, partials: &mut Vec<(u64, R)>) {
-        partials.sort_unstable_by(|(oa, ra), (ob, rb)| {
-            (self.score)(ra).total_cmp(&(self.score)(rb)).then(oa.cmp(ob))
-        });
-        partials.truncate(self.k);
+    fn compact(&self, acc: &mut Accumulator<R>) {
+        acc.partials.sort_unstable_by(|a, b| self.order(a, b));
+        acc.partials.truncate(self.k);
+        acc.ranked = acc.partials.len();
     }
 
     fn compaction_threshold(&self) -> usize {
@@ -374,11 +391,20 @@ impl<R, F: Fn(&R) -> f64 + Send + Sync> TopKAggregator<R, F> {
 
 impl<R: Send, F: Fn(&R) -> f64 + Send + Sync> Aggregator<R> for TopKAggregator<R, F> {
     /// Keeps the accumulator bounded at O(k): the buffer is compacted back
-    /// to `k` entries whenever it doubles past it.
+    /// to `k` entries whenever it doubles past it. Once a compaction has
+    /// left the `k` best in front, a partial ordered after the `k`-th of
+    /// them cannot reach the finished list and is dropped before the push.
     fn fold(&self, acc: &mut Accumulator<R>, other: u64, result: R) {
-        acc.partials.push((other, result));
+        let partial = (other, result);
+        if self.k > 0
+            && acc.ranked == self.k
+            && self.order(&partial, &acc.partials[self.k - 1]).is_gt()
+        {
+            return;
+        }
+        acc.partials.push(partial);
         if acc.partials.len() >= self.compaction_threshold() {
-            self.compact(&mut acc.partials);
+            self.compact(acc);
         }
     }
 
@@ -386,7 +412,7 @@ impl<R: Send, F: Fn(&R) -> f64 + Send + Sync> Aggregator<R> for TopKAggregator<R
         if acc.partials.is_empty() {
             return Vec::new();
         }
-        self.compact(&mut acc.partials);
+        self.compact(&mut acc);
         acc.partials
     }
 
@@ -396,10 +422,12 @@ impl<R: Send, F: Fn(&R) -> f64 + Send + Sync> Aggregator<R> for TopKAggregator<R
 }
 
 impl<R: Send, F: Fn(&R) -> f64 + Send + Sync> DecomposableAggregator<R> for TopKAggregator<R, F> {
+    /// Folds `other`'s partials in one at a time: the merged accumulator
+    /// keeps its bar and stays within the fold's bound, where appending
+    /// both lists whole could double its buffer.
     fn merge(&self, acc: &mut Accumulator<R>, other: Accumulator<R>) {
-        acc.partials.extend(other.partials);
-        if acc.partials.len() >= self.compaction_threshold() {
-            self.compact(&mut acc.partials);
+        for (other, result) in other.partials {
+            self.fold(acc, other, result);
         }
     }
 }
