@@ -7,14 +7,12 @@
 //! cargo run --release -p pmr-bench --bin hierarchical
 //! ```
 
-use std::sync::Arc;
-
 use pmr_apps::generate::opaque_elements;
 use pmr_bench::{fmt_u64, print_table};
 use pmr_cluster::{Cluster, ClusterConfig};
 use pmr_core::hierarchical::{BatchedDesign, TwoLevelBlock};
 use pmr_core::runner::{comp_fn, Backend, CompFn, PairwiseJob};
-use pmr_core::scheme::{BlockScheme, DesignScheme, DistributionScheme};
+use pmr_core::scheme::{BlockScheme, DesignScheme};
 
 fn comp() -> CompFn<bytes::Bytes, u64> {
     comp_fn(|a: &bytes::Bytes, b: &bytes::Bytes| (a[0] ^ b[0]) as u64)
@@ -39,11 +37,9 @@ fn main() {
     let flat_report = &flat_run.mr[0];
 
     let tlb = TwoLevelBlock::new(v, 4, 3);
-    let rounds: Vec<Arc<dyn DistributionScheme>> =
-        tlb.rounds().into_iter().map(Arc::from).collect();
     let cluster2 = Cluster::new(ClusterConfig::with_nodes(4));
     let tlb_run = PairwiseJob::new(&payloads, comp())
-        .rounds(rounds)
+        .rounds(tlb.rounds())
         .backend(Backend::Mr(&cluster2))
         .run()
         .expect("two-level run failed");
@@ -95,13 +91,9 @@ fn main() {
         fmt_u64(design_report.evaluations),
     ]];
     for batches in [4u64, 16] {
-        let bd = BatchedDesign::new(v, batches);
-        let rounds: Vec<Arc<dyn DistributionScheme>> = (0..bd.num_rounds())
-            .map(|r| Arc::new(bd.round(r)) as Arc<dyn DistributionScheme>)
-            .collect();
         let cluster4 = Cluster::new(ClusterConfig::with_nodes(4));
         let run = PairwiseJob::new(&payloads, comp())
-            .rounds(rounds)
+            .rounds(BatchedDesign::new(v, batches).rounds())
             .backend(Backend::Mr(&cluster4))
             .run()
             .expect("batched design run failed");

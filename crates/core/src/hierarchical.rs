@@ -1,4 +1,4 @@
-//! Hierarchical (two-level) distribution schemes — the paper's §7 outlook,
+//! Hierarchical (two-level) processing — the paper's §7 outlook,
 //! implemented.
 //!
 //! *"For the block approach, e.g., it is possible to build coarse-grained
@@ -7,23 +7,25 @@
 //! Each block is aggregated before the next one is processed. This method
 //! eases both limits."*
 //!
-//! [`TwoLevelBlock`] realizes exactly that: the coarse tiling yields
-//! *rounds* processed one after another; within a round, a fine tiling
-//! yields the parallel tasks. Working sets shrink with the fine factor
-//! while materialized intermediate data is bounded by one round's
-//! replication instead of the whole dataset's. Both kinds of round are
-//! [`GroupedScheme`]s: a diagonal round is the block cover of one coarse
-//! stripe, an off-diagonal round an `f × f` grid over two.
+//! A §7 plan is one flat scheme plus a partition of its tasks into
+//! [`Rounds`]: the batches run one after another, each as a
+//! [`TaskSliceScheme`] of parallel tasks, and on MR each round's results
+//! are aggregated into the driver's one set of rows before the next round
+//! starts. Materialized intermediate data is bounded by one round's
+//! replication instead of the whole dataset's, while working sets are the
+//! flat scheme's.
 //!
-//! [`BatchedDesign`] realizes the design-scheme variant: *"it is similarly
-//! possible to process and aggregate subsets of all blocks sequentially,
-//! which reduces the requirements for intermediate storage."*
+//! [`TwoLevelBlock`] batches the lines of `BlockScheme::new(v, H·f)` by
+//! coarse cell: a coarse stripe is `f` fine stripes, and each cell of the
+//! coarse triangle is one round. [`BatchedDesign`] realizes the
+//! design-scheme variant: *"it is similarly possible to process and
+//! aggregate subsets of all blocks sequentially, which reduces the
+//! requirements for intermediate storage."*
 
 use std::sync::Arc;
 
-use crate::enumeration::{diag_count, diag_unrank};
-use crate::scheme::block::{Blocks, Grid, Stripes};
-use crate::scheme::{DesignScheme, DistributionScheme, GroupedScheme, SchemeError, Shape};
+use crate::enumeration::{diag_count, diag_rank};
+use crate::scheme::{BlockScheme, DesignScheme, DistributionScheme, SchemeError, Shape};
 
 /// A sequential *slice* of another scheme's tasks (for processing "subsets
 /// of all blocks sequentially").
@@ -48,13 +50,14 @@ impl DistributionScheme for TaskSliceScheme {
     }
 
     fn subsets_of(&self, element: u64) -> Vec<u64> {
-        let inner = self.inner.subsets_of(element);
-        self.tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| inner.contains(t))
-            .map(|(i, _)| i as u64)
-            .collect()
+        let mut slots: Vec<u64> = self
+            .inner
+            .subsets_of(element)
+            .into_iter()
+            .filter_map(|t| self.tasks.binary_search(&t).ok().map(|slot| slot as u64))
+            .collect();
+        slots.sort_unstable();
+        slots
     }
 
     fn working_set(&self, task: u64) -> Vec<u64> {
@@ -83,12 +86,72 @@ impl DistributionScheme for TaskSliceScheme {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Two-level block scheme
-// ---------------------------------------------------------------------------
+/// A §7 plan: one flat scheme whose tasks run in sequential batches.
+/// Round `r` is the [`TaskSliceScheme`] of batch `r`.
+#[derive(Clone)]
+pub struct Rounds {
+    scheme: Arc<dyn DistributionScheme>,
+    batches: Vec<Vec<u64>>,
+}
 
-/// The §7 two-level block scheme: `coarse(coarse+1)/2` sequential rounds,
-/// each fine-tiled into parallel tasks.
+impl Rounds {
+    /// Splits `scheme`'s tasks into `batches`, run in order.
+    ///
+    /// # Panics
+    ///
+    /// Unless the batches partition `0..scheme.num_tasks()` into nonempty,
+    /// strictly ascending batches.
+    pub fn new(scheme: Arc<dyn DistributionScheme>, batches: Vec<Vec<u64>>) -> Rounds {
+        let n = scheme.num_tasks();
+        let mut seen = vec![false; n as usize];
+        for (r, batch) in batches.iter().enumerate() {
+            assert!(!batch.is_empty(), "round {r} is empty");
+            assert!(batch.windows(2).all(|w| w[0] < w[1]), "round {r} is not strictly ascending");
+            for &t in batch {
+                assert!(t < n, "round {r}: task {t} is not below num_tasks {n}");
+                assert!(
+                    !std::mem::replace(&mut seen[t as usize], true),
+                    "task {t} is in two rounds"
+                );
+            }
+        }
+        let missing = seen.iter().position(|&s| !s);
+        assert!(missing.is_none(), "task {} is in no round", missing.unwrap_or_default());
+        Rounds { scheme, batches }
+    }
+
+    /// The flat scheme whose tasks the rounds split.
+    pub fn scheme(&self) -> &Arc<dyn DistributionScheme> {
+        &self.scheme
+    }
+
+    /// Number of sequential rounds.
+    pub fn num_rounds(&self) -> usize {
+        self.batches.len()
+    }
+
+    /// Round `r` as a standalone scheme over global element ids.
+    pub fn round(&self, r: usize) -> TaskSliceScheme {
+        TaskSliceScheme::new(Arc::clone(&self.scheme), self.batches[r].clone())
+    }
+
+    /// Every round, in order.
+    pub fn iter(&self) -> impl Iterator<Item = TaskSliceScheme> + '_ {
+        (0..self.num_rounds()).map(|r| self.round(r))
+    }
+
+    /// Verifies that the rounds jointly cover every pair of `0..v` exactly
+    /// once, walking each round's pair stream (the hierarchical form of
+    /// [`crate::scheme::verify_exactly_once`]).
+    pub fn verify_exactly_once(&self) -> Result<(), SchemeError> {
+        let rounds: Vec<TaskSliceScheme> = self.iter().collect();
+        crate::scheme::verify_rounds(rounds.iter().map(|r| r as _), self.scheme.v())
+    }
+}
+
+/// The §7 two-level block scheme: the lines of a flat block scheme with
+/// `H·f` stripes, run in `H(H+1)/2` sequential rounds of `f` × `f` (or, on
+/// the diagonal, `f(f+1)/2`) parallel tasks each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwoLevelBlock {
     /// Element count.
@@ -106,35 +169,33 @@ impl TwoLevelBlock {
         TwoLevelBlock { v, coarse: coarse.min(v), fine }
     }
 
-    /// Coarse stripe width `E = ⌈v/H⌉`.
+    /// The flat scheme whose lines the rounds batch: `H·f` stripes,
+    /// clamped to `v` as [`BlockScheme`] clamps them.
+    fn fine_blocks(&self) -> BlockScheme {
+        BlockScheme::new(self.v, self.coarse.saturating_mul(self.fine))
+    }
+
+    /// Coarse stripe width `E = f·⌈v/(H·f)⌉`: `f` fine stripes.
     pub fn coarse_edge(&self) -> u64 {
-        self.v.div_ceil(self.coarse)
+        self.fine * self.fine_blocks().edge()
     }
 
-    /// Number of sequential rounds, `H(H+1)/2`.
+    /// Number of sequential rounds: `H(H+1)/2`, one per cell of the coarse
+    /// triangle (fewer when `H·f` is clamped to `v`).
     pub fn num_rounds(&self) -> u64 {
-        diag_count(self.coarse)
+        diag_count(self.fine_blocks().blocking_factor().div_ceil(self.fine))
     }
 
-    /// Builds round `r` as a standalone scheme over global element ids: a
-    /// coarse diagonal block is fine-tiled as a block scheme over its
-    /// stripe, an off-diagonal one as an `f × f` grid.
-    pub fn round(&self, r: u64) -> Box<dyn DistributionScheme> {
-        let coarse = Stripes::new(0..self.v, self.coarse);
-        let (i, j) = diag_unrank(r);
-        if i == j {
-            let name = "two-level-block/diagonal-round";
-            let cover = Blocks::over(coarse.range(j), self.fine, name);
-            Box::new(GroupedScheme { v: self.v, cover })
-        } else {
-            let cover = Grid::over(coarse.range(j), coarse.range(i), self.fine);
-            Box::new(GroupedScheme { v: self.v, cover })
+    /// The plan: fine line `(I, J)` runs in the round of coarse cell
+    /// `(I/f, J/f)`, rounds in coarse-cell rank order.
+    pub fn rounds(&self) -> Rounds {
+        let flat = self.fine_blocks();
+        let mut batches = vec![Vec::new(); self.num_rounds() as usize];
+        for line in 0..flat.num_tasks() {
+            let (i, j) = flat.position(line);
+            batches[diag_rank(i / self.fine, j / self.fine) as usize].push(line);
         }
-    }
-
-    /// All rounds.
-    pub fn rounds(&self) -> Vec<Box<dyn DistributionScheme>> {
-        (0..self.num_rounds()).map(|r| self.round(r)).collect()
+        Rounds::new(Arc::new(flat), batches)
     }
 
     /// Upper bound on any task's working set, in elements:
@@ -165,43 +226,14 @@ impl BatchedDesign {
         BatchedDesign { inner: Arc::new(DesignScheme::new(v)), batches }
     }
 
-    /// The underlying design scheme.
-    pub fn design_scheme(&self) -> &DesignScheme {
-        &self.inner
+    /// The plan: contiguous slices of `⌈tasks/batches⌉` of the design's
+    /// blocks — at most `batches` rounds, none of them empty.
+    pub fn rounds(&self) -> Rounds {
+        let tasks: Vec<u64> = (0..self.inner.num_tasks()).collect();
+        let per = tasks.len().div_ceil(self.batches as usize);
+        let batches = tasks.chunks(per).map(<[u64]>::to_vec).collect();
+        Rounds::new(Arc::clone(&self.inner) as Arc<dyn DistributionScheme>, batches)
     }
-
-    /// Number of rounds.
-    pub fn num_rounds(&self) -> u64 {
-        self.batches.min(self.inner.num_tasks().max(1))
-    }
-
-    /// Builds round `r`: a contiguous slice of the design's blocks.
-    pub fn round(&self, r: u64) -> TaskSliceScheme {
-        let total = self.inner.num_tasks();
-        let rounds = self.num_rounds();
-        let per = total.div_ceil(rounds);
-        let start = (r * per).min(total);
-        let end = ((r + 1) * per).min(total);
-        TaskSliceScheme::new(
-            Arc::clone(&self.inner) as Arc<dyn DistributionScheme>,
-            (start..end).collect(),
-        )
-    }
-
-    /// All rounds.
-    pub fn rounds(&self) -> Vec<TaskSliceScheme> {
-        (0..self.num_rounds()).map(|r| self.round(r)).collect()
-    }
-}
-
-/// Verifies that a set of rounds jointly covers every pair of `0..v`
-/// exactly once (the hierarchical analogue of
-/// [`crate::scheme::verify_exactly_once`], over the same stream walk).
-pub fn verify_rounds_exactly_once(
-    rounds: &[Box<dyn DistributionScheme>],
-    v: u64,
-) -> Result<(), SchemeError> {
-    crate::scheme::verify_rounds(rounds.iter().map(|r| r.as_ref()), v)
 }
 
 #[cfg(test)]
@@ -218,8 +250,9 @@ mod tests {
         {
             let tlb = TwoLevelBlock::new(v, coarse, fine);
             let rounds = tlb.rounds();
-            assert_eq!(rounds.len() as u64, tlb.num_rounds());
-            verify_rounds_exactly_once(&rounds, v)
+            assert_eq!(rounds.num_rounds() as u64, tlb.num_rounds());
+            rounds
+                .verify_exactly_once()
                 .unwrap_or_else(|e| panic!("v={v} H={coarse} f={fine}: {e:?}"));
         }
     }
@@ -227,8 +260,8 @@ mod tests {
     #[test]
     fn two_level_working_sets_bounded() {
         let tlb = TwoLevelBlock::new(100, 4, 5);
-        for round in tlb.rounds() {
-            let m = measure(round.as_ref());
+        for round in tlb.rounds().iter() {
+            let m = measure(&round);
             assert!(
                 m.max_working_set <= tlb.max_working_set(),
                 "round ws {} > bound {}",
@@ -260,34 +293,66 @@ mod tests {
 
     #[test]
     fn batched_design_rounds_cover_exactly_once() {
-        for (v, batches) in [(13u64, 3u64), (31, 4), (40, 7), (57, 1)] {
-            let bd = BatchedDesign::new(v, batches);
-            let rounds: Vec<Box<dyn DistributionScheme>> = (0..bd.num_rounds())
-                .map(|r| Box::new(bd.round(r)) as Box<dyn DistributionScheme>)
-                .collect();
-            verify_rounds_exactly_once(&rounds, v)
+        for (v, batches) in [(13u64, 3u64), (13, 6), (31, 4), (40, 7), (57, 1)] {
+            let rounds = BatchedDesign::new(v, batches).rounds();
+            assert!(rounds.num_rounds() as u64 <= batches, "v={v} batches={batches}");
+            for round in rounds.iter() {
+                assert!(round.num_tasks() > 0, "v={v} batches={batches}: an empty round");
+            }
+            rounds
+                .verify_exactly_once()
                 .unwrap_or_else(|e| panic!("v={v} batches={batches}: {e:?}"));
         }
     }
 
     #[test]
     fn batched_design_reduces_per_round_copies() {
-        let v = 57u64;
-        let bd = BatchedDesign::new(v, 6);
-        let full_copies = measure(bd.design_scheme()).total_copies;
-        for r in 0..bd.num_rounds() {
-            let round = bd.round(r);
+        let rounds = BatchedDesign::new(57, 6).rounds();
+        let full_copies = measure(rounds.scheme().as_ref()).total_copies;
+        for (r, round) in rounds.iter().enumerate() {
             let copies = measure(&round).total_copies;
             assert!(copies < full_copies, "round {r}: {copies} vs {full_copies}");
         }
     }
 
+    /// `Rounds::new` refuses every batching that is not a partition of the
+    /// scheme's tasks into nonempty ascending batches.
+    #[test]
+    #[should_panic(expected = "task 2 is in two rounds")]
+    fn rounds_reject_a_task_twice() {
+        Rounds::new(Arc::new(BlockScheme::new(9, 2)), vec![vec![0, 2], vec![1, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 1 is in no round")]
+    fn rounds_reject_a_missing_task() {
+        Rounds::new(Arc::new(BlockScheme::new(9, 2)), vec![vec![0, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "round 1 is empty")]
+    fn rounds_reject_an_empty_batch() {
+        Rounds::new(Arc::new(BlockScheme::new(9, 2)), vec![vec![0, 1, 2], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 is not below num_tasks 3")]
+    fn rounds_reject_a_task_past_the_scheme() {
+        Rounds::new(Arc::new(BlockScheme::new(9, 2)), vec![vec![0, 1, 2, 3]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "round 0 is not strictly ascending")]
+    fn rounds_reject_a_descending_batch() {
+        Rounds::new(Arc::new(BlockScheme::new(9, 2)), vec![vec![1, 0], vec![2]]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every round scheme — both two-level round kinds, a batched
-        /// design round, a slice of a two-level round — owns exactly the
-        /// pairs its tasks enumerate and answers `None` for the rest.
+        /// Every round scheme — a two-level round, a batched design round,
+        /// a slice of a two-level round — owns exactly the pairs its tasks
+        /// enumerate and answers `None` for the rest.
         #[test]
         fn round_owner_of_is_some_exactly_on_the_round(
             v in 2u64..160,
@@ -295,26 +360,39 @@ mod tests {
             fine in 1u64..4,
             batches in 1u64..5,
         ) {
-            let tlb = TwoLevelBlock::new(v, coarse, fine);
-            let mut rounds = tlb.rounds();
-            let bd = BatchedDesign::new(v, batches);
-            rounds.extend(bd.rounds().into_iter().map(|r| Box::new(r) as Box<dyn DistributionScheme>));
-            let last: Arc<dyn DistributionScheme> = Arc::from(tlb.round(tlb.num_rounds() - 1));
+            let tlb = TwoLevelBlock::new(v, coarse, fine).rounds();
+            let mut rounds: Vec<TaskSliceScheme> = tlb.iter().collect();
+            rounds.extend(BatchedDesign::new(v, batches).rounds().iter());
+            let last: Arc<dyn DistributionScheme> = Arc::new(tlb.round(tlb.num_rounds() - 1));
             let odd = (0..last.num_tasks()).filter(|t| t % 2 == 1).collect();
-            rounds.push(Box::new(TaskSliceScheme::new(last, odd)));
+            rounds.push(TaskSliceScheme::new(last, odd));
             for round in &rounds {
-                prop_assert_eq!(owner_of_is_the_enumeration(round.as_ref()), Ok(()));
+                prop_assert_eq!(owner_of_is_the_enumeration(round), Ok(()));
             }
         }
-    }
 
-    #[test]
-    fn task_slice_subsets_consistent() {
-        let bd = BatchedDesign::new(31, 3);
-        let round = bd.round(1);
-        for e in 0..31u64 {
-            for t in round.subsets_of(e) {
-                assert!(round.working_set(t).contains(&e));
+        /// A slice's `subsets_of` is its definition: the ascending slots of
+        /// the slice's tasks whose working set holds the element.
+        #[test]
+        fn task_slice_subsets_consistent(
+            v in 2u64..80,
+            h in 1u64..9,
+            keep in prop::collection::vec(any::<bool>(), 1..46),
+        ) {
+            let schemes: Vec<Arc<dyn DistributionScheme>> =
+                vec![Arc::new(BlockScheme::new(v, h)), Arc::new(DesignScheme::new(v))];
+            for inner in schemes {
+                let tasks: Vec<u64> =
+                    (0..inner.num_tasks()).filter(|&t| keep[t as usize % keep.len()]).collect();
+                let slice = TaskSliceScheme::new(Arc::clone(&inner), tasks.clone());
+                for e in 0..v {
+                    let want: Vec<u64> = (0u64..)
+                        .zip(&tasks)
+                        .filter(|&(_, &t)| inner.working_set(t).contains(&e))
+                        .map(|(slot, _)| slot)
+                        .collect();
+                    prop_assert_eq!(slice.subsets_of(e), want, "{} element {}", inner.name(), e);
+                }
             }
         }
     }

@@ -24,13 +24,14 @@ use pmr_cluster::Cluster;
 use pmr_mapreduce::{MrError, Wire};
 use pmr_obs::{RunReport, Telemetry};
 
+use crate::hierarchical::Rounds;
 use crate::runner::filter::PairFilter;
 use crate::runner::kernel::BatchComp;
 use crate::runner::local::{run_local_impl, LocalRunStats};
 use crate::runner::mr::{run_mr_impl, MrPairwiseOptions, MrRunReport, EVALUATIONS_COUNTER};
 use crate::runner::sequential::run_sequential_impl;
 use crate::runner::store::ElementStore;
-use crate::runner::{aggregate_all, Aggregator, CompFn, ConcatSort, PairwiseOutput, Symmetry};
+use crate::runner::{Aggregator, CompFn, ConcatSort, PairwiseOutput, Symmetry};
 use crate::scheme::{BroadcastScheme, DistributionScheme};
 
 /// Where a [`PairwiseJob`] executes.
@@ -62,7 +63,7 @@ impl Backend<'_> {
 }
 
 /// How elements are distributed into tasks.
-enum Plan {
+pub(crate) enum Plan {
     /// No scheme chosen (valid only for [`Backend::Sequential`]).
     None,
     /// A single distribution scheme (two-job pipeline on MR).
@@ -70,8 +71,19 @@ enum Plan {
     /// The broadcast scheme via the single-job distributed-cache variant
     /// (paper §5.1) on MR; plain task execution elsewhere.
     Broadcast(Arc<dyn DistributionScheme>),
-    /// Hierarchical rounds executed sequentially (paper §7).
-    Rounds(Vec<Arc<dyn DistributionScheme>>),
+    /// A flat scheme's tasks in sequential rounds (paper §7).
+    Rounds(Rounds),
+}
+
+impl Plan {
+    /// The flat scheme whose tasks the plan runs.
+    pub(crate) fn scheme(&self) -> Option<&Arc<dyn DistributionScheme>> {
+        match self {
+            Plan::None => None,
+            Plan::Scheme(s) | Plan::Broadcast(s) => Some(s),
+            Plan::Rounds(rounds) => Some(rounds.scheme()),
+        }
+    }
 }
 
 /// A completed [`PairwiseJob`]: output plus observability artifacts.
@@ -169,13 +181,17 @@ where
         self
     }
 
-    /// Runs a hierarchical scheme's rounds sequentially (paper §7): each
-    /// round runs as a plan of its own — on MR with its own jobs, DFS
-    /// directory and cleanup — gathering every partial, and the aggregator
-    /// runs once over each element's partials at the end.
-    /// [`PairwiseRun::mr`] holds one report per round, so peak
-    /// intermediate storage shows bounded by the largest round.
-    pub fn rounds(mut self, rounds: Vec<Arc<dyn DistributionScheme>>) -> Self {
+    /// Runs a flat scheme's tasks in sequential rounds (paper §7). On MR
+    /// each round is one job 1 in its own DFS directory, fused: its results
+    /// are aggregated into the driver's one set of rows (or accumulators)
+    /// and its files deleted before the next round starts, so job 2 never
+    /// runs. A decomposable aggregator on a fused run aggregates itself;
+    /// any other aggregator runs once on each finished row, over the
+    /// partials in ascending neighbour id. [`PairwiseRun::mr`] holds one
+    /// report per round, so peak intermediate storage shows bounded by the
+    /// largest round. Local runs have no intermediate storage to bound and
+    /// run the flat scheme in one pass.
+    pub fn rounds(mut self, rounds: Rounds) -> Self {
         self.plan = Plan::Rounds(rounds);
         self
     }
@@ -261,7 +277,8 @@ where
     /// either way. Unfused — or with a non-decomposable aggregator — the
     /// local backend gathers every partial of an element and runs the
     /// aggregator once over them, in ascending neighbour id, and the MR
-    /// backend runs the paper's two jobs.
+    /// backend runs the paper's two jobs — except under
+    /// [`rounds`](PairwiseJob::rounds), which gathers the same way on MR.
     pub fn fuse(mut self, fuse: bool) -> Self {
         self.options.fuse = fuse;
         self
@@ -315,51 +332,11 @@ where
             }
             Plan::Rounds(rounds) => {
                 effective.set_meta("scheme", "hierarchical-rounds");
-                effective.set_meta("scheme.rounds", rounds.len());
+                effective.set_meta("scheme.rounds", rounds.num_rounds());
             }
         }
 
-        // One scheme on the local or MR backend: the single dispatch every
-        // plan goes through.
-        let run_scheme = |scheme: Arc<dyn DistributionScheme>,
-                          broadcast: bool,
-                          aggregator: Arc<dyn Aggregator<R>>,
-                          options: MrPairwiseOptions|
-         -> pmr_mapreduce::Result<PairwiseRun<R>> {
-            let (output, mr, local) = match backend {
-                Backend::Local { threads } => {
-                    let (output, stats) = run_local_impl(
-                        store.elements(),
-                        scheme.as_ref(),
-                        kernel.as_ref(),
-                        symmetry,
-                        aggregator.as_ref(),
-                        threads,
-                        options.fuse,
-                        filter.as_deref(),
-                        &effective,
-                    )?;
-                    (output, Vec::new(), Some(stats))
-                }
-                Backend::Mr(cluster) => {
-                    let (output, report) = run_mr_impl(
-                        cluster,
-                        scheme,
-                        broadcast,
-                        &store,
-                        Arc::clone(&kernel),
-                        symmetry,
-                        aggregator,
-                        filter.clone(),
-                        options,
-                    )?;
-                    (output, vec![report], None)
-                }
-                Backend::Sequential => unreachable!("the sequential backend takes no scheme"),
-            };
-            Ok(PairwiseRun { output, report: RunReport::default(), mr, local })
-        };
-        let mut run = match (backend, plan) {
+        let mut run = match (backend, plan.scheme()) {
             (Backend::Sequential, _) => {
                 let phase = effective.job_phase("sequential", "evaluate");
                 let (output, evaluations, pruning) = run_sequential_impl(
@@ -383,45 +360,43 @@ where
                     }),
                 }
             }
-            (_, Plan::None) => {
+            (_, None) => {
                 let which = if let Backend::Mr(_) = backend { "MR" } else { "local" };
                 return Err(MrError::InvalidJob(format!(
                     "the {which} backend needs a scheme (scheme/broadcast/rounds)"
                 )));
             }
-            (_, Plan::Scheme(scheme)) => run_scheme(scheme, false, aggregator, options)?,
-            (_, Plan::Broadcast(scheme)) => run_scheme(scheme, true, aggregator, options)?,
-            (_, Plan::Rounds(rounds)) => {
-                // Each round gathers every partial; by element id, they are
-                // appended across rounds and aggregated once at the end.
-                let mut merged: Vec<Vec<(u64, R)>> = vec![Vec::new(); store.len()];
-                let mut mr = Vec::with_capacity(rounds.len());
-                let mut local =
-                    matches!(backend, Backend::Local { .. }).then(LocalRunStats::default);
-                for (i, round) in rounds.into_iter().enumerate() {
-                    let dfs_dir = format!("{}/round-{i}", options.dfs_dir);
-                    let opts = MrPairwiseOptions { dfs_dir: dfs_dir.clone(), ..options.clone() };
-                    let run = run_scheme(round, false, Arc::new(ConcatSort), opts)?;
-                    for (id, mut partial) in run.output.per_element {
-                        merged[id as usize].append(&mut partial);
-                    }
-                    mr.extend(run.mr);
-                    if let (Some(total), Some(stats)) = (&mut local, run.local) {
-                        total.absorb(stats);
-                    }
-                    // The round's DFS files are no longer needed once merged.
-                    if let Backend::Mr(cluster) = backend {
-                        for path in cluster.dfs().list(&format!("{dfs_dir}/")) {
-                            cluster.dfs().delete(&path);
-                        }
-                    }
+            (Backend::Local { threads }, Some(scheme)) => {
+                let (output, stats) = run_local_impl(
+                    store.elements(),
+                    scheme.as_ref(),
+                    kernel.as_ref(),
+                    symmetry,
+                    aggregator.as_ref(),
+                    threads,
+                    options.fuse,
+                    filter.as_deref(),
+                    &effective,
+                )?;
+                PairwiseRun {
+                    output,
+                    report: RunReport::default(),
+                    mr: Vec::new(),
+                    local: Some(stats),
                 }
-                let per_element = (0u64..)
-                    .zip(merged)
-                    .map(|(id, partials)| (id, aggregate_all(aggregator.as_ref(), id, partials)))
-                    .collect();
-                let output = PairwiseOutput { per_element };
-                PairwiseRun { output, report: RunReport::default(), mr, local }
+            }
+            (Backend::Mr(cluster), Some(_)) => {
+                let (output, mr) = run_mr_impl(
+                    cluster,
+                    &plan,
+                    &store,
+                    kernel,
+                    symmetry,
+                    aggregator,
+                    filter.clone(),
+                    options,
+                )?;
+                PairwiseRun { output, report: RunReport::default(), mr, local: None }
             }
         };
 

@@ -58,8 +58,7 @@ pub struct LocalRunStats {
 }
 
 impl LocalRunStats {
-    /// Folds another task's, worker's or hierarchical round's statistics
-    /// into these.
+    /// Folds another task's or worker's statistics into these.
     pub(crate) fn absorb(&mut self, other: LocalRunStats) {
         self.tasks += other.tasks;
         self.evaluations += other.evaluations;

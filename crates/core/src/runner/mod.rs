@@ -141,9 +141,9 @@ impl<R: PartialEq> PartialEq for Accumulator<R> {
 ///
 /// **Partial order.** A non-decomposable aggregator (or any aggregator on
 /// an unfused run) receives each element's partials in ascending
-/// neighbour id on the sequential and local backends (hierarchical rounds:
-/// round by round, each ascending). The MR backend's job 2 hands them over
-/// in shuffle order.
+/// neighbour id on the sequential and local backends, and on MR under a
+/// [`rounds`](PairwiseJob::rounds) plan. The MR backend's job 2 hands them
+/// over in shuffle order.
 pub trait Aggregator<R>: Send + Sync {
     /// Creates the accumulator for `element`.
     fn init(&self, element: u64) -> Accumulator<R> {

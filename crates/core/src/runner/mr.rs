@@ -32,6 +32,11 @@
 //! the shuffle job 2 would have charged accrues under
 //! [`FUSED_CHARGED_SHUFFLE_COUNTER`] — while the physically moved shuffle
 //! bytes of job 2 disappear.
+//!
+//! **Rounds (§7).** A [`Rounds`](crate::hierarchical::Rounds) plan runs one
+//! fused job 1 per round and merges each round into the same rows or
+//! accumulators before the next one starts; an aggregator that does not
+//! fuse is collected under `ConcatSort` and runs once per finished row.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,11 +50,13 @@ use pmr_mapreduce::{
 use pmr_obs::{hist, Telemetry};
 
 use crate::runner::filter::PairFilter;
+use crate::runner::job::Plan;
 use crate::runner::kernel::{evaluate_tiled, BatchComp, Pairs, SlotIndex};
 use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::store::ElementStore;
 use crate::runner::{
-    aggregate_all, Accumulator, Aggregator, DecomposableAggregator, PairwiseOutput, Symmetry,
+    aggregate_all, Accumulator, Aggregator, ConcatSort, DecomposableAggregator, PairwiseOutput,
+    Symmetry,
 };
 use crate::scheme::DistributionScheme;
 
@@ -638,27 +645,30 @@ fn job1_spec<T: Wire + Sync, Red: Reducer<KIn = u64, VIn = u64>>(
         .store(store_handle(store))
 }
 
-/// The one MR driver. Job 1 is the paper's distribute-and-evaluate job —
-/// or, with `broadcast`, the §5.1 single job that evaluates in the map
-/// over the distributed-cache dataset and aggregates in the reduce. A
-/// fused run merges job 1's output on the driver; any other non-broadcast
-/// run aggregates in job 2. Every run then collects `{dir}/out`.
+/// The one MR driver, over the job's plan. Job 1 is the paper's
+/// distribute-and-evaluate job — or, for a broadcast plan, the §5.1 single
+/// job that evaluates in the map over the distributed-cache dataset and
+/// aggregates in the reduce. A rounds plan of several batches runs job 1
+/// once per round, in `{dir}/round-{i}`; a plain scheme is one batch in
+/// `{dir}`. A fused run merges each job 1's output on the driver; any other
+/// run aggregates in job 2 (or the broadcast reduce) and collects
+/// `{dir}/out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mr_impl<T, R>(
     cluster: &Cluster,
-    scheme: Arc<dyn DistributionScheme>,
-    broadcast: bool,
+    plan: &Plan,
     store: &Arc<ElementStore<T>>,
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
     aggregator: Arc<dyn Aggregator<R>>,
     filter: Option<Arc<dyn PairFilter>>,
     options: MrPairwiseOptions,
-) -> pmr_mapreduce::Result<(PairwiseOutput<R>, MrRunReport)>
+) -> pmr_mapreduce::Result<(PairwiseOutput<R>, Vec<MrRunReport>)>
 where
     T: Wire + Clone + Sync,
     R: Wire + Clone + Sync,
 {
+    let scheme = plan.scheme().expect("the caller rejects a plan without a scheme");
     if store.len() as u64 != scheme.v() {
         return Err(MrError::InvalidJob(format!(
             "payload count {} != scheme v {}",
@@ -666,8 +676,16 @@ where
             scheme.v()
         )));
     }
+    let broadcast = matches!(plan, Plan::Broadcast(_));
     let telemetry = cluster.telemetry().clone();
     let dir = &options.dfs_dir;
+    let rounds: Vec<(String, Arc<dyn DistributionScheme>)> = match plan {
+        Plan::Rounds(rounds) if rounds.num_rounds() > 1 => (0..)
+            .zip(rounds.iter())
+            .map(|(i, round)| (format!("{dir}/round-{i}"), Arc::new(round) as _))
+            .collect(),
+        _ => vec![(dir.clone(), Arc::clone(scheme))],
+    };
     let distributed = cluster.is_distributed();
     // Runner-level I/O gets its own phase track (job `{dir}-io`) so the
     // report's phases tile the whole run, not just the engine jobs. Its
@@ -675,19 +693,30 @@ where
     let io_job = format!("{dir}-io");
     let io =
         telemetry.job_phase(&io_job, if distributed { "seed-store" } else { "distribute-input" });
-    // Fuse only when asked *and* the aggregator advertises the capability;
-    // anything else runs the paper's two-job pipeline unchanged. The §5.1
-    // variant is inherently single-job; its map-side emission stays
-    // unfused so the charged seeding/shuffle costs are the paper's.
-    let dec = aggregator.decomposable().filter(|_| options.fuse && !broadcast);
-    let fused = dec.is_some();
+    // Fuse when asked *and* the aggregator advertises the capability, and
+    // always across several rounds, so each round is aggregated before the
+    // next (§7): there, any other aggregator is collected under
+    // `ConcatSort` and then runs once on each finished row — `then`, the
+    // local runner's rule. Anything else runs the paper's two-job pipeline
+    // unchanged. The §5.1 variant is inherently single-job; its map-side
+    // emission stays unfused so the charged seeding/shuffle costs are the
+    // paper's.
+    let (fold, then): (Option<Arc<dyn Aggregator<R>>>, _) = match aggregator
+        .decomposable()
+        .filter(|_| options.fuse && !broadcast)
+    {
+        Some(_) => (Some(Arc::clone(&aggregator)), None),
+        None if rounds.len() > 1 => (Some(Arc::new(ConcatSort) as _), Some(aggregator.as_ref())),
+        None => (None, None),
+    };
+    let dec = fold.as_deref().and_then(|fold| fold.decomposable());
     let placed = dec.is_some_and(|dec| places_rows(dec, filter.is_some(), scheme.as_ref()));
     if !broadcast {
-        telemetry.set_meta("mr.fused", fused);
+        telemetry.set_meta("mr.fused", dec.is_some());
     }
     let n = cluster.num_nodes();
     record_analytic_meta(&telemetry, scheme.as_ref(), n as u64);
-    let wire_start = cluster.wire_snapshot();
+    let mut wire_start = cluster.wire_snapshot();
     // The encoded dataset: the §5.1 broadcast's cache file, and what
     // distributed runs ship to every worker once up front — the
     // id-indexed resolver a real deployment would hold node-locally.
@@ -700,89 +729,107 @@ where
         }
         _ => io,
     };
-    let engine = Engine::new(cluster);
-    let eval = TaskEvaluator {
-        scheme: Arc::clone(&scheme),
-        kernel,
-        symmetry,
-        filter: filter.clone(),
-        telemetry: telemetry.clone(),
-    };
-    let job1 = if let Some(dataset) = dataset_bytes.filter(|_| broadcast) {
+    // Written once per run: every round's job 1 reads the same shards.
+    let inputs = if broadcast {
         // Input = one record per (nonempty) task: the unit of map-side work.
         let tasks: Vec<(u64, ())> =
             (0..scheme.num_tasks()).filter(|&t| scheme.num_pairs(t) > 0).map(|t| (t, ())).collect();
         let shards = n.min(tasks.len().max(1));
-        let inputs = write_sharded(cluster, &format!("{dir}/tasks"), shards, tasks)?;
-        drop(io);
-        engine.run(
-            JobSpec::new(
-                format!("{dir}-broadcast-evaluate-aggregate"),
-                inputs,
-                format!("{dir}/out"),
-                BroadcastEvalMapper::<T, R>(eval),
-                AggregateReducer::<T, R> {
-                    aggregator: Arc::clone(&aggregator),
-                    _pd: std::marker::PhantomData,
-                },
-                auto(n, scheme.v()),
-            )
-            .partitioner(Arc::new(ModuloPartitioner))
-            .cache_file("dataset", dataset)
-            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-            .store(store_handle(store)),
-        )?
+        write_sharded(cluster, &format!("{dir}/tasks"), shards, tasks)?
     } else {
         let elements = store.elements().iter().cloned().enumerate().map(|(i, p)| (i as u64, p));
-        let inputs = write_sharded(cluster, &format!("{dir}/input"), 2 * n, elements)?;
-        drop(io);
-        if fused {
-            let reducer =
-                FusedEvaluateReducer::<T, R> { eval, aggregator: Arc::clone(&aggregator) };
-            engine.run(job1_spec(dir, inputs, &scheme, reducer, &options, store, n))?
-        } else {
-            let reducer = EvaluateReducer::<T, R>(eval);
-            engine.run(job1_spec(dir, inputs, &scheme, reducer, &options, store, n))?
-        }
+        write_sharded(cluster, &format!("{dir}/input"), 2 * n, elements)?
+    };
+    drop(io);
+    let engine = Engine::new(cluster);
+    let eval = |scheme: &Arc<dyn DistributionScheme>| TaskEvaluator {
+        scheme: Arc::clone(scheme),
+        kernel: Arc::clone(&kernel),
+        symmetry,
+        filter: filter.clone(),
+        telemetry: telemetry.clone(),
     };
 
-    if let Some(dec) = dec {
-        // Job 2 is skipped outright: the driver merges the per-copy
-        // accumulators off job 1's output and finishes each element. The
+    if let Some((fold, dec)) = fold.as_ref().zip(dec) {
+        // Job 2 is skipped outright: after each round's job 1 the driver
+        // merges the per-copy accumulators off its output — or, placing,
+        // writes the output rows themselves — and deletes the round's files
+        // before the next round starts. One streaming pass on the calling
+        // thread reads each part file once, in part order, frame by frame,
+        // so the driver holds one part's bytes and one set of rows. The
         // shuffle job 2 would have charged was accrued (exactly-once) by
-        // the fused reduce tasks, so the reported charged bytes still
-        // equal the unfused two-job total while nothing extra moved.
-        let io = telemetry.job_phase(&io_job, "merge-aggregate");
-        // One streaming pass on the calling thread: each part file is read
-        // once, in part order, and merged frame by frame, so the driver
-        // holds one part's bytes and the accumulators (or, placing, the
-        // output rows themselves) — never a second row vector.
-        let parts = cluster.dfs().list(&format!("{dir}/mid/"));
-        let per_element = if placed {
-            let mut rows: Vec<Option<PlacedRow<R>>> = (0..store.len()).map(|_| None).collect();
-            for path in parts {
-                place_part(cluster.dfs().read(&path)?, &mut rows)?;
+        // the fused reduce tasks, so the reported charged bytes still equal
+        // the unfused two-job total while nothing extra moved.
+        let placed_len = if placed { store.len() } else { 0 };
+        let mut rows: Vec<Option<PlacedRow<R>>> = (0..placed_len).map(|_| None).collect();
+        let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len() - placed_len];
+        let mut reports = Vec::with_capacity(rounds.len());
+        let mut merge_phase = None;
+        for (round_dir, round) in &rounds {
+            drop(merge_phase.take());
+            let reducer =
+                FusedEvaluateReducer::<T, R> { eval: eval(round), aggregator: Arc::clone(fold) };
+            let spec = job1_spec(round_dir, inputs.clone(), round, reducer, &options, store, n);
+            let job1 = engine.run(spec)?;
+            merge_phase = Some(telemetry.job_phase(&io_job, "merge-aggregate"));
+            for path in cluster.dfs().list(&format!("{round_dir}/mid/")) {
+                let part = cluster.dfs().read(&path)?;
+                if placed {
+                    place_part(part, &mut rows)?;
+                } else {
+                    merge_part(part, dec, &mut accs)?;
+                }
             }
+            if rounds.len() > 1 {
+                for path in cluster.dfs().list(&format!("{round_dir}/")) {
+                    cluster.dfs().delete(&path);
+                }
+            }
+            reports.push(mr_report(cluster, &wire_start, job1, None, true));
+            wire_start = cluster.wire_snapshot();
+        }
+        let rows = if placed {
             finish_rows(rows, store.len() as u64)
                 .map_err(|err| MrError::User(format!("merge: {err}")))?
                 .per_element
         } else {
-            let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len()];
-            for path in parts {
-                merge_part(cluster.dfs().read(&path)?, dec, &mut accs)?;
-            }
             (0u64..).zip(accs).filter_map(|(id, acc)| Some((id, dec.finish(acc?)))).collect()
         };
-        let report = mr_report(cluster, &wire_start, job1, None, true);
-        drop(io);
-        return Ok((PairwiseOutput { per_element }, report));
+        let per_element = match then {
+            None => rows,
+            Some(agg) => {
+                rows.into_iter().map(|(id, row)| (id, aggregate_all(agg, id, row))).collect()
+            }
+        };
+        drop(merge_phase);
+        return Ok((PairwiseOutput { per_element }, reports));
     }
 
-    let job2 = if broadcast {
-        None
-    } else {
-        Some(
-            engine.run(
+    let (job1, job2) = match dataset_bytes.filter(|_| broadcast) {
+        Some(dataset) => {
+            let job = engine.run(
+                JobSpec::new(
+                    format!("{dir}-broadcast-evaluate-aggregate"),
+                    inputs,
+                    format!("{dir}/out"),
+                    BroadcastEvalMapper::<T, R>(eval(scheme)),
+                    AggregateReducer::<T, R> {
+                        aggregator: Arc::clone(&aggregator),
+                        _pd: std::marker::PhantomData,
+                    },
+                    auto(n, scheme.v()),
+                )
+                .partitioner(Arc::new(ModuloPartitioner))
+                .cache_file("dataset", dataset)
+                .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+                .store(store_handle(store)),
+            )?;
+            (job, None)
+        }
+        None => {
+            let reducer = EvaluateReducer::<T, R>(eval(scheme));
+            let job1 = engine.run(job1_spec(dir, inputs, scheme, reducer, &options, store, n))?;
+            let job2 = engine.run(
                 JobSpec::new(
                     format!("{dir}-j2-aggregate"),
                     job1.output_paths.clone(),
@@ -797,8 +844,9 @@ where
                 .partitioner(Arc::new(ModuloPartitioner))
                 .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
                 .store(store_handle(store)),
-            )?,
-        )
+            )?;
+            (job1, Some(job2))
+        }
     };
 
     let io = telemetry.job_phase(&io_job, "collect-output");
@@ -823,7 +871,7 @@ where
     }
     let report = mr_report(cluster, &wire_start, job1, job2, false);
     drop(io);
-    Ok((PairwiseOutput { per_element }, report))
+    Ok((PairwiseOutput { per_element }, vec![report]))
 }
 
 #[cfg(test)]
@@ -1021,7 +1069,7 @@ mod tests {
                 Box::new(BlockScheme::new(v, h)),
                 Box::new(DesignScheme::new(v)),
                 Box::new(QuorumScheme::new(v)),
-                TwoLevelBlock::new(v, h.clamp(1, 4), 2).round(0),
+                Box::new(TwoLevelBlock::new(v, h.clamp(1, 4), 2).rounds().round(0)),
             ];
             for scheme in &schemes {
                 for t in 0..scheme.num_tasks() {

@@ -27,7 +27,9 @@ use crate::scheme::DistributionScheme;
 /// * `R` owns no heap memory — the placeholder fill clones one result
 ///   `v − 1` times per row;
 /// * the tasks cover every pair, `Σ num_pairs(t) = v(v−1)/2` — a
-///   hierarchical round holds part of the pairs.
+///   [`TaskSliceScheme`](crate::hierarchical::TaskSliceScheme) holds part
+///   of the pairs. A rounds plan passes its flat scheme, so its rows are
+///   placed across all its rounds.
 pub(crate) fn places_rows<R>(
     dec: &dyn DecomposableAggregator<R>,
     filtered: bool,
@@ -124,8 +126,8 @@ mod tests {
         assert!(!places_rows(&topk, false, &block), "top-k");
         let filter = FilterAggregator::new(|r: &f64| *r > 0.0);
         assert!(!places_rows(&filter, false, &block), "filter aggregator");
-        let round = TwoLevelBlock::new(20, 2, 2).round(0);
-        assert!(!places_rows::<f64>(&ConcatSort, false, round.as_ref()), "one round");
+        let round = TwoLevelBlock::new(20, 2, 2).rounds().round(0);
+        assert!(!places_rows::<f64>(&ConcatSort, false, &round), "one round");
     }
 
     fn row_of(element: u64, v: u64, others: &[u64]) -> Result<Option<PlacedRow<u64>>, String> {

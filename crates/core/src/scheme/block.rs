@@ -10,39 +10,38 @@
 //! elements, each element in `h` blocks, at most `e²` evaluations per task.
 //!
 //! As [`PairCover`]s the stripes are the groups: [`Blocks`] makes each cell
-//! of the stripe triangle a line, [`PairedBlocks`] merges neighbouring
-//! diagonal cells, and `Grid` tiles one off-diagonal cell of a coarser
-//! block scheme (the two-level rounds of [`crate::hierarchical`]).
+//! of the stripe triangle a line and [`PairedBlocks`] merges neighbouring
+//! diagonal cells. The two-level rounds of [`crate::hierarchical`] are
+//! batches of a [`BlockScheme`]'s lines.
 
 use std::ops::Range;
 
 use crate::enumeration::{diag_count, diag_rank, diag_unrank, pair_rank, pair_unrank};
 use crate::scheme::{GroupedScheme, PairCover, Shape};
 
-/// `n` contiguous stripes of `e` elements over a range; the trailing
+/// `n` contiguous stripes of `e` elements over `0..len`; the trailing
 /// stripes may be short or empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Stripes {
-    base: u64,
+struct Stripes {
     len: u64,
-    /// Number of stripes.
+    /// Number of stripes, clamped to `1..=len` so stripes are nonempty.
     n: u64,
-    /// Stripe width `e = ⌈len/n⌉` (at least 1).
+    /// Stripe width `e = ⌈len/n⌉`.
     e: u64,
 }
 
 impl Stripes {
-    pub(crate) fn new(range: Range<u64>, n: u64) -> Stripes {
-        let (base, len) = (range.start, range.end - range.start);
-        Stripes { base, len, n, e: len.div_ceil(n).max(1) }
+    fn new(len: u64, n: u64) -> Stripes {
+        let n = n.clamp(1, len.max(1));
+        Stripes { len, n, e: len.div_ceil(n).max(1) }
     }
 
-    pub(crate) fn range(&self, g: u64) -> Range<u64> {
-        self.base + (g * self.e).min(self.len)..self.base + ((g + 1) * self.e).min(self.len)
+    fn range(&self, g: u64) -> Range<u64> {
+        (g * self.e).min(self.len)..((g + 1) * self.e).min(self.len)
     }
 
     fn of(&self, x: u64) -> Option<u64> {
-        (self.base..self.base + self.len).contains(&x).then(|| (x - self.base) / self.e)
+        (x < self.len).then(|| x / self.e)
     }
 
     /// The shape of a block cover with `lines` lines over these stripes.
@@ -76,16 +75,6 @@ pub type BlockScheme = GroupedScheme<Blocks>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Blocks {
     stripes: Stripes,
-    name: &'static str,
-}
-
-impl Blocks {
-    /// The `h(h+1)/2` blocks over the strict upper triangle of `range`,
-    /// `h` clamped to its length so stripes are nonempty.
-    pub(crate) fn over(range: Range<u64>, h: u64, name: &'static str) -> Blocks {
-        let len = range.end - range.start;
-        Blocks { stripes: Stripes::new(range, h.clamp(1, len.max(1))), name }
-    }
 }
 
 impl BlockScheme {
@@ -94,14 +83,14 @@ impl BlockScheme {
     pub fn new(v: u64, h: u64) -> BlockScheme {
         assert!(v >= 2, "need at least 2 elements");
         assert!(h >= 1, "blocking factor must be ≥ 1");
-        GroupedScheme { v, cover: Blocks::over(0..v, h, "block") }
+        GroupedScheme { v, cover: Blocks { stripes: Stripes::new(v, h) } }
     }
 
     /// The closed form of `BlockScheme::new(v, h)`: `h(h+1)/2` lines,
     /// replication `h`, working sets of `2⌈v/h⌉`, `⌈v/h⌉²` pairs per line
     /// and `2vh` sends, with `h` clamped to `v` as the scheme clamps it.
     pub fn shape(v: u64, h: u64) -> Shape {
-        Blocks::over(0..v, h, "block").shape()
+        Blocks { stripes: Stripes::new(v, h) }.shape()
     }
 
     /// The blocking factor `h`.
@@ -164,7 +153,7 @@ impl PairCover for Blocks {
     }
 
     fn shape(&self) -> Shape {
-        self.stripes.shape(self.name, diag_count(self.stripes.n))
+        self.stripes.shape("block", diag_count(self.stripes.n))
     }
 }
 
@@ -191,7 +180,7 @@ pub struct PairedBlocks {
 impl PairedBlockScheme {
     /// Creates the paired-diagonal variant with blocking factor `h`.
     pub fn new(v: u64, h: u64) -> PairedBlockScheme {
-        let Blocks { stripes, .. } = BlockScheme::new(v, h).cover;
+        let Blocks { stripes } = BlockScheme::new(v, h).cover;
         GroupedScheme { v, cover: PairedBlocks { stripes } }
     }
 
@@ -263,77 +252,6 @@ impl PairCover for PairedBlocks {
     fn shape(&self) -> Shape {
         let lines = self.num_offdiag() + self.stripes.n.div_ceil(2);
         self.stripes.shape("block-paired-diagonal", lines)
-    }
-}
-
-/// An `f × f` grid over the cross product of two disjoint ranges, columns
-/// above rows — the fine tiling of a coarse *off-diagonal* block. Groups
-/// `0..f` are the row tiles, `f..2f` the column tiles; line `x·f + y`
-/// owns column tile `x` against row tile `y`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Grid {
-    rows: Stripes,
-    cols: Stripes,
-}
-
-impl Grid {
-    /// Tiles `cols × rows` into an `f × f` grid; `cols` lies above `rows`.
-    pub(crate) fn over(rows: Range<u64>, cols: Range<u64>, f: u64) -> Grid {
-        assert!(cols.start >= rows.end, "ranges must be disjoint and ordered");
-        let f = f.clamp(1, (rows.end - rows.start).max(cols.end - cols.start).max(1));
-        Grid { rows: Stripes::new(rows, f), cols: Stripes::new(cols, f) }
-    }
-}
-
-impl PairCover for Grid {
-    fn group(&self, g: u64) -> Range<u64> {
-        let f = self.rows.n;
-        if g < f {
-            self.rows.range(g)
-        } else {
-            self.cols.range(g - f)
-        }
-    }
-
-    fn group_of(&self, e: u64) -> Option<u64> {
-        self.rows.of(e).or_else(|| self.cols.of(e).map(|x| self.rows.n + x))
-    }
-
-    fn groups_on(&self, line: u64) -> Vec<u64> {
-        let f = self.rows.n;
-        vec![line % f, f + line / f]
-    }
-
-    fn lines_through(&self, g: u64) -> Vec<u64> {
-        let f = self.rows.n;
-        if g < f {
-            (0..f).map(|x| x * f + g).collect()
-        } else {
-            (0..f).map(|y| (g - f) * f + y).collect()
-        }
-    }
-
-    fn for_each_owned(&self, line: u64, mut f: impl FnMut(u64, u64)) {
-        let n = self.rows.n;
-        f(n + line / n, line % n);
-    }
-
-    fn owner(&self, g: u64, h: u64) -> Option<u64> {
-        let f = self.rows.n;
-        (g >= f && h < f).then(|| (g - f) * f + h)
-    }
-
-    fn shape(&self) -> Shape {
-        let (f, re, ce) = (self.rows.n, self.rows.e, self.cols.e);
-        Shape {
-            scheme: "two-level-block/grid-round",
-            lines: f * f,
-            replication: f,
-            working_set: re + ce,
-            pairs_per_line: (re * ce) as f64,
-            communication: (self.rows.len + self.cols.len) * f * 2,
-            node_cap: None,
-        }
     }
 }
 

@@ -18,10 +18,10 @@
 //!
 //! Three types implement the trait. [`GroupedScheme`] is every scheme that
 //! splits `0..v` into element groups and covers the group pairs with lines
-//! ([`grouped`]): block, paired-diagonal block, design, quorum and the
-//! two-level block rounds. [`BroadcastScheme`] splits pair *labels*, not
-//! elements, and [`crate::hierarchical::TaskSliceScheme`] takes a slice of
-//! any scheme's tasks.
+//! ([`grouped`]): block, paired-diagonal block, design and quorum.
+//! [`BroadcastScheme`] splits pair *labels*, not elements, and
+//! [`crate::hierarchical::TaskSliceScheme`] takes a slice of any scheme's
+//! tasks — one round of a §7 [`Rounds`](crate::hierarchical::Rounds) plan.
 
 pub mod block;
 pub mod broadcast;
@@ -287,6 +287,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::enumeration::{pair_count, pair_rank};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// `owner_of(a, b) == Some(t)` exactly when `for_each_pair(t)` yields
     /// `(a, b)`, and `None` for every pair no task yields (a round's
@@ -381,8 +382,9 @@ pub(crate) mod tests {
                 matches!(got, Err(SchemeError::Coverage { count: c, .. }) if c == count),
                 "duplicate={duplicate}: {got:?}"
             );
-            let rounds: Vec<Box<dyn DistributionScheme>> = vec![Box::new(scheme)];
-            let got = crate::hierarchical::verify_rounds_exactly_once(&rounds, 20);
+            let batches = vec![vec![0, 2, 4], vec![1, 3, 5]];
+            let got =
+                crate::hierarchical::Rounds::new(Arc::new(scheme), batches).verify_exactly_once();
             assert!(
                 matches!(got, Err(SchemeError::Coverage { count: c, .. }) if c == count),
                 "rounds, duplicate={duplicate}: {got:?}"

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 
 use pmr_core::analysis::limits::{design_curve_fits, max_v_design};
 use pmr_core::enumeration::{diag_rank, diag_unrank, pair_count, pair_rank, pair_unrank};
-use pmr_core::hierarchical::{verify_rounds_exactly_once, BatchedDesign, TwoLevelBlock};
+use pmr_core::hierarchical::{BatchedDesign, TwoLevelBlock};
 use pmr_core::runner::local::run_local;
 use pmr_core::runner::sequential::run_sequential;
 use pmr_core::runner::{comp_fn, CompFn, ConcatSort, Symmetry};
@@ -144,16 +144,13 @@ proptest! {
     #[test]
     fn two_level_block_exactly_once(v in 4u64..80, coarse in 1u64..5, fine in 1u64..5) {
         let tlb = TwoLevelBlock::new(v, coarse, fine);
-        prop_assert!(verify_rounds_exactly_once(&tlb.rounds(), v).is_ok());
+        prop_assert!(tlb.rounds().verify_exactly_once().is_ok());
     }
 
     #[test]
     fn batched_design_exactly_once(v in 4u64..60, batches in 1u64..8) {
         let bd = BatchedDesign::new(v, batches);
-        let rounds: Vec<Box<dyn DistributionScheme>> = (0..bd.num_rounds())
-            .map(|r| Box::new(bd.round(r)) as Box<dyn DistributionScheme>)
-            .collect();
-        prop_assert!(verify_rounds_exactly_once(&rounds, v).is_ok());
+        prop_assert!(bd.rounds().verify_exactly_once().is_ok());
     }
 }
 
@@ -210,7 +207,7 @@ proptest! {
         // unordered pair of 0..v exactly once (the paper's correctness
         // invariant, checked through the streaming path). Hierarchical
         // *rounds* partition the pairs across rounds, so they are checked
-        // via `verify_rounds_exactly_once` above, not per round here.
+        // via `Rounds::verify_exactly_once` above, not per round here.
         let schemes: Vec<Box<dyn DistributionScheme>> = vec![
             Box::new(BroadcastScheme::new(v, h + 1)),
             Box::new(BlockScheme::new(v, h)),

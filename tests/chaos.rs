@@ -1,10 +1,12 @@
-//! Fault-tolerance matrix: every distribution scheme must survive seeded
-//! node crashes (and optional speculation) with byte-identical output and
-//! exactly-once evaluation counts, and healthy runs must be bit-for-bit
-//! unaffected by the existence of the chaos machinery.
+//! Fault-tolerance matrix: every distribution scheme — and a §7 rounds
+//! plan — must survive seeded node crashes (and optional speculation) with
+//! byte-identical output and exactly-once evaluation counts, and healthy
+//! runs must be bit-for-bit unaffected by the existence of the chaos
+//! machinery.
 
 use std::sync::Arc;
 
+use pairwise_mr::core::hierarchical::{Rounds, TwoLevelBlock};
 use pairwise_mr::prelude::*;
 
 fn payloads(v: u64) -> Vec<u64> {
@@ -24,30 +26,57 @@ fn schemes(v: u64) -> Vec<(&'static str, Arc<dyn DistributionScheme>)> {
     ]
 }
 
-fn run_on(cluster: &Cluster, scheme: Arc<dyn DistributionScheme>) -> PairwiseRun<u64> {
-    PairwiseJob::new(&payloads(scheme.v()), comp())
-        .scheme_arc(scheme)
-        .backend(Backend::Mr(cluster))
-        .telemetry(cluster.telemetry().clone())
-        .run()
-        .unwrap()
+/// How a run distributes its tasks: one flat scheme, or a flat scheme's
+/// tasks in sequential rounds.
+enum Plan {
+    Flat(Arc<dyn DistributionScheme>),
+    Rounds(Rounds),
 }
 
+fn run_on(cluster: &Cluster, scheme: Arc<dyn DistributionScheme>) -> PairwiseRun<u64> {
+    run_plan(cluster, &Plan::Flat(scheme))
+}
+
+fn run_plan(cluster: &Cluster, plan: &Plan) -> PairwiseRun<u64> {
+    let scheme = match plan {
+        Plan::Flat(scheme) => scheme,
+        Plan::Rounds(rounds) => rounds.scheme(),
+    };
+    let data = payloads(scheme.v());
+    let job = PairwiseJob::new(&data, comp());
+    let job = match plan {
+        Plan::Flat(scheme) => job.scheme_arc(Arc::clone(scheme)),
+        Plan::Rounds(rounds) => job.rounds(rounds.clone()),
+    };
+    job.backend(Backend::Mr(cluster)).telemetry(cluster.telemetry().clone()).run().unwrap()
+}
+
+/// Every scheme, and a two-level rounds plan: its rounds share one driver
+/// state and delete their files round by round, so a crash in one round
+/// must not touch what the earlier rounds merged.
 #[test]
 fn every_scheme_survives_node_crashes_with_identical_output() {
     let v = 40u64;
-    for (name, scheme) in schemes(v) {
+    let mut plans: Vec<(&str, Plan)> =
+        schemes(v).into_iter().map(|(name, scheme)| (name, Plan::Flat(scheme))).collect();
+    plans.push(("two-level rounds", Plan::Rounds(TwoLevelBlock::new(v, 3, 2).rounds())));
+    for (name, plan) in &plans {
         let healthy = {
             let cluster = Cluster::new(ClusterConfig::with_nodes(4));
-            run_on(&cluster, Arc::clone(&scheme))
+            run_plan(&cluster, plan)
         };
         assert_eq!(healthy.evaluations(), v * (v - 1) / 2, "{name}: healthy run");
 
         for chaos_seed in [5u64, 23, 1009] {
             let cluster = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, chaos_seed))
                 .with_telemetry(Telemetry::enabled());
-            let chaotic = run_on(&cluster, Arc::clone(&scheme));
+            let chaotic = run_plan(&cluster, plan);
             assert_eq!(cluster.node_crashes(), 1, "{name}/seed {chaos_seed}");
+            let kept = cluster.dfs().list("");
+            assert!(
+                kept.iter().all(|path| !path.contains("/round-")),
+                "{name}/seed {chaos_seed}: a round's files outlived it: {kept:?}"
+            );
             assert_eq!(
                 chaotic.output, healthy.output,
                 "{name}/seed {chaos_seed}: output must be byte-identical under a crash"

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use pairwise_mr::apps::docsim::{dot_comp, tfidf};
 use pairwise_mr::apps::generate::zipf_documents;
 use pairwise_mr::apps::kernels::SparseDotKernel;
-use pairwise_mr::core::hierarchical::TwoLevelBlock;
+use pairwise_mr::core::hierarchical::{BatchedDesign, Rounds, TwoLevelBlock};
 use pairwise_mr::core::scheme::Shape;
 use pairwise_mr::mapreduce::{builtin, MrError};
 use pairwise_mr::prelude::*;
@@ -230,8 +230,13 @@ fn placed_rows_reject_a_duplicated_or_dropped_pair() {
     }
 }
 
-/// Hierarchical rounds each cover part of the pairs, so they stay on the
-/// accumulator path and still reproduce the flat run.
+/// A rounds plan (§7) equals the sequential output for every aggregator,
+/// over both constructions, on Local and on MR with fusion on and off. On
+/// MR every round is one fused job 1 and job 2 never runs: `ConcatSort`
+/// places its rows across the rounds — so a pair delivered twice, or
+/// never, is an error there as on a flat run — and the order-keeping
+/// closure aggregator sees each element's partials in ascending neighbour
+/// id, as on Local.
 #[test]
 fn two_level_rounds_match_the_flat_placed_run() {
     let v = 36u64;
@@ -239,11 +244,53 @@ fn two_level_rounds_match_the_flat_placed_run() {
     let flat: Arc<dyn DistributionScheme> = Arc::new(BlockScheme::new(v, 6));
     let local = Backend::Local { threads: 2 };
     let flat = run_on(&flat, local, Symmetry::Symmetric, &concat, true).unwrap().output;
-    let cluster = Cluster::new(ClusterConfig::with_nodes(3));
-    for backend in [local, Backend::Mr(&cluster)] {
-        let rounds = TwoLevelBlock::new(v, 3, 2).rounds().into_iter().map(Arc::from).collect();
-        let run = PairwiseJob::new(&payloads(v), comp()).rounds(rounds).backend(backend).run();
-        assert_eq!(run.unwrap().output, flat);
+    let aggregators: Vec<(&'static str, Arc<dyn Aggregator<u64>>)> = vec![
+        ("concat", Arc::clone(&concat)),
+        ("filter", Arc::new(FilterAggregator::new(|r: &u64| !r.is_multiple_of(3)))),
+        ("topk", Arc::new(TopKAggregator::new(5, |r: &u64| *r as f64))),
+        ("ordered", Arc::new(FnAggregator::new(|_, partials| partials))),
+    ];
+    let plans = [
+        ("two-level", TwoLevelBlock::new(v, 3, 2).rounds()),
+        ("batched-design", BatchedDesign::new(v, 4).rounds()),
+    ];
+    let data = payloads(v);
+    for (plan, rounds) in &plans {
+        for symmetry in [Symmetry::Symmetric, Symmetry::NonSymmetric] {
+            for (agg_name, agg) in &aggregators {
+                let job = || {
+                    PairwiseJob::new(&data, comp())
+                        .symmetry(symmetry)
+                        .aggregator_arc(Arc::clone(agg))
+                };
+                let reference = job().run().unwrap().output;
+                if *agg_name == "concat" && symmetry == Symmetry::Symmetric {
+                    assert_eq!(reference, flat);
+                }
+                for fuse in [true, false] {
+                    let case = format!("{plan} {symmetry:?} {agg_name} fuse={fuse}");
+                    let run = job().rounds(rounds.clone()).backend(local).fuse(fuse).run();
+                    assert_eq!(run.unwrap().output, reference, "{case}: local");
+                    let cluster = Cluster::new(ClusterConfig::with_nodes(3));
+                    let run =
+                        job().rounds(rounds.clone()).backend(Backend::Mr(&cluster)).fuse(fuse);
+                    let run = run.run().unwrap();
+                    assert_eq!(run.output, reference, "{case}: mr");
+                    assert_eq!(run.mr.len(), rounds.num_rounds(), "{case}");
+                    assert!(run.mr.iter().all(|r| r.fused && r.job2.is_none()), "{case}");
+                }
+            }
+        }
+    }
+    for duplicate in [true, false] {
+        let tampered = Arc::new(Tampered { inner: BlockScheme::new(30, 4), duplicate });
+        let rounds = Rounds::new(tampered, vec![(0..5).collect(), (5..10).collect()]);
+        let cluster = Cluster::new(ClusterConfig::with_nodes(3));
+        let data = payloads(30);
+        let run = PairwiseJob::new(&data, comp()).rounds(rounds).backend(Backend::Mr(&cluster));
+        let err = run.run().unwrap_err();
+        let want = if duplicate { "written twice" } else { "neighbours written" };
+        assert!(matches!(&err, MrError::User(msg) if msg.contains(want)), "{duplicate}: {err}");
     }
 }
 

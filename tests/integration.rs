@@ -125,8 +125,7 @@ fn two_level_rounds_match_flat_and_bound_intermediate() {
     let reference = PairwiseJob::new(&payloads, Arc::clone(&comp)).run().unwrap().output;
 
     let tlb = TwoLevelBlock::new(48, 3, 2);
-    let rounds: Vec<Arc<dyn DistributionScheme>> =
-        tlb.rounds().into_iter().map(Arc::from).collect();
+    let rounds = tlb.rounds();
     let cluster = Cluster::new(ClusterConfig::with_nodes(3)).with_telemetry(Telemetry::enabled());
     let hierarchical = PairwiseJob::new(&payloads, Arc::clone(&comp))
         .rounds(rounds.clone())
@@ -175,10 +174,7 @@ fn batched_design_rounds_match_flat_design() {
     let comp = comp_fn(|a: &u64, b: &u64| a.abs_diff(*b));
     let reference = PairwiseJob::new(&payloads, Arc::clone(&comp)).run().unwrap().output;
 
-    let bd = BatchedDesign::new(31, 4);
-    let rounds: Vec<Arc<dyn DistributionScheme>> = (0..bd.num_rounds())
-        .map(|r| Arc::new(bd.round(r)) as Arc<dyn DistributionScheme>)
-        .collect();
+    let rounds = BatchedDesign::new(31, 4).rounds();
     let cluster = Cluster::new(ClusterConfig::with_nodes(3));
     let run = PairwiseJob::new(&payloads, comp)
         .rounds(rounds)

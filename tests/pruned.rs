@@ -11,7 +11,7 @@ use pairwise_mr::apps::docsim::{cosine_comp, tfidf};
 use pairwise_mr::apps::generate::zipf_documents;
 use pairwise_mr::apps::prune::{LshFilter, PrefixFilter};
 use pairwise_mr::apps::SparseVector;
-use pairwise_mr::core::hierarchical::{BatchedDesign, TwoLevelBlock};
+use pairwise_mr::core::hierarchical::{BatchedDesign, Rounds, TwoLevelBlock};
 use pairwise_mr::prelude::*;
 
 fn splitmix(x: &mut u64) -> u64 {
@@ -240,7 +240,7 @@ fn differential_corpora(v: usize, seed: u64) -> [Vec<SparseVector>; 2] {
 }
 
 /// Every scheme type: the five flat schemes and the rounds of both
-/// hierarchical schemes (diagonal, grid and task-slice rounds).
+/// hierarchical plans, each round a task slice.
 fn every_scheme_type(v: u64) -> Vec<Arc<dyn DistributionScheme>> {
     let mut schemes: Vec<Arc<dyn DistributionScheme>> = vec![
         Arc::new(BlockScheme::new(v, 4)),
@@ -249,9 +249,17 @@ fn every_scheme_type(v: u64) -> Vec<Arc<dyn DistributionScheme>> {
         Arc::new(DesignScheme::new(v)),
         Arc::new(QuorumScheme::new(v)),
     ];
-    schemes.extend(TwoLevelBlock::new(v, 3, 2).rounds().into_iter().map(Arc::from));
-    schemes.extend(BatchedDesign::new(v, 3).rounds().into_iter().map(|r| Arc::new(r) as Arc<_>));
+    for rounds in [TwoLevelBlock::new(v, 3, 2).rounds(), BatchedDesign::new(v, 3).rounds()] {
+        schemes.extend(rounds.iter().map(|r| Arc::new(r) as Arc<_>));
+    }
     schemes
+}
+
+/// How a run distributes its tasks: one flat scheme, or a flat scheme's
+/// tasks in sequential rounds.
+enum Plan {
+    Flat(Arc<dyn DistributionScheme>),
+    Rounds(Rounds),
 }
 
 /// Generated equals probed, task by task: on every scheme type, where the
@@ -337,23 +345,21 @@ fn generated_candidates_equal_probed_per_task() {
         let oracle = job().run().unwrap();
         let oracle_pruning = oracle.report.pruning.clone().unwrap();
         let cluster = Cluster::new(ClusterConfig::with_nodes(3));
-        let mut plans: Vec<(&str, Vec<Arc<dyn DistributionScheme>>)> =
-            every_scheme_type(37).into_iter().take(5).map(|s| (s.name(), vec![s])).collect();
-        let two_level = TwoLevelBlock::new(37, 3, 2).rounds().into_iter().map(Arc::from).collect();
-        let batched = BatchedDesign::new(37, 3).rounds().into_iter().map(|r| Arc::new(r) as _);
-        plans.push(("two-level rounds", two_level));
-        plans.push(("batched-design rounds", batched.collect()));
-        for (plan, schemes) in &plans {
+        let mut plans: Vec<(&str, Plan)> =
+            every_scheme_type(37).into_iter().take(5).map(|s| (s.name(), Plan::Flat(s))).collect();
+        plans.push(("two-level rounds", Plan::Rounds(TwoLevelBlock::new(37, 3, 2).rounds())));
+        plans.push(("batched-design rounds", Plan::Rounds(BatchedDesign::new(37, 3).rounds())));
+        for (name, plan) in &plans {
             for symmetry in [Symmetry::Symmetric, Symmetry::NonSymmetric] {
                 for (backend_name, backend) in
                     [("local", Backend::Local { threads: 2 }), ("mr", Backend::Mr(&cluster))]
                 {
-                    let run = match schemes.as_slice() {
-                        [scheme] => job().scheme_arc(Arc::clone(scheme)),
-                        rounds => job().rounds(rounds.to_vec()),
+                    let run = match plan {
+                        Plan::Flat(scheme) => job().scheme_arc(Arc::clone(scheme)),
+                        Plan::Rounds(rounds) => job().rounds(rounds.clone()),
                     };
                     let run = run.symmetry(symmetry).backend(backend).run().unwrap();
-                    let case = format!("{plan} {symmetry:?} {backend_name}");
+                    let case = format!("{name} {symmetry:?} {backend_name}");
                     assert_eq!(run.output, oracle.output, "{case}");
                     assert_eq!(run.report.pruning.as_ref(), Some(&oracle_pruning), "{case}");
                 }
