@@ -304,12 +304,6 @@ impl Cluster {
         );
     }
 
-    /// Peak node-local bytes summed over nodes (upper bound on the true
-    /// cluster-wide peak).
-    pub fn intermediate_bytes_peak(&self) -> u64 {
-        self.nodes.iter().map(|n| n.storage_peak()).sum()
-    }
-
     /// Checks the cluster-wide intermediate-storage cap (`maxis`): errors if
     /// current usage exceeds it.
     pub fn check_intermediate_capacity(&self) -> Result<()> {

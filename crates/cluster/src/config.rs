@@ -173,11 +173,6 @@ impl ClusterConfig {
     pub fn total_map_slots(&self) -> usize {
         self.num_nodes * self.node.map_slots
     }
-
-    /// Total reduce slots across the cluster.
-    pub fn total_reduce_slots(&self) -> usize {
-        self.num_nodes * self.node.reduce_slots
-    }
 }
 
 #[cfg(test)]

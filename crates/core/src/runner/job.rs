@@ -127,6 +127,7 @@ pub struct PairwiseJob<'a, T, R> {
     aggregator: Arc<dyn Aggregator<R>>,
     filter: Option<Arc<dyn PairFilter>>,
     telemetry: Telemetry,
+    fuse: bool,
     options: MrPairwiseOptions,
 }
 
@@ -154,6 +155,7 @@ where
             aggregator: Arc::new(ConcatSort),
             filter: None,
             telemetry: Telemetry::disabled(),
+            fuse: true,
             options: MrPairwiseOptions::default(),
         }
     }
@@ -182,15 +184,15 @@ where
     }
 
     /// Runs a flat scheme's tasks in sequential rounds (paper §7). On MR
-    /// each round is one job 1 in its own DFS directory, fused: its results
-    /// are aggregated into the driver's one set of rows (or accumulators)
-    /// and its files deleted before the next round starts, so job 2 never
-    /// runs. A decomposable aggregator on a fused run aggregates itself;
-    /// any other aggregator runs once on each finished row, over the
-    /// partials in ascending neighbour id. [`PairwiseRun::mr`] holds one
-    /// report per round, so peak intermediate storage shows bounded by the
-    /// largest round. Local runs have no intermediate storage to bound and
-    /// run the flat scheme in one pass.
+    /// each round is one job 1 in its own DFS directory, whose results are
+    /// aggregated into the driver's one set of rows (or accumulators) and
+    /// whose files are deleted before the next round starts, so job 2
+    /// never runs, fused or not; aggregation follows the same rule as
+    /// every other run (see [`fuse`](PairwiseJob::fuse)).
+    /// [`PairwiseRun::mr`] holds one report per round, so peak
+    /// intermediate storage shows bounded by the largest round. Local runs
+    /// have no intermediate storage to bound and run the flat scheme in
+    /// one pass.
     pub fn rounds(mut self, rounds: Rounds) -> Self {
         self.plan = Plan::Rounds(rounds);
         self
@@ -259,28 +261,25 @@ where
         self
     }
 
-    /// Overrides the MR execution options (shards, reducers, DFS dir, …).
-    /// Replaces the whole option set, including the
-    /// [`fuse`](MrPairwiseOptions::fuse) flag — call [`PairwiseJob::fuse`]
-    /// after this to combine the two.
+    /// Overrides the MR execution options (memory overhead, DFS dir).
     pub fn mr_options(mut self, options: MrPairwiseOptions) -> Self {
         self.options = options;
         self
     }
 
-    /// Enables or disables fused aggregation (default: enabled). With a
-    /// [`DecomposableAggregator`](crate::runner::DecomposableAggregator),
-    /// the local backend folds each result into the aggregator's own
-    /// accumulators (or, for `ConcatSort` over every pair, writes its rows
-    /// in place) and the MR backend aggregates inside job-1 reduce tasks,
-    /// skipping job 2 and its shuffle entirely; charged bytes are unchanged
-    /// either way. Unfused — or with a non-decomposable aggregator — the
-    /// local backend gathers every partial of an element and runs the
-    /// aggregator once over them, in ascending neighbour id, and the MR
-    /// backend runs the paper's two jobs — except under
-    /// [`rounds`](PairwiseJob::rounds), which gathers the same way on MR.
+    /// Enables or disables fused aggregation (default: enabled). Every
+    /// backend applies one rule. Fused, a
+    /// [`DecomposableAggregator`](crate::runner::DecomposableAggregator)
+    /// folds each result into the aggregator's own accumulators (or, for
+    /// `ConcatSort` over every pair, writes its rows in place); any other
+    /// aggregator — and every aggregator unfused — gathers all partials of
+    /// an element and runs once over them, in ascending neighbour id. On
+    /// the MR backend a fused run aggregates job 1's output on the driver
+    /// and skips job 2 and its shuffle entirely, whatever the aggregator;
+    /// unfused, a one-batch plan runs the paper's two jobs. Charged bytes
+    /// are unchanged either way.
     pub fn fuse(mut self, fuse: bool) -> Self {
-        self.options.fuse = fuse;
+        self.fuse = fuse;
         self
     }
 
@@ -305,6 +304,7 @@ where
             aggregator,
             filter,
             telemetry,
+            fuse,
             options,
         } = self;
         // Every backend evaluates through one kernel: the caller's batched
@@ -374,7 +374,7 @@ where
                     symmetry,
                     aggregator.as_ref(),
                     threads,
-                    options.fuse,
+                    fuse,
                     filter.as_deref(),
                     &effective,
                 )?;
@@ -393,6 +393,7 @@ where
                     kernel,
                     symmetry,
                     aggregator,
+                    fuse,
                     filter.clone(),
                     options,
                 )?;

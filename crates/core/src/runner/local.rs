@@ -38,8 +38,8 @@ use crate::runner::filter::{PairFilter, PruneStats};
 use crate::runner::kernel::{evaluate_tiled, BatchComp, Pairs, SlotIndex};
 use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::{
-    aggregate_all, Accumulator, Aggregator, ConcatSort, DecomposableAggregator, PairwiseOutput,
-    Symmetry,
+    aggregate_all, aggregation_rule, Accumulator, Aggregator, DecomposableAggregator,
+    PairwiseOutput, Symmetry,
 };
 use crate::scheme::DistributionScheme;
 
@@ -142,14 +142,14 @@ enum WorkerData<R> {
 /// the run's evaluate/aggregate windows are emitted as job phases of job
 /// `"local"`.
 ///
-/// Results are collected under `dec`: the aggregator's decomposable form
-/// on a fused run, otherwise [`ConcatSort`]. When `dec` places rows
+/// Results are collected under `dec` — the aggregator's decomposable form
+/// on a fused run, otherwise [`ConcatSort`](crate::runner::ConcatSort)
+/// followed by the aggregator once per finished row (the one aggregation
+/// rule, `runner::aggregation_rule`). When `dec` places rows
 /// (`runner::place`), each task stages its results by working-set slot
 /// and copies them, one row lock per touched element, into the exact-size
 /// rows at task end; otherwise each worker folds into accumulators of
-/// `dec` at the tile flush, merged at commit. When `dec` is not the
-/// aggregator itself, each finished row — every partial, in ascending
-/// neighbour id — then goes through the aggregator once. A [`PairFilter`]
+/// `dec` at the tile flush, merged at commit. A [`PairFilter`]
 /// gates each task's pairs below enumeration (generating them where it
 /// can), and the prune tallies land in [`LocalRunStats::pruning`].
 ///
@@ -175,11 +175,7 @@ where
     let v = payloads.len();
     let num_tasks = scheme.num_tasks();
     // `then` is the aggregator still to run over each finished row.
-    let (dec, then): (&dyn DecomposableAggregator<R>, _) =
-        match aggregator.decomposable().filter(|_| fuse) {
-            Some(dec) => (dec, None),
-            None => (&ConcatSort, Some(aggregator)),
-        };
+    let (dec, then) = aggregation_rule(aggregator, fuse);
     let placed = places_rows(dec, filter.is_some(), scheme);
     // `rows[id]` is element `id`'s output row; only a placed run has them.
     let rows: Vec<Mutex<Option<PlacedRow<R>>>> =
@@ -393,7 +389,7 @@ fn finish_in_parallel<X: Send, R: Send>(
 mod tests {
     use super::*;
     use crate::runner::sequential::run_sequential;
-    use crate::runner::{comp_fn, CompFn};
+    use crate::runner::{comp_fn, CompFn, ConcatSort};
     use crate::scheme::{BlockScheme, BroadcastScheme, DesignScheme};
 
     fn payloads(v: usize) -> Vec<i64> {

@@ -139,11 +139,11 @@ impl<R: PartialEq> PartialEq for Accumulator<R> {
 /// which lets every backend fuse aggregation into pair evaluation). For
 /// one-shot closures, see [`FnAggregator`].
 ///
-/// **Partial order.** A non-decomposable aggregator (or any aggregator on
-/// an unfused run) receives each element's partials in ascending
-/// neighbour id on the sequential and local backends, and on MR under a
-/// [`rounds`](PairwiseJob::rounds) plan. The MR backend's job 2 hands them
-/// over in shuffle order.
+/// **Partial order.** Every backend applies one rule: a decomposable
+/// aggregator on a fused run folds its partials as pairs are evaluated;
+/// any other aggregator receives each element's partials once, all of
+/// them, in ascending neighbour id — on every backend and plan, fused or
+/// not.
 pub trait Aggregator<R>: Send + Sync {
     /// Creates the accumulator for `element`.
     fn init(&self, element: u64) -> Accumulator<R> {
@@ -160,8 +160,8 @@ pub trait Aggregator<R>: Send + Sync {
 
     /// Advertises the decomposable capability. Returning `Some` promises
     /// the decomposability law (see [`DecomposableAggregator`]) and lets
-    /// the runners fuse aggregation into pair evaluation — on the MR
-    /// backend, job 2 is skipped entirely.
+    /// a fused run fold each result as its pair is evaluated, instead of
+    /// gathering an element's partials and aggregating them once.
     fn decomposable(&self) -> Option<&dyn DecomposableAggregator<R>> {
         None
     }
@@ -187,6 +187,21 @@ pub trait DecomposableAggregator<R>: Aggregator<R> {
     }
 }
 
+/// The one aggregation rule every runner applies: `(dec, then)` for an
+/// aggregator on a fused or unfused run. A decomposable aggregator on a
+/// fused run collects under itself and `then` is `None`. Anything else
+/// collects under [`ConcatSort`], and `then` is the aggregator, run once
+/// on each finished row — every partial, in ascending neighbour id.
+pub(crate) fn aggregation_rule<R>(
+    aggregator: &dyn Aggregator<R>,
+    fuse: bool,
+) -> (&dyn DecomposableAggregator<R>, Option<&dyn Aggregator<R>>) {
+    match aggregator.decomposable().filter(|_| fuse) {
+        Some(dec) => (dec, None),
+        None => (&ConcatSort, Some(aggregator)),
+    }
+}
+
 /// One-shot aggregation of all partials gathered for `element`, routed
 /// through the streaming API.
 pub fn aggregate_all<R>(
@@ -203,9 +218,9 @@ pub fn aggregate_all<R>(
 
 /// Adapts a one-shot closure `(element, partials) -> merged` into an
 /// [`Aggregator`] — the blanket path for user logic with no streaming
-/// form. Deliberately not decomposable: the closure sees every partial,
-/// in ascending neighbour id on the sequential and local backends and in
-/// shuffle order on MR (see [`Aggregator`]).
+/// form. Deliberately not decomposable: the closure sees every partial of
+/// an element at once, in ascending neighbour id, on every backend (see
+/// [`Aggregator`]).
 pub struct FnAggregator<R, F: Fn(u64, Vec<(u64, R)>) -> Vec<(u64, R)> + Send + Sync> {
     f: F,
     _pd: std::marker::PhantomData<fn() -> R>,

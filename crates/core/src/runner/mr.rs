@@ -14,29 +14,33 @@
 //! Job 1 (*distribution and pairwise comparison*): `map` replicates each
 //! element id to the working sets `getSubsets` names; the sort/shuffle
 //! phase routes every working set to one reducer; `reduce` resolves ids
-//! through the store, evaluates `getPairs`, and emits each element id with
-//! its partial `(other, result)` list.
+//! through the store, evaluates `getPairs`, folds each result into its
+//! element's accumulator and emits each element id with its partial
+//! `(other, result)` list.
 //!
-//! Job 2 (*aggregation*): `map` groups by element id (charging the payload
-//! copy the paper's identity map would carry); `reduce` merges the partial
-//! lists with the application's `aggregateResults`.
+//! **Aggregation** follows the one rule every backend applies
+//! (`runner::aggregation_rule`): job 1 folds under `dec` — a decomposable
+//! aggregator itself on a fused run, `ConcatSort` (a plain push) otherwise
+//! — and an aggregator that is not `dec` runs once per element over all of
+//! its partials, in ascending neighbour id. With fusion on (the default)
+//! **job 2 never runs**, whatever the aggregator: the driver merges each
+//! job 1's output into per-element accumulators — or, when the run places
+//! rows (`runner::place`), writes every entry straight to its index in the
+//! element's row — and then runs the aggregator on each finished row when
+//! it is not `dec`. Only `fuse(false)` on a one-batch plan runs job 2
+//! (*aggregation*): `map` groups by element id (charging the payload copy
+//! the paper's identity map would carry), and `reduce` sorts an element's
+//! partials by neighbour id and applies `aggregateResults` once. The §5.1
+//! broadcast job aggregates in its reduce with the same reducer.
 //!
-//! **Fused path.** When the aggregator advertises
-//! [`DecomposableAggregator`] (and [`MrPairwiseOptions::fuse`] is set — the
-//! default), aggregation is fused into job 1's reduce tasks and **job 2 is
-//! skipped entirely**: pair results fold into per-element accumulators at
-//! the tile flush, each emitted copy carries folded partials, and the
-//! driver merges the copies' accumulators — or, when the run places rows
-//! (`runner::place`), writes every entry straight to its index in the
-//! element's row. Charged bytes stay byte-identical to the two-job model —
-//! the shuffle job 2 would have charged accrues under
-//! [`FUSED_CHARGED_SHUFFLE_COUNTER`] — while the physically moved shuffle
-//! bytes of job 2 disappear.
+//! Charged bytes are the same either way: job 1 books the shuffle job 2
+//! charges under [`FUSED_CHARGED_SHUFFLE_COUNTER`] on every run, and a run
+//! without job 2 adds it to its charged shuffle, while the physically
+//! moved shuffle bytes of job 2 disappear.
 //!
 //! **Rounds (§7).** A [`Rounds`](crate::hierarchical::Rounds) plan runs one
-//! fused job 1 per round and merges each round into the same rows or
-//! accumulators before the next one starts; an aggregator that does not
-//! fuse is collected under `ConcatSort` and runs once per finished row.
+//! job 1 per round and merges each round into the same rows or
+//! accumulators before the next one starts, fused or not.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,8 +48,8 @@ use std::sync::Arc;
 use bytes::{Bytes, BytesMut};
 use pmr_cluster::{Cluster, WireSnapshot};
 use pmr_mapreduce::{
-    read_output, write_sharded, Counters, Engine, JobOutput, JobSpec, MapContext, Mapper,
-    ModuloPartitioner, MrError, RawRecord, ReduceContext, Reducer, Values, Wire,
+    write_sharded, Counters, Engine, JobOutput, JobSpec, MapContext, Mapper, ModuloPartitioner,
+    MrError, RawRecord, ReduceContext, Reducer, Values, Wire,
 };
 use pmr_obs::{hist, Telemetry};
 
@@ -55,27 +59,22 @@ use crate::runner::kernel::{evaluate_tiled, BatchComp, Pairs, SlotIndex};
 use crate::runner::place::{finish_rows, place, places_rows, PlacedRow};
 use crate::runner::store::ElementStore;
 use crate::runner::{
-    aggregate_all, Accumulator, Aggregator, ConcatSort, DecomposableAggregator, PairwiseOutput,
-    Symmetry,
+    aggregate_all, aggregation_rule, Accumulator, Aggregator, ConcatSort, DecomposableAggregator,
+    PairwiseOutput, Symmetry,
 };
 use crate::scheme::DistributionScheme;
 
 /// User counter: pairwise function evaluations performed inside tasks.
 pub const EVALUATIONS_COUNTER: &str = "pairwise.evaluations";
 
-/// User counter (fused path only): the shuffle bytes job 2 *would have
-/// charged* for the records a fused reduce task emitted — frame, key,
-/// length prefix, every pre-fold `(other, result)` entry, and the
-/// payload-copy charge. Accrued through the task's scratch counters, so
-/// the total is exactly-once under crashes and speculation, and adding it
-/// to job 1's charged shuffle reproduces the unfused two-job total
-/// byte-for-byte.
+/// User counter: the shuffle bytes job 2 charges for the records a job-1
+/// reduce task emitted — frame, key, length prefix, every pre-fold
+/// `(other, result)` entry, and the payload-copy charge. Accrued on every
+/// run through the task's scratch counters, so the total is exactly-once
+/// under crashes and speculation: on a two-job run it equals job 2's
+/// charged shuffle, and a run without job 2 adds it to job 1's charged
+/// shuffle to reproduce the two-job total byte-for-byte.
 pub const FUSED_CHARGED_SHUFFLE_COUNTER: &str = "pairwise.fused.charged.shuffle.bytes";
-
-/// One aggregated output row as stored on the DFS: element id with its
-/// merged `(other, result)` list. Payloads never round-trip through the
-/// output — callers resolve ids against the store.
-type OutputRow<R> = (u64, Vec<(u64, R)>);
 
 /// Options for an MR pairwise run. The job shapes follow from the cluster
 /// size `n`: `2n` input shards (`n` task shards for broadcast), and
@@ -87,12 +86,6 @@ pub struct MrPairwiseOptions {
     pub memory_overhead: (u64, u64),
     /// Base DFS directory for this run's files (must be unused).
     pub dfs_dir: String,
-    /// Fuse aggregation into job-1 reduce tasks when the aggregator is
-    /// decomposable, skipping job 2 and its shuffle entirely (charged
-    /// bytes are unchanged; only physically moved bytes collapse). Ignored
-    /// — the two-job pipeline runs — when the aggregator does not
-    /// advertise [`DecomposableAggregator`].
-    pub fuse: bool,
 }
 
 impl Default for MrPairwiseOptions {
@@ -101,7 +94,6 @@ impl Default for MrPairwiseOptions {
         MrPairwiseOptions {
             memory_overhead: (1, 1),
             dfs_dir: format!("pairwise-run-{}", RUN_SEQ.fetch_add(1, Ordering::Relaxed)),
-            fuse: true,
         }
     }
 }
@@ -114,8 +106,9 @@ pub struct MrRunReport {
     /// Job 2 output (absent for the single-job broadcast path and for
     /// fused runs, which skip it).
     pub job2: Option<JobOutput>,
-    /// True when aggregation was fused into job 1's reduce tasks and job 2
-    /// was skipped (decomposable aggregator + `MrPairwiseOptions::fuse`).
+    /// True when the driver aggregated job 1's output and job 2 was
+    /// skipped: every fused run, and every run of a rounds plan. False on
+    /// the two-job pipeline and the §5.1 broadcast job.
     pub fused: bool,
     /// Pairwise function evaluations performed.
     pub evaluations: u64,
@@ -243,10 +236,10 @@ fn validate_working_set<T: Wire + Sync>(
     Ok((ids, payload_bytes))
 }
 
-/// What the three evaluators — job-1 reducer, its fused variant, and the
-/// broadcast mapper — share: one task's pairs go through the filter and the
-/// kernel tiles, and each per-direction result is handed to the caller's
-/// sink under the receiving element's working-set slot.
+/// What the two evaluators — the job-1 reducer and the broadcast mapper —
+/// share: one task's pairs go through the filter and the kernel tiles, and
+/// each per-direction result is handed to the caller's sink under the
+/// receiving element's working-set slot.
 struct TaskEvaluator<T, R> {
     scheme: Arc<dyn DistributionScheme>,
     kernel: Arc<dyn BatchComp<T, R>>,
@@ -297,55 +290,23 @@ impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
 }
 
 /// Job-1 reducer: `getPairs` + `evaluate` + `addResult` (both directions),
-/// resolving ids through the node-local element store.
-struct EvaluateReducer<T, R>(TaskEvaluator<T, R>);
-
-impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
-    type KIn = u64;
-    type VIn = u64;
-    type KOut = u64;
-    type VOut = Vec<(u64, R)>;
-
-    fn reduce(
-        &self,
-        ws: u64,
-        values: Values<'_, u64>,
-        ctx: &mut ReduceContext<'_, u64, Vec<(u64, R)>>,
-    ) -> pmr_mapreduce::Result<()> {
-        let store = attached_store::<T>(ctx.store(), "job 1")?;
-        let (ids, payload_bytes) = validate_working_set(self.0.scheme.as_ref(), ws, values, store)?;
-        ctx.memory().try_reserve(payload_bytes)?;
-        let mut results: Vec<Vec<(u64, R)>> = vec![Vec::new(); ids.len()];
-        self.0.run(ws, &ids, store, ctx.counters(), |slot, other, r| {
-            results[slot].push((other, r));
-        });
-        // Emit every copy with its partial results (paper: "The output of
-        // the reduce phase contains each element (including all copies)") —
-        // as ids, not payloads.
-        for (id, partial) in ids.into_iter().zip(results) {
-            ctx.emit(id, partial);
-        }
-        ctx.memory().release(payload_bytes);
-        Ok(())
-    }
-}
-
-/// Fused job-1 reducer: evaluation *and* aggregation in one pass. Pair
-/// results are folded into per-element accumulators at the tile flush
-/// (never materialized as a per-pair list), and each element copy's
-/// emitted record already carries folded — filtered, compacted — partials.
-/// The driver merges the per-copy accumulators and job 2 never runs.
+/// resolving ids through the node-local element store. Pair results are
+/// folded under the run's `dec` (see `runner::aggregation_rule`) into
+/// per-element accumulators at the tile flush, and each element copy's
+/// emitted record carries its folded partials. Unfused, `dec` is
+/// `ConcatSort`, whose fold is a plain push: the record is the paper's
+/// partial list, in evaluation order.
 ///
-/// The charged-byte model is kept byte-identical to the unfused pipeline:
-/// every pre-fold `(other, result)` entry is weighed and the shuffle
-/// bytes job 2 would have charged for this task's records accrue under
+/// Every pre-fold `(other, result)` entry is weighed, and the shuffle bytes
+/// job 2 charges for this task's records accrue under
 /// [`FUSED_CHARGED_SHUFFLE_COUNTER`].
-struct FusedEvaluateReducer<T, R> {
+struct EvaluateReducer<T, R> {
     eval: TaskEvaluator<T, R>,
     aggregator: Arc<dyn Aggregator<R>>,
+    fuse: bool,
 }
 
-impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for FusedEvaluateReducer<T, R> {
+impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
     type KIn = u64;
     type VIn = u64;
     type KOut = u64;
@@ -361,11 +322,11 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for FusedEvaluateReducer<T,
         let (ids, payload_bytes) =
             validate_working_set(self.eval.scheme.as_ref(), ws, values, store)?;
         ctx.memory().try_reserve(payload_bytes)?;
-        let aggregator = self.aggregator.as_ref();
-        // By slot: the accumulator (created through the aggregator on first
-        // touch) and the wire size of the `(other, result)` entries the
-        // unfused partial list would carry — 8-byte other id plus the
-        // result's canonical encoding, measured in one reused buffer.
+        let (dec, _) = aggregation_rule(self.aggregator.as_ref(), self.fuse);
+        // By slot: the accumulator (created through `dec` on first touch)
+        // and the wire size of the `(other, result)` entries the unfused
+        // partial list carries — 8-byte other id plus the result's
+        // canonical encoding, measured in one reused buffer.
         let mut accs: Vec<Option<Accumulator<R>>> = vec![None; ids.len()];
         let mut folded_bytes = vec![0u64; ids.len()];
         let mut entry = BytesMut::new();
@@ -373,19 +334,21 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for FusedEvaluateReducer<T,
             entry.clear();
             r.encode(&mut entry);
             folded_bytes[slot] += 8 + entry.len() as u64;
-            let acc = accs[slot].get_or_insert_with(|| aggregator.init(ids[slot]));
-            aggregator.fold(acc, other, r);
+            let acc = accs[slot].get_or_insert_with(|| dec.init(ids[slot]));
+            dec.fold(acc, other, r);
         });
-        // Emit every copy with its folded partials, charging what job 2's
-        // map would have shuffled for the unfused record: frame header (8)
-        // + u64 key (8) + Vec length prefix (4) + the pre-fold entries +
-        // the element's payload-copy charge.
-        let mut fused_charge = 0u64;
+        // Emit every copy with its folded partials (paper: "The output of
+        // the reduce phase contains each element (including all copies)") —
+        // as ids, not payloads — charging what job 2's map shuffles for the
+        // unfused record: frame header (8) + u64 key (8) + Vec length
+        // prefix (4) + the pre-fold entries + the element's payload-copy
+        // charge.
+        let mut job2_charge = 0u64;
         for ((&id, acc), folded) in ids.iter().zip(accs).zip(folded_bytes) {
-            fused_charge += 20 + folded + store.encoded_len(id);
+            job2_charge += 20 + folded + store.encoded_len(id);
             ctx.emit(id, acc.map(Accumulator::into_partials).unwrap_or_default());
         }
-        ctx.counters().add(FUSED_CHARGED_SHUFFLE_COUNTER, fused_charge);
+        ctx.counters().add(FUSED_CHARGED_SHUFFLE_COUNTER, job2_charge);
         ctx.memory().release(payload_bytes);
         Ok(())
     }
@@ -420,7 +383,10 @@ impl<T: Wire + Sync, R: Wire + Sync> Mapper for GroupByElementMapper<T, R> {
     }
 }
 
-/// Job-2 reducer: merges an element's copies with `aggregateResults`.
+/// Job-2 reducer, and the §5.1 broadcast job's reduce: the paper's
+/// `aggregateResults`. Gathers every partial of an element from its
+/// copies, sorts them by neighbour id (`ConcatSort`) and applies the
+/// aggregator once.
 struct AggregateReducer<T, R> {
     aggregator: Arc<dyn Aggregator<R>>,
     _pd: std::marker::PhantomData<fn() -> T>,
@@ -443,16 +409,8 @@ impl<T: Wire + Sync, R: Wire + Sync> Reducer for AggregateReducer<T, R> {
         // the measured `maxws` pressure matches the paper's model.
         let payload_bytes = payload_charge(store, id, "aggregate")? * values.len() as u64;
         ctx.memory().try_reserve(payload_bytes)?;
-        // Stream each copy's entries through the accumulator API; for the
-        // default fold this is exactly the old concatenate-then-aggregate.
-        let mut acc = self.aggregator.init(id);
-        for rs in values {
-            for (other, r) in rs {
-                self.aggregator.fold(&mut acc, other, r);
-            }
-        }
-        let merged = self.aggregator.finish(acc);
-        ctx.emit(id, merged);
+        let row = ConcatSort.finish(Accumulator::from_parts(id, values.flatten().collect()));
+        ctx.emit(id, aggregate_all(self.aggregator.as_ref(), id, row));
         ctx.memory().release(payload_bytes);
         Ok(())
     }
@@ -527,8 +485,8 @@ fn store_handle<T: Wire + Sync>(
 /// and, on the unfused two-job pipeline, job 2. Charged, moved and network
 /// bytes and the recovery counters are summed over the jobs (the engine
 /// creates a recovery counter only when it fires), peak intermediate bytes
-/// is the maximum, and the fused run's would-be job-2 charge is added to
-/// the charged shuffle.
+/// is the maximum, and a run without job 2 adds the charge job 1 booked
+/// for it to the charged shuffle.
 fn mr_report(
     cluster: &Cluster,
     wire_start: &WireSnapshot,
@@ -543,7 +501,7 @@ fn mr_report(
         evaluations: job1.counters.get(EVALUATIONS_COUNTER).copied().unwrap_or(0),
         replicated_records: job1.counters[pmr_mapreduce::builtin::MAP_OUTPUT_RECORDS],
         shuffle_bytes: sum(pmr_mapreduce::builtin::SHUFFLE_BYTES)
-            + sum(FUSED_CHARGED_SHUFFLE_COUNTER),
+            + if job2.is_none() { sum(FUSED_CHARGED_SHUFFLE_COUNTER) } else { 0 },
         shuffle_moved_bytes: sum(pmr_mapreduce::builtin::SHUFFLE_MOVED_BYTES),
         max_working_set_bytes: job1.stats.max_working_set_bytes,
         network_bytes: jobs().map(|j| j.stats.network_bytes).sum(),
@@ -575,9 +533,10 @@ fn record_analytic_meta(telemetry: &Telemetry, scheme: &dyn DistributionScheme, 
     );
 }
 
-/// Hands each `(id, folded partials)` frame of one fused job-1 part file to
-/// `copy` with the id's entry of the id-indexed `slots`. A corrupt frame or
-/// an id outside the store is an error, as in job 2.
+/// Hands each `(id, partials)` frame of one part file — job 1's or the
+/// aggregated output's — to `copy` with the id's entry of the id-indexed
+/// `slots`. A corrupt frame or an id outside the store is an error, as in
+/// job 2.
 fn for_each_copy<S, R: Wire>(
     mut part: Bytes,
     slots: &mut [S],
@@ -587,14 +546,14 @@ fn for_each_copy<S, R: Wire>(
         let raw = RawRecord::read_framed(&mut part)?;
         let id = u64::from_bytes(raw.key)?;
         let slot = usize::try_from(id).ok().and_then(|i| slots.get_mut(i)).ok_or_else(|| {
-            MrError::User(format!("merge: element id {id} in job-1 output is not in the store"))
+            MrError::User(format!("merge: element id {id} in the output is not in the store"))
         })?;
         copy(slot, id, Wire::from_bytes(raw.value)?)?;
     }
     Ok(())
 }
 
-/// Merges one fused part file into the id-indexed accumulators: an
+/// Merges one job-1 part file into the id-indexed accumulators: an
 /// element's first copy is adopted as its accumulator, every later one
 /// merged into it.
 fn merge_part<R: Wire>(
@@ -612,7 +571,7 @@ fn merge_part<R: Wire>(
     })
 }
 
-/// Writes one fused part file's entries straight into the id-indexed
+/// Writes one job-1 part file's entries straight into the id-indexed
 /// placed rows (`runner::place`); a neighbour outside the run, the element
 /// itself, or one written twice is an error.
 fn place_part<R: Wire + Clone>(
@@ -625,34 +584,15 @@ fn place_part<R: Wire + Clone>(
     })
 }
 
-/// Job 1 (distribute, then evaluate): the fused and the two-job pipelines
-/// differ only in its reducer.
-fn job1_spec<T: Wire + Sync, Red: Reducer<KIn = u64, VIn = u64>>(
-    dir: &str,
-    inputs: Vec<String>,
-    scheme: &Arc<dyn DistributionScheme>,
-    reducer: Red,
-    options: &MrPairwiseOptions,
-    store: &Arc<ElementStore<T>>,
-    nodes: usize,
-) -> JobSpec<DistributeMapper<T>, Red> {
-    let mapper = DistributeMapper { scheme: Arc::clone(scheme), _pd: std::marker::PhantomData };
-    let name = format!("{dir}-j1-distribute-evaluate");
-    let reducers = auto(nodes, scheme.num_tasks());
-    JobSpec::new(name, inputs, format!("{dir}/mid"), mapper, reducer, reducers)
-        .partitioner(Arc::new(ModuloPartitioner))
-        .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-        .store(store_handle(store))
-}
-
 /// The one MR driver, over the job's plan. Job 1 is the paper's
 /// distribute-and-evaluate job — or, for a broadcast plan, the §5.1 single
 /// job that evaluates in the map over the distributed-cache dataset and
 /// aggregates in the reduce. A rounds plan of several batches runs job 1
 /// once per round, in `{dir}/round-{i}`; a plain scheme is one batch in
-/// `{dir}`. A fused run merges each job 1's output on the driver; any other
-/// run aggregates in job 2 (or the broadcast reduce) and collects
-/// `{dir}/out`.
+/// `{dir}`. Aggregation follows `runner::aggregation_rule`: a fused run,
+/// or one of several rounds, merges each job 1's output on the driver; an
+/// unfused one-batch run aggregates in job 2, and a broadcast run in its
+/// reduce, and either collects `{dir}/out`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mr_impl<T, R>(
     cluster: &Cluster,
@@ -661,6 +601,7 @@ pub(crate) fn run_mr_impl<T, R>(
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
     aggregator: Arc<dyn Aggregator<R>>,
+    fuse: bool,
     filter: Option<Arc<dyn PairFilter>>,
     options: MrPairwiseOptions,
 ) -> pmr_mapreduce::Result<(PairwiseOutput<R>, Vec<MrRunReport>)>
@@ -693,26 +634,15 @@ where
     let io_job = format!("{dir}-io");
     let io =
         telemetry.job_phase(&io_job, if distributed { "seed-store" } else { "distribute-input" });
-    // Fuse when asked *and* the aggregator advertises the capability, and
-    // always across several rounds, so each round is aggregated before the
-    // next (§7): there, any other aggregator is collected under
-    // `ConcatSort` and then runs once on each finished row — `then`, the
-    // local runner's rule. Anything else runs the paper's two-job pipeline
-    // unchanged. The §5.1 variant is inherently single-job; its map-side
-    // emission stays unfused so the charged seeding/shuffle costs are the
-    // paper's.
-    let (fold, then): (Option<Arc<dyn Aggregator<R>>>, _) = match aggregator
-        .decomposable()
-        .filter(|_| options.fuse && !broadcast)
-    {
-        Some(_) => (Some(Arc::clone(&aggregator)), None),
-        None if rounds.len() > 1 => (Some(Arc::new(ConcatSort) as _), Some(aggregator.as_ref())),
-        None => (None, None),
-    };
-    let dec = fold.as_deref().and_then(|fold| fold.decomposable());
-    let placed = dec.is_some_and(|dec| places_rows(dec, filter.is_some(), scheme.as_ref()));
+    // The driver aggregates job 1's output unless the run asked for the
+    // paper's literal two jobs on a single batch; several rounds are each
+    // aggregated before the next (§7). The §5.1 variant is inherently
+    // single-job and aggregates in its reduce; its map-side emission stays
+    // as is so the charged seeding/shuffle costs are the paper's.
+    let on_driver = !broadcast && (fuse || rounds.len() > 1);
+    let (dec, then) = aggregation_rule(aggregator.as_ref(), fuse);
     if !broadcast {
-        telemetry.set_meta("mr.fused", dec.is_some());
+        telemetry.set_meta("mr.fused", on_driver);
     }
     let n = cluster.num_nodes();
     record_analytic_meta(&telemetry, scheme.as_ref(), n as u64);
@@ -749,8 +679,28 @@ where
         filter: filter.clone(),
         telemetry: telemetry.clone(),
     };
+    // Job 1 (distribute, then evaluate) over one round's scheme.
+    let job1 = |round_dir: &str, round: &Arc<dyn DistributionScheme>| {
+        let mapper =
+            DistributeMapper::<T> { scheme: Arc::clone(round), _pd: std::marker::PhantomData };
+        let reducer =
+            EvaluateReducer { eval: eval(round), aggregator: Arc::clone(&aggregator), fuse };
+        let spec = JobSpec::new(
+            format!("{round_dir}-j1-distribute-evaluate"),
+            inputs.clone(),
+            format!("{round_dir}/mid"),
+            mapper,
+            reducer,
+            auto(n, round.num_tasks()),
+        );
+        engine.run(
+            spec.partitioner(Arc::new(ModuloPartitioner))
+                .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+                .store(store_handle(store)),
+        )
+    };
 
-    if let Some((fold, dec)) = fold.as_ref().zip(dec) {
+    if on_driver {
         // Job 2 is skipped outright: after each round's job 1 the driver
         // merges the per-copy accumulators off its output — or, placing,
         // writes the output rows themselves — and deletes the round's files
@@ -758,8 +708,9 @@ where
         // thread reads each part file once, in part order, frame by frame,
         // so the driver holds one part's bytes and one set of rows. The
         // shuffle job 2 would have charged was accrued (exactly-once) by
-        // the fused reduce tasks, so the reported charged bytes still equal
-        // the unfused two-job total while nothing extra moved.
+        // the job-1 reduce tasks, so the reported charged bytes still equal
+        // the two-job total while nothing extra moved.
+        let placed = places_rows(dec, filter.is_some(), scheme.as_ref());
         let placed_len = if placed { store.len() } else { 0 };
         let mut rows: Vec<Option<PlacedRow<R>>> = (0..placed_len).map(|_| None).collect();
         let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len() - placed_len];
@@ -767,10 +718,7 @@ where
         let mut merge_phase = None;
         for (round_dir, round) in &rounds {
             drop(merge_phase.take());
-            let reducer =
-                FusedEvaluateReducer::<T, R> { eval: eval(round), aggregator: Arc::clone(fold) };
-            let spec = job1_spec(round_dir, inputs.clone(), round, reducer, &options, store, n);
-            let job1 = engine.run(spec)?;
+            let job1 = job1(round_dir, round)?;
             merge_phase = Some(telemetry.job_phase(&io_job, "merge-aggregate"));
             for path in cluster.dfs().list(&format!("{round_dir}/mid/")) {
                 let part = cluster.dfs().read(&path)?;
@@ -805,6 +753,10 @@ where
         return Ok((PairwiseOutput { per_element }, reports));
     }
 
+    let aggregate = || AggregateReducer::<T, R> {
+        aggregator: Arc::clone(&aggregator),
+        _pd: std::marker::PhantomData,
+    };
     let (job1, job2) = match dataset_bytes.filter(|_| broadcast) {
         Some(dataset) => {
             let job = engine.run(
@@ -813,10 +765,7 @@ where
                     inputs,
                     format!("{dir}/out"),
                     BroadcastEvalMapper::<T, R>(eval(scheme)),
-                    AggregateReducer::<T, R> {
-                        aggregator: Arc::clone(&aggregator),
-                        _pd: std::marker::PhantomData,
-                    },
+                    aggregate(),
                     auto(n, scheme.v()),
                 )
                 .partitioner(Arc::new(ModuloPartitioner))
@@ -827,18 +776,14 @@ where
             (job, None)
         }
         None => {
-            let reducer = EvaluateReducer::<T, R>(eval(scheme));
-            let job1 = engine.run(job1_spec(dir, inputs, scheme, reducer, &options, store, n))?;
+            let job1 = job1(dir, scheme)?;
             let job2 = engine.run(
                 JobSpec::new(
                     format!("{dir}-j2-aggregate"),
                     job1.output_paths.clone(),
                     format!("{dir}/out"),
                     GroupByElementMapper::<T, R> { _pd: std::marker::PhantomData },
-                    AggregateReducer::<T, R> {
-                        aggregator: Arc::clone(&aggregator),
-                        _pd: std::marker::PhantomData,
-                    },
+                    aggregate(),
                     auto(n, scheme.v()),
                 )
                 .partitioner(Arc::new(ModuloPartitioner))
@@ -849,26 +794,26 @@ where
         }
     };
 
+    // One aggregated record per element that received a partial; an id no
+    // record carried (the broadcast mapper emits only elements with
+    // results, so a filter that prunes every pair of an element leaves
+    // none) gets the aggregator over zero partials.
     let io = telemetry.job_phase(&io_job, "collect-output");
-    let mut per_element: Vec<OutputRow<R>> = read_output(cluster, &format!("{dir}/out"))?;
-    per_element.sort_by_key(|(id, _)| *id);
-    // The broadcast mapper only emits elements that produced results, so a
-    // filter that prunes *every* pair of an element would drop its row.
-    // Backfill the empty rows the other backends produce (aggregator run
-    // over zero partials), keeping pruned output identical across
-    // backends. Unfiltered runs never hit this: every element has v−1
-    // pairs, so every id was emitted.
-    if broadcast && filter.is_some() && per_element.len() < store.len() {
-        let mut filled: Vec<OutputRow<R>> = Vec::with_capacity(store.len());
-        let mut have = per_element.into_iter().peekable();
-        for id in 0..store.len() as u64 {
-            match have.peek() {
-                Some((next, _)) if *next == id => filled.push(have.next().unwrap()),
-                _ => filled.push((id, aggregate_all(aggregator.as_ref(), id, Vec::new()))),
+    let mut rows: Vec<Option<Vec<(u64, R)>>> = vec![None; store.len()];
+    for path in cluster.dfs().list(&format!("{dir}/out/")) {
+        for_each_copy(cluster.dfs().read(&path)?, &mut rows, |row, id, aggregated| {
+            match row.replace(aggregated) {
+                None => Ok(()),
+                Some(_) => Err(MrError::User(format!("collect: element id {id} output twice"))),
             }
-        }
-        per_element = filled;
+        })?;
     }
+    let per_element = (0u64..)
+        .zip(rows)
+        .map(|(id, row)| {
+            (id, row.unwrap_or_else(|| aggregate_all(aggregator.as_ref(), id, Vec::new())))
+        })
+        .collect();
     let report = mr_report(cluster, &wire_start, job1, job2, false);
     drop(io);
     Ok((PairwiseOutput { per_element }, vec![report]))
@@ -1120,13 +1065,17 @@ mod tests {
                     scheme: Arc::clone(&scheme),
                     _pd: std::marker::PhantomData,
                 },
-                EvaluateReducer::<u64, u64>(TaskEvaluator {
-                    scheme,
-                    kernel: Arc::new(comp_fn(|a: &u64, b: &u64| a + b)),
-                    symmetry: Symmetry::Symmetric,
-                    filter: None,
-                    telemetry: cluster.telemetry().clone(),
-                }),
+                EvaluateReducer::<u64, u64> {
+                    eval: TaskEvaluator {
+                        scheme,
+                        kernel: Arc::new(comp_fn(|a: &u64, b: &u64| a + b)),
+                        symmetry: Symmetry::Symmetric,
+                        filter: None,
+                        telemetry: cluster.telemetry().clone(),
+                    },
+                    aggregator: Arc::new(crate::runner::ConcatSort),
+                    fuse: true,
+                },
                 1,
             ))
             .unwrap_err();

@@ -17,7 +17,9 @@
 //!   atomically: the first attempt of a task to finish wins (a CAS on the
 //!   task's winner slot), merges its scratch counters into the job
 //!   counters, and publishes its output; losing sibling attempts are
-//!   discarded wholesale (span cancelled, counters dropped). Logical
+//!   discarded wholesale (span cancelled, counters dropped). A winner whose
+//!   output cannot be published (a replica node died under the write)
+//!   reopens the task for its re-queued attempt. Logical
 //!   counters — `pairwise.evaluations`, record and byte totals — therefore
 //!   count each task exactly once no matter how many attempts ran.
 //! * A crashed node loses its local files, including completed map
@@ -186,6 +188,11 @@ impl PhaseBoard {
         self.winner[task]
             .compare_exchange(OPEN, attempt, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
+    }
+
+    /// Undoes a win whose output could not be published.
+    fn reopen(&self, task: usize) {
+        self.winner[task].store(OPEN, Ordering::SeqCst);
     }
 
     /// Marks a committed task done.
@@ -644,7 +651,14 @@ where
             span.cancel();
             return Ok(false);
         }
-        publish(out, &mut span)?;
+        if let Err(err) = publish(out, &mut span) {
+            // Nothing became visible (a reduce part is deleted before it
+            // is written): reopen the task, or its re-queued attempt would
+            // find it won and the phase would wait for it forever.
+            span.cancel();
+            board.reopen(task);
+            return Err(err);
+        }
         commit_scratch(&self.counters, &scratch);
         drop(span);
         board.finish(run_started.elapsed().as_micros() as u64);

@@ -619,3 +619,63 @@ fn spills_count_against_node_storage() {
         .unwrap_err();
     assert!(matches!(err, MrError::Cluster(ClusterError::NodeStorageExceeded { .. })), "{err}");
 }
+
+#[test]
+fn reduce_output_lost_to_a_dying_node_is_rewritten() {
+    // Node 1 dies in two steps while the only reduce task (on node 0) runs:
+    // its store goes first, and the DFS hears of the crash only later. A
+    // part file written in between still names node 1 as a replica, so
+    // the attempt that won the task fails to publish it. The task must go
+    // back to the queue and commit on the next attempt, not stay won and
+    // unfinished (which parked every worker for good).
+    struct CrashingSumReducer {
+        cluster: std::sync::Arc<Cluster>,
+        calls: std::sync::atomic::AtomicU32,
+    }
+    impl Reducer for CrashingSumReducer {
+        type KIn = String;
+        type VIn = u64;
+        type KOut = String;
+        type VOut = u64;
+
+        fn reduce(
+            &self,
+            word: String,
+            values: Values<'_, u64>,
+            ctx: &mut ReduceContext<'_, String, u64>,
+        ) -> pmr_mapreduce::Result<()> {
+            let victim = pmr_cluster::NodeId(1);
+            if word == "the" {
+                match self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) {
+                    0 => {
+                        self.cluster.node(victim).crash();
+                    }
+                    1 => {
+                        let cluster = &self.cluster;
+                        cluster.dfs().handle_node_crash(
+                            victim,
+                            cluster.traffic(),
+                            &cluster.config().network,
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            SumReducer.reduce(word, values, ctx)
+        }
+    }
+
+    let cluster = std::sync::Arc::new(Cluster::new(ClusterConfig::with_nodes(2)));
+    let inputs = write_sharded(&cluster, "in", 2, word_corpus()).unwrap();
+    let reducer = CrashingSumReducer {
+        cluster: std::sync::Arc::clone(&cluster),
+        calls: std::sync::atomic::AtomicU32::new(0),
+    };
+    let out = Engine::new(&cluster)
+        .run(JobSpec::new("wc", inputs, "out", TokenizeMapper, reducer, 1))
+        .unwrap();
+    assert_eq!(out.counters[builtin::REDUCE_TASK_ATTEMPTS], 2, "one failed publish, one retry");
+    let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
+    results.sort();
+    assert_eq!(results, expected_counts());
+}

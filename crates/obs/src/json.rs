@@ -137,13 +137,6 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a bare integer as the next array element.
-    pub fn u64_element(&mut self, value: u64) -> &mut Self {
-        self.element();
-        let _ = write!(self.out, "{value}");
-        self
-    }
-
     /// Writes `key: <raw>` where `raw` is already-valid JSON (a number,
     /// a quoted string from [`JsonWriter::quote`], …).
     pub fn raw_field(&mut self, key: &str, raw: &str) -> &mut Self {

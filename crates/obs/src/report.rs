@@ -191,17 +191,6 @@ impl RunReport {
         self.task_spans.iter().max_by_key(|s| s.end_us.saturating_sub(s.start_us))
     }
 
-    /// Total bytes over all recorded transfers (remote and local links).
-    pub fn total_transfer_bytes(&self) -> u64 {
-        self.transfers.iter().map(|(_, _, l)| l.bytes).sum()
-    }
-
-    /// Bytes over remote links only (src ≠ dst) — the paper's
-    /// communication-cost metric.
-    pub fn remote_transfer_bytes(&self) -> u64 {
-        self.transfers.iter().filter(|(s, d, _)| s != d).map(|(_, _, l)| l.bytes).sum()
-    }
-
     /// Summed wall time of a job's phase windows (µs). With back-to-back
     /// phase guards this tiles — and therefore equals — the job's wall
     /// time.

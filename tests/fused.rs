@@ -1,10 +1,12 @@
-//! Fused-aggregation acceptance matrix: with a decomposable aggregator the
-//! MR backend must skip job 2 entirely while staying bit-identical to the
-//! unfused two-job pipeline — same output, same charged bytes (the paper's
-//! cost model), collapsed moved bytes — across every scheme and backend,
-//! including seeded node-crash runs. `ConcatSort` runs write their rows in
-//! place; they must match too, and a scheme that delivers a pair twice or
-//! not at all must be an error there, not an output.
+//! Fused-aggregation acceptance matrix: with fusion on, the MR backend
+//! must skip job 2 entirely — whatever the aggregator — while staying
+//! bit-identical to the unfused two-job pipeline — same output, same
+//! charged bytes (the paper's cost model), collapsed moved bytes — across
+//! every scheme and backend, including seeded node-crash runs. A two-job
+//! run checks its own charge: job 1's booked charge for job 2 equals job
+//! 2's charged shuffle. `ConcatSort` runs write their rows in place; they
+//! must match too, and a scheme that delivers a pair twice or not at all
+//! must be an error there, not an output.
 
 use std::sync::Arc;
 
@@ -34,21 +36,32 @@ fn schemes(v: u64) -> Vec<(&'static str, Arc<dyn DistributionScheme>)> {
     ]
 }
 
-/// One run of `scheme` on `backend`, everything else explicit.
+/// How a run distributes its tasks: a flat scheme, or the broadcast
+/// scheme through the §5.1 single-job variant.
+enum Plan {
+    Scheme(Arc<dyn DistributionScheme>),
+    Broadcast(BroadcastScheme),
+}
+
+/// One run of `plan` on `backend`, everything else explicit.
 fn run_on(
-    scheme: &Arc<dyn DistributionScheme>,
+    plan: &Plan,
     backend: Backend<'_>,
     symmetry: Symmetry,
     aggregator: &Arc<dyn Aggregator<u64>>,
     fuse: bool,
 ) -> Result<PairwiseRun<u64>, MrError> {
-    PairwiseJob::new(&payloads(scheme.v()), comp())
-        .scheme_arc(Arc::clone(scheme))
-        .backend(backend)
-        .symmetry(symmetry)
-        .aggregator_arc(Arc::clone(aggregator))
-        .fuse(fuse)
-        .run()
+    let v = match plan {
+        Plan::Scheme(scheme) => scheme.v(),
+        Plan::Broadcast(scheme) => scheme.v(),
+    };
+    let data = payloads(v);
+    let job = PairwiseJob::new(&data, comp());
+    let job = match plan {
+        Plan::Scheme(scheme) => job.scheme_arc(Arc::clone(scheme)),
+        Plan::Broadcast(scheme) => job.broadcast(scheme.clone()),
+    };
+    job.backend(backend).symmetry(symmetry).aggregator_arc(Arc::clone(aggregator)).fuse(fuse).run()
 }
 
 fn mr_run(
@@ -57,7 +70,19 @@ fn mr_run(
     fuse: bool,
 ) -> PairwiseRun<u64> {
     let cluster = Cluster::new(ClusterConfig::with_nodes(4));
-    run_on(&scheme, Backend::Mr(&cluster), Symmetry::Symmetric, &aggregator, fuse).unwrap()
+    run_on(&Plan::Scheme(scheme), Backend::Mr(&cluster), Symmetry::Symmetric, &aggregator, fuse)
+        .unwrap()
+}
+
+/// The within-run charge law of a two-job run: the charge job 1 books for
+/// job 2 is exactly job 2's charged shuffle.
+fn assert_job2_charge_law(run: &MrRunReport, case: &str) {
+    let job2 = run.job2.as_ref().expect("a two-job run");
+    assert_eq!(
+        run.job1.counters[FUSED_CHARGED_SHUFFLE_COUNTER],
+        job2.counters[builtin::SHUFFLE_BYTES],
+        "{case}: job 1's charge for job 2 == job 2's charged shuffle"
+    );
 }
 
 #[test]
@@ -72,6 +97,7 @@ fn fused_mr_skips_job2_with_identical_output_and_charged_bytes() {
         let (f, u) = (&fused.mr[0], &unfused.mr[0]);
         assert!(f.fused && f.job2.is_none(), "{name}: fused run must skip job 2");
         assert!(!u.fused && u.job2.is_some(), "{name}: unfused run must keep job 2");
+        assert_job2_charge_law(u, name);
 
         // Output is bit-identical.
         assert_eq!(fused.output, unfused.output, "{name}");
@@ -99,13 +125,16 @@ fn fused_mr_skips_job2_with_identical_output_and_charged_bytes() {
     }
 }
 
-/// Every scheme × symmetry × aggregator, fused and not, on 1–3 local
+/// Every plan × symmetry × aggregator, fused and not, on 1–3 local
 /// threads and on MR, equals the sequential reference — `ConcatSort`'s
-/// placed rows as well as the filter and top-k accumulators, and (local
-/// only) an order-keeping closure aggregator, which must see each element's
-/// partials in the sequential order. The fused
-/// `ConcatSort` MR run also survives a seeded crash, and the smallest `v`
-/// the schemes accept (2 and 3) runs through the same matrix.
+/// placed rows as well as the filter and top-k accumulators, and an
+/// order-keeping closure aggregator, which must see each element's
+/// partials in the sequential order on every backend. The plans are the
+/// five flat schemes and the §5.1 broadcast job. A non-decomposable
+/// aggregator on MR fuses by default too: job 2 is skipped and the charged
+/// shuffle equals its unfused twin's. The fused `ConcatSort` MR run also
+/// survives a seeded crash, and the smallest `v` the schemes accept (2 and
+/// 3) runs through the same matrix.
 #[test]
 fn fused_output_identical_across_backends_and_aggregators() {
     let aggregators: Vec<(&'static str, Arc<dyn Aggregator<u64>>)> = vec![
@@ -113,13 +142,15 @@ fn fused_output_identical_across_backends_and_aggregators() {
         ("filter", Arc::new(FilterAggregator::new(|r: &u64| !r.is_multiple_of(3)))),
         ("topk", Arc::new(TopKAggregator::new(5, |r: &u64| *r as f64))),
         // Not decomposable and order-keeping: it sees each element's
-        // partials in the order the backend hands them over, ascending
-        // neighbour id on Sequential and Local (local rows only: MR job 2
-        // keeps shuffle order).
+        // partials in the order the backend hands them over, which must be
+        // ascending neighbour id everywhere.
         ("ordered", Arc::new(FnAggregator::new(|_, partials| partials))),
     ];
     for v in [2u64, 3, 36] {
-        for (name, scheme) in schemes(v) {
+        let mut plans: Vec<(&str, Plan)> =
+            schemes(v).into_iter().map(|(name, scheme)| (name, Plan::Scheme(scheme))).collect();
+        plans.push(("§5.1 broadcast", Plan::Broadcast(BroadcastScheme::new(v, 6))));
+        for (name, plan) in &plans {
             for symmetry in [Symmetry::Symmetric, Symmetry::NonSymmetric] {
                 for (agg_name, agg) in &aggregators {
                     let case = format!("v={v} {name} {symmetry:?} {agg_name}");
@@ -129,25 +160,29 @@ fn fused_output_identical_across_backends_and_aggregators() {
                         .run()
                         .unwrap()
                         .output;
+                    let mut mr_reports = Vec::new();
                     for fuse in [true, false] {
                         for threads in [1usize, 2, 3] {
                             let local = Backend::Local { threads };
-                            let run = run_on(&scheme, local, symmetry, agg, fuse).unwrap();
+                            let run = run_on(plan, local, symmetry, agg, fuse).unwrap();
                             assert_eq!(
                                 run.output, reference,
                                 "{case}: local/{threads} fuse={fuse}"
                             );
                         }
-                        if *agg_name == "ordered" {
-                            continue;
-                        }
                         let cluster = Cluster::new(ClusterConfig::with_nodes(4));
-                        let run = run_on(&scheme, Backend::Mr(&cluster), symmetry, agg, fuse);
-                        assert_eq!(run.unwrap().output, reference, "{case}: mr fuse={fuse}");
+                        let run = run_on(plan, Backend::Mr(&cluster), symmetry, agg, fuse).unwrap();
+                        assert_eq!(run.output, reference, "{case}: mr fuse={fuse}");
+                        mr_reports.push(run.mr[0].clone());
+                    }
+                    if let (Plan::Scheme(_), [fused, unfused]) = (plan, &mr_reports[..]) {
+                        assert!(fused.fused && fused.job2.is_none(), "{case}: job 2 skipped");
+                        assert_eq!(fused.shuffle_bytes, unfused.shuffle_bytes, "{case}: charged");
+                        assert_job2_charge_law(unfused, &case);
                     }
                     if *agg_name == "concat" && v > 3 {
                         let cluster = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, 23));
-                        let run = run_on(&scheme, Backend::Mr(&cluster), symmetry, agg, true);
+                        let run = run_on(plan, Backend::Mr(&cluster), symmetry, agg, true);
                         assert_eq!(run.unwrap().output, reference, "{case}: mr fused, one crash");
                         assert_eq!(cluster.node_crashes(), 1, "{case}");
                     }
@@ -209,8 +244,7 @@ impl DistributionScheme for Tampered {
 fn placed_rows_reject_a_duplicated_or_dropped_pair() {
     let concat: Arc<dyn Aggregator<u64>> = Arc::new(ConcatSort);
     for duplicate in [true, false] {
-        let scheme: Arc<dyn DistributionScheme> =
-            Arc::new(Tampered { inner: BlockScheme::new(30, 4), duplicate });
+        let scheme = Plan::Scheme(Arc::new(Tampered { inner: BlockScheme::new(30, 4), duplicate }));
         let want = if duplicate { "written twice" } else { "neighbours written" };
         for threads in [1usize, 3] {
             let local = Backend::Local { threads };
@@ -241,7 +275,7 @@ fn placed_rows_reject_a_duplicated_or_dropped_pair() {
 fn two_level_rounds_match_the_flat_placed_run() {
     let v = 36u64;
     let concat: Arc<dyn Aggregator<u64>> = Arc::new(ConcatSort);
-    let flat: Arc<dyn DistributionScheme> = Arc::new(BlockScheme::new(v, 6));
+    let flat = Plan::Scheme(Arc::new(BlockScheme::new(v, 6)));
     let local = Backend::Local { threads: 2 };
     let flat = run_on(&flat, local, Symmetry::Symmetric, &concat, true).unwrap().output;
     let aggregators: Vec<(&'static str, Arc<dyn Aggregator<u64>>)> = vec![
@@ -390,6 +424,7 @@ fn fused_charge_matches_unfused_for_variable_length_results() {
     for (name, scheme) in schemes {
         let unfused = run(&scheme, &Cluster::new(ClusterConfig::with_nodes(4)), false);
         let u = &unfused.mr[0];
+        assert_job2_charge_law(u, name);
         let job2_charge =
             u.job2.as_ref().expect("unfused run keeps job 2").counters[builtin::SHUFFLE_BYTES];
         let lengths: std::collections::BTreeSet<usize> = unfused
@@ -414,6 +449,15 @@ fn fused_charge_matches_unfused_for_variable_length_results() {
             assert_eq!(f.shuffle_bytes, u.shuffle_bytes, "{name}/{label}: charged bytes");
         }
         assert_eq!(crashed.node_crashes(), 1, "{name}");
+        let crashed = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, 23));
+        let unfused_crashed = run(&scheme, &crashed, false);
+        assert_eq!(crashed.node_crashes(), 1, "{name}: unfused");
+        assert_eq!(unfused_crashed.output, unfused.output, "{name}: unfused, one crash");
+        assert_job2_charge_law(&unfused_crashed.mr[0], &format!("{name}: unfused, one crash"));
+        assert_eq!(
+            unfused_crashed.mr[0].shuffle_bytes, u.shuffle_bytes,
+            "{name}: unfused, one crash"
+        );
     }
 }
 

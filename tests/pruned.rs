@@ -59,6 +59,29 @@ fn keep_at_least(t: f64) -> Arc<dyn Aggregator<f64>> {
     Arc::new(FilterAggregator::new(move |r: &f64| *r >= t))
 }
 
+/// How a run distributes its tasks: one flat scheme, the broadcast scheme
+/// through the §5.1 single-job variant, or a flat scheme's tasks in
+/// sequential rounds.
+enum Plan {
+    Flat(Arc<dyn DistributionScheme>),
+    Broadcast(BroadcastScheme),
+    Rounds(Rounds),
+}
+
+impl Plan {
+    /// `job`, distributed by this plan.
+    fn apply<'a>(
+        &self,
+        job: PairwiseJob<'a, SparseVector, f64>,
+    ) -> PairwiseJob<'a, SparseVector, f64> {
+        match self {
+            Plan::Flat(scheme) => job.scheme_arc(Arc::clone(scheme)),
+            Plan::Broadcast(scheme) => job.broadcast(scheme.clone()),
+            Plan::Rounds(rounds) => job.rounds(rounds.clone()),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -165,12 +188,17 @@ fn lsh_recall_at_default_geometry() {
 }
 
 /// One pruned run, every execution shape: the prefix-filtered thresholded
-/// join must produce the byte-identical survivor set on all schemes, both
-/// fusion modes, the local and MR backends, and under seeded node crashes
-/// — all equal to the unfiltered sequential reference.
+/// join must produce the byte-identical survivor set on all schemes (and
+/// the §5.1 broadcast job), both fusion modes, the local and MR backends,
+/// and under seeded node crashes — all equal to the unfiltered sequential
+/// reference. One document shares no term with any other, so the filter
+/// prunes every pair of it and no task has a result for it: its row must
+/// still be the aggregator over zero partials.
 #[test]
 fn pruned_runs_agree_across_schemes_backends_fusion_and_chaos() {
-    let corpus = clustered_corpus(12, 3); // v = 36, survivors: 3 per group
+    let mut corpus = clustered_corpus(12, 3); // survivors: 3 per group
+    let isolated = corpus.len() as u64;
+    corpus.push(SparseVector::from_entries((1000..1014).map(|i| (i, 1.0)).collect()));
     let v = corpus.len() as u64;
     let t = 0.7;
     let total_pairs = v * (v - 1) / 2;
@@ -180,20 +208,22 @@ fn pruned_runs_agree_across_schemes_backends_fusion_and_chaos() {
     // The clustered corpus has a known survivor count.
     let survivors: usize = reference.output.per_element.iter().map(|(_, rs)| rs.len()).sum();
     assert_eq!(survivors, 12 * 3 * 2, "each group member pairs with its 2 peers");
+    assert_eq!(reference.output.results_of(isolated), Some(&[][..]));
 
     let filter = Arc::new(PrefixFilter::build(&corpus, t));
-    let schemes: Vec<(&str, Arc<dyn DistributionScheme>)> = vec![
-        ("block", Arc::new(BlockScheme::new(v, 5))),
-        ("paired", Arc::new(PairedBlockScheme::new(v, 5))),
-        ("broadcast", Arc::new(BroadcastScheme::new(v, 6))),
-        ("design", Arc::new(DesignScheme::new(v))),
-        ("quorum", Arc::new(QuorumScheme::new(v))),
+    assert!((0..isolated).all(|b| !filter.is_candidate(isolated, b)));
+    let plans: Vec<(&str, Plan)> = vec![
+        ("block", Plan::Flat(Arc::new(BlockScheme::new(v, 5)))),
+        ("paired", Plan::Flat(Arc::new(PairedBlockScheme::new(v, 5)))),
+        ("broadcast", Plan::Flat(Arc::new(BroadcastScheme::new(v, 6)))),
+        ("§5.1 broadcast", Plan::Broadcast(BroadcastScheme::new(v, 6))),
+        ("design", Plan::Flat(Arc::new(DesignScheme::new(v)))),
+        ("quorum", Plan::Flat(Arc::new(QuorumScheme::new(v)))),
     ];
-    for (name, scheme) in &schemes {
+    for (name, plan) in &plans {
         for fuse in [true, false] {
             let job = || {
-                PairwiseJob::new(&corpus, cosine_comp())
-                    .scheme_arc(Arc::clone(scheme))
+                plan.apply(PairwiseJob::new(&corpus, cosine_comp()))
                     .aggregator_arc(keep_at_least(t))
                     .pair_filter_arc(filter.clone())
                     .fuse(fuse)
@@ -253,13 +283,6 @@ fn every_scheme_type(v: u64) -> Vec<Arc<dyn DistributionScheme>> {
         schemes.extend(rounds.iter().map(|r| Arc::new(r) as Arc<_>));
     }
     schemes
-}
-
-/// How a run distributes its tasks: one flat scheme, or a flat scheme's
-/// tasks in sequential rounds.
-enum Plan {
-    Flat(Arc<dyn DistributionScheme>),
-    Rounds(Rounds),
 }
 
 /// Generated equals probed, task by task: on every scheme type, where the
@@ -354,11 +377,7 @@ fn generated_candidates_equal_probed_per_task() {
                 for (backend_name, backend) in
                     [("local", Backend::Local { threads: 2 }), ("mr", Backend::Mr(&cluster))]
                 {
-                    let run = match plan {
-                        Plan::Flat(scheme) => job().scheme_arc(Arc::clone(scheme)),
-                        Plan::Rounds(rounds) => job().rounds(rounds.clone()),
-                    };
-                    let run = run.symmetry(symmetry).backend(backend).run().unwrap();
+                    let run = plan.apply(job()).symmetry(symmetry).backend(backend).run().unwrap();
                     let case = format!("{name} {symmetry:?} {backend_name}");
                     assert_eq!(run.output, oracle.output, "{case}");
                     assert_eq!(run.report.pruning.as_ref(), Some(&oracle_pruning), "{case}");
