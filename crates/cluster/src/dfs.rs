@@ -205,10 +205,18 @@ impl Dfs {
             let replicas: Vec<NodeId> =
                 (0..replication).map(|i| live[(start + i) % live.len()]).collect();
             let key = format!("dfs/{path}/{off}");
-            for r in &replicas {
+            for (i, r) in replicas.iter().enumerate() {
                 self.telemetry.placement(r.0, slice.len() as u64);
-                if !slice.is_empty() {
-                    self.stores[r.index()].put(&key, slice.clone())?;
+                if slice.is_empty() {
+                    continue;
+                }
+                if let Err(e) = self.stores[r.index()].put(&key, slice.clone()) {
+                    // No file will point at what this call stored: take it
+                    // back, this block's replicas so far included.
+                    let replicas = replicas[..i].to_vec();
+                    blocks.push(DfsBlock { offset: off, len: slice.len() as u64, key, replicas });
+                    self.drop_payloads(&blocks);
+                    return Err(e);
                 }
             }
             blocks.push(DfsBlock { offset: off, len: slice.len() as u64, key, replicas });
@@ -342,16 +350,19 @@ impl Dfs {
     }
 
     /// Deletes a file (idempotent), dropping its payloads from the replica
-    /// stores (best-effort — a dead replica has already lost them).
+    /// stores.
     pub fn delete(&self, path: &str) {
         if let Some(f) = self.files.write().remove(path) {
-            for b in &f.blocks {
-                if b.len == 0 {
-                    continue;
-                }
-                for r in &b.replicas {
-                    let _ = self.stores[r.index()].remove(&b.key);
-                }
+            self.drop_payloads(&f.blocks);
+        }
+    }
+
+    /// Removes the blocks' payloads from their replica stores
+    /// (best-effort — a dead replica has already lost them).
+    fn drop_payloads(&self, blocks: &[DfsBlock]) {
+        for b in blocks.iter().filter(|b| b.len > 0) {
+            for r in &b.replicas {
+                let _ = self.stores[r.index()].remove(&b.key);
             }
         }
     }
@@ -682,5 +693,27 @@ mod tests {
         // Deleting drops payloads from the surviving stores.
         d.delete("f");
         assert!(stores[1].get("dfs/f/0").is_err() && stores[2].get("dfs/f/0").is_err());
+    }
+
+    #[test]
+    fn failed_create_leaves_no_orphan_blocks() {
+        let stores: Vec<Arc<InProcessStore>> =
+            (0..3).map(|i| Arc::new(InProcessStore::new(NodeId(i)))).collect();
+        let d = Dfs::with_stores(16, 2, stores.iter().map(|s| s.clone() as _).collect());
+        // "a" is one block, on nodes 0 and 1.
+        d.create("a", Bytes::from(vec![1u8; 16])).unwrap();
+        // Node 0's store dies without the DFS being told: "f"'s block 0
+        // lands on nodes 1 and 2, block 1's second replica on node 0 fails.
+        stores[0].kill();
+        assert!(d.create("f", Bytes::from(vec![2u8; 96])).is_err());
+        assert!(!d.exists("f"));
+        let files = d.list("");
+        for store in stores.iter().filter(|s| s.is_alive()) {
+            for name in store.names().into_iter().filter(|n| n.starts_with("dfs/")) {
+                let owned = files.iter().any(|p| name.starts_with(&format!("dfs/{p}/")));
+                assert!(owned, "{name} outlived its failed create");
+            }
+        }
+        assert!(stores[1].get("dfs/a/0").is_ok(), "a file's own blocks stay");
     }
 }

@@ -32,7 +32,7 @@
 //! [`MAX_FRAME_LEN`] are rejected without allocating.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -329,6 +329,12 @@ impl InProcessStore {
     pub fn new(node: NodeId) -> Self {
         InProcessStore { node, files: Mutex::new(Some(HashMap::new())) }
     }
+
+    /// The names a live store holds (none once killed).
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> Vec<String> {
+        self.files.lock().iter().flat_map(|files| files.keys().cloned()).collect()
+    }
 }
 
 impl NodeStore for InProcessStore {
@@ -442,10 +448,21 @@ mod status {
     pub const MISSING: u8 = 1;
 }
 
+/// Writes the length header and `body` as one vectored write (one
+/// segment on a `TCP_NODELAY` socket), looping on partial writes.
 fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
     debug_assert!(body.len() <= MAX_FRAME_LEN);
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)?;
+    let header = (body.len() as u32).to_be_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -473,6 +490,13 @@ enum Conn {
 }
 
 impl Conn {
+    /// A TCP connection with Nagle's algorithm off: every frame is a
+    /// request or a reply someone waits for.
+    fn tcp(s: TcpStream) -> io::Result<Conn> {
+        s.set_nodelay(true)?;
+        Ok(Conn::Tcp(s))
+    }
+
     fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
         match self {
             #[cfg(unix)]
@@ -498,6 +522,14 @@ impl Write for Conn {
             #[cfg(unix)]
             Conn::Uds(s) => s.write(buf),
             Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Conn::Uds(s) => s.write_vectored(bufs),
+            Conn::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -723,7 +755,7 @@ pub fn run_worker(addr: &str, node: u64, mode: SocketMode) -> io::Result<()> {
                 "unix-domain sockets are unavailable on this platform",
             ))
         }
-        SocketMode::Tcp => Conn::Tcp(TcpStream::connect(addr)?),
+        SocketMode::Tcp => Conn::tcp(TcpStream::connect(addr)?)?,
     };
     let mut hello = BytesMut::new();
     hello.put_u8(op::HELLO);
@@ -1125,7 +1157,7 @@ impl Listener {
         match self {
             #[cfg(unix)]
             Listener::Uds(l) => l.accept().map(|(s, _)| Conn::Uds(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Conn::tcp(s)),
         }
     }
 
@@ -1434,6 +1466,36 @@ mod tests {
         let mut r = io::Cursor::new(huge);
         let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn frames_survive_short_vectored_writes() {
+        /// Takes at most 3 bytes of one buffer per call, and is
+        /// interrupted every other call.
+        struct Trickle(Vec<u8>, bool);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Trickle(Vec::new(), false);
+        for body in [&b"a frame longer than one write"[..], b"", b"x"] {
+            write_frame(&mut w, body).unwrap();
+        }
+        let mut r = io::Cursor::new(w.0);
+        for body in [&b"a frame longer than one write"[..], b"", b"x"] {
+            assert_eq!(&read_frame(&mut r).unwrap()[..], body);
+        }
+        assert_eq!(r.position() as usize, r.get_ref().len());
     }
 
     #[test]

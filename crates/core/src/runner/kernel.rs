@@ -25,20 +25,21 @@
 //! tile's operand arrays repeat the *same reference* over consecutive
 //! pairs. Block, design and broadcast stream first-operand-major: `a`
 //! stays while `b` walks a row (a block tile is 32 runs of 32, a design
-//! task runs of 1, 2, … k−1, a broadcast task whole triangle rows). The
-//! quorum walk holds an anchor `x = α_d + t` over the distances that share
-//! an `α`, and the anchor lands on whichever side `x > y` puts it; the
-//! reverse `eval_batch(b, a)` of a non-symmetric flush has every run on
-//! the second operand. A filter that generates its candidates hands them
-//! over first-operand-major too (one element's surviving partners back to
-//! back, runs as long as its survivors); a probed stream keeps what runs
-//! its survivors leave. A kernel may use a run (`std::ptr::eq` on
-//! neighbouring operands) to set up per-operand state once — `pmr-apps`'
-//! sparse dot scatters the shared vector into a term table, its dense
-//! kernels load each chunk of the shared vector once for four partners —
-//! but only for speed: which runs a tile has, and where a tile cuts one,
-//! is up to the scheme, the filter and the runner, so every result must
-//! equal `eval` with no run at all.
+//! task runs of 1, 2, … k−1, a broadcast task whole triangle rows). A
+//! quorum task walks its pair table anchor-major: the anchor `x = α + t`
+//! stays over every distance its `α` owns, on the second operand until
+//! `x + d` wraps past `v` and on the first after, so an anchor is at most
+//! two runs; the reverse `eval_batch(b, a)` of a non-symmetric flush has
+//! every run on the second operand. A filter that generates its
+//! candidates hands them over first-operand-major too (one element's
+//! surviving partners back to back, runs as long as its survivors); a
+//! probed stream keeps what runs its survivors leave. A kernel may use a
+//! run (`std::ptr::eq` on neighbouring operands) to set up per-operand
+//! state once — `pmr-apps`' sparse dot scatters the shared vector into a
+//! term table, its dense kernels load each chunk of the shared vector once
+//! for four partners — but only for speed: which runs a tile has, and
+//! where a tile cuts one, is up to the scheme, the filter and the runner,
+//! so every result must equal `eval` with no run at all.
 
 use crate::runner::filter::{for_each_candidate, probe, PairFilter, PruneStats};
 use crate::runner::{CompFn, Symmetry};

@@ -181,7 +181,8 @@ pub trait DecomposableAggregator<R>: Aggregator<R> {
     /// partials in ascending neighbour id, with nothing dropped or
     /// combined. Returning `true` lets a run that covers every pair once
     /// write each result straight into its place in an exact-size row
-    /// instead of folding, merging and finishing (see `runner::place`).
+    /// instead of folding, merging and finishing (see `runner::place`),
+    /// and an unfused run keep the row [`ConcatSort`] finished as it is.
     fn places_rows(&self) -> bool {
         false
     }
@@ -191,14 +192,17 @@ pub trait DecomposableAggregator<R>: Aggregator<R> {
 /// aggregator on a fused or unfused run. A decomposable aggregator on a
 /// fused run collects under itself and `then` is `None`. Anything else
 /// collects under [`ConcatSort`], and `then` is the aggregator, run once
-/// on each finished row — every partial, in ascending neighbour id.
+/// on each finished row — every partial, in ascending neighbour id —
+/// unless it places rows: its finish would return that row as it is, so
+/// the row is sorted once.
 pub(crate) fn aggregation_rule<R>(
     aggregator: &dyn Aggregator<R>,
     fuse: bool,
 ) -> (&dyn DecomposableAggregator<R>, Option<&dyn Aggregator<R>>) {
-    match aggregator.decomposable().filter(|_| fuse) {
-        Some(dec) => (dec, None),
-        None => (&ConcatSort, Some(aggregator)),
+    match aggregator.decomposable() {
+        Some(dec) if fuse => (dec, None),
+        Some(dec) if dec.places_rows() => (&ConcatSort, None),
+        _ => (&ConcatSort, Some(aggregator)),
     }
 }
 

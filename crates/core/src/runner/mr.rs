@@ -386,7 +386,8 @@ impl<T: Wire + Sync, R: Wire + Sync> Mapper for GroupByElementMapper<T, R> {
 /// Job-2 reducer, and the §5.1 broadcast job's reduce: the paper's
 /// `aggregateResults`. Gathers every partial of an element from its
 /// copies, sorts them by neighbour id (`ConcatSort`) and applies the
-/// aggregator once.
+/// aggregator once — the unfused side of `runner::aggregation_rule`, so an
+/// aggregator that places rows takes the sorted row as it is.
 struct AggregateReducer<T, R> {
     aggregator: Arc<dyn Aggregator<R>>,
     _pd: std::marker::PhantomData<fn() -> T>,
@@ -410,7 +411,11 @@ impl<T: Wire + Sync, R: Wire + Sync> Reducer for AggregateReducer<T, R> {
         let payload_bytes = payload_charge(store, id, "aggregate")? * values.len() as u64;
         ctx.memory().try_reserve(payload_bytes)?;
         let row = ConcatSort.finish(Accumulator::from_parts(id, values.flatten().collect()));
-        ctx.emit(id, aggregate_all(self.aggregator.as_ref(), id, row));
+        let row = match aggregation_rule(self.aggregator.as_ref(), false).1 {
+            None => row,
+            Some(agg) => aggregate_all(agg, id, row),
+        };
+        ctx.emit(id, row);
         ctx.memory().release(payload_bytes);
         Ok(())
     }

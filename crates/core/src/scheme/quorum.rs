@@ -3,28 +3,38 @@
 //! Working sets are the `v` rotations of a difference cover `A` of `Z_v` —
 //! a cyclic quorum system: task `t` holds
 //! `B_t = { (a + t) mod v : a ∈ A }`, so every element sits in exactly
-//! `k = |A| ≈ √v` working sets. That is the same `√v` replication scaling
-//! as the design scheme, but defined for **every** `v` (no plane-order
-//! jumps), with perfectly uniform working sets and exactly `v` tasks.
+//! `k = |A|` working sets (`q + 1` for a Singer cover, `≈ √(1.5 v)` for a
+//! Wichmann ruler; see `pmr_designs::quorum`). That is the same `√v`
+//! replication scaling as the design scheme, but defined for **every** `v`
+//! (no plane-order jumps), with perfectly uniform working sets and exactly
+//! `v` tasks.
 //!
 //! **Exactly-once pair ownership.** Every unordered pair `{x, y}` has a
 //! unique circular distance `d = min((x−y) mod v, (y−x) mod v) ∈
 //! [1, ⌊v/2⌋]` and, for `d < v/2`, a unique ordered representative
 //! `(x₀, (x₀ + d) mod v)`. Because `A` is a difference cover there is a
-//! canonical `α_d ∈ A` with `(α_d + d) mod v ∈ A`; the pair is assigned to
-//! task `t = (x₀ − α_d) mod v`, whose working set contains both endpoints
-//! (`x₀ = α_d + t` paired with `(α_d + d) + t`). Each task therefore owns
-//! exactly one pair per distance; for even `v` the antipodal distance
-//! `d = v/2` yields each pair under two rotations and the representative
-//! with the smaller first endpoint wins. Totals check out:
-//! `v·(v−1)/2` pairs, `⌊v/2⌋` (±1) per task.
+//! canonical *anchor* `α_d ∈ A` (the smallest) with `(α_d + d) mod v ∈ A`;
+//! the pair is assigned to task `t = (x₀ − α_d) mod v`, whose working set
+//! contains both endpoints (`x₀ = α_d + t` paired with `(α_d + d) + t`).
+//! Each task therefore owns exactly one pair per distance; for even `v`
+//! the antipodal distance `d = v/2` yields each pair under two rotations
+//! and the representative with the smaller first endpoint wins. Totals
+//! check out: `v·(v−1)/2` pairs, `⌊v/2⌋` (±1) per task.
 //!
-//! Table-1 characteristics: `v` tasks, working sets of `k ≈ √v` elements,
+//! **One static pair table.** Every task is a rotation of task 0, so the
+//! cover builds task 0's owned pairs `(α_d, d)` once, sorted anchor-major
+//! (`α` ascending, then `d`), and task `t` walks that table shifted by `t`:
+//! one conditional subtract per anchor, one add per pair (and one
+//! subtract where the pair wraps past `v`), no `%`. Anchor-major order
+//! keeps an anchor `α + t` on consecutive pairs, so a tile's operand runs
+//! are as long as the distances an anchor owns.
+//!
+//! Table-1 characteristics: `v` tasks, working sets of `k` elements,
 //! replication exactly `k`, `≈ (v−1)/2` evaluations per task.
 
 use std::ops::Range;
 
-use pmr_designs::quorum::{difference_cover, difference_cover_size, is_difference_cover};
+use pmr_designs::quorum::{difference_cover, difference_cover_size};
 
 use crate::scheme::{GroupedScheme, PairCover, Shape};
 
@@ -50,6 +60,11 @@ pub struct Rotations {
     /// `owner[d − 1] = α_d` for `d ∈ [1, ⌊v/2⌋]`: the canonical cover
     /// element with `(α_d + d) mod v ∈ A`.
     owner: Vec<u64>,
+    /// Task 0's owned pairs `(α_d, d)`, anchor-major, as runs: each
+    /// `(α, end)` owns `dists[start..end]` (ascending), `start` being the
+    /// previous run's `end`. Task `t` owns the same pairs shifted by `t`.
+    anchors: Vec<(u64, usize)>,
+    dists: Vec<u64>,
 }
 
 impl QuorumScheme {
@@ -60,29 +75,37 @@ impl QuorumScheme {
         Self::from_cover(v, difference_cover(v))
     }
 
-    /// Builds the scheme from a caller-supplied difference cover of `Z_v`
-    /// (sorted, deduplicated). Panics if `cover` is not a difference cover.
+    /// Builds the scheme from a caller-supplied difference cover of `Z_v`.
+    /// Panics unless `cover` is strictly ascending, below `v`, and a
+    /// difference cover.
     pub fn from_cover(v: u64, cover: Vec<u64>) -> QuorumScheme {
         assert!(v >= 2, "need at least 2 elements");
-        assert!(is_difference_cover(&cover, v), "not a difference cover of Z_{v}: {cover:?}");
-        let half = (v / 2) as usize;
-        let mut owner = vec![u64::MAX; half];
-        // Every distance d ≤ v/2 (or its mirror v − d) occurs as an ordered
-        // difference b − a over A, and both directions are enumerated here,
-        // so the cover property guarantees the table fills completely.
-        for &a in &cover {
-            for &b in &cover {
-                if a == b {
-                    continue;
-                }
+        let sorted = cover.windows(2).all(|w| w[0] < w[1]) && cover.last().is_some_and(|&a| a < v);
+        assert!(sorted, "not a sorted subset of Z_{v}: {cover:?}");
+        let half = v / 2;
+        let mut owner = vec![u64::MAX; half as usize];
+        let (mut anchors, mut dists) = (Vec::new(), Vec::with_capacity(half as usize));
+        // Anchors ascend, and each anchor `a` meets the other marks in
+        // increasing distance `(b − a) mod v` — those above it, then those
+        // below it wrapped — so the first anchor to reach a distance owns
+        // it and the table comes out anchor-major with no sort.
+        for (i, &a) in cover.iter().enumerate() {
+            for &b in cover[i + 1..].iter().chain(&cover[..i]) {
                 let d = ((b + v) - a) % v;
-                if d as usize <= half && owner[d as usize - 1] == u64::MAX {
+                if d <= half && owner[d as usize - 1] == u64::MAX {
                     owner[d as usize - 1] = a;
+                    dists.push(d);
                 }
             }
+            if anchors.last().map_or(0, |&(_, end)| end) < dists.len() {
+                anchors.push((a, dists.len()));
+            }
         }
-        debug_assert!(owner.iter().all(|&x| x != u64::MAX));
-        GroupedScheme { v, cover: Rotations { v, cover, owner } }
+        // Every distance d ≤ v/2 (or its mirror v − d) occurs as an ordered
+        // difference over A, and both directions are walked above, so the
+        // table fills exactly when A is a difference cover.
+        assert_eq!(dists.len() as u64, half, "not a difference cover of Z_{v}: {cover:?}");
+        GroupedScheme { v, cover: Rotations { v, cover, owner, anchors, dists } }
     }
 
     /// The closed form of `QuorumScheme::new(v)`: `v` rotations of a
@@ -124,20 +147,26 @@ impl PairCover for Rotations {
     }
 
     fn for_each_owned(&self, line: u64, mut f: impl FnMut(u64, u64)) {
-        // One pair per circular distance.
+        // Task 0's table shifted by `line`: one conditional subtract puts
+        // the anchor `x = α + line` in Z_v. Its distances below `v − x`
+        // stay above it (`x` second), the rest wrap below it (`x` first);
+        // distances ascend, so the branch flips at most once per anchor.
         let v = self.v;
-        for (i, &alpha) in self.owner.iter().enumerate() {
-            let d = i as u64 + 1;
-            let x = (alpha + line) % v;
-            let y = (x + d) % v;
-            if 2 * d == v && x > y {
-                continue; // antipodal dedupe: the rotation starting low wins
+        debug_assert!(line < v);
+        let mut start = 0;
+        for &(alpha, end) in &self.anchors {
+            let x = if alpha + line >= v { alpha + line - v } else { alpha + line };
+            for &d in &self.dists[start..end] {
+                if d < v - x {
+                    f(x + d, x);
+                } else if 2 * d != v {
+                    // Antipodal dedupe: of the two rotations holding a pair
+                    // at distance v/2, the one whose walk does not wrap
+                    // emits it.
+                    f(x, x + d - v);
+                }
             }
-            if x > y {
-                f(x, y);
-            } else {
-                f(y, x);
-            }
+            start = end;
         }
     }
 
@@ -195,7 +224,8 @@ mod tests {
 
     #[test]
     fn covers_every_pair_exactly_once() {
-        for v in [2u64, 3, 4, 5, 6, 7, 8, 12, 13, 16, 21, 30, 31, 57, 64, 100, 133] {
+        // Every v below 300, so every even v (the antipodal rule) too.
+        for v in 2u64..300 {
             let s = QuorumScheme::new(v);
             verify_exactly_once(&s).unwrap_or_else(|e| panic!("v={v}: {e:?}"));
             let m = measure(&s);
@@ -205,10 +235,33 @@ mod tests {
 
     #[test]
     fn num_pairs_closed_form_matches_enumeration() {
-        for v in [2u64, 5, 6, 8, 13, 20, 21, 57] {
+        for v in 2u64..300 {
             let s = QuorumScheme::new(v);
             for t in 0..v {
-                assert_eq!(s.num_pairs(t), s.pairs(t).len() as u64, "v={v} t={t}");
+                let mut n = 0;
+                s.for_each_pair(t, &mut |_, _| n += 1);
+                assert_eq!(s.num_pairs(t), n, "v={v} t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_walk_anchor_major() {
+        // Each pair's anchor is x = α_d + t for its circular distance d;
+        // the stream visits the anchors in ascending α, each one's pairs
+        // back to back.
+        for v in [2u64, 6, 7, 64, 100, 133, 500, 3_072] {
+            let s = QuorumScheme::new(v);
+            for t in [0, 1, v / 2, v - 1] {
+                let mut alphas = Vec::new();
+                s.for_each_pair(t, &mut |a, b| {
+                    let fwd = a - b;
+                    let alpha = s.cover.owner[fwd.min(v - fwd) as usize - 1];
+                    let x = (alpha + t) % v;
+                    assert!(x == a || x == b, "v={v} t={t}: ({a}, {b}) misses its anchor {x}");
+                    alphas.push(alpha);
+                });
+                assert!(alphas.windows(2).all(|w| w[0] <= w[1]), "v={v} t={t}: {alphas:?}");
             }
         }
     }
@@ -244,13 +297,13 @@ mod tests {
 
     #[test]
     fn owner_of_agrees_with_enumeration() {
-        for v in [5u64, 6, 12, 13, 30] {
+        for v in 2u64..300 {
             let s = QuorumScheme::new(v);
             for t in 0..v {
-                for (a, b) in s.pairs(t) {
+                s.for_each_pair(t, &mut |a, b| {
                     assert_eq!(s.owner_of(a, b), Some(t), "v={v} pair=({a},{b})");
                     assert_eq!(s.owner_of(b, a), Some(t), "v={v} pair=({b},{a})");
-                }
+                });
             }
         }
     }

@@ -13,8 +13,8 @@
 //! * [`design`] — the `(v, k, 1)`-design type with exact verification of the
 //!   *every-pair-in-exactly-one-block* property that makes the distribution
 //!   scheme correct;
-//! * [`quorum`] — difference covers of `Z_v` (Singer when optimal, pruned
-//!   `⌈√v⌉`-construction otherwise), the substrate of the cyclic-quorum
+//! * [`quorum`] — difference covers of `Z_v` (Singer when optimal, a
+//!   Wichmann ruler otherwise), the substrate of the cyclic-quorum
 //!   distribution scheme.
 
 #![forbid(unsafe_code)]
