@@ -11,6 +11,11 @@
 //! * byte strings / strings / vectors: `u32` length prefix + payload;
 //! * records: `key-len, key-bytes, value-len, value-bytes`.
 //!
+//! A type whose every encoding has one width (integers, `f64`, tuples of
+//! them) declares it in [`Wire::FIXED_WIDTH`]. A `Vec` of such items
+//! encodes and decodes as one block — one resize, one bounds check — and
+//! produces exactly the bytes of the item-by-item encoding.
+//!
 //! Encodings must be *canonical*: two values compare equal iff their
 //! encodings are byte-identical, because the shuffle groups by encoded key.
 
@@ -59,10 +64,26 @@ pub type DecodeResult<T> = Result<T, CodecError>;
 /// assert!(1u64.to_bytes() < 256u64.to_bytes());
 /// ```
 pub trait Wire: Sized + Send + 'static {
+    /// The width in bytes of every encoding of `Self`, when it has one and
+    /// every byte pattern of that width decodes (so `bool` has none).
+    const FIXED_WIDTH: Option<usize> = None;
+
     /// Appends the canonical encoding of `self` to `buf`.
     fn encode(&self, buf: &mut BytesMut);
     /// Decodes one value from the front of `buf`, consuming its bytes.
     fn decode(buf: &mut Bytes) -> DecodeResult<Self>;
+
+    /// Writes the encoding into `out`, which is exactly
+    /// `FIXED_WIDTH` bytes long. Called only when `FIXED_WIDTH` is `Some`.
+    fn encode_fixed(&self, _out: &mut [u8]) {
+        unreachable!("encode_fixed on a type without a fixed width")
+    }
+
+    /// Decodes `bytes`, which are exactly `FIXED_WIDTH` bytes long.
+    /// Called only when `FIXED_WIDTH` is `Some`.
+    fn decode_fixed(_bytes: &[u8]) -> Self {
+        unreachable!("decode_fixed on a type without a fixed width")
+    }
 
     /// Encodes into a fresh buffer (convenience).
     fn to_bytes(&self) -> Bytes {
@@ -85,6 +106,7 @@ pub trait Wire: Sized + Send + 'static {
 macro_rules! impl_wire_uint {
     ($t:ty, $get:ident, $put:ident, $n:expr, $name:expr) => {
         impl Wire for $t {
+            const FIXED_WIDTH: Option<usize> = Some($n);
             fn encode(&self, buf: &mut BytesMut) {
                 buf.$put(*self);
             }
@@ -93,6 +115,12 @@ macro_rules! impl_wire_uint {
                     return Err(CodecError::Truncated { what: $name });
                 }
                 Ok(buf.$get())
+            }
+            fn encode_fixed(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_be_bytes());
+            }
+            fn decode_fixed(bytes: &[u8]) -> Self {
+                <$t>::from_be_bytes(bytes.try_into().expect("fixed-width slice"))
             }
         }
     };
@@ -104,6 +132,7 @@ impl_wire_uint!(u32, get_u32, put_u32, 4, "u32");
 impl_wire_uint!(u64, get_u64, put_u64, 8, "u64");
 
 impl Wire for i64 {
+    const FIXED_WIDTH: Option<usize> = Some(8);
     /// Encoded as sign-flipped big-endian so byte order equals numeric order.
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u64((*self as u64) ^ (1 << 63));
@@ -114,9 +143,16 @@ impl Wire for i64 {
         }
         Ok((buf.get_u64() ^ (1 << 63)) as i64)
     }
+    fn encode_fixed(&self, out: &mut [u8]) {
+        ((*self as u64) ^ (1 << 63)).encode_fixed(out);
+    }
+    fn decode_fixed(bytes: &[u8]) -> Self {
+        (u64::decode_fixed(bytes) ^ (1 << 63)) as i64
+    }
 }
 
 impl Wire for f64 {
+    const FIXED_WIDTH: Option<usize> = Some(8);
     /// IEEE-754 bits, big-endian. (Not order-preserving for negatives; use
     /// only as a value type, not a key, when ordering matters.)
     fn encode(&self, buf: &mut BytesMut) {
@@ -127,6 +163,12 @@ impl Wire for f64 {
             return Err(CodecError::Truncated { what: "f64" });
         }
         Ok(buf.get_f64())
+    }
+    fn encode_fixed(&self, out: &mut [u8]) {
+        self.to_bits().encode_fixed(out);
+    }
+    fn decode_fixed(bytes: &[u8]) -> Self {
+        f64::from_bits(u64::decode_fixed(bytes))
     }
 }
 
@@ -207,6 +249,14 @@ where
 {
     fn encode(&self, buf: &mut BytesMut) {
         put_len(buf, self.len());
+        if let Some(w) = T::FIXED_WIDTH {
+            let start = buf.len();
+            buf.resize(start + self.len() * w, 0);
+            for (item, out) in self.iter().zip(buf[start..].chunks_exact_mut(w)) {
+                item.encode_fixed(out);
+            }
+            return;
+        }
         for item in self {
             item.encode(buf);
         }
@@ -216,6 +266,15 @@ where
             return Err(CodecError::Truncated { what: "vec" });
         }
         let n = buf.get_u32() as usize;
+        if let Some(w) = T::FIXED_WIDTH {
+            let len = n
+                .checked_mul(w)
+                .filter(|&len| len <= buf.len())
+                .ok_or(CodecError::Truncated { what: "vec" })?;
+            let out = buf[..len].chunks_exact(w).map(T::decode_fixed).collect();
+            buf.advance(len);
+            return Ok(out);
+        }
         let mut out = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             out.push(T::decode(buf)?);
@@ -246,7 +305,16 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
+/// The width of a fixed-width part of a tuple that is fixed as a whole.
+fn part_width<T: Wire>() -> usize {
+    T::FIXED_WIDTH.expect("part of a fixed-width tuple")
+}
+
 impl<A: Wire, B: Wire> Wire for (A, B) {
+    const FIXED_WIDTH: Option<usize> = match (A::FIXED_WIDTH, B::FIXED_WIDTH) {
+        (Some(a), Some(b)) => Some(a + b),
+        _ => None,
+    };
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
         self.1.encode(buf);
@@ -254,9 +322,22 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     fn decode(buf: &mut Bytes) -> DecodeResult<Self> {
         Ok((A::decode(buf)?, B::decode(buf)?))
     }
+    fn encode_fixed(&self, out: &mut [u8]) {
+        let (a, b) = out.split_at_mut(part_width::<A>());
+        self.0.encode_fixed(a);
+        self.1.encode_fixed(b);
+    }
+    fn decode_fixed(bytes: &[u8]) -> Self {
+        let (a, b) = bytes.split_at(part_width::<A>());
+        (A::decode_fixed(a), B::decode_fixed(b))
+    }
 }
 
 impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const FIXED_WIDTH: Option<usize> = match (A::FIXED_WIDTH, B::FIXED_WIDTH, C::FIXED_WIDTH) {
+        (Some(a), Some(b), Some(c)) => Some(a + b + c),
+        _ => None,
+    };
     fn encode(&self, buf: &mut BytesMut) {
         self.0.encode(buf);
         self.1.encode(buf);
@@ -264,6 +345,18 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
     fn decode(buf: &mut Bytes) -> DecodeResult<Self> {
         Ok((A::decode(buf)?, B::decode(buf)?, C::decode(buf)?))
+    }
+    fn encode_fixed(&self, out: &mut [u8]) {
+        let (a, rest) = out.split_at_mut(part_width::<A>());
+        let (b, c) = rest.split_at_mut(part_width::<B>());
+        self.0.encode_fixed(a);
+        self.1.encode_fixed(b);
+        self.2.encode_fixed(c);
+    }
+    fn decode_fixed(bytes: &[u8]) -> Self {
+        let (a, rest) = bytes.split_at(part_width::<A>());
+        let (b, c) = rest.split_at(part_width::<B>());
+        (A::decode_fixed(a), B::decode_fixed(b), C::decode_fixed(c))
     }
 }
 
@@ -283,7 +376,8 @@ impl RawRecord {
     }
 
     /// Appends the framed record (`u32` key len, key, `u32` value len,
-    /// value) to `buf`.
+    /// value) to `buf`. [`write_framed_record`] writes the same bytes from
+    /// a typed key and value without encoding them into buffers first.
     pub fn write_framed(&self, buf: &mut BytesMut) {
         put_len(buf, self.key.len());
         buf.extend_from_slice(&self.key);
@@ -301,6 +395,22 @@ impl RawRecord {
     }
 }
 
+/// Appends the framed record of `(key, value)` to `buf`, encoding both in
+/// place: each `u32` length is written as a placeholder and patched once its
+/// item is encoded. The bytes equal
+/// `RawRecord { key: key.to_bytes(), value: value.to_bytes() }.write_framed(buf)`.
+pub fn write_framed_record<K: Wire, V: Wire>(buf: &mut BytesMut, key: &K, value: &V) {
+    fn framed<T: Wire>(buf: &mut BytesMut, item: &T) {
+        let at = buf.len();
+        buf.put_u32(0);
+        item.encode(buf);
+        let len = u32::try_from(buf.len() - at - 4).expect("record item under 4 GiB");
+        buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+    }
+    framed(buf, key);
+    framed(buf, value);
+}
+
 /// Encodes a typed record stream into framed bytes, returning the buffer and
 /// the byte offset of each record start (for record-aligned DFS splits).
 pub fn encode_record_stream<K: Wire, V: Wire>(
@@ -310,8 +420,7 @@ pub fn encode_record_stream<K: Wire, V: Wire>(
     let mut offsets = Vec::new();
     for (k, v) in records {
         offsets.push(buf.len() as u64);
-        let rec = RawRecord { key: k.to_bytes(), value: v.to_bytes() };
-        rec.write_framed(&mut buf);
+        write_framed_record(&mut buf, &k, &v);
     }
     (buf.freeze(), offsets)
 }

@@ -61,6 +61,10 @@ pub const MAX_FRAME_LEN: usize = MAX_ITEM_LEN + 1024;
 /// worker dead.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Bounds of the nap between empty accept polls while workers attach.
+const ATTACH_NAP_MIN: Duration = Duration::from_micros(50);
+const ATTACH_NAP_MAX: Duration = Duration::from_millis(2);
+
 // ---------------------------------------------------------------------------
 // NodeStore: one node's byte-addressed local storage
 // ---------------------------------------------------------------------------
@@ -1245,13 +1249,17 @@ impl MultiProcessTransport {
         }
 
         // Accept until every worker has said HELLO, with a hard deadline.
+        // An empty poll naps, 50 µs at first and doubling up to 2 ms, so a
+        // worker that connects soon after spawn is not kept waiting.
         listener.set_nonblocking(true).map_err(|e| terr("listener nonblocking", e))?;
         let deadline = Instant::now() + IO_TIMEOUT;
         let mut conns: Vec<Option<Conn>> = (0..n).map(|_| None).collect();
         let mut connected = 0usize;
+        let mut nap = ATTACH_NAP_MIN;
         while connected < n {
             match listener.accept() {
                 Ok(conn) => {
+                    nap = ATTACH_NAP_MIN;
                     let accepted = (|| -> io::Result<(u64, Conn)> {
                         conn.set_read_timeout(Some(IO_TIMEOUT))?;
                         let mut conn = conn;
@@ -1286,7 +1294,8 @@ impl MultiProcessTransport {
                             "timed out waiting for workers to connect ({connected}/{n})"
                         )));
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    std::thread::sleep(nap);
+                    nap = (nap * 2).min(ATTACH_NAP_MAX);
                 }
                 Err(e) => {
                     cleanup(&mut children);

@@ -326,14 +326,18 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
         // By slot: the accumulator (created through `dec` on first touch)
         // and the wire size of the `(other, result)` entries the unfused
         // partial list carries — 8-byte other id plus the result's
-        // canonical encoding, measured in one reused buffer.
+        // canonical encoding: its fixed width, or else measured in one
+        // reused buffer.
         let mut accs: Vec<Option<Accumulator<R>>> = vec![None; ids.len()];
         let mut folded_bytes = vec![0u64; ids.len()];
         let mut entry = BytesMut::new();
         self.eval.run(ws, &ids, store, ctx.counters(), |slot, other, r| {
-            entry.clear();
-            r.encode(&mut entry);
-            folded_bytes[slot] += 8 + entry.len() as u64;
+            let width = R::FIXED_WIDTH.unwrap_or_else(|| {
+                entry.clear();
+                r.encode(&mut entry);
+                entry.len()
+            });
+            folded_bytes[slot] += 8 + width as u64;
             let acc = accs[slot].get_or_insert_with(|| dec.init(ids[slot]));
             dec.fold(acc, other, r);
         });

@@ -9,7 +9,7 @@
 use bytes::{Bytes, BytesMut};
 use pmr_cluster::MemoryGauge;
 
-use crate::codec::{RawRecord, Wire};
+use crate::codec::{write_framed_record, RawRecord, Wire};
 use crate::counters::{builtin, Counters};
 use crate::error::Result;
 use crate::partition::Partitioner;
@@ -370,11 +370,11 @@ impl<'a, K: Wire, V: Wire> ReduceContext<'a, K, V> {
         ReduceContext { out, offsets, counters, cache, memory, _pd: std::marker::PhantomData }
     }
 
-    /// Emits one output record (appended to the task's DFS part file).
+    /// Emits one output record, encoded in place at the end of the task's
+    /// DFS part file (no intermediate key or value buffer).
     pub fn emit(&mut self, key: K, value: V) {
         self.offsets.push(self.out.len() as u64);
-        let rec = RawRecord { key: key.to_bytes(), value: value.to_bytes() };
-        rec.write_framed(self.out);
+        write_framed_record(self.out, &key, &value);
         self.counters.inc(builtin::REDUCE_OUTPUT_RECORDS);
     }
 
