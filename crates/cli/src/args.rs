@@ -132,11 +132,14 @@ pub fn parse_bytes(s: &str) -> Option<u64> {
     } else {
         (s, 1)
     };
-    let v: f64 = num.trim().parse().ok()?;
-    if v < 0.0 {
-        return None;
+    let num = num.trim();
+    if let Ok(n) = num.parse::<u64>() {
+        return n.checked_mul(mult);
     }
-    Some((v * mult as f64) as u64)
+    // `f64` parsing also accepts `nan` and `inf`: neither is a byte
+    // quantity, nor is a product past `u64::MAX`.
+    let v = num.parse::<f64>().ok()? * mult as f64;
+    (v.is_finite() && v >= 0.0 && v < u64::MAX as f64).then_some(v as u64)
 }
 
 #[cfg(test)]
@@ -191,6 +194,14 @@ mod tests {
         assert_eq!(parse_bytes("10B"), Some(10));
         assert_eq!(parse_bytes("x"), None);
         assert_eq!(parse_bytes("-5MB"), None);
+        assert_eq!(parse_bytes("nan"), None);
+        assert_eq!(parse_bytes("NaNKB"), None);
+        assert_eq!(parse_bytes("inf"), None);
+        assert_eq!(parse_bytes("-infinityB"), None);
+        assert_eq!(parse_bytes("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(parse_bytes("18446744073709552TB"), None);
+        assert_eq!(parse_bytes("1e7TB"), Some(10_000_000_000_000_000_000));
+        assert_eq!(parse_bytes("1e8TB"), None);
     }
 
     #[test]

@@ -241,7 +241,12 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // the comp result (a distance): the tighter bound wins.
     let mut cut: Option<f64> = match args.optional("max-result") {
         None => None,
-        Some(s) => Some(s.parse().map_err(|_| ArgError("--max-result must be a number".into()))?),
+        Some(s) => match s.parse::<f64>() {
+            // A NaN bound compares false with every result and would drop
+            // every pair without a word.
+            Ok(x) if !x.is_nan() => Some(x),
+            _ => return Err(Box::new(ArgError("--max-result must be a number".into()))),
+        },
     };
     let threshold: Option<f64> = match args.optional("threshold") {
         None => None,
@@ -439,6 +444,11 @@ fn plan(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let maxis = args.bytes_or("maxis", 1_000_000_000_000)? as f64;
     let n = args.num_or("nodes", 16u64)?;
     let comp_us = args.num_or("comp-us", 1000.0f64)?;
+    if !(comp_us.is_finite() && comp_us >= 0.0) {
+        return Err(Box::new(ArgError(format!(
+            "--comp-us must be a finite, non-negative number of µs, got {comp_us}"
+        ))));
+    }
 
     let point = fig9b_point(s as f64, maxws, maxis);
     println!("feasibility for v = {v}, {s}-byte elements:");
@@ -921,6 +931,36 @@ mod tests {
             let err = dispatch(&args(&line)).unwrap_err().to_string();
             assert!(err.contains(needle), "{line}: expected '{needle}' in '{err}'");
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        let dir = std::env::temp_dir().join(format!("pmr-cli-nan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("pts.csv");
+        dispatch(&args(&format!(
+            "generate --kind clusters --n 10 --dim 2 --output {}",
+            csv.display()
+        )))
+        .unwrap();
+        let c = csv.display();
+        for (line, needle) in [
+            (format!("run --input {c} --max-result nan"), "--max-result must be a number"),
+            (format!("run --input {c} --max-result NaN"), "--max-result must be a number"),
+            ("plan --v 100 --element-bytes nan".into(), "bad byte quantity 'nan'"),
+            ("plan --v 100 --element-bytes infMB".into(), "bad byte quantity 'infMB'"),
+            ("plan --v 100 --element-bytes 1KB --comp-us nan".into(), "--comp-us must be"),
+            ("plan --v 100 --element-bytes 1KB --comp-us inf".into(), "--comp-us must be"),
+            ("plan --v 100 --element-bytes 1KB --comp-us -1".into(), "--comp-us must be"),
+        ] {
+            let err = dispatch(&args(&line)).unwrap_err().to_string();
+            assert!(err.contains(needle), "{line}: expected '{needle}' in '{err}'");
+        }
+        let out = dir.join("out.tsv");
+        dispatch(&args(&format!("run --input {c} --max-result inf --output {}", out.display())))
+            .unwrap();
+        dispatch(&args("plan --v 100 --element-bytes 1KB --comp-us 0")).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

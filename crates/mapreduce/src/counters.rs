@@ -15,14 +15,12 @@ pub mod builtin {
     pub const MAP_INPUT_RECORDS: &str = "mr.map.input.records";
     /// Records emitted by all map tasks.
     pub const MAP_OUTPUT_RECORDS: &str = "mr.map.output.records";
-    /// Bytes of serialized map output (pre-combiner).
+    /// Bytes of serialized map output (charged: framed records plus any
+    /// extra charge billed through `emit_charged`).
     pub const MAP_OUTPUT_BYTES: &str = "mr.map.output.bytes";
-    /// Records entering combiners.
-    pub const COMBINE_INPUT_RECORDS: &str = "mr.combine.input.records";
-    /// Records leaving combiners.
-    pub const COMBINE_OUTPUT_RECORDS: &str = "mr.combine.output.records";
-    /// Bytes of map output physically buffered/spilled (the moved series of
-    /// [`MAP_OUTPUT_BYTES`], which stays on charged semantics).
+    /// Bytes of map output physically written to partition files (the
+    /// moved series of [`MAP_OUTPUT_BYTES`], which stays on charged
+    /// semantics).
     pub const MAP_OUTPUT_MOVED_BYTES: &str = "mr.map.output.moved.bytes";
     /// Bytes fetched by reduce tasks during the shuffle.
     pub const SHUFFLE_BYTES: &str = "mr.shuffle.bytes";
@@ -43,12 +41,10 @@ pub mod builtin {
     pub const REDUCE_TASK_ATTEMPTS: &str = "mr.reduce.task.attempts";
     /// Failed task attempts (injected failures).
     pub const FAILED_ATTEMPTS: &str = "mr.failed.attempts";
-    /// Records spilled to local files by map tasks.
+    /// Records map tasks write to their node-local partition files. Every
+    /// emitted record is written exactly once, so this always equals
+    /// [`MAP_OUTPUT_RECORDS`].
     pub const SPILLED_RECORDS: &str = "mr.spilled.records";
-    /// Sort-buffer overflow spills performed by map tasks.
-    pub const MAP_SPILLS: &str = "mr.map.spills";
-    /// Spill runs merged while producing final map output.
-    pub const MERGED_RUNS: &str = "mr.map.merged.runs";
     /// Bytes broadcast through the distributed cache.
     pub const DISTRIBUTED_CACHE_BYTES: &str = "mr.cache.bytes";
     /// Node crashes observed while the job ran.
@@ -120,13 +116,6 @@ impl Counters {
     pub fn snapshot(&self) -> BTreeMap<String, u64> {
         self.inner.lock().iter().map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed))).collect()
     }
-
-    /// Merges another snapshot into this bag (used when chaining jobs).
-    pub fn merge_snapshot(&self, snap: &BTreeMap<String, u64>) {
-        for (k, v) in snap {
-            self.add(k, *v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -172,17 +161,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(c.get("n"), 8000);
-    }
-
-    #[test]
-    fn merge_snapshots() {
-        let a = Counters::new();
-        a.add("x", 1);
-        let b = Counters::new();
-        b.add("x", 2);
-        b.add("y", 3);
-        a.merge_snapshot(&b.snapshot());
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
     }
 }

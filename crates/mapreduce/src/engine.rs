@@ -51,7 +51,7 @@ use parking_lot::Mutex;
 use pmr_cluster::{Cluster, ClusterError, MemoryGauge, NodeId, TaskAttemptId, TaskKind};
 use pmr_obs::{hist, Span, SpanKind, Telemetry};
 
-use crate::api::{MapContext, Mapper, ReduceContext, Reducer, TaskCache, Values};
+use crate::api::{MapContext, Mapper, ReduceContext, Reducer, Values};
 use crate::codec::{decode_raw_stream, RawRecord, Wire};
 use crate::counters::{builtin, Counters};
 use crate::error::{MrError, Result};
@@ -285,7 +285,6 @@ where
     jid: u32,
     spec: &'a JobSpec<M, R>,
     counters: Counters,
-    cache_prefix: String,
     splits: Vec<pmr_cluster::InputSplit>,
     /// Per-(map task, partition) extra charge billed via `emit_charged`:
     /// bytes the cost model prices into the shuffle transfer of that
@@ -412,7 +411,6 @@ impl<'c> Engine<'c> {
             jid,
             spec: &spec,
             counters,
-            cache_prefix,
             splits,
             charges: (0..num_maps * spec.num_reducers).map(|_| AtomicU64::new(0)).collect(),
             map_sites: map_assignment.iter().map(|&nd| AtomicU32::new(nd as u32)).collect(),
@@ -705,10 +703,11 @@ where
         partition_charges.iter().sum()
     }
 
-    /// Body of one map attempt: read split, map, spill-merge, sort,
-    /// combine, write partition files to the local store. Returns the
-    /// per-partition extra charges and the (still-open) task span; nothing
-    /// globally visible is published here — that is the committer's job.
+    /// Body of one map attempt: read split, map into partition buffers,
+    /// then sort, frame and write each partition to the local store. Returns
+    /// the per-partition extra charges and the (still-open) task span;
+    /// nothing globally visible is published here — that is the committer's
+    /// job.
     fn map_body(
         &self,
         task: usize,
@@ -735,17 +734,12 @@ where
         span.add_records_in(records.len() as u64);
         span.lap("read", &mut lap_at);
         let mut partitions: Vec<Vec<RawRecord>> = vec![Vec::new(); spec.num_reducers];
-        let cache =
-            TaskCache { node, prefix: self.cache_prefix.clone(), store: spec.store.as_deref() };
-        let sink = crate::api::SpillSink {
-            node,
-            prefix: format!("mr/{jid}/m/{task}/spill/"),
-            runs: std::cell::Cell::new(0),
-            error: std::cell::RefCell::new(None),
-        };
-        let mut ctx: MapContext<'_, M::KOut, M::VOut> =
-            MapContext::new(&mut partitions, spec.partitioner.as_ref(), scratch, &cache)
-                .with_spilling(spec.sort_buffer_bytes, &sink);
+        let mut ctx: MapContext<'_, M::KOut, M::VOut> = MapContext::new(
+            &mut partitions,
+            spec.partitioner.as_ref(),
+            scratch,
+            spec.store.as_deref(),
+        );
         for raw in records {
             scratch.inc(builtin::MAP_INPUT_RECORDS);
             let k = M::KIn::from_bytes(raw.key)?;
@@ -759,58 +753,14 @@ where
         scratch.add(builtin::MAP_OUTPUT_MOVED_BYTES, moved_bytes);
         span.add_bytes_out(output_bytes);
         span.lap("map", &mut lap_at);
-        if let Some(e) = sink.error.borrow_mut().take() {
-            return Err(e);
-        }
 
-        // Merge spill runs back into the in-memory buffers (k-way merge of
-        // sorted runs, modeled as read + merge by concatenation + re-sort;
-        // the final per-partition sort below produces the merged order).
-        let runs = sink.runs.get();
-        if runs > 0 {
-            scratch.add(builtin::MERGED_RUNS, runs as u64);
-            for (p, part) in partitions.iter_mut().enumerate() {
-                for run in 0..runs {
-                    let name = format!("mr/{jid}/m/{task}/spill/{run}/p/{p}");
-                    match node.read_local(&name) {
-                        Ok(data) => {
-                            part.extend(decode_raw_stream(data)?);
-                            node.delete_local(&name);
-                        }
-                        Err(ClusterError::NoSuchFile(_)) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-            }
-        }
-        span.lap("merge", &mut lap_at);
-
-        // Sort each partition by key bytes; run the combiner if present.
+        // Sort each partition by key bytes, frame it, and write it to the
+        // node-local store (charged against the node's storage capacity).
         for (p, part) in partitions.iter_mut().enumerate() {
             if part.is_empty() {
                 continue;
             }
             part.sort_by(|a, b| a.key.cmp(&b.key));
-            if let Some(comb) = &spec.combiner {
-                let mut out = Vec::with_capacity(part.len());
-                let mut i = 0;
-                while i < part.len() {
-                    let mut j = i + 1;
-                    while j < part.len() && part[j].key == part[i].key {
-                        j += 1;
-                    }
-                    scratch.add(builtin::COMBINE_INPUT_RECORDS, (j - i) as u64);
-                    let key = part[i].key.clone();
-                    let vals: Vec<bytes::Bytes> =
-                        part[i..j].iter().map(|r| r.value.clone()).collect();
-                    let combined = comb.combine(key, vals);
-                    scratch.add(builtin::COMBINE_OUTPUT_RECORDS, combined.len() as u64);
-                    out.extend(combined);
-                    i = j;
-                }
-                out.sort_by(|a, b| a.key.cmp(&b.key));
-                *part = out;
-            }
             let mut buf = BytesMut::new();
             for rec in part.iter() {
                 rec.write_framed(&mut buf);
@@ -834,7 +784,6 @@ where
         scratch: &Counters,
     ) -> Result<(ReduceDone, Span)> {
         let (cluster, spec, jid) = (self.cluster, self.spec, self.jid);
-        let node = cluster.node(node_id);
         let telemetry = cluster.telemetry();
         let mut span =
             telemetry.span(&spec.name, SpanKind::Reduce, task as u32, attempt, node_id.0);
@@ -892,8 +841,6 @@ where
             .with_overhead_factor(on.max(od), od.max(1));
         let mut out = BytesMut::new();
         let mut offsets: Vec<u64> = Vec::new();
-        let cache =
-            TaskCache { node, prefix: self.cache_prefix.clone(), store: spec.store.as_deref() };
         let mut i = 0;
         while i < records.len() {
             let mut j = i + 1;
@@ -908,7 +855,7 @@ where
             let key = R::KIn::from_bytes(records[i].key.clone())?;
             let values: Values<'_, R::VIn> = Values::new(&records[i..j]);
             let mut ctx: ReduceContext<'_, R::KOut, R::VOut> =
-                ReduceContext::new(&mut out, &mut offsets, scratch, &cache, &gauge);
+                ReduceContext::new(&mut out, &mut offsets, scratch, spec.store.as_deref(), &gauge);
             spec.reducer.reduce(key, values, &mut ctx)?;
             gauge.release(group_bytes);
             i = j;

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::api::{Mapper, RawCombiner, Reducer};
+use crate::api::{Mapper, Reducer};
 use crate::partition::{HashPartitioner, Partitioner};
 
 /// Specification of one MapReduce job.
@@ -28,8 +28,6 @@ where
     pub mapper: M,
     /// The reduce function.
     pub reducer: R,
-    /// Optional combiner run over each map task's sorted output partitions.
-    pub combiner: Option<Arc<dyn RawCombiner>>,
     /// Number of reduce tasks.
     pub num_reducers: usize,
     /// Files broadcast to every node before the job starts (the paper's
@@ -42,12 +40,9 @@ where
     /// observation that "next to the elements themselves, other variables
     /// and data need to be kept in memory".
     pub memory_overhead: (u64, u64),
-    /// Map-side sort-buffer capacity in bytes (Hadoop's `io.sort.mb`).
-    /// Emits beyond it spill sorted runs to the mapper's local store, which
-    /// are merged when the task finishes. `None` = buffer everything.
-    pub sort_buffer_bytes: Option<u64>,
     /// Optional node-shared resolver handle (e.g. an element store) exposed
-    /// to mappers and reducers through [`crate::api::TaskCache::store`].
+    /// to mappers and reducers through [`crate::api::MapContext::store`] and
+    /// [`crate::api::ReduceContext::store`].
     /// Typed at the user layer; the engine only threads the `Arc` through.
     pub store: Option<Arc<dyn std::any::Any + Send + Sync>>,
 }
@@ -57,8 +52,8 @@ where
     M: Mapper,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    /// Creates a job spec with defaults: hash partitioning, no combiner, no
-    /// cache files. The engine runs one map task per DFS block of input.
+    /// Creates a job spec with defaults: hash partitioning, no cache files,
+    /// no store. The engine runs one map task per DFS block of input.
     pub fn new(
         name: impl Into<String>,
         inputs: Vec<String>,
@@ -73,20 +68,12 @@ where
             output: output.into(),
             mapper,
             reducer,
-            combiner: None,
             num_reducers,
             cache_files: Vec::new(),
             partitioner: Arc::new(HashPartitioner),
             memory_overhead: (1, 1),
-            sort_buffer_bytes: None,
             store: None,
         }
-    }
-
-    /// Sets a combiner, builder-style.
-    pub fn combiner(mut self, c: Arc<dyn RawCombiner>) -> Self {
-        self.combiner = Some(c);
-        self
     }
 
     /// Adds a distributed-cache file, builder-style.
@@ -107,14 +94,8 @@ where
         self
     }
 
-    /// Sets the map-side sort-buffer capacity, builder-style.
-    pub fn sort_buffer(mut self, bytes: u64) -> Self {
-        self.sort_buffer_bytes = Some(bytes);
-        self
-    }
-
     /// Attaches a node-shared resolver handle, builder-style. Tasks read it
-    /// back (typed) via [`crate::api::TaskCache::store`].
+    /// back (typed) via their context's `store`.
     pub fn store(mut self, store: Arc<dyn std::any::Any + Send + Sync>) -> Self {
         self.store = Some(store);
         self

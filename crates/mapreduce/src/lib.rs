@@ -5,8 +5,11 @@
 //! implements against, running on the simulated shared-nothing cluster of
 //! `pmr-cluster`:
 //!
-//! * typed [`api::Mapper`] / [`api::Reducer`] user code with combiners and
-//!   a distributed cache (paper §5.1);
+//! * typed [`api::Mapper`] / [`api::Reducer`] user code and a distributed
+//!   cache (paper §5.1) broadcast to every live node and charged;
+//! * one fixed map-output path: emit into partition buffers, sort each
+//!   partition, frame it, and write it to node-local storage, where it
+//!   counts against the node's storage capacity;
 //! * real serialized intermediate data ([`codec`]) with hash partitioning
 //!   ([`partition`]), per-partition byte-order sorting, and a shuffle that
 //!   moves bytes between node-local stores with full network accounting;
@@ -29,10 +32,7 @@ pub mod io;
 pub mod job;
 pub mod partition;
 
-pub use api::{
-    typed_combiner, IdentityMapper, MapContext, Mapper, RawCombiner, ReduceContext, Reducer,
-    TaskCache, Values,
-};
+pub use api::{IdentityMapper, MapContext, Mapper, ReduceContext, Reducer, Values};
 pub use codec::{
     decode_raw_stream, decode_record_stream, encode_record_stream, CodecError, RawRecord, Wire,
 };

@@ -3,8 +3,8 @@
 use bytes::Bytes;
 use pmr_cluster::{Cluster, ClusterConfig, ClusterError};
 use pmr_mapreduce::{
-    builtin, read_output, typed_combiner, write_sharded, Engine, IdentityMapper, JobSpec,
-    MapContext, Mapper, MrError, ReduceContext, Reducer, Values,
+    builtin, read_output, write_sharded, Engine, IdentityMapper, JobSpec, MapContext, Mapper,
+    MrError, ReduceContext, Reducer, Values,
 };
 
 /// Classic word count: text lines in, (word, count) out.
@@ -89,32 +89,6 @@ fn wordcount_end_to_end() {
     assert_eq!(out.counters[builtin::REDUCE_OUTPUT_RECORDS], 8);
     assert_eq!(out.stats.reduce_tasks, 3);
     assert!(out.stats.max_working_set_bytes > 0);
-}
-
-#[test]
-fn combiner_shrinks_shuffle_but_preserves_results() {
-    let run = |with_combiner: bool| -> (Vec<(String, u64)>, u64) {
-        let cluster = Cluster::new(ClusterConfig::with_nodes(4));
-        let inputs = write_sharded(&cluster, "in", 2, word_corpus()).unwrap();
-        let engine = Engine::new(&cluster);
-        let mut spec = JobSpec::new("wc", inputs, "out", TokenizeMapper, SumReducer, 2);
-        if with_combiner {
-            spec =
-                spec.combiner(typed_combiner(|k: String, vs: Vec<u64>| vec![(k, vs.iter().sum())]));
-        }
-        let out = engine.run(spec).unwrap();
-        let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
-        results.sort();
-        (results, out.counters[builtin::SHUFFLE_BYTES])
-    };
-    let (plain, shuffle_plain) = run(false);
-    let (combined, shuffle_combined) = run(true);
-    assert_eq!(plain, expected_counts());
-    assert_eq!(combined, expected_counts());
-    assert!(
-        shuffle_combined < shuffle_plain,
-        "combiner should reduce shuffle: {shuffle_combined} vs {shuffle_plain}"
-    );
 }
 
 #[test]
@@ -236,52 +210,30 @@ fn intermediate_storage_cap_fails_job() {
 
 #[test]
 fn distributed_cache_reaches_every_task() {
-    struct CacheMapper;
-    impl Mapper for CacheMapper {
-        type KIn = u64;
-        type VIn = String;
-        type KOut = u64;
-        type VOut = String;
-        fn map(
-            &self,
-            k: u64,
-            _v: String,
-            ctx: &mut MapContext<'_, u64, String>,
-        ) -> pmr_mapreduce::Result<()> {
-            let payload = ctx.cache().get("lookup");
-            ctx.emit(k, String::from_utf8(payload.to_vec()).unwrap());
-            Ok(())
+    // Cache files are written to every live node before the map phase and
+    // charged once per copy; a node that is already down gets (and costs)
+    // nothing.
+    let payload = Bytes::from_static(b"BROADCAST");
+    let run = |crashed: Option<u32>| {
+        let cluster = Cluster::new(ClusterConfig::with_nodes(3));
+        let inputs = write_sharded(&cluster, "in", 3, word_corpus()).unwrap();
+        if let Some(victim) = crashed {
+            cluster.crash_node(pmr_cluster::NodeId(victim));
         }
-    }
-    struct FirstReducer;
-    impl Reducer for FirstReducer {
-        type KIn = u64;
-        type VIn = String;
-        type KOut = u64;
-        type VOut = String;
-        fn reduce(
-            &self,
-            k: u64,
-            mut values: Values<'_, String>,
-            ctx: &mut ReduceContext<'_, u64, String>,
-        ) -> pmr_mapreduce::Result<()> {
-            ctx.emit(k, values.next().unwrap());
-            Ok(())
-        }
-    }
-    let cluster = Cluster::new(ClusterConfig::with_nodes(3));
-    let inputs = write_sharded(&cluster, "in", 3, word_corpus()).unwrap();
-    let engine = Engine::new(&cluster);
-    let out = engine
-        .run(
-            JobSpec::new("cached", inputs, "out", CacheMapper, FirstReducer, 2)
-                .cache_file("lookup", Bytes::from_static(b"BROADCAST")),
-        )
-        .unwrap();
-    assert_eq!(out.counters[builtin::DISTRIBUTED_CACHE_BYTES], 9 * 3);
-    let results: Vec<(u64, String)> = read_output(&cluster, "out").unwrap();
-    assert_eq!(results.len(), 4);
-    assert!(results.iter().all(|(_, v)| v == "BROADCAST"));
+        let out = Engine::new(&cluster)
+            .run(
+                JobSpec::new("cached", inputs, "out", TokenizeMapper, SumReducer, 2)
+                    .cache_file("lookup", payload.clone()),
+            )
+            .unwrap();
+        let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
+        results.sort();
+        assert_eq!(results, expected_counts());
+        out.counters[builtin::DISTRIBUTED_CACHE_BYTES]
+    };
+    let len = payload.len() as u64;
+    assert_eq!(run(None), len * 3);
+    assert_eq!(run(Some(2)), len * 2, "only live nodes receive the cache");
 }
 
 #[test]
@@ -351,61 +303,13 @@ fn large_dataset_spans_blocks_and_splits() {
     assert_eq!(results.len(), 50);
 }
 
-#[test]
-fn sort_buffer_spills_preserve_results() {
-    // A tiny sort buffer forces many spill runs; results must be identical
-    // to the unbounded-buffer run and spill counters must show the runs.
-    let run = |sort_buffer: Option<u64>| {
-        let cluster = Cluster::new(ClusterConfig::with_nodes(3));
-        let records: Vec<(u64, String)> =
-            (0..400u64).map(|i| (i, format!("w{} w{} w{}", i % 17, i % 5, i % 29))).collect();
-        let inputs = write_sharded(&cluster, "in", 2, records).unwrap();
-        let engine = Engine::new(&cluster);
-        let mut spec = JobSpec::new("wc-spill", inputs, "out", TokenizeMapper, SumReducer, 3);
-        if let Some(b) = sort_buffer {
-            spec = spec.sort_buffer(b);
-        }
-        let out = engine.run(spec).unwrap();
-        let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
-        results.sort();
-        (results, out.counters)
-    };
-    let (plain, plain_counters) = run(None);
-    let (spilled, spilled_counters) = run(Some(256));
-    assert_eq!(plain, spilled, "spilling must not change results");
-    assert_eq!(plain_counters.get("mr.map.spills").copied().unwrap_or(0), 0);
-    let spills = spilled_counters.get("mr.map.spills").copied().unwrap_or(0);
-    assert!(spills > 2, "expected several spills, got {spills}");
-    assert!(spilled_counters.get("mr.map.merged.runs").copied().unwrap_or(0) >= spills);
-    // Spilled records exceed map-output records (each record is written in
-    // a run and again in the final partition files).
-    assert!(spilled_counters[builtin::SPILLED_RECORDS] > plain_counters[builtin::SPILLED_RECORDS]);
-}
-
-#[test]
-fn sort_buffer_with_combiner_still_correct() {
-    let cluster = Cluster::new(ClusterConfig::with_nodes(2));
-    let inputs = write_sharded(&cluster, "in", 2, word_corpus()).unwrap();
-    let engine = Engine::new(&cluster);
-    let out = engine
-        .run(
-            JobSpec::new("wc", inputs, "out", TokenizeMapper, SumReducer, 2)
-                .sort_buffer(64)
-                .combiner(typed_combiner(|k: String, vs: Vec<u64>| vec![(k, vs.iter().sum())])),
-        )
-        .unwrap();
-    assert!(out.counters.get("mr.map.spills").copied().unwrap_or(0) > 0);
-    let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
-    results.sort();
-    assert_eq!(results, expected_counts());
-}
-
 /// Logical (exactly-once) counters that must not move under retries,
 /// chaos, or speculation — only attempt/recovery bookkeeping may differ.
 const LOGICAL_COUNTERS: &[&str] = &[
     builtin::MAP_INPUT_RECORDS,
     builtin::MAP_OUTPUT_RECORDS,
     builtin::MAP_OUTPUT_BYTES,
+    builtin::SPILLED_RECORDS,
     builtin::SHUFFLE_BYTES,
     builtin::REDUCE_INPUT_GROUPS,
     builtin::REDUCE_INPUT_RECORDS,
@@ -463,6 +367,7 @@ fn node_crashes_recover_with_identical_output() {
         (results, out.counters)
     };
     assert_eq!(clean.0, expected_counts());
+    assert_eq!(clean.1[builtin::SPILLED_RECORDS], clean.1[builtin::MAP_OUTPUT_RECORDS]);
     // Whether a crash lands before a reducer has fetched the victim's map
     // output depends on thread scheduling, so several seeds are tried and
     // at least one must take the recovery path.
@@ -476,6 +381,13 @@ fn node_crashes_recover_with_identical_output() {
         assert_eq!(cluster.node_crashes(), 1, "seed {chaos_seed}");
         assert_eq!(out.counters[builtin::NODE_CRASHES], 1, "seed {chaos_seed}");
         any_rerun |= out.counters.get(builtin::MAP_RERUNS).copied().unwrap_or(0) > 0;
+        // Every emitted record is written to a partition file exactly once,
+        // and a recovery re-run's writes are not counted again.
+        assert_eq!(
+            out.counters[builtin::SPILLED_RECORDS],
+            out.counters[builtin::MAP_OUTPUT_RECORDS],
+            "seed {chaos_seed}"
+        );
         let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
         results.sort();
         assert_eq!(results, clean.0, "seed {chaos_seed}: output must survive the crash");
@@ -606,18 +518,29 @@ fn chaos_off_runs_report_no_recovery_counters() {
 
 #[test]
 fn spills_count_against_node_storage() {
-    // Spill runs live in node-local storage until merged, so a node storage
-    // capacity that fits the final output but not the transient runs fails.
-    let mut cfg = ClusterConfig::with_nodes(1);
-    cfg.node.storage_capacity = Some(600);
-    let cluster = Cluster::new(cfg);
-    let records: Vec<(u64, String)> = (0..200u64).map(|i| (i, format!("word{}", i % 7))).collect();
-    let inputs = write_sharded(&cluster, "in", 1, records.clone()).unwrap();
-    let engine = Engine::new(&cluster);
-    let err = engine
-        .run(JobSpec::new("wc", inputs, "out", TokenizeMapper, SumReducer, 1).sort_buffer(64))
-        .unwrap_err();
-    assert!(matches!(err, MrError::Cluster(ClusterError::NodeStorageExceeded { .. })), "{err}");
+    // A map task's sorted partition files are written to its node-local
+    // store, so on one node they must fit the node's storage capacity: a
+    // capacity of exactly their size passes, one byte less fails the job.
+    let run = |capacity: Option<u64>| {
+        let mut cfg = ClusterConfig::with_nodes(1);
+        cfg.node.storage_capacity = capacity;
+        let cluster = Cluster::new(cfg);
+        let inputs = write_sharded(&cluster, "in", 1, word_corpus()).unwrap();
+        Engine::new(&cluster).run(JobSpec::new("wc", inputs, "out", TokenizeMapper, SumReducer, 2))
+    };
+    let out = run(None).unwrap();
+    assert_eq!(out.stats.map_tasks, 1);
+    let written = out.counters[builtin::MAP_OUTPUT_MOVED_BYTES];
+    run(Some(written)).unwrap();
+    let err = run(Some(written - 1)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MrError::Cluster(ClusterError::NodeStorageExceeded { requested, capacity, .. })
+                if requested == written && capacity == written - 1
+        ),
+        "{err}"
+    );
 }
 
 #[test]

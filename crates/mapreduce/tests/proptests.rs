@@ -194,7 +194,6 @@ proptest! {
         nodes in 1usize..5,
         reducers in 1usize..8,
         shards in 1usize..5,
-        sort_buffer in prop::option::of(64u64..4096),
         failure in prop::bool::ANY,
     ) {
         let mut cfg = ClusterConfig::with_nodes(nodes);
@@ -204,10 +203,7 @@ proptest! {
         let cluster = Cluster::new(cfg);
         let inputs = write_sharded(&cluster, "in", shards, records.clone()).unwrap();
         let engine = Engine::new(&cluster);
-        let mut spec = JobSpec::new("sum", inputs, "out", KeyedMapper, SumReducer, reducers);
-        if let Some(b) = sort_buffer {
-            spec = spec.sort_buffer(b);
-        }
+        let spec = JobSpec::new("sum", inputs, "out", KeyedMapper, SumReducer, reducers);
         let _ = engine.run(spec).unwrap();
         let got: BTreeMap<u64, u64> =
             read_output::<u64, u64>(&cluster, "out").unwrap().into_iter().collect();

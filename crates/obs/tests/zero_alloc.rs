@@ -3,24 +3,31 @@
 //! so the disabled path must reduce to a `None` check. Verified with a
 //! counting global allocator.
 //!
-//! This file holds exactly one `#[test]` — a sibling test running in a
-//! parallel thread would allocate while the counter is armed.
+//! The allocator arms and counts per thread: only allocations made by the
+//! thread that armed it are counted, so another thread of the test binary
+//! (the harness's main thread, a sibling test) allocating meanwhile cannot
+//! fail the check. Every hot-path call below runs on the arming thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::Barrier;
 use std::time::Instant;
 
 use pmr_obs::{SpanKind, Telemetry};
 
 struct CountingAllocator;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised with no destructor: reading these never
+    // allocates, so the allocator may touch them.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if ARMED.with(Cell::get) {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
         }
         unsafe { System.alloc(layout) }
     }
@@ -33,12 +40,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Starts counting the calling thread's allocations from zero.
+fn arm() {
+    ALLOCATIONS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+}
+
+/// Stops counting and returns the calling thread's allocations since
+/// [`arm`].
+fn disarm() -> u64 {
+    ARMED.with(|a| a.set(false));
+    ALLOCATIONS.with(Cell::get)
+}
+
 #[test]
 fn disabled_sink_hot_path_does_not_allocate() {
     let telemetry = Telemetry::disabled();
     let mut lap_at = Instant::now();
 
-    ARMED.store(true, Ordering::SeqCst);
+    arm();
     for task in 0..100u32 {
         let mut span = telemetry.span("job", SpanKind::Map, task, 0, task % 4);
         span.add_bytes_in(1024);
@@ -69,18 +89,28 @@ fn disabled_sink_hot_path_does_not_allocate() {
         let progress = telemetry.progress();
         assert!(progress.tasks_committed == 0 && progress.trace_events == 0);
     }
-    ARMED.store(false, Ordering::SeqCst);
-
-    assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst),
-        0,
-        "disabled telemetry allocated on the hot path"
-    );
+    assert_eq!(disarm(), 0, "disabled telemetry allocated on the hot path");
 
     // Sanity check that the counter actually observes allocations.
-    ARMED.store(true, Ordering::SeqCst);
+    arm();
     let v = std::hint::black_box(vec![1u8, 2, 3]);
-    ARMED.store(false, Ordering::SeqCst);
+    let counted = disarm();
     drop(v);
-    assert!(ALLOCATIONS.load(Ordering::SeqCst) > 0, "counting allocator is not wired in");
+    assert!(counted > 0, "counting allocator is not wired in");
+
+    // Another thread's allocation while this one is armed is not counted.
+    // The barriers carry no allocation of their own; the second one makes
+    // the other thread's allocation land inside the armed window.
+    let (go, done) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            go.wait();
+            drop(std::hint::black_box(vec![0u8; 64]));
+            done.wait();
+        });
+        arm();
+        go.wait();
+        done.wait();
+        assert_eq!(disarm(), 0, "another thread's allocation was counted");
+    });
 }
