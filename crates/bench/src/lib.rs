@@ -14,8 +14,9 @@
 //! | `cluster_validation` | §6 cluster experiments (measured vs theory)     |
 //! | `elsayed_baseline`   | §2 related-work comparison                      |
 //! | `hierarchical`       | §7 two-level extensions                         |
+//! | `scheme_advisor`     | cost-model ablation: scheme ranking vs measured |
 //!
-//! Criterion micro/macro benchmarks live in `benches/`.
+//! Throughput is measured by the repo benchmark, `benchmark/run.sh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

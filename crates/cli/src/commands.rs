@@ -1029,7 +1029,7 @@ mod tests {
             )))
             .unwrap();
             let json = std::fs::read_to_string(&json_path).unwrap();
-            assert!(json.contains("\"schema\": \"pmr.run_report/8\""), "{backend}");
+            assert!(json.contains("\"schema\": \"pmr.run_report/9\""), "{backend}");
             assert!(json.contains(&format!("\"backend\": \"{backend}\"")), "{backend}");
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,8 +1,8 @@
 //! The transport seam: where node-local storage physically lives.
 //!
 //! Everything the engine does against a node — map-output partitions,
-//! spill runs, cache files, DFS block payloads — goes through a
-//! [`NodeStore`], and a [`Transport`] supplies one store per node:
+//! cache files, DFS block payloads — goes through a [`NodeStore`], and a
+//! [`Transport`] supplies one store per node:
 //!
 //! * [`InProcessTransport`] — the simulated cluster of the paper model:
 //!   stores are in-process hash maps, byte movement is accounted by
@@ -104,7 +104,6 @@ pub trait NodeStore: Send + Sync {
 enum WireClass {
     Dfs,
     Seed,
-    Spill,
     Cache,
     MapOutput,
     Shuffle,
@@ -116,8 +115,6 @@ fn classify(name: &str, is_get: bool) -> WireClass {
         WireClass::Dfs
     } else if name.starts_with("seed/") {
         WireClass::Seed
-    } else if name.contains("/spill/") {
-        WireClass::Spill
     } else if name.contains("/cache/") {
         WireClass::Cache
     } else if name.contains("/p/") {
@@ -131,13 +128,13 @@ fn classify(name: &str, is_get: bool) -> WireClass {
     }
 }
 
-/// Single-byte encoding of a [`WireClass`] for worker trace frames.
+/// Single-byte encoding of a [`WireClass`] for worker trace frames. Codes
+/// are never reused; 3 is unassigned.
 fn class_code(class: WireClass) -> u8 {
     match class {
         WireClass::Dfs => 0,
         WireClass::Seed => 1,
         WireClass::Cache => 2,
-        WireClass::Spill => 3,
         WireClass::MapOutput => 4,
         WireClass::Shuffle => 5,
         WireClass::Other => 6,
@@ -151,7 +148,6 @@ fn class_name(code: u8) -> &'static str {
         0 => "dfs",
         1 => "seed",
         2 => "cache",
-        3 => "spill",
         4 => "map_output",
         5 => "shuffle",
         _ => "other",
@@ -177,8 +173,6 @@ pub struct WireSnapshot {
     pub seed_bytes: u64,
     /// Distributed-cache files (`mr/<job>/cache/…`).
     pub cache_bytes: u64,
-    /// Map-side spill runs written and merged back.
-    pub spill_bytes: u64,
     /// Map-output partitions written by map attempts.
     pub map_output_bytes: u64,
     /// Map-output partitions fetched by reduce attempts (the shuffle).
@@ -193,7 +187,6 @@ impl WireSnapshot {
         self.dfs_bytes
             + self.seed_bytes
             + self.cache_bytes
-            + self.spill_bytes
             + self.map_output_bytes
             + self.shuffle_bytes
             + self.other_bytes
@@ -206,7 +199,6 @@ impl WireSnapshot {
             dfs_bytes: self.dfs_bytes - earlier.dfs_bytes,
             seed_bytes: self.seed_bytes - earlier.seed_bytes,
             cache_bytes: self.cache_bytes - earlier.cache_bytes,
-            spill_bytes: self.spill_bytes - earlier.spill_bytes,
             map_output_bytes: self.map_output_bytes - earlier.map_output_bytes,
             shuffle_bytes: self.shuffle_bytes - earlier.shuffle_bytes,
             other_bytes: self.other_bytes - earlier.other_bytes,
@@ -219,7 +211,6 @@ impl WireSnapshot {
             ("dfs", self.dfs_bytes),
             ("seed", self.seed_bytes),
             ("cache", self.cache_bytes),
-            ("spill", self.spill_bytes),
             ("map_output", self.map_output_bytes),
             ("shuffle", self.shuffle_bytes),
             ("other", self.other_bytes),
@@ -233,7 +224,6 @@ struct WireStats {
     dfs: AtomicU64,
     seed: AtomicU64,
     cache: AtomicU64,
-    spill: AtomicU64,
     map_output: AtomicU64,
     shuffle: AtomicU64,
     other: AtomicU64,
@@ -245,7 +235,6 @@ impl WireStats {
         let cell = match class {
             WireClass::Dfs => &self.dfs,
             WireClass::Seed => &self.seed,
-            WireClass::Spill => &self.spill,
             WireClass::Cache => &self.cache,
             WireClass::MapOutput => &self.map_output,
             WireClass::Shuffle => &self.shuffle,
@@ -260,7 +249,6 @@ impl WireStats {
             dfs_bytes: self.dfs.load(Ordering::Relaxed),
             seed_bytes: self.seed.load(Ordering::Relaxed),
             cache_bytes: self.cache.load(Ordering::Relaxed),
-            spill_bytes: self.spill.load(Ordering::Relaxed),
             map_output_bytes: self.map_output.load(Ordering::Relaxed),
             shuffle_bytes: self.shuffle.load(Ordering::Relaxed),
             other_bytes: self.other.load(Ordering::Relaxed),
@@ -1440,7 +1428,6 @@ mod tests {
     fn classification_follows_engine_naming() {
         assert_eq!(classify("dfs/run/input-0/3", false), WireClass::Dfs);
         assert_eq!(classify("seed/dataset", false), WireClass::Seed);
-        assert_eq!(classify("mr/3/m/1/spill/0/p/2", true), WireClass::Spill);
         assert_eq!(classify("mr/3/cache/dataset", false), WireClass::Cache);
         assert_eq!(classify("mr/3/m/1/p/2", false), WireClass::MapOutput);
         assert_eq!(classify("mr/3/m/1/p/2", true), WireClass::Shuffle);
@@ -1513,13 +1500,12 @@ mod tests {
             WireClass::Dfs,
             WireClass::Seed,
             WireClass::Cache,
-            WireClass::Spill,
             WireClass::MapOutput,
             WireClass::Shuffle,
             WireClass::Other,
         ];
         let names: Vec<&str> = classes.iter().map(|c| class_name(class_code(*c))).collect();
-        assert_eq!(names, vec!["dfs", "seed", "cache", "spill", "map_output", "shuffle", "other"]);
+        assert_eq!(names, vec!["dfs", "seed", "cache", "map_output", "shuffle", "other"]);
         // Every series key is reachable from a class code and vice versa.
         let series = WireSnapshot::default().series();
         assert_eq!(series.iter().map(|(k, _)| *k).collect::<Vec<_>>(), names);

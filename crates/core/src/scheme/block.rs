@@ -108,11 +108,6 @@ impl BlockScheme {
     pub fn position(&self, task: u64) -> (u64, u64) {
         diag_unrank(task)
     }
-
-    /// The task id of the block at `(column-stripe, row-stripe)`.
-    pub fn task_at(&self, col: u64, row: u64) -> u64 {
-        diag_rank(col, row)
-    }
 }
 
 impl PairCover for Blocks {

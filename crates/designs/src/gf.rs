@@ -191,12 +191,6 @@ impl Gf {
         self.pow(a, self.q - 2)
     }
 
-    /// Division `a / b`; panics if `b = 0`.
-    #[inline]
-    pub fn div(&self, a: u64, b: u64) -> u64 {
-        self.mul(a, self.inv(b))
-    }
-
     /// Exponentiation by square-and-multiply.
     pub fn pow(&self, mut a: u64, mut e: u64) -> u64 {
         let mut r = 1u64;

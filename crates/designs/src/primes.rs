@@ -175,18 +175,6 @@ pub fn is_prime_power(n: u64) -> bool {
     prime_power(n).is_some()
 }
 
-/// The smallest prime power `q ≥ n`. Panics if none fits in `u64` (cannot
-/// happen for realistic inputs since primes are dense).
-pub fn next_prime_power_at_least(n: u64) -> u64 {
-    let mut c = n.max(2);
-    loop {
-        if is_prime_power(c) {
-            return c;
-        }
-        c += 1;
-    }
-}
-
 /// Number of points/blocks of a projective plane of order `q`: `q² + q + 1`.
 #[inline]
 pub fn plane_size(q: u64) -> u64 {

@@ -346,26 +346,6 @@ impl<'c> Engine<'c> {
         let sim_before = cluster.traffic().simulated_time_us();
         let crashes_before = cluster.node_crashes();
 
-        // --- Distribute cache files to every live node (paper §5.1). ---
-        let cache_prefix = format!("mr/{jid}/cache/");
-        let live_count = cluster.live_nodes().len();
-        for (name, data) in &spec.cache_files {
-            for node in cluster.nodes() {
-                if !node.is_alive() {
-                    continue;
-                }
-                node.write_local(&format!("{cache_prefix}{name}"), data.clone())?;
-            }
-            cluster.traffic().record_broadcast(
-                &cluster.config().network,
-                NodeId(0),
-                live_count,
-                data.len() as u64,
-            );
-            counters.add(builtin::DISTRIBUTED_CACHE_BYTES, data.len() as u64 * live_count as u64);
-            cluster.check_intermediate_capacity()?;
-        }
-
         // --- Plan input splits: one per DFS block. ---
         let mut splits = Vec::new();
         for path in &spec.inputs {
@@ -378,6 +358,31 @@ impl<'c> Engine<'c> {
         }
         if splits.is_empty() {
             return Err(MrError::InvalidJob("inputs contain no records".into()));
+        }
+
+        // --- Distribute cache files to every live node (paper §5.1). ---
+        // A failed copy or capacity check removes the copies already made,
+        // so a rejected job leaves nothing billed to the nodes.
+        let cache_prefix = format!("mr/{jid}/cache/");
+        let live_count = cluster.live_nodes().len();
+        let distributed = spec.cache_files.iter().try_for_each(|(name, data)| {
+            for node in cluster.nodes() {
+                if node.is_alive() {
+                    node.write_local(&format!("{cache_prefix}{name}"), data.clone())?;
+                }
+            }
+            cluster.traffic().record_broadcast(
+                &cluster.config().network,
+                NodeId(0),
+                live_count,
+                data.len() as u64,
+            );
+            counters.add(builtin::DISTRIBUTED_CACHE_BYTES, data.len() as u64 * live_count as u64);
+            cluster.check_intermediate_capacity()
+        });
+        if let Err(e) = distributed {
+            self.cleanup(jid, 0);
+            return Err(e.into());
         }
 
         // --- Assign map tasks: locality-aware over live nodes. ---

@@ -237,6 +237,41 @@ fn distributed_cache_reaches_every_task() {
 }
 
 #[test]
+fn rejected_job_leaves_no_cache_copies() {
+    // Two 10-byte copies exceed a 16-byte cap: the job fails after the
+    // first copies landed, and must take them back off the nodes.
+    let cluster = Cluster::new(ClusterConfig::with_nodes(2).intermediate_storage(16));
+    let inputs = write_sharded(&cluster, "in", 2, word_corpus()).unwrap();
+    let engine = Engine::new(&cluster);
+    let err = engine
+        .run(
+            JobSpec::new("capped", inputs, "out", TokenizeMapper, SumReducer, 1)
+                .cache_file("lookup", Bytes::from_static(b"0123456789")),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, MrError::Cluster(ClusterError::IntermediateStorageExceeded { .. })),
+        "{err:?}"
+    );
+    assert_eq!(cluster.intermediate_bytes(), 0, "cache copies stay billed");
+    for node in cluster.nodes() {
+        assert_eq!(node.storage_used(), 0, "node {:?}", node.id());
+    }
+
+    // A job rejected for its inputs never distributes its cache.
+    let err = engine
+        .run(
+            JobSpec::new("no-input", vec!["missing".into()], "out", TokenizeMapper, SumReducer, 1)
+                .cache_file("lookup", Bytes::from_static(b"0123456789")),
+        )
+        .unwrap_err();
+    assert!(matches!(err, MrError::InvalidJob(_)), "{err:?}");
+    for node in cluster.nodes() {
+        assert!(node.list_local("mr/").is_empty(), "node {:?}", node.id());
+    }
+}
+
+#[test]
 fn network_accounting_is_deterministic() {
     let run = || {
         let cluster = Cluster::new(ClusterConfig::with_nodes(4).seed(11));

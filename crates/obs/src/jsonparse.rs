@@ -5,7 +5,7 @@
 //! offline `trace` CLI needs to load them back. This module parses any
 //! RFC 8259 document into a [`JsonValue`] tree (objects preserve key
 //! order) and [`RunReport::from_json`] rebuilds a full
-//! [`crate::RunReport`] from the `pmr.run_report/8` schema.
+//! [`crate::RunReport`] from the `pmr.run_report/9` schema.
 
 use crate::histogram::{HistogramBucket, HistogramSnapshot};
 use crate::report::{NodeTimeline, RunReport};

@@ -56,8 +56,8 @@ pub struct TransportReport {
     /// Spawned worker processes, ascending by node.
     pub workers: Vec<WorkerProc>,
     /// Physically serialized payload bytes as `(class, bytes)` pairs in
-    /// stable order (`dfs`, `seed`, `cache`, `spill`, `map_output`,
-    /// `shuffle`, `other`).
+    /// stable order (`dfs`, `seed`, `cache`, `map_output`, `shuffle`,
+    /// `other`).
     pub wire_bytes: Vec<(String, u64)>,
     /// Total frames exchanged over worker sockets.
     pub wire_frames: u64,
@@ -206,7 +206,7 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.str_field("schema", "pmr.run_report/8");
+        w.str_field("schema", "pmr.run_report/9");
         w.u64_field("wall_time_us", self.wall_time_us);
 
         w.begin_object_key("meta");
@@ -565,7 +565,7 @@ mod tests {
         });
         let json = r.to_json();
         for needle in [
-            "\"schema\": \"pmr.run_report/8\"",
+            "\"schema\": \"pmr.run_report/9\"",
             "\"events\"",
             "\"kind\": \"node.crash\"",
             "\"meta\"",
@@ -596,7 +596,7 @@ mod tests {
         let r = RunReport::default();
         r.write_json_file(path.to_str().unwrap()).expect("parents should be created");
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("pmr.run_report/8"));
+        assert!(text.contains("pmr.run_report/9"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! Golden-file test for the RunReport JSON serialization: a fully
 //! populated, hand-assembled report must serialize byte-for-byte to the
 //! checked-in `tests/golden/run_report.json`. Consumers parse this format
-//! (schema tag `pmr.run_report/8`), so any change to the writer or the
+//! (schema tag `pmr.run_report/9`), so any change to the writer or the
 //! report layout must show up as a reviewed diff of the golden file.
 //!
 //! To regenerate after an intentional format change:

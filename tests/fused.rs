@@ -346,6 +346,7 @@ fn sparse_kernel_output_identical_across_schemes_and_backends() {
         let backends = [
             ("sequential", Backend::Sequential, true),
             ("local", Backend::Local { threads: 3 }, true),
+            ("local unfused", Backend::Local { threads: 3 }, false),
             ("mr fused", Backend::Mr(&fused), true),
             ("mr unfused", Backend::Mr(&unfused), false),
         ];

@@ -73,7 +73,7 @@ fn output_and_charged_counters_identical_across_transports() {
             // `peak_intermediate_bytes` depend on which node the
             // work-stealing scheduler happened to place each task on and
             // vary between two identical in-process runs already, so they
-            // are no parity criterion.)
+            // are not compared.)
             let (ra, rb) = (&a.mr[0], &b.mr[0]);
             assert_eq!(ra.evaluations, rb.evaluations, "{label}");
             assert_eq!(ra.replicated_records, rb.replicated_records, "{label}");

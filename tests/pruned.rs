@@ -387,12 +387,19 @@ fn generated_candidates_equal_probed_per_task() {
     }
 }
 
-/// The skewed-corpus pruning claim the bench records, asserted offline at
-/// test scale: tf-idf + unit-normalized Zipf documents at threshold 0.8
-/// evaluate an order of magnitude fewer pairs than the exact join.
+/// The skewed-corpus pruning claim at test scale: tf-idf + unit-normalized
+/// Zipf documents at threshold 0.8 evaluate an order of magnitude fewer
+/// pairs than the exact join, and the pruned output is the exact one.
 #[test]
 fn prefix_filter_prunes_skewed_corpus_hard() {
-    let raw = zipf_documents(512, 4096, 48, 1.2, 11);
+    let mut raw = zipf_documents(512, 4096, 48, 1.2, 11);
+    // Plant near-duplicates (every 64th document copied with its last term
+    // dropped), so the join has survivors for the exact run to match.
+    for i in (0..511).step_by(64) {
+        let mut twin = raw[i].clone();
+        twin.0.pop();
+        raw[i + 1] = twin;
+    }
     let corpus: Vec<SparseVector> = tfidf(&raw)
         .into_iter()
         .map(|v| {
@@ -405,14 +412,17 @@ fn prefix_filter_prunes_skewed_corpus_hard() {
         })
         .collect();
     let t = 0.8;
-    let filter = PrefixFilter::build(&corpus, t);
-    let run = PairwiseJob::new(&corpus, cosine_comp())
-        .scheme(BlockScheme::new(512, 8))
-        .aggregator_arc(keep_at_least(t))
-        .pair_filter(filter)
-        .backend(Backend::Local { threads: 4 })
-        .run()
-        .unwrap();
+    let job = || {
+        PairwiseJob::new(&corpus, cosine_comp())
+            .scheme(BlockScheme::new(512, 8))
+            .aggregator_arc(keep_at_least(t))
+            .backend(Backend::Local { threads: 4 })
+    };
+    let run = job().pair_filter(PrefixFilter::build(&corpus, t)).run().unwrap();
+    let exact = job().run().unwrap();
+    assert_eq!(run.output, exact.output, "pruning changed the output");
+    let survivors: usize = run.output.per_element.iter().map(|(_, r)| r.len()).sum();
+    assert!(survivors >= 2 * 8, "planted near-duplicates lost: {survivors} row entries");
     let p = run.report.pruning.as_ref().unwrap();
     assert_eq!(p.candidates, 512 * 511 / 2);
     assert!(
