@@ -24,14 +24,21 @@
 //! — and an aggregator that is not `dec` runs once per element over all of
 //! its partials, in ascending neighbour id. With fusion on (the default)
 //! **job 2 never runs**, whatever the aggregator: the driver merges each
-//! job 1's output into per-element accumulators — or, when the run places
-//! rows (`runner::place`), writes every entry straight to its index in the
-//! element's row — and then runs the aggregator on each finished row when
-//! it is not `dec`. Only `fuse(false)` on a one-batch plan runs job 2
-//! (*aggregation*): `map` groups by element id (charging the payload copy
-//! the paper's identity map would carry), and `reduce` sorts an element's
-//! partials by neighbour id and applies `aggregateResults` once. The §5.1
-//! broadcast job aggregates in its reduce with the same reducer.
+//! part of job 1's output into per-element accumulators — or, when the
+//! run places rows (`runner::place`), writes every entry straight to its
+//! index in the element's row — as soon as the part's reduce task commits,
+//! in part order, while the rest of the reduce phase runs
+//! (`Engine::run_with_sink`); then it runs the aggregator on each finished
+//! row when it is not `dec`. Only `fuse(false)` on a one-batch plan runs
+//! job 2 (*aggregation*): `map` groups by element id (charging the payload
+//! copy the paper's identity map would carry), and `reduce` sorts an
+//! element's partials by neighbour id and applies `aggregateResults` once.
+//! The §5.1 broadcast job aggregates in its reduce with the same reducer.
+//! The driver collects job 2's or the broadcast job's rows the same way,
+//! part by part as they commit.
+//!
+//! A run deletes every part as soon as it is read, and everything else
+//! under its DFS directory before it returns, on success and on error.
 //!
 //! Charged bytes are the same either way: job 1 books the shuffle job 2
 //! charges under [`FUSED_CHARGED_SHUFFLE_COUNTER`] on every run, and a run
@@ -44,6 +51,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 use pmr_cluster::{Cluster, WireSnapshot};
@@ -51,7 +59,7 @@ use pmr_mapreduce::{
     write_sharded, Counters, Engine, JobOutput, JobSpec, MapContext, Mapper, ModuloPartitioner,
     MrError, RawRecord, ReduceContext, Reducer, Values, Wire,
 };
-use pmr_obs::{hist, Telemetry};
+use pmr_obs::{hist, trace, Telemetry};
 
 use crate::runner::filter::PairFilter;
 use crate::runner::job::Plan;
@@ -84,7 +92,8 @@ pub struct MrPairwiseOptions {
     /// Memory-accounting overhead factor for working sets (paper §6 saw
     /// limits hit "a little earlier than expected"; `(1, 1)` = none).
     pub memory_overhead: (u64, u64),
-    /// Base DFS directory for this run's files (must be unused).
+    /// Base DFS directory for this run's files (must be unused; the run
+    /// deletes everything under it before it returns).
     pub dfs_dir: String,
 }
 
@@ -593,6 +602,70 @@ fn place_part<R: Wire + Clone>(
     })
 }
 
+/// Runs `spec` and hands each of its parts to `consume` on the calling
+/// thread, in part order, as the part's reduce task commits — while the
+/// rest of the reduce phase runs. A part is deleted from the DFS as soon
+/// as it is read, so its stored copy and the driver's are never both
+/// held through the merge. Each consumed part is recorded as a
+/// `part.consume` event on the driver (no node), carrying the read and
+/// merge time.
+fn run_consuming<M, R>(
+    engine: &Engine<'_>,
+    spec: JobSpec<M, R>,
+    mut consume: impl FnMut(Bytes) -> pmr_mapreduce::Result<()>,
+) -> pmr_mapreduce::Result<JobOutput>
+where
+    M: Mapper,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    let cluster = engine.cluster();
+    let telemetry = cluster.telemetry();
+    engine.run_with_sink(spec, |path| {
+        let started = Instant::now();
+        let part = cluster.dfs().read(path)?;
+        let (len, read) = (part.len(), started.elapsed());
+        cluster.dfs().delete(path);
+        let merging = Instant::now();
+        consume(part)?;
+        if telemetry.is_enabled() {
+            telemetry.event_traced(
+                "part.consume",
+                trace::NONE,
+                started.elapsed().as_micros() as u64,
+                format!(
+                    "{path}: {len} B, read {} µs, merge {} µs",
+                    read.as_micros(),
+                    merging.elapsed().as_micros()
+                ),
+            );
+        }
+        Ok(())
+    })
+}
+
+/// A run's DFS directory: every file under it is deleted by
+/// [`RunFiles::clear`] and again when the guard drops, so a run that
+/// fails part-way leaves nothing behind either.
+struct RunFiles<'c> {
+    cluster: &'c Cluster,
+    /// The directory with its trailing `/`.
+    dir: String,
+}
+
+impl RunFiles<'_> {
+    fn clear(&self) {
+        for path in self.cluster.dfs().list(&self.dir) {
+            self.cluster.dfs().delete(&path);
+        }
+    }
+}
+
+impl Drop for RunFiles<'_> {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
 /// The one MR driver, over the job's plan. Job 1 is the paper's
 /// distribute-and-evaluate job — or, for a broadcast plan, the §5.1 single
 /// job that evaluates in the map over the distributed-cache dataset and
@@ -601,7 +674,9 @@ fn place_part<R: Wire + Clone>(
 /// `{dir}`. Aggregation follows `runner::aggregation_rule`: a fused run,
 /// or one of several rounds, merges each job 1's output on the driver; an
 /// unfused one-batch run aggregates in job 2, and a broadcast run in its
-/// reduce, and either collects `{dir}/out`.
+/// reduce, and either collects `{dir}/out`. Every job's output reaches
+/// the driver through `run_consuming`, and no file under `{dir}` outlives
+/// the call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mr_impl<T, R>(
     cluster: &Cluster,
@@ -636,6 +711,9 @@ where
             .collect(),
         _ => vec![(dir.clone(), Arc::clone(scheme))],
     };
+    // Whatever the run leaves under its directory goes when it returns,
+    // on success or error.
+    let files = RunFiles { cluster, dir: format!("{dir}/") };
     let distributed = cluster.is_distributed();
     // Runner-level I/O gets its own phase track (job `{dir}-io`) so the
     // report's phases tile the whole run, not just the engine jobs. Its
@@ -694,28 +772,28 @@ where
             DistributeMapper::<T> { scheme: Arc::clone(round), _pd: std::marker::PhantomData };
         let reducer =
             EvaluateReducer { eval: eval(round), aggregator: Arc::clone(&aggregator), fuse };
-        let spec = JobSpec::new(
+        JobSpec::new(
             format!("{round_dir}-j1-distribute-evaluate"),
             inputs.clone(),
             format!("{round_dir}/mid"),
             mapper,
             reducer,
             auto(n, round.num_tasks()),
-        );
-        engine.run(
-            spec.partitioner(Arc::new(ModuloPartitioner))
-                .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-                .store(store_handle(store)),
         )
+        .partitioner(Arc::new(ModuloPartitioner))
+        .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+        .store(store_handle(store))
     };
 
     if on_driver {
-        // Job 2 is skipped outright: after each round's job 1 the driver
-        // merges the per-copy accumulators off its output — or, placing,
-        // writes the output rows themselves — and deletes the round's files
-        // before the next round starts. One streaming pass on the calling
-        // thread reads each part file once, in part order, frame by frame,
-        // so the driver holds one part's bytes and one set of rows. The
+        // Job 2 is skipped outright: each round's job 1 hands its parts to
+        // the driver as their reduce tasks commit, and the driver merges
+        // the per-copy accumulators off each one — or, placing, writes the
+        // output rows themselves — while the rest of the reduce phase runs.
+        // Parts go over in part order, on the calling thread, each read
+        // once and frame by frame, so the merge sequence (and with it
+        // every aggregator's output) does not depend on commit order, and
+        // the driver holds one part's bytes and one set of rows. The
         // shuffle job 2 would have charged was accrued (exactly-once) by
         // the job-1 reduce tasks, so the reported charged bytes still equal
         // the two-job total while nothing extra moved.
@@ -725,22 +803,18 @@ where
         let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len() - placed_len];
         let mut reports = Vec::with_capacity(rounds.len());
         let mut merge_phase = None;
-        for (round_dir, round) in &rounds {
+        for (i, (round_dir, round)) in rounds.iter().enumerate() {
             drop(merge_phase.take());
-            let job1 = job1(round_dir, round)?;
-            merge_phase = Some(telemetry.job_phase(&io_job, "merge-aggregate"));
-            for path in cluster.dfs().list(&format!("{round_dir}/mid/")) {
-                let part = cluster.dfs().read(&path)?;
+            let job1 = run_consuming(&engine, job1(round_dir, round), |part| {
                 if placed {
-                    place_part(part, &mut rows)?;
+                    place_part(part, &mut rows)
                 } else {
-                    merge_part(part, dec, &mut accs)?;
+                    merge_part(part, dec, &mut accs)
                 }
-            }
-            if rounds.len() > 1 {
-                for path in cluster.dfs().list(&format!("{round_dir}/")) {
-                    cluster.dfs().delete(&path);
-                }
+            })?;
+            merge_phase = Some(telemetry.job_phase(&io_job, "merge-aggregate"));
+            if i + 1 == rounds.len() {
+                files.clear();
             }
             reports.push(mr_report(cluster, &wire_start, job1, None, true));
             wire_start = cluster.wire_snapshot();
@@ -762,61 +836,59 @@ where
         return Ok((PairwiseOutput { per_element }, reports));
     }
 
+    // The aggregated output is collected the same way, off the last job's
+    // parts as they commit: one record per element that received a
+    // partial.
+    let mut rows: Vec<Option<Vec<(u64, R)>>> = vec![None; store.len()];
+    let collect = |part: Bytes| {
+        for_each_copy(part, &mut rows, |row, id, aggregated| match row.replace(aggregated) {
+            None => Ok(()),
+            Some(_) => Err(MrError::User(format!("collect: element id {id} output twice"))),
+        })
+    };
     let aggregate = || AggregateReducer::<T, R> {
         aggregator: Arc::clone(&aggregator),
         _pd: std::marker::PhantomData,
     };
     let (job1, job2) = match dataset_bytes.filter(|_| broadcast) {
         Some(dataset) => {
-            let job = engine.run(
-                JobSpec::new(
-                    format!("{dir}-broadcast-evaluate-aggregate"),
-                    inputs,
-                    format!("{dir}/out"),
-                    BroadcastEvalMapper::<T, R>(eval(scheme)),
-                    aggregate(),
-                    auto(n, scheme.v()),
-                )
-                .partitioner(Arc::new(ModuloPartitioner))
-                .cache_file("dataset", dataset)
-                .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-                .store(store_handle(store)),
-            )?;
-            (job, None)
+            let spec = JobSpec::new(
+                format!("{dir}-broadcast-evaluate-aggregate"),
+                inputs,
+                format!("{dir}/out"),
+                BroadcastEvalMapper::<T, R>(eval(scheme)),
+                aggregate(),
+                auto(n, scheme.v()),
+            )
+            .partitioner(Arc::new(ModuloPartitioner))
+            .cache_file("dataset", dataset)
+            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+            .store(store_handle(store));
+            (run_consuming(&engine, spec, collect)?, None)
         }
         None => {
-            let job1 = job1(dir, scheme)?;
-            let job2 = engine.run(
-                JobSpec::new(
-                    format!("{dir}-j2-aggregate"),
-                    job1.output_paths.clone(),
-                    format!("{dir}/out"),
-                    GroupByElementMapper::<T, R> { _pd: std::marker::PhantomData },
-                    aggregate(),
-                    auto(n, scheme.v()),
-                )
-                .partitioner(Arc::new(ModuloPartitioner))
-                .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
-                .store(store_handle(store)),
-            )?;
+            let job1 = engine.run(job1(dir, scheme))?;
+            let spec = JobSpec::new(
+                format!("{dir}-j2-aggregate"),
+                job1.output_paths.clone(),
+                format!("{dir}/out"),
+                GroupByElementMapper::<T, R> { _pd: std::marker::PhantomData },
+                aggregate(),
+                auto(n, scheme.v()),
+            )
+            .partitioner(Arc::new(ModuloPartitioner))
+            .memory_overhead(options.memory_overhead.0, options.memory_overhead.1)
+            .store(store_handle(store));
+            let job2 = run_consuming(&engine, spec, collect)?;
             (job1, Some(job2))
         }
     };
 
-    // One aggregated record per element that received a partial; an id no
-    // record carried (the broadcast mapper emits only elements with
-    // results, so a filter that prunes every pair of an element leaves
-    // none) gets the aggregator over zero partials.
+    // An id no record carried (the broadcast mapper emits only elements
+    // with results, so a filter that prunes every pair of an element
+    // leaves none) gets the aggregator over zero partials.
     let io = telemetry.job_phase(&io_job, "collect-output");
-    let mut rows: Vec<Option<Vec<(u64, R)>>> = vec![None; store.len()];
-    for path in cluster.dfs().list(&format!("{dir}/out/")) {
-        for_each_copy(cluster.dfs().read(&path)?, &mut rows, |row, id, aggregated| {
-            match row.replace(aggregated) {
-                None => Ok(()),
-                Some(_) => Err(MrError::User(format!("collect: element id {id} output twice"))),
-            }
-        })?;
-    }
+    files.clear();
     let per_element = (0u64..)
         .zip(rows)
         .map(|(id, row)| {

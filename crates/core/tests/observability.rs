@@ -110,6 +110,56 @@ fn job_phases_tile_each_jobs_wall_time() {
     );
 }
 
+/// On a fused run the driver merges each of job 1's parts as its reduce
+/// task commits, inside job 1's `reduce` window. The `-io` track keeps its
+/// two phases and overlaps no engine phase, all phases still sum to the
+/// run's wall time, and each merged part is one `part.consume` event on
+/// the driver, timed, inside that window.
+#[test]
+fn fused_merge_runs_inside_job1_reduce_and_is_traced() {
+    let run = instrumented_mr_run(64, 4);
+    let report = &run.report;
+    let (io, engine): (Vec<_>, Vec<_>) =
+        report.job_phases.iter().partition(|p| p.job.ends_with("-io"));
+    assert_eq!(
+        io.iter().map(|p| p.phase.as_str()).collect::<Vec<_>>(),
+        ["distribute-input", "merge-aggregate"]
+    );
+    for p in &io {
+        for q in &engine {
+            assert!(
+                p.end_us <= q.start_us || q.end_us <= p.start_us,
+                "io phase {} overlaps {} {}",
+                p.phase,
+                q.job,
+                q.phase
+            );
+        }
+    }
+    let total: u64 = report.job_phases.iter().map(|p| p.end_us - p.start_us).sum();
+    let wall = report.wall_time_us;
+    assert!(
+        (total as f64 - wall as f64).abs() <= wall as f64 * 0.05 + 500.0,
+        "all phases {total}µs vs report wall {wall}µs"
+    );
+    let reduce = engine.iter().find(|p| p.phase == "reduce").expect("job 1 has a reduce phase");
+    let parts: Vec<_> = report.trace.iter().filter(|e| e.kind == "part.consume").collect();
+    assert_eq!(parts.len(), run.mr[0].job1.stats.reduce_tasks, "one event per part");
+    for e in parts {
+        assert_eq!(e.node, trace::NONE, "consumed on the driver: {}", e.detail);
+        assert!(e.detail.contains(" read ") && e.detail.contains(" merge "), "{}", e.detail);
+        assert!(
+            reduce.start_us + e.dur_us <= e.at_us && e.at_us <= reduce.end_us,
+            "{} at {}µs for {}µs, outside job 1's reduce [{}, {}]",
+            e.detail,
+            e.at_us,
+            e.dur_us,
+            reduce.start_us,
+            reduce.end_us
+        );
+    }
+}
+
 #[test]
 fn span_byte_totals_equal_builtin_counters() {
     let run = instrumented_two_job_run(48, 3);

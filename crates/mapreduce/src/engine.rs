@@ -37,13 +37,22 @@
 //!   recorded site; reduce output is written to the DFS only by the
 //!   winner).
 //!
+//! # Streaming the output
+//!
+//! [`Engine::run_with_sink`] hands each committed part file to a caller's
+//! sink during the reduce phase, in part order, on the calling thread —
+//! which otherwise would only wait for the workers. Only a commit
+//! announces a part, so a part is handed over exactly once whatever
+//! retries, speculation and crashes happened; [`Engine::run`] is the same
+//! body with a sink that does nothing.
+//!
 //! Per-attempt histograms (group sizes, shuffle bytes per partition) are
 //! recorded as attempts run, so under speculation a losing attempt may
 //! contribute observations; counters never do.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Condvar;
+use std::sync::{mpsc, Condvar};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
@@ -261,6 +270,11 @@ impl PhaseBoard {
     }
 }
 
+/// DFS path of reduce task `task`'s part file under `output`.
+fn part_path(output: &str, task: usize) -> String {
+    format!("{output}/part-{task:05}")
+}
+
 /// Merges an attempt's scratch counters into the job counters: `*.peak.bytes`
 /// entries merge with `max`, everything else sums.
 fn commit_scratch(counters: &Counters, scratch: &Counters) {
@@ -323,6 +337,28 @@ impl<'c> Engine<'c> {
 
     /// Runs one job to completion.
     pub fn run<M, R>(&self, spec: JobSpec<M, R>) -> Result<JobOutput>
+    where
+        M: Mapper,
+        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    {
+        self.run_with_sink(spec, |_| Ok(()))
+    }
+
+    /// Runs one job to completion, handing each reduce task's committed
+    /// part file to `sink` while the rest of the reduce phase runs.
+    ///
+    /// `sink(path)` runs on the calling thread, once per part, in part
+    /// order: part `k` only after parts `0..k`, each as soon as the task's
+    /// winning attempt has written it (never a losing or failed attempt's
+    /// output). An error from `sink` fails the job with that error, like a
+    /// task error: the workers stop and the job's node-local files are
+    /// removed. The job's [`JobOutput::output_paths`] name the parts; a sink
+    /// may delete each one it has consumed.
+    pub fn run_with_sink<M, R>(
+        &self,
+        spec: JobSpec<M, R>,
+        mut sink: impl FnMut(&str) -> Result<()>,
+    ) -> Result<JobOutput>
     where
         M: Mapper,
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
@@ -429,6 +465,7 @@ impl<'c> Engine<'c> {
             cluster.config().node.map_slots,
             &error,
             |task, me, backup| job.attempt_map(task, me, backup),
+            |_| Ok(()),
         );
         let charged_total: u64 = job.charges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         if let Some(e) = error.lock().take() {
@@ -462,8 +499,8 @@ impl<'c> Engine<'c> {
                     |attempt, scratch| job.reduce_body(task, attempt, me, scratch),
                     |done, span| job.write_part(task, done, span),
                 )
-                .map(drop)
             },
+            |task| sink(&part_path(&spec.output, task)),
         );
         phase.add_bytes(
             counters.get(builtin::SHUFFLE_BYTES),
@@ -484,7 +521,7 @@ impl<'c> Engine<'c> {
             counters.add(builtin::NODE_CRASHES, crash_delta);
         }
         let output_paths: Vec<String> =
-            (0..spec.num_reducers).map(|r| format!("{}/part-{r:05}", spec.output)).collect();
+            (0..spec.num_reducers).map(|r| part_path(&spec.output, r)).collect();
         let stats = JobStats {
             map_tasks: num_maps,
             reduce_tasks: spec.num_reducers,
@@ -522,21 +559,31 @@ where
 {
     /// Runs one phase to completion on `slots` worker threads per node.
     /// Each worker pops its node's queue (or, idle, backs up a straggler)
-    /// and hands the task to `attempt(task, node, is_backup)`; an attempt
-    /// whose node died under it is re-queued on a live node, and the first
-    /// other error stops every worker of the phase.
+    /// and hands the task to `attempt(task, node, is_backup)`, which
+    /// returns whether it committed the task; an attempt whose node died
+    /// under it is re-queued on a live node, and the first other error
+    /// stops every worker of the phase.
+    ///
+    /// Meanwhile the calling thread hands the committed tasks to
+    /// `on_commit` in task order: a worker announces each task it commits
+    /// on a channel, and task `k` goes over once `0..k` have. The channel
+    /// closes when the last worker exits. An `on_commit` error becomes the
+    /// phase error.
     fn run_phase(
         &self,
         board: &PhaseBoard,
         slots: usize,
         error: &Mutex<Option<MrError>>,
-        attempt: impl Fn(usize, NodeId, bool) -> Result<()> + Sync,
+        attempt: impl Fn(usize, NodeId, bool) -> Result<bool> + Sync,
+        mut on_commit: impl FnMut(usize) -> Result<()>,
     ) {
         let cluster = self.cluster;
         let attempt = &attempt;
+        let (announce, committed) = mpsc::channel::<usize>();
         crossbeam::thread::scope(|scope| {
             for node_idx in 0..cluster.num_nodes() {
                 for _slot in 0..slots.max(1) {
+                    let announce = announce.clone();
                     scope.spawn(move |_| {
                         let me = NodeId(node_idx as u32);
                         loop {
@@ -570,7 +617,12 @@ where
                                 }
                             };
                             match attempt(task, me, is_backup) {
-                                Ok(()) => {}
+                                // The receiver is gone only after an
+                                // `on_commit` error, which stops the phase.
+                                Ok(true) => {
+                                    let _ = announce.send(task);
+                                }
+                                Ok(false) => {}
                                 Err(MrError::Cluster(ClusterError::NodeDead(_))) => {
                                     board.requeue_on_live(cluster, task);
                                 }
@@ -587,6 +639,20 @@ where
                             board.wake_all();
                         }
                     });
+                }
+            }
+            drop(announce);
+            let mut ready = vec![false; board.winner.len()];
+            let mut next = 0;
+            for task in committed {
+                ready[task] = true;
+                while next < ready.len() && ready[next] {
+                    if let Err(e) = on_commit(next) {
+                        error.lock().get_or_insert(e);
+                        board.wake_all();
+                        return;
+                    }
+                    next += 1;
                 }
             }
         })
@@ -678,7 +744,7 @@ where
     /// One map task through the commit protocol: the winner publishes its
     /// per-partition charges and output site, charges the extra bytes as
     /// intermediate storage, and the cluster's capacity is checked.
-    fn attempt_map(&self, task: usize, me: NodeId, is_backup: bool) -> Result<()> {
+    fn attempt_map(&self, task: usize, me: NodeId, is_backup: bool) -> Result<bool> {
         let cluster = self.cluster;
         let committed = self.drive(
             &self.map_board,
@@ -694,7 +760,7 @@ where
         if committed {
             cluster.check_intermediate_capacity()?;
         }
-        Ok(())
+        Ok(committed)
     }
 
     /// Makes map task `m`'s output readable by reducers: its per-partition
@@ -880,7 +946,7 @@ where
     /// clobber or merge into committed output; the delete keeps re-running
     /// a whole job over the same output directory idempotent.
     fn write_part(&self, task: usize, mut done: ReduceDone, span: &mut Span) -> Result<()> {
-        let path = format!("{}/part-{task:05}", self.spec.output);
+        let path = part_path(&self.spec.output, task);
         self.cluster.dfs().delete(&path);
         self.cluster.dfs().create_with_records(&path, done.out, Some(done.offsets))?;
         span.lap("write", &mut done.lap_at);

@@ -3,8 +3,8 @@
 use bytes::Bytes;
 use pmr_cluster::{Cluster, ClusterConfig, ClusterError};
 use pmr_mapreduce::{
-    builtin, read_output, write_sharded, Engine, IdentityMapper, JobSpec, MapContext, Mapper,
-    MrError, ReduceContext, Reducer, Values,
+    builtin, decode_record_stream, read_output, write_sharded, Engine, IdentityMapper, JobSpec,
+    MapContext, Mapper, ModuloPartitioner, MrError, ReduceContext, Reducer, Values,
 };
 
 /// Classic word count: text lines in, (word, count) out.
@@ -636,4 +636,193 @@ fn reduce_output_lost_to_a_dying_node_is_rewritten() {
     let mut results: Vec<(String, u64)> = read_output(&cluster, "out").unwrap();
     results.sort();
     assert_eq!(results, expected_counts());
+}
+
+// ---------------------------------------------------------------------------
+// The part sink of `Engine::run_with_sink`
+// ---------------------------------------------------------------------------
+
+/// Runs `body` on its own thread and fails the test if it has not returned
+/// within a minute: a worker (or the calling thread) parked for good shows
+/// up as this failure instead of a hung test binary.
+fn with_watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    match result.recv_timeout(std::time::Duration::from_secs(60)) {
+        Ok(value) => value,
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("the job did not return within 60 s: a thread parked for good")
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => panic!("the test body panicked"),
+    }
+}
+
+/// Key-sum reducer over `u64` keys that sleeps on one key, so the reduce
+/// task owning it commits last.
+struct SlowKeySum {
+    slow_key: Option<u64>,
+}
+
+impl Reducer for SlowKeySum {
+    type KIn = u64;
+    type VIn = u64;
+    type KOut = u64;
+    type VOut = u64;
+
+    fn reduce(
+        &self,
+        key: u64,
+        values: Values<'_, u64>,
+        ctx: &mut ReduceContext<'_, u64, u64>,
+    ) -> pmr_mapreduce::Result<()> {
+        if Some(key) == self.slow_key {
+            std::thread::sleep(std::time::Duration::from_millis(60));
+        }
+        ctx.emit(key, values.sum());
+        Ok(())
+    }
+}
+
+const SINK_REDUCERS: usize = 6;
+
+/// `(key, value)` records over keys `0..24`; with the modulo partitioner
+/// key `k` lands in part `k % 6`.
+fn keyed_records() -> Vec<(u64, u64)> {
+    (0..240u64).map(|i| (i % 24, i)).collect()
+}
+
+/// What a sink observed over one job: the paths in hand-over order, each
+/// part's records as read at hand-over, and which later parts were
+/// already written when part 0 was handed over.
+#[derive(Default)]
+struct SinkLog {
+    paths: Vec<String>,
+    records: Vec<(u64, u64)>,
+    written_before_part0: Vec<usize>,
+}
+
+/// Runs the keyed sum job with a sink that reads each part as it is
+/// handed over, and checks the contract: every part exactly once, in index
+/// order, and each one complete at hand-over.
+fn run_keyed_with_sink(
+    config: ClusterConfig,
+    slow_key: Option<u64>,
+) -> (pmr_mapreduce::JobOutput, SinkLog, Cluster) {
+    let cluster = Cluster::new(config);
+    let inputs = write_sharded(&cluster, "in", 4, keyed_records()).unwrap();
+    let mut log = SinkLog::default();
+    let out = Engine::new(&cluster)
+        .run_with_sink(
+            JobSpec::new(
+                "keyed",
+                inputs,
+                "out",
+                IdentityMapper::<u64, u64>::new(),
+                SlowKeySum { slow_key },
+                SINK_REDUCERS,
+            )
+            .partitioner(std::sync::Arc::new(ModuloPartitioner)),
+            |path| {
+                if log.paths.is_empty() {
+                    log.written_before_part0 = (1..SINK_REDUCERS)
+                        .filter(|k| cluster.dfs().exists(&format!("out/part-{k:05}")))
+                        .collect();
+                }
+                log.paths.push(path.to_string());
+                let part = cluster.dfs().read(path)?;
+                log.records.extend(decode_record_stream::<u64, u64>(part)?);
+                Ok(())
+            },
+        )
+        .unwrap();
+    assert_eq!(log.paths, out.output_paths, "every part once, in index order");
+    let mut expected: Vec<(u64, u64)> = (0..24u64)
+        .map(|k| (k, keyed_records().iter().filter(|r| r.0 == k).map(|r| r.1).sum()))
+        .collect();
+    let mut seen = log.records.clone();
+    seen.sort();
+    expected.sort();
+    assert_eq!(seen, expected, "each part complete at hand-over");
+    (out, log, cluster)
+}
+
+#[test]
+fn sink_gets_every_part_once_in_index_order() {
+    with_watchdog(|| {
+        let (_, log, _) = run_keyed_with_sink(ClusterConfig::with_nodes(3), None);
+        assert_eq!(log.paths.len(), SINK_REDUCERS);
+    });
+}
+
+#[test]
+fn sink_order_holds_when_a_later_part_commits_first() {
+    // Key 0 lives in part 0 and sleeps: part 1 (on another node) commits
+    // while part 0 is still running, yet part 0 is handed over first.
+    with_watchdog(|| {
+        let (_, log, _) = run_keyed_with_sink(ClusterConfig::with_nodes(3), Some(0));
+        assert!(
+            log.written_before_part0.contains(&1),
+            "part 1 must have committed before part 0 was handed over: {:?}",
+            log.written_before_part0
+        );
+    });
+}
+
+#[test]
+fn sink_contract_holds_under_speculation() {
+    with_watchdog(|| {
+        let config = ClusterConfig::with_nodes(3).speculation(2.0);
+        let (out, _, _) = run_keyed_with_sink(config, Some(0));
+        let launched = out.counters.get(builtin::SPECULATIVE_LAUNCHED).copied().unwrap_or(0);
+        assert!(launched >= 1, "the slow reduce task should get a backup attempt");
+    });
+}
+
+#[test]
+fn sink_contract_holds_under_a_node_crash() {
+    with_watchdog(|| {
+        for chaos_seed in [3u64, 5, 17, 23, 1009, 4242] {
+            let config = ClusterConfig::with_nodes(4).chaos(1, chaos_seed);
+            let (out, _, cluster) = run_keyed_with_sink(config, None);
+            assert_eq!(cluster.node_crashes(), 1, "seed {chaos_seed}");
+            assert_eq!(out.counters[builtin::NODE_CRASHES], 1, "seed {chaos_seed}");
+        }
+    });
+}
+
+#[test]
+fn sink_error_fails_the_job_and_cleans_up() {
+    with_watchdog(|| {
+        let cluster = Cluster::new(ClusterConfig::with_nodes(3));
+        let inputs = write_sharded(&cluster, "in", 4, keyed_records()).unwrap();
+        let mut handed = Vec::new();
+        let err = Engine::new(&cluster)
+            .run_with_sink(
+                JobSpec::new(
+                    "refused",
+                    inputs,
+                    "out",
+                    IdentityMapper::<u64, u64>::new(),
+                    SlowKeySum { slow_key: None },
+                    SINK_REDUCERS,
+                )
+                .partitioner(std::sync::Arc::new(ModuloPartitioner)),
+                |path| {
+                    handed.push(path.to_string());
+                    match handed.len() {
+                        2 => Err(MrError::User("sink refused part 1".into())),
+                        _ => Ok(()),
+                    }
+                },
+            )
+            .unwrap_err();
+        assert!(matches!(&err, MrError::User(msg) if msg == "sink refused part 1"), "{err}");
+        assert_eq!(handed, ["out/part-00000", "out/part-00001"], "nothing after the error");
+        for node in cluster.nodes() {
+            assert!(node.list_local("mr/").is_empty(), "node {:?}", node.id());
+        }
+        assert_eq!(cluster.intermediate_bytes(), 0);
+    });
 }

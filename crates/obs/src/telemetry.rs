@@ -108,7 +108,7 @@ pub struct RunEvent {
     /// When the event happened, µs since the telemetry epoch.
     pub at_us: u64,
     /// Stable event kind ("node.crash", "map.rerun",
-    /// "speculative.launch", "speculative.win").
+    /// "speculative.launch", "speculative.win", "part.consume").
     pub kind: &'static str,
     /// Human-readable detail.
     pub detail: String,

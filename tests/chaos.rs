@@ -52,8 +52,9 @@ fn run_plan(cluster: &Cluster, plan: &Plan) -> PairwiseRun<u64> {
 }
 
 /// Every scheme, and a two-level rounds plan: its rounds share one driver
-/// state and delete their files round by round, so a crash in one round
-/// must not touch what the earlier rounds merged.
+/// state and delete each part once read, so a crash in one round must
+/// not touch what the earlier rounds merged — and no file of the run
+/// survives it.
 #[test]
 fn every_scheme_survives_node_crashes_with_identical_output() {
     let v = 40u64;
@@ -73,10 +74,7 @@ fn every_scheme_survives_node_crashes_with_identical_output() {
             let chaotic = run_plan(&cluster, plan);
             assert_eq!(cluster.node_crashes(), 1, "{name}/seed {chaos_seed}");
             let kept = cluster.dfs().list("");
-            assert!(
-                kept.iter().all(|path| !path.contains("/round-")),
-                "{name}/seed {chaos_seed}: a round's files outlived it: {kept:?}"
-            );
+            assert!(kept.is_empty(), "{name}/seed {chaos_seed}: files outlived the run: {kept:?}");
             assert_eq!(
                 chaotic.output, healthy.output,
                 "{name}/seed {chaos_seed}: output must be byte-identical under a crash"

@@ -477,3 +477,91 @@ fn heap_owning_results_match_the_sequential_reference() {
         assert_eq!(run.output, reference);
     }
 }
+
+/// Float sum of an element's results, decomposable but order-sensitive:
+/// the row is one `(count, sum)` entry, and how the additions associate —
+/// fold order inside a task, then the driver's merge order over the
+/// parts — shows in the sum's low bits.
+struct FloatSum;
+
+impl FloatSum {
+    /// Adds `count` results summing to `sum` into the accumulator's entry.
+    fn add(acc: &mut Accumulator<f64>, count: u64, sum: f64) {
+        match acc.partials_mut().first_mut() {
+            Some((c, s)) => {
+                *c += count;
+                *s += sum;
+            }
+            None => acc.partials_mut().push((count, sum)),
+        }
+    }
+}
+
+impl Aggregator<f64> for FloatSum {
+    fn fold(&self, acc: &mut Accumulator<f64>, _other: u64, result: f64) {
+        Self::add(acc, 1, result);
+    }
+    fn finish(&self, acc: Accumulator<f64>) -> Vec<(u64, f64)> {
+        acc.into_partials()
+    }
+    fn decomposable(&self) -> Option<&dyn DecomposableAggregator<f64>> {
+        Some(self)
+    }
+}
+
+impl DecomposableAggregator<f64> for FloatSum {
+    fn merge(&self, acc: &mut Accumulator<f64>, other: Accumulator<f64>) {
+        for (count, sum) in other.into_partials() {
+            Self::add(acc, count, sum);
+        }
+    }
+}
+
+/// The fused MR driver merges parts in part order however the reduce
+/// tasks commit, so an order-sensitive aggregator that goes through
+/// `merge_part` gives the same bits under speculation and a seeded node
+/// crash as on a healthy run. Against the sequential backend the sums
+/// agree to rounding but not to the bit: its partials associate
+/// differently, which is what makes this aggregator see the merge order.
+#[test]
+fn order_sensitive_merge_is_bit_identical_under_speculation_and_chaos() {
+    let v = 40u64;
+    let data = payloads(v);
+    let comp = comp_fn(|a: &u64, b: &u64| {
+        let h = a.wrapping_mul(31) ^ b;
+        (h as f64 + 0.1).sqrt() * 10f64.powi((h % 13) as i32 - 6)
+    });
+    let run = |backend: Backend<'_>| {
+        PairwiseJob::new(&data, comp.clone())
+            .scheme(BlockScheme::new(v, 5))
+            .backend(backend)
+            .aggregator(FloatSum)
+            .run()
+            .unwrap()
+    };
+    let bits = |run: &PairwiseRun<f64>| -> Vec<(u64, u64, u64)> {
+        run.output
+            .per_element
+            .iter()
+            .flat_map(|(id, row)| row.iter().map(|&(n, sum)| (*id, n, sum.to_bits())))
+            .collect()
+    };
+    let healthy = run(Backend::Mr(&Cluster::new(ClusterConfig::with_nodes(4))));
+    assert!(healthy.mr[0].fused, "a decomposable aggregator fuses");
+    for chaos_seed in [5u64, 23, 1009] {
+        let cluster =
+            Cluster::new(ClusterConfig::with_nodes(4).speculation(2.0).chaos(1, chaos_seed));
+        let chaotic = run(Backend::Mr(&cluster));
+        assert_eq!(cluster.node_crashes(), 1, "seed {chaos_seed}");
+        assert_eq!(bits(&chaotic), bits(&healthy), "seed {chaos_seed}: merge order moved");
+    }
+    let sequential = run(Backend::Sequential);
+    let (seq, mr) = (&sequential.output.per_element, &healthy.output.per_element);
+    assert_eq!(seq.len(), mr.len());
+    for ((id, s), (_, m)) in seq.iter().zip(mr) {
+        assert_eq!(s[0].0, v - 1, "element {id}: every neighbour counted");
+        assert_eq!(s[0].0, m[0].0, "element {id}");
+        assert!((s[0].1 - m[0].1).abs() <= 1e-9 * s[0].1.abs(), "element {id}: {s:?} vs {m:?}");
+    }
+    assert_ne!(bits(&sequential), bits(&healthy), "the sum must be order-sensitive");
+}
