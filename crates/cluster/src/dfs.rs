@@ -17,7 +17,7 @@
 //! input data, not intermediate data, and must not count toward the
 //! paper's `maxis` accounting.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -350,10 +350,22 @@ impl Dfs {
     }
 
     /// Deletes a file (idempotent), dropping its payloads from the replica
-    /// stores.
+    /// stores: one prefix remove per replica node, or one remove per block
+    /// replica when another file's blocks share the prefix (a file under
+    /// `{path}/`).
     pub fn delete(&self, path: &str) {
-        if let Some(f) = self.files.write().remove(path) {
+        let mut files = self.files.write();
+        let Some(f) = files.remove(path) else { return };
+        let dir = format!("{path}/");
+        if files.keys().any(|p| p.starts_with(&dir)) {
             self.drop_payloads(&f.blocks);
+            return;
+        }
+        let nodes: BTreeSet<NodeId> =
+            f.blocks.iter().filter(|b| b.len > 0).flat_map(|b| b.replicas.clone()).collect();
+        for n in nodes {
+            // Best-effort, like `drop_payloads`.
+            let _ = self.stores[n.index()].remove_prefix(&format!("dfs/{dir}"));
         }
     }
 
@@ -715,5 +727,20 @@ mod tests {
             }
         }
         assert!(stores[1].get("dfs/a/0").is_ok(), "a file's own blocks stay");
+    }
+
+    #[test]
+    fn delete_never_drops_another_files_blocks() {
+        let stores: Vec<Arc<InProcessStore>> =
+            (0..3).map(|i| Arc::new(InProcessStore::new(NodeId(i)))).collect();
+        let d = Dfs::with_stores(16, 2, stores.iter().map(|s| s.clone() as _).collect());
+        let data = Bytes::from(vec![7u8; 40]);
+        ["a", "a/b", "ab"].iter().for_each(|p| d.create(p, data.clone()).unwrap());
+        let keys = || -> Vec<String> { stores.iter().flat_map(|s| s.names()).collect() };
+        d.delete("a"); // "a/b" shares its prefix: removed block by block
+        d.delete("ab");
+        assert!(keys().iter().all(|k| k.starts_with("dfs/a/b/")) && d.read("a/b").unwrap() == data);
+        d.delete("a/b");
+        assert!(keys().is_empty(), "{:?}", keys());
     }
 }

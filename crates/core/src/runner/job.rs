@@ -28,7 +28,9 @@ use crate::hierarchical::Rounds;
 use crate::runner::filter::PairFilter;
 use crate::runner::kernel::BatchComp;
 use crate::runner::local::{run_local_impl, LocalRunStats};
-use crate::runner::mr::{run_mr_impl, MrPairwiseOptions, MrRunReport, EVALUATIONS_COUNTER};
+use crate::runner::mr::{
+    open_io_phase, run_mr_impl, MrPairwiseOptions, MrRunReport, EVALUATIONS_COUNTER,
+};
 use crate::runner::sequential::run_sequential_impl;
 use crate::runner::store::ElementStore;
 use crate::runner::{Aggregator, CompFn, ConcatSort, PairwiseOutput, Symmetry};
@@ -316,6 +318,16 @@ where
             Backend::Mr(cluster) if cluster.telemetry().is_enabled() => cluster.telemetry().clone(),
             _ => telemetry,
         };
+        // The run's clock starts here: its first phase opens at entry, so
+        // the driver's setup falls inside the report's wall, and every
+        // later phase hands over from the one before. An MR run's phases
+        // all go to the cluster's sink, where the engine records its own:
+        // a builder sink beside a cluster without one gets none of them.
+        match backend {
+            Backend::Sequential => effective.job_phase("sequential", "evaluate"),
+            Backend::Local { .. } => effective.job_phase("local", "evaluate"),
+            Backend::Mr(cluster) => open_io_phase(cluster, &options.dfs_dir),
+        }
         effective.set_meta("backend", backend.name());
         effective.set_meta("symmetry", format!("{symmetry:?}"));
         effective.set_meta("elements", store.len());
@@ -336,9 +348,8 @@ where
             }
         }
 
-        let mut run = match (backend, plan.scheme()) {
+        let run = match (backend, plan.scheme()) {
             (Backend::Sequential, _) => {
-                let phase = effective.job_phase("sequential", "evaluate");
                 let (output, evaluations, pruning) = run_sequential_impl(
                     store.elements(),
                     kernel.as_ref(),
@@ -346,9 +357,8 @@ where
                     aggregator.as_ref(),
                     filter.as_deref(),
                 );
-                drop(phase);
                 let v = store.len() as u64;
-                PairwiseRun {
+                Ok(PairwiseRun {
                     output,
                     report: RunReport::default(),
                     mr: Vec::new(),
@@ -358,57 +368,63 @@ where
                         max_working_set: v,
                         pruning,
                     }),
-                }
+                })
             }
             (_, None) => {
                 let which = if let Backend::Mr(_) = backend { "MR" } else { "local" };
-                return Err(MrError::InvalidJob(format!(
+                Err(MrError::InvalidJob(format!(
                     "the {which} backend needs a scheme (scheme/broadcast/rounds)"
-                )));
+                )))
             }
-            (Backend::Local { threads }, Some(scheme)) => {
-                let (output, stats) = run_local_impl(
-                    store.elements(),
-                    scheme.as_ref(),
-                    kernel.as_ref(),
-                    symmetry,
-                    aggregator.as_ref(),
-                    threads,
-                    fuse,
-                    filter.as_deref(),
-                    &effective,
-                )?;
-                PairwiseRun {
-                    output,
-                    report: RunReport::default(),
-                    mr: Vec::new(),
-                    local: Some(stats),
-                }
-            }
-            (Backend::Mr(cluster), Some(_)) => {
-                let (output, mr) = run_mr_impl(
-                    cluster,
-                    &plan,
-                    &store,
-                    kernel,
-                    symmetry,
-                    aggregator,
-                    fuse,
-                    filter.clone(),
-                    options,
-                )?;
-                PairwiseRun { output, report: RunReport::default(), mr, local: None }
-            }
+            (Backend::Local { threads }, Some(scheme)) => run_local_impl(
+                store.elements(),
+                scheme.as_ref(),
+                kernel.as_ref(),
+                symmetry,
+                aggregator.as_ref(),
+                threads,
+                fuse,
+                filter.as_deref(),
+                &effective,
+            )
+            .map(|(output, stats)| PairwiseRun {
+                output,
+                report: RunReport::default(),
+                mr: Vec::new(),
+                local: Some(stats),
+            }),
+            (Backend::Mr(cluster), Some(_)) => run_mr_impl(
+                cluster,
+                &plan,
+                &store,
+                kernel,
+                symmetry,
+                aggregator,
+                fuse,
+                filter.clone(),
+                options,
+            )
+            .map(|(output, mr)| PairwiseRun {
+                output,
+                report: RunReport::default(),
+                mr,
+                local: None,
+            }),
         };
+        // A failed run ends its phase chain where it failed, so a sink the
+        // next run reuses does not stretch the failed phase over the idle
+        // time in between.
+        let mut run = run.inspect_err(|_| effective.close_phase())?;
 
         // Final drain: catch worker-side trace events recorded after the
         // last job's finalize drain (no-op in-process / tracing off).
         if let Backend::Mr(cluster) = backend {
             cluster.drain_worker_traces();
         }
-        // Assemble the report last so wall time covers the whole run, then
-        // fold in the framework counters (and the evaluation counts the
-        // non-MR backends tracked outside the counter system).
+        // Assemble the report last: it closes the run's last phase at the
+        // reading that ends the wall. Then fold in the framework counters
+        // (and the evaluation counts the non-MR backends tracked outside
+        // the counter system).
         let mut report = effective.report();
         for mr in &run.mr {
             report.merge_counters(mr.job1.counters.iter().map(|(k, v)| (k.as_str(), *v)));

@@ -138,9 +138,9 @@ enum WorkerData<R> {
 }
 
 /// The heart of the runner, shared with [`PairwiseJob`](crate::runner::job):
-/// each task becomes a [`SpanKind::Task`] span (node = worker index), and
-/// the run's evaluate/aggregate windows are emitted as job phases of job
-/// `"local"`.
+/// each task becomes a [`SpanKind::Task`] span (node = worker index). The
+/// run's phases are job `"local"`'s: the caller opens `evaluate`, and the
+/// runner hands over to `aggregate` once every task has run.
 ///
 /// Results are collected under `dec` — the aggregator's decomposable form
 /// on a fused run, otherwise [`ConcatSort`](crate::runner::ConcatSort)
@@ -193,7 +193,6 @@ where
     }
 
     // Each worker accumulates privately; merge after the scope ends.
-    let eval_phase = telemetry.job_phase("local", "evaluate");
     let results: Vec<WorkerResult<R>> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -272,7 +271,7 @@ where
                             pruning: filter.map(|_| task_prune),
                         });
                         span.lap("evaluate", &mut lap_at);
-                        telemetry.record_value(hist::EVALUATIONS_PER_TASK, task_evals);
+                        span.record_value(hist::EVALUATIONS_PER_TASK, task_evals);
                     }
                     res
                 })
@@ -284,7 +283,7 @@ where
     if let Some(err) = results.iter().find_map(|res| res.error.as_ref()) {
         return Err(MrError::InvalidJob(format!("placed rows: {err}")));
     }
-    let agg_phase = eval_phase.next("aggregate");
+    telemetry.job_phase("local", "aggregate");
 
     let mut stats =
         LocalRunStats { pruning: filter.map(|_| PruneStats::default()), ..Default::default() };
@@ -315,7 +314,6 @@ where
             }
         })
     };
-    drop(agg_phase);
     Ok((out, stats))
 }
 

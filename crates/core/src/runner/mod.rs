@@ -21,6 +21,7 @@
 //! replicated payload bytes are *charged* to the paper's cost model
 //! without being *moved*.
 
+mod check;
 pub mod filter;
 pub mod job;
 pub mod kernel;

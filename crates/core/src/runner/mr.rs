@@ -38,7 +38,14 @@
 //! part by part as they commit.
 //!
 //! A run deletes every part as soon as it is read, and everything else
-//! under its DFS directory before it returns, on success and on error.
+//! under its DFS directory — and the dataset copy it seeded into each
+//! worker process — before it returns, on success and on error.
+//!
+//! **Phases** form one chain on the telemetry sink: `PairwiseJob::run`
+//! opens the first on the runner's I/O track (job `{dir}-io`), each job
+//! hands over to its own, and the driver hands over to `merge-aggregate`
+//! or `collect-output` after the last job; only the report closes the
+//! last one, so the phases tile its wall.
 //!
 //! Charged bytes are the same either way: job 1 books the shuffle job 2
 //! charges under [`FUSED_CHARGED_SHUFFLE_COUNTER`] on every run, and a run
@@ -74,6 +81,10 @@ use crate::scheme::DistributionScheme;
 
 /// User counter: pairwise function evaluations performed inside tasks.
 pub const EVALUATIONS_COUNTER: &str = "pairwise.evaluations";
+
+/// Run event: the driver read (and merged or collected) one part of a
+/// job's output.
+pub const PART_CONSUME_EVENT: &str = "part.consume";
 
 /// User counter: the shuffle bytes job 2 charges for the records a job-1
 /// reduce task emitted — frame, key, length prefix, every pre-fold
@@ -254,7 +265,6 @@ struct TaskEvaluator<T, R> {
     kernel: Arc<dyn BatchComp<T, R>>,
     symmetry: Symmetry,
     filter: Option<Arc<dyn PairFilter>>,
-    telemetry: Telemetry,
 }
 
 impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
@@ -262,7 +272,8 @@ impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
     /// already resolved against `store`), calling `sink(slot, other,
     /// result)` for both sides of each surviving pair — `comp(a, b)` to
     /// `a`'s slot first, then the reverse (or shared) value to `b`'s, the
-    /// per-direction order the scalar runners always used.
+    /// per-direction order the scalar runners always used. Returns the
+    /// evaluations, already counted, for the caller's histogram.
     fn run(
         &self,
         task: u64,
@@ -270,7 +281,7 @@ impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
         store: &ElementStore<T>,
         counters: &Counters,
         mut sink: impl FnMut(usize, u64, R),
-    ) {
+    ) -> u64 {
         let index = SlotIndex::new(ids);
         let filter = self.filter.as_deref();
         let (evals, prune) = evaluate_tiled(
@@ -294,7 +305,7 @@ impl<T: Wire + Sync, R: Clone> TaskEvaluator<T, R> {
                 counters.add(name, value);
             }
         }
-        self.telemetry.record_value(hist::EVALUATIONS_PER_TASK, evals);
+        evals
     }
 }
 
@@ -340,7 +351,7 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
         let mut accs: Vec<Option<Accumulator<R>>> = vec![None; ids.len()];
         let mut folded_bytes = vec![0u64; ids.len()];
         let mut entry = BytesMut::new();
-        self.eval.run(ws, &ids, store, ctx.counters(), |slot, other, r| {
+        let evals = self.eval.run(ws, &ids, store, ctx.counters(), |slot, other, r| {
             let width = R::FIXED_WIDTH.unwrap_or_else(|| {
                 entry.clear();
                 r.encode(&mut entry);
@@ -350,6 +361,7 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Reducer for EvaluateReducer<T, R> {
             let acc = accs[slot].get_or_insert_with(|| dec.init(ids[slot]));
             dec.fold(acc, other, r);
         });
+        ctx.record_value(hist::EVALUATIONS_PER_TASK, evals);
         // Emit every copy with its folded partials (paper: "The output of
         // the reduce phase contains each element (including all copies)") —
         // as ids, not payloads — charging what job 2's map shuffles for the
@@ -468,9 +480,10 @@ impl<T: Wire + Sync, R: Wire + Clone + Sync> Mapper for BroadcastEvalMapper<T, R
         }
         let ids = self.0.scheme.working_set(task);
         let mut results: Vec<Vec<(u64, R)>> = vec![Vec::new(); ids.len()];
-        self.0.run(task, &ids, store, ctx.counters(), |slot, other, r| {
+        let evals = self.0.run(task, &ids, store, ctx.counters(), |slot, other, r| {
             results[slot].push((other, r));
         });
+        ctx.record_value(hist::EVALUATIONS_PER_TASK, evals);
         // Only elements this task's label range touched are emitted, in id
         // order.
         for (id, partial) in ids.into_iter().zip(results) {
@@ -629,7 +642,7 @@ where
         consume(part)?;
         if telemetry.is_enabled() {
             telemetry.event_traced(
-                "part.consume",
+                PART_CONSUME_EVENT,
                 trace::NONE,
                 started.elapsed().as_micros() as u64,
                 format!(
@@ -643,19 +656,29 @@ where
     })
 }
 
-/// A run's DFS directory: every file under it is deleted by
-/// [`RunFiles::clear`] and again when the guard drops, so a run that
-/// fails part-way leaves nothing behind either.
+/// A run's files: every DFS file under its directory, and the dataset
+/// copy seeded into each worker process. [`RunFiles::clear`] deletes them,
+/// and again when the guard drops, so a run that fails part-way leaves
+/// nothing behind either.
 struct RunFiles<'c> {
     cluster: &'c Cluster,
     /// The directory with its trailing `/`.
     dir: String,
+    /// The workers' store name of the seeded dataset, until it is removed
+    /// (distributed runs only).
+    seed: Option<String>,
 }
 
 impl RunFiles<'_> {
-    fn clear(&self) {
+    fn clear(&mut self) {
         for path in self.cluster.dfs().list(&self.dir) {
             self.cluster.dfs().delete(&path);
+        }
+        // Best effort, like the DFS: a dead worker has lost its copy.
+        if let Some(name) = self.seed.take() {
+            for node in self.cluster.live_nodes() {
+                let _ = self.cluster.transport().store(node).remove(&name);
+            }
         }
     }
 }
@@ -664,6 +687,15 @@ impl Drop for RunFiles<'_> {
     fn drop(&mut self) {
         self.clear();
     }
+}
+
+/// Opens a run's first phase on the MR backend, on the cluster's sink
+/// like every later one. Runner-level I/O has its own phase track, job
+/// `{dir}-io`, which starts with shipping the dataset to the worker
+/// processes on a distributed cluster.
+pub(crate) fn open_io_phase(cluster: &Cluster, dir: &str) {
+    let phase = if cluster.is_distributed() { "seed-store" } else { "distribute-input" };
+    cluster.telemetry().job_phase(&format!("{dir}-io"), phase);
 }
 
 /// The one MR driver, over the job's plan. Job 1 is the paper's
@@ -711,16 +743,14 @@ where
             .collect(),
         _ => vec![(dir.clone(), Arc::clone(scheme))],
     };
-    // Whatever the run leaves under its directory goes when it returns,
-    // on success or error.
-    let files = RunFiles { cluster, dir: format!("{dir}/") };
+    // Whatever the run leaves under its directory or in the workers goes
+    // when it returns, on success or error.
     let distributed = cluster.is_distributed();
-    // Runner-level I/O gets its own phase track (job `{dir}-io`) so the
-    // report's phases tile the whole run, not just the engine jobs. Its
-    // first phase opens with the driver and so also covers its setup.
+    let seed = distributed.then(|| format!("seed/{dir}/store"));
+    let mut files = RunFiles { cluster, dir: format!("{dir}/"), seed };
+    // The caller has opened the run's first phase (`open_io_phase`); every
+    // phase below hands over from the one before it.
     let io_job = format!("{dir}-io");
-    let io =
-        telemetry.job_phase(&io_job, if distributed { "seed-store" } else { "distribute-input" });
     // The driver aggregates job 1's output unless the run asked for the
     // paper's literal two jobs on a single batch; several rounds are each
     // aggregated before the next (§7). The §5.1 variant is inherently
@@ -739,13 +769,10 @@ where
     // id-indexed resolver a real deployment would hold node-locally.
     // Measured on the wire (`seed` class), never charged.
     let dataset_bytes = (broadcast || distributed).then(|| store.dataset_bytes());
-    let io = match &dataset_bytes {
-        Some(dataset) if distributed => {
-            cluster.seed_workers(&format!("seed/{dir}/store"), dataset)?;
-            io.next("distribute-input")
-        }
-        _ => io,
-    };
+    if let (Some(dataset), Some(seed)) = (&dataset_bytes, &files.seed) {
+        cluster.seed_workers(seed, dataset)?;
+        telemetry.job_phase(&io_job, "distribute-input");
+    }
     // Written once per run: every round's job 1 reads the same shards.
     let inputs = if broadcast {
         // Input = one record per (nonempty) task: the unit of map-side work.
@@ -757,14 +784,12 @@ where
         let elements = store.elements().iter().cloned().enumerate().map(|(i, p)| (i as u64, p));
         write_sharded(cluster, &format!("{dir}/input"), 2 * n, elements)?
     };
-    drop(io);
     let engine = Engine::new(cluster);
     let eval = |scheme: &Arc<dyn DistributionScheme>| TaskEvaluator {
         scheme: Arc::clone(scheme),
         kernel: Arc::clone(&kernel),
         symmetry,
         filter: filter.clone(),
-        telemetry: telemetry.clone(),
     };
     // Job 1 (distribute, then evaluate) over one round's scheme.
     let job1 = |round_dir: &str, round: &Arc<dyn DistributionScheme>| {
@@ -802,9 +827,7 @@ where
         let mut rows: Vec<Option<PlacedRow<R>>> = (0..placed_len).map(|_| None).collect();
         let mut accs: Vec<Option<Accumulator<R>>> = vec![None; store.len() - placed_len];
         let mut reports = Vec::with_capacity(rounds.len());
-        let mut merge_phase = None;
         for (i, (round_dir, round)) in rounds.iter().enumerate() {
-            drop(merge_phase.take());
             let job1 = run_consuming(&engine, job1(round_dir, round), |part| {
                 if placed {
                     place_part(part, &mut rows)
@@ -812,7 +835,7 @@ where
                     merge_part(part, dec, &mut accs)
                 }
             })?;
-            merge_phase = Some(telemetry.job_phase(&io_job, "merge-aggregate"));
+            telemetry.job_phase(&io_job, "merge-aggregate");
             if i + 1 == rounds.len() {
                 files.clear();
             }
@@ -832,7 +855,6 @@ where
                 rows.into_iter().map(|(id, row)| (id, aggregate_all(agg, id, row))).collect()
             }
         };
-        drop(merge_phase);
         return Ok((PairwiseOutput { per_element }, reports));
     }
 
@@ -887,7 +909,7 @@ where
     // An id no record carried (the broadcast mapper emits only elements
     // with results, so a filter that prunes every pair of an element
     // leaves none) gets the aggregator over zero partials.
-    let io = telemetry.job_phase(&io_job, "collect-output");
+    telemetry.job_phase(&io_job, "collect-output");
     files.clear();
     let per_element = (0u64..)
         .zip(rows)
@@ -896,7 +918,6 @@ where
         })
         .collect();
     let report = mr_report(cluster, &wire_start, job1, job2, false);
-    drop(io);
     Ok((PairwiseOutput { per_element }, vec![report]))
 }
 
@@ -1152,7 +1173,6 @@ mod tests {
                         kernel: Arc::new(comp_fn(|a: &u64, b: &u64| a + b)),
                         symmetry: Symmetry::Symmetric,
                         filter: None,
-                        telemetry: cluster.telemetry().clone(),
                     },
                     aggregator: Arc::new(crate::runner::ConcatSort),
                     fuse: true,

@@ -1,123 +1,148 @@
-//! Conservation properties of the run report: job phases must tile each
-//! job's wall time, and span byte/record totals must agree with the
-//! engine's builtin counters — the two bookkeeping systems observe the
-//! same run independently, so any drift is a bug in one of them.
+//! Conservation properties of the run report: the run's phases tile its
+//! wall time, and span byte/record totals agree with the engine's builtin
+//! counters — the two bookkeeping systems observe the same run
+//! independently, so any drift is a bug in one of them. Each law is stated
+//! once, in `PairwiseRun::check`; the tests here drive it over the run
+//! shapes that stress it and assert what is particular to each shape.
 
 use pmr_cluster::{Cluster, ClusterConfig};
-use pmr_core::runner::mr::EVALUATIONS_COUNTER;
+use pmr_core::runner::mr::{MrPairwiseOptions, EVALUATIONS_COUNTER};
 use pmr_core::runner::{comp_fn, Backend, CompFn, PairwiseJob, PairwiseRun};
-use pmr_core::scheme::BlockScheme;
+use pmr_core::scheme::{BlockScheme, BroadcastScheme};
 use pmr_mapreduce::builtin;
-use pmr_obs::{trace, CriticalPath, RunReport, Telemetry};
+use pmr_obs::{hist, trace, CriticalPath, Telemetry};
 
 fn comp() -> CompFn<u64, u64> {
     comp_fn(|a: &u64, b: &u64| a.wrapping_mul(31) ^ b)
 }
 
-fn instrumented_mr_run(v: u64, nodes: usize) -> PairwiseRun<u64> {
+/// An instrumented MR run; `fuse: false` forces the paper's literal
+/// two-job pipeline, so the bookkeeping of both jobs is under test.
+fn instrumented_run(v: u64, nodes: usize, fuse: bool) -> PairwiseRun<u64> {
+    instrumented_run_on(ClusterConfig::with_nodes(nodes), v, fuse)
+}
+
+fn instrumented_run_on(config: ClusterConfig, v: u64, fuse: bool) -> PairwiseRun<u64> {
     let data: Vec<u64> = (0..v).map(|i| i * 17 % 257).collect();
-    let cluster =
-        Cluster::new(ClusterConfig::with_nodes(nodes)).with_telemetry(Telemetry::enabled());
+    let cluster = Cluster::new(config).with_telemetry(Telemetry::enabled());
     PairwiseJob::new(&data, comp())
         .scheme(BlockScheme::new(v, 6))
         .backend(Backend::Mr(&cluster))
+        .fuse(fuse)
         .run()
         .unwrap()
-}
-
-/// Same run forced onto the paper's literal two-job pipeline — the
-/// conservation tests below check both jobs' bookkeeping, so they opt out
-/// of fused aggregation (which skips job 2 entirely).
-fn instrumented_two_job_run(v: u64, nodes: usize) -> PairwiseRun<u64> {
-    let data: Vec<u64> = (0..v).map(|i| i * 17 % 257).collect();
-    let cluster =
-        Cluster::new(ClusterConfig::with_nodes(nodes)).with_telemetry(Telemetry::enabled());
-    PairwiseJob::new(&data, comp())
-        .scheme(BlockScheme::new(v, 6))
-        .backend(Backend::Mr(&cluster))
-        .fuse(false)
-        .run()
-        .unwrap()
-}
-
-/// Distinct job names in recorded order.
-fn job_names(report: &RunReport) -> Vec<String> {
-    let mut names: Vec<String> = Vec::new();
-    for p in &report.job_phases {
-        if !names.contains(&p.job) {
-            names.push(p.job.clone());
-        }
-    }
-    names
 }
 
 #[test]
 fn job_phases_tile_each_jobs_wall_time() {
-    let run = instrumented_two_job_run(64, 4);
+    let run = instrumented_run(64, 4, false);
     let report = &run.report;
-    let all_jobs = job_names(report);
-    // Runner-level DFS I/O (input distribution, output collection) is
-    // tracked on its own `-io` job so the phases tile the whole run.
-    let (io_jobs, jobs): (Vec<_>, Vec<_>) = all_jobs.into_iter().partition(|j| j.ends_with("-io"));
-    assert_eq!(io_jobs.len(), 1, "io jobs: {io_jobs:?}");
-    assert_eq!(
-        report
-            .job_phases
-            .iter()
-            .filter(|p| p.job == io_jobs[0])
-            .map(|p| p.phase.as_str())
-            .collect::<Vec<_>>(),
-        ["distribute-input", "collect-output"]
-    );
-    // The two-job pipeline: distribute/evaluate then aggregate.
-    assert_eq!(jobs.len(), 2, "jobs: {jobs:?}");
-    for job in &jobs {
-        let phases: Vec<_> = report.job_phases.iter().filter(|p| p.job == *job).collect();
-        // setup → map → reduce → finalize, handed over back-to-back.
-        assert_eq!(
-            phases.iter().map(|p| p.phase.as_str()).collect::<Vec<_>>(),
-            ["setup", "map", "reduce", "finalize"],
-            "{job}"
-        );
-        // Each hand-over takes one clock reading that closes one phase and
-        // opens the next, so the phases tile their window exactly.
-        for pair in phases.windows(2) {
-            assert_eq!(pair[1].start_us, pair[0].end_us, "gap inside {job}");
-        }
-        let window = phases.last().unwrap().end_us - phases.first().unwrap().start_us;
-        let total = report.job_phase_total_us(job);
-        assert_eq!(window, total, "{job}: phases must tile their window");
-    }
-    // The phase windows must also cover (±5%) the engine's own measure of
-    // each job's wall time — the acceptance bar for the report.
+    // One phase chain: the runner's I/O track (job `{dir}-io`) around
+    // each job's setup → map → reduce → finalize. Every hand-over takes
+    // one clock reading, so the phases tile the report's wall exactly.
+    run.check().unwrap();
+    let engine = ["setup", "map", "reduce", "finalize"];
+    let expected: Vec<String> = std::iter::once("io distribute-input".to_string())
+        .chain(engine.iter().map(|p| format!("evaluate {p}")))
+        .chain(engine.iter().map(|p| format!("aggregate {p}")))
+        .chain(["io collect-output".to_string()])
+        .collect();
+    let tail = |job: &str| job.rsplit('-').next().unwrap().to_string();
+    let phases: Vec<String> =
+        report.job_phases.iter().map(|p| format!("{} {}", tail(&p.job), p.phase)).collect();
+    assert_eq!(phases, expected);
+    // A job's phases cover (±5 % + 500 µs) the engine's own `Instant` wall.
+    // Above that, HAND_OVER_US allows for `finalize` running on from the
+    // engine's return to the driver's next hand-over: a few statements, but
+    // a preempted driver thread stretches them (11 ms seen, 4 in 1,000 runs
+    // of this binary, 4 at a time on 2 cores). More than that counted
+    // against a job (a phase left open over the next job, say) fails.
+    const HAND_OVER_US: f64 = 25_000.0;
+    let jobs = report.job_phases.iter().filter(|p| p.phase == "setup").map(|p| &p.job);
     let engine_walls =
         [run.mr[0].job1.stats.wall_time_us, run.mr[0].job2.as_ref().unwrap().stats.wall_time_us];
-    for (job, engine_wall) in jobs.iter().zip(engine_walls) {
+    for (job, engine_wall) in jobs.zip(engine_walls) {
         let total = report.job_phase_total_us(job) as f64;
         let wall = engine_wall as f64;
+        let slack = wall * 0.05 + 500.0;
         assert!(
-            (total - wall).abs() <= wall * 0.05 + 500.0,
+            total >= wall - slack && total <= wall + slack + HAND_OVER_US,
             "{job}: phase total {total}µs vs engine wall {wall}µs"
         );
     }
-    // And across every job — engine phases plus the runner's I/O phases —
-    // the durations must sum (±5%) to the report's own wall time.
-    let total: u64 = report.job_phases.iter().map(|p| p.end_us - p.start_us).sum();
-    let wall = report.wall_time_us;
-    assert!(
-        (total as f64 - wall as f64).abs() <= wall as f64 * 0.05 + 500.0,
-        "all phases {total}µs vs report wall {wall}µs"
-    );
+}
+
+/// The report's wall is the run's, not the sink's: a sink created long
+/// before the run does not stretch it, on every backend.
+#[test]
+fn report_wall_starts_with_the_run_not_the_sink() {
+    let data: Vec<u64> = (0..24).map(|i| i * 17 % 257).collect();
+    let cluster = Cluster::new(ClusterConfig::with_nodes(3)).with_telemetry(Telemetry::enabled());
+    let plain = Cluster::new(ClusterConfig::with_nodes(3));
+    let backends = [
+        Backend::Sequential,
+        Backend::Local { threads: 2 },
+        Backend::Mr(&cluster),
+        Backend::Mr(&plain),
+    ];
+    for backend in backends {
+        // The MR run records into the cluster's sink, older still. A
+        // builder sink beside a cluster without one gets none of an MR
+        // run's phases: they all go where the engine records its own.
+        let telemetry = Telemetry::enabled();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let run = PairwiseJob::new(&data, comp())
+            .scheme(BlockScheme::new(24, 4))
+            .backend(backend)
+            .telemetry(telemetry)
+            .run()
+            .unwrap();
+        let phases = &run.report.job_phases;
+        match backend {
+            Backend::Mr(c) if !c.telemetry().is_enabled() => {
+                assert!(phases.is_empty(), "{phases:?}")
+            }
+            _ => assert!(phases[0].start_us >= 20_000, "the sink slept first"),
+        }
+        run.check().unwrap();
+    }
+}
+
+/// A failed run ends its phase chain where it fails: on a cluster sink
+/// the next run reuses, its open phase does not run on through the idle
+/// time before that run.
+#[test]
+fn failed_run_closes_its_phase_on_a_reused_sink() {
+    let v = 48u64;
+    let data: Vec<u64> = (0..v).map(|i| i * 17 % 257).collect();
+    let broadcast = || PairwiseJob::new(&data, comp()).scheme(BroadcastScheme::new(v, 2));
+    let free = Cluster::new(ClusterConfig::with_nodes(2));
+    let peak = broadcast().backend(Backend::Mr(&free)).run().unwrap().mr[0].max_working_set_bytes;
+    // A budget at the run's peak: 30 % accounting overhead fails the first
+    // run inside the engine, none lets the second through.
+    let cluster = Cluster::new(ClusterConfig::with_nodes(2).task_memory_budget(peak))
+        .with_telemetry(Telemetry::enabled());
+    let overhead = MrPairwiseOptions { memory_overhead: (13, 10), ..Default::default() };
+    broadcast().backend(Backend::Mr(&cluster)).mr_options(overhead).run().unwrap_err();
+    let failed_at = cluster.telemetry().now_us();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let report = broadcast().backend(Backend::Mr(&cluster)).run().unwrap().report;
+    let failed: Vec<_> = report.job_phases.iter().filter(|p| p.start_us < failed_at).collect();
+    assert!(failed.iter().any(|p| p.phase == "map"), "the failed run reached the engine");
+    for p in failed {
+        assert!(p.end_us <= failed_at, "{p:?} ran on past the failure at {failed_at} µs");
+    }
 }
 
 /// On a fused run the driver merges each of job 1's parts as its reduce
 /// task commits, inside job 1's `reduce` window. The `-io` track keeps its
-/// two phases and overlaps no engine phase, all phases still sum to the
-/// run's wall time, and each merged part is one `part.consume` event on
-/// the driver, timed, inside that window.
+/// two phases in the run's one phase chain (so it overlaps no engine
+/// phase), and each merged part is one `part.consume` event on the
+/// driver, timed, inside that window.
 #[test]
 fn fused_merge_runs_inside_job1_reduce_and_is_traced() {
-    let run = instrumented_mr_run(64, 4);
+    let run = instrumented_run(64, 4, true);
+    run.check().unwrap();
     let report = &run.report;
     let (io, engine): (Vec<_>, Vec<_>) =
         report.job_phases.iter().partition(|p| p.job.ends_with("-io"));
@@ -125,107 +150,31 @@ fn fused_merge_runs_inside_job1_reduce_and_is_traced() {
         io.iter().map(|p| p.phase.as_str()).collect::<Vec<_>>(),
         ["distribute-input", "merge-aggregate"]
     );
-    for p in &io {
-        for q in &engine {
-            assert!(
-                p.end_us <= q.start_us || q.end_us <= p.start_us,
-                "io phase {} overlaps {} {}",
-                p.phase,
-                q.job,
-                q.phase
-            );
-        }
-    }
-    let total: u64 = report.job_phases.iter().map(|p| p.end_us - p.start_us).sum();
-    let wall = report.wall_time_us;
-    assert!(
-        (total as f64 - wall as f64).abs() <= wall as f64 * 0.05 + 500.0,
-        "all phases {total}µs vs report wall {wall}µs"
-    );
     let reduce = engine.iter().find(|p| p.phase == "reduce").expect("job 1 has a reduce phase");
-    let parts: Vec<_> = report.trace.iter().filter(|e| e.kind == "part.consume").collect();
-    assert_eq!(parts.len(), run.mr[0].job1.stats.reduce_tasks, "one event per part");
-    for e in parts {
+    for e in report.trace.iter().filter(|e| e.kind == "part.consume") {
         assert_eq!(e.node, trace::NONE, "consumed on the driver: {}", e.detail);
         assert!(e.detail.contains(" read ") && e.detail.contains(" merge "), "{}", e.detail);
-        assert!(
-            reduce.start_us + e.dur_us <= e.at_us && e.at_us <= reduce.end_us,
-            "{} at {}µs for {}µs, outside job 1's reduce [{}, {}]",
-            e.detail,
-            e.at_us,
-            e.dur_us,
-            reduce.start_us,
-            reduce.end_us
-        );
+        let inside = reduce.start_us + e.dur_us <= e.at_us && e.at_us <= reduce.end_us;
+        assert!(inside, "{e:?} outside job 1's reduce {reduce:?}");
     }
 }
 
+/// Span byte and record totals equal the builtin counters of both jobs
+/// of the two-job pipeline.
 #[test]
 fn span_byte_totals_equal_builtin_counters() {
-    let run = instrumented_two_job_run(48, 3);
-    let report = &run.report;
-    let jobs: Vec<String> = job_names(report).into_iter().filter(|j| !j.ends_with("-io")).collect();
-    let counters = [&run.mr[0].job1.counters, &run.mr[0].job2.as_ref().unwrap().counters];
-    for (job, counters) in jobs.iter().zip(counters) {
-        // Reduce-side: every shuffled byte lands in exactly one reduce
-        // span's bytes_in.
-        let reduce_in: u64 = report
-            .task_spans
-            .iter()
-            .filter(|s| s.job == *job && s.kind == "reduce")
-            .map(|s| s.bytes_in)
-            .sum();
-        assert_eq!(reduce_in, counters[builtin::SHUFFLE_BYTES], "{job}: shuffle");
-        // Map-side: span bytes_out is the same accumulation as the
-        // MAP_OUTPUT_BYTES counter.
-        let map_out: u64 = report
-            .task_spans
-            .iter()
-            .filter(|s| s.job == *job && s.kind == "map")
-            .map(|s| s.bytes_out)
-            .sum();
-        assert_eq!(map_out, counters[builtin::MAP_OUTPUT_BYTES], "{job}: map output");
-        // Record conservation: reduce spans see exactly the records the
-        // grouping loop hands to the reducer.
-        let reduce_records: u64 = report
-            .task_spans
-            .iter()
-            .filter(|s| s.job == *job && s.kind == "reduce")
-            .map(|s| s.records_in)
-            .sum();
-        assert_eq!(
-            reduce_records,
-            counters[builtin::REDUCE_INPUT_RECORDS],
-            "{job}: reduce records"
-        );
-    }
+    instrumented_run(48, 3, false).check().unwrap();
 }
 
 #[test]
 fn histograms_agree_with_counters() {
-    let run = instrumented_mr_run(40, 4);
-    let report = &run.report;
-    let hist_sum = |name: &str| -> u64 {
-        report.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h.sum).unwrap_or(0)
-    };
-    // Every evaluation is recorded once in the per-task histogram and once
-    // in the user counter (folded into the report by the builder).
-    assert_eq!(
-        hist_sum("pairwise.evaluations_per_task"),
-        report.counter(EVALUATIONS_COUNTER).unwrap()
-    );
-    assert_eq!(report.counter(EVALUATIONS_COUNTER).unwrap(), 40 * 39 / 2);
-    // Shuffle histogram entries are per reduce partition; their sum is the
-    // builtin counter total (both jobs).
-    assert_eq!(
-        hist_sum("shuffle.bytes_per_partition"),
-        report.counter(builtin::SHUFFLE_BYTES).unwrap()
-    );
-    // Group sizes: one histogram sample per reduce group, total records.
-    assert_eq!(
-        hist_sum("reduce.group_size"),
-        report.counter(builtin::REDUCE_INPUT_RECORDS).unwrap()
-    );
+    let run = instrumented_run(40, 4, true);
+    // Each histogram is recorded, so its law in `check` is not vacuous.
+    for name in [hist::EVALUATIONS_PER_TASK, hist::SHUFFLE_BYTES_PER_PARTITION, hist::GROUP_SIZE] {
+        assert!(run.report.histograms.iter().any(|(n, _)| n == name), "{name} missing");
+    }
+    assert_eq!(run.report.counter(EVALUATIONS_COUNTER).unwrap(), 40 * 39 / 2);
+    run.check().unwrap();
 }
 
 #[test]
@@ -234,52 +183,24 @@ fn conservation_holds_under_injected_failures() {
     // open a span, and only the committed attempt's scratch counters merge
     // into the job counters, so both bookkeeping systems still agree
     // exactly on a flaky cluster.
-    let data: Vec<u64> = (0..48u64).map(|i| i * 17 % 257).collect();
     let mut cfg = ClusterConfig::with_nodes(3).failure_probability(0.35).seed(777);
     cfg.max_task_attempts = 30;
-    let cluster = Cluster::new(cfg).with_telemetry(Telemetry::enabled());
-    let run = PairwiseJob::new(&data, comp())
-        .scheme(BlockScheme::new(48, 6))
-        .backend(Backend::Mr(&cluster))
-        .fuse(false) // both jobs' bookkeeping is under test
-        .run()
-        .unwrap();
+    let run = instrumented_run_on(cfg, 48, false);
     let report = &run.report;
     let failed = report.counter(builtin::FAILED_ATTEMPTS).unwrap_or(0);
     assert!(failed > 0, "seed produced no failures; pick another seed");
-    let jobs: Vec<String> = job_names(report).into_iter().filter(|j| !j.ends_with("-io")).collect();
-    let counters = [&run.mr[0].job1.counters, &run.mr[0].job2.as_ref().unwrap().counters];
-    for (job, counters) in jobs.iter().zip(counters) {
-        let sum = |kind: &str, f: fn(&pmr_obs::TaskSpan) -> u64| -> u64 {
-            report.task_spans.iter().filter(|s| s.job == *job && s.kind == kind).map(f).sum()
-        };
-        assert_eq!(sum("reduce", |s| s.bytes_in), counters[builtin::SHUFFLE_BYTES], "{job}");
-        assert_eq!(sum("map", |s| s.bytes_out), counters[builtin::MAP_OUTPUT_BYTES], "{job}");
-        assert_eq!(
-            sum("reduce", |s| s.records_in),
-            counters[builtin::REDUCE_INPUT_RECORDS],
-            "{job}"
-        );
-        assert_eq!(sum("map", |s| s.records_in), counters[builtin::MAP_INPUT_RECORDS], "{job}");
-    }
-    // The evaluations histogram and user counter also stay exactly-once.
-    let hist_sum = |name: &str| -> u64 {
-        report.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h.sum).unwrap_or(0)
-    };
+    // Spans, histograms and counters all stay exactly-once.
+    run.check().unwrap();
     assert_eq!(report.counter(EVALUATIONS_COUNTER).unwrap(), 48 * 47 / 2);
-    assert_eq!(
-        hist_sum("pairwise.evaluations_per_task"),
-        report.counter(EVALUATIONS_COUNTER).unwrap()
-    );
 }
 
 #[test]
 fn node_timelines_partition_wall_time() {
-    let run = instrumented_mr_run(48, 3);
+    let run = instrumented_run(48, 3, true);
+    run.check().unwrap(); // busy + idle == wall on every node
     let report = &run.report;
     assert!(!report.node_timelines.is_empty());
     for tl in &report.node_timelines {
-        assert_eq!(tl.busy_us + tl.idle_us, report.wall_time_us, "node {}", tl.node);
         assert!(tl.tasks > 0);
         // Busy intervals are disjoint and ascending after merging.
         for pair in tl.busy_intervals.windows(2) {
@@ -306,11 +227,12 @@ fn disabled_telemetry_run_records_no_trace() {
     assert_eq!(run.report.trace_dropped, 0);
     assert!(run.report.events.is_empty());
     assert!(run.report.task_spans.is_empty());
+    run.check().unwrap(); // the laws that need telemetry are skipped
 }
 
 #[test]
 fn trace_is_totally_ordered_and_mirrors_every_span_and_event() {
-    let run = instrumented_mr_run(48, 3);
+    let run = instrumented_run(48, 3, true);
     let report = &run.report;
     assert!(!report.trace.is_empty());
     assert_eq!(report.trace_dropped, 0, "small run must fit the trace ring");
@@ -319,11 +241,10 @@ fn trace_is_totally_ordered_and_mirrors_every_span_and_event() {
     for (i, ev) in report.trace.iter().enumerate() {
         assert_eq!(ev.seq, i as u64, "trace seq must be dense");
     }
-    // Every committed span has exactly one start and one commit; every
-    // discrete event is mirrored into the trace verbatim.
-    let count = |kind: &str| report.trace.iter().filter(|e| e.kind == kind).count();
-    assert_eq!(count(trace::kind::TASK_START), report.task_spans.len() + count("task.cancel"));
-    assert_eq!(count(trace::kind::TASK_COMMIT), report.task_spans.len());
+    // Every committed span has exactly one start and one commit (checked
+    // by `check`); every discrete event is mirrored into the trace
+    // verbatim.
+    run.check().unwrap();
     for ev in &report.events {
         assert!(
             report.trace.iter().any(|t| t.kind == ev.kind && t.detail == ev.detail),
@@ -361,6 +282,7 @@ fn chaos_run_traces_recovery_with_node_and_duration() {
             assert!(!ev.detail.is_empty(), "seed {chaos_seed}");
         }
         saw_rerun |= !traced.is_empty();
+        run.check().unwrap();
         // Lost DFS replicas are restored and traced once per crash that
         // cost blocks.
         for ev in report.trace.iter().filter(|e| e.kind == "dfs.rereplicate") {
@@ -372,7 +294,7 @@ fn chaos_run_traces_recovery_with_node_and_duration() {
 
 #[test]
 fn critical_path_is_bounded_by_makespan_and_attribution_tiles_it() {
-    let run = instrumented_mr_run(64, 4);
+    let run = instrumented_run(64, 4, true);
     let cp = CriticalPath::from_report(&run.report).expect("instrumented run has spans");
     assert!(cp.duration_us <= cp.makespan_us, "{} > {}", cp.duration_us, cp.makespan_us);
     assert_eq!(
@@ -391,16 +313,10 @@ fn critical_path_is_bounded_by_makespan_and_attribution_tiles_it() {
 fn single_slot_single_node_critical_path_equals_makespan() {
     // One node with one map and one reduce slot fully serializes the run,
     // so the binding chain is the whole run: duration == makespan.
-    let data: Vec<u64> = (0..40u64).map(|i| i * 17 % 257).collect();
     let mut config = ClusterConfig::with_nodes(1);
     config.node.map_slots = 1;
     config.node.reduce_slots = 1;
-    let cluster = Cluster::new(config).with_telemetry(Telemetry::enabled());
-    let run = PairwiseJob::new(&data, comp())
-        .scheme(BlockScheme::new(40, 6))
-        .backend(Backend::Mr(&cluster))
-        .run()
-        .unwrap();
+    let run = instrumented_run_on(config, 40, true);
     let cp = CriticalPath::from_report(&run.report).unwrap();
     assert_eq!(cp.duration_us, cp.makespan_us, "serialized run: chain must cover the makespan");
     assert_eq!(cp.segments.len(), run.report.task_spans.len());
@@ -408,11 +324,28 @@ fn single_slot_single_node_critical_path_equals_makespan() {
 
 #[test]
 fn skew_report_carries_the_analytic_predictions() {
-    let run = instrumented_mr_run(48, 3);
+    let run = instrumented_run(48, 3, true);
     let skew = pmr_obs::SkewReport::from_report(&run.report);
     // The runner stamps Table-1 predictions into the report metadata.
     let analytic_ws = skew.analytic_working_set.expect("runner must record analytic working set");
     assert_eq!(analytic_ws, 2.0 * 48.0 / 6.0, "block h=6 working set is 2v/h");
     assert!(skew.analytic_evals_per_task.unwrap() > 0.0);
     assert!(!skew.utilization.is_empty());
+}
+
+/// Speculative backups and crashes leave attempts that lose or fail: their
+/// spans and histogram observations are dropped with their counters, so
+/// every law still holds on a traced run.
+#[test]
+fn losing_attempts_leave_no_trace_in_the_laws() {
+    let mut launched = 0;
+    for seed in [3u64, 5, 17, 23, 77, 1009, 4242] {
+        for fuse in [true, false] {
+            let config = ClusterConfig::with_nodes(4).speculation(1.0).chaos(1, seed);
+            let run = instrumented_run_on(config, 40, fuse);
+            run.check().unwrap_or_else(|e| panic!("seed {seed}, fuse {fuse}: {e}"));
+            launched += run.mr.iter().map(|m| m.speculative_launched).sum::<u64>();
+        }
+    }
+    assert!(launched > 0, "no backup attempt was launched");
 }

@@ -10,6 +10,7 @@ use std::any::Any;
 
 use bytes::BytesMut;
 use pmr_cluster::MemoryGauge;
+use pmr_obs::Span;
 
 use crate::codec::{write_framed_record, RawRecord, Wire};
 use crate::counters::{builtin, Counters};
@@ -139,6 +140,7 @@ pub struct MapContext<'a, K: Wire, V: Wire> {
     /// Extra charge billed per output partition, for exact per-transfer
     /// charged accounting in the shuffle.
     pub(crate) partition_charges: Vec<u64>,
+    span: &'a mut Span,
     _pd: std::marker::PhantomData<fn(K, V)>,
 }
 
@@ -148,6 +150,7 @@ impl<'a, K: Wire, V: Wire> MapContext<'a, K, V> {
         partitioner: &'a dyn Partitioner,
         counters: &'a Counters,
         store: StoreRef<'a>,
+        span: &'a mut Span,
     ) -> Self {
         let num_partitions = partitions.len();
         MapContext {
@@ -155,6 +158,7 @@ impl<'a, K: Wire, V: Wire> MapContext<'a, K, V> {
             partitioner,
             counters,
             store,
+            span,
             output_bytes: 0,
             moved_bytes: 0,
             partition_charges: vec![0; num_partitions],
@@ -189,6 +193,12 @@ impl<'a, K: Wire, V: Wire> MapContext<'a, K, V> {
         self.counters
     }
 
+    /// Records a histogram observation that reaches the run report only
+    /// if this task attempt commits, like its counters.
+    pub fn record_value(&mut self, histogram: &'static str, value: u64) {
+        self.span.record_value(histogram, value);
+    }
+
     /// Typed view of the job's node-shared resolver handle. Returns `None`
     /// when no store was attached or the requested type does not match.
     /// The returned reference lives as long as the task (`'a`), so callers
@@ -219,6 +229,7 @@ pub struct ReduceContext<'a, K: Wire, V: Wire> {
     pub(crate) counters: &'a Counters,
     pub(crate) store: StoreRef<'a>,
     pub(crate) memory: &'a MemoryGauge,
+    span: &'a mut Span,
     _pd: std::marker::PhantomData<fn(K, V)>,
 }
 
@@ -229,8 +240,10 @@ impl<'a, K: Wire, V: Wire> ReduceContext<'a, K, V> {
         counters: &'a Counters,
         store: StoreRef<'a>,
         memory: &'a MemoryGauge,
+        span: &'a mut Span,
     ) -> Self {
-        ReduceContext { out, offsets, counters, store, memory, _pd: std::marker::PhantomData }
+        let _pd = std::marker::PhantomData;
+        ReduceContext { out, offsets, counters, store, memory, span, _pd }
     }
 
     /// Emits one output record, encoded in place at the end of the task's
@@ -244,6 +257,11 @@ impl<'a, K: Wire, V: Wire> ReduceContext<'a, K, V> {
     /// User counters.
     pub fn counters(&self) -> &Counters {
         self.counters
+    }
+
+    /// Records a histogram observation (see [`MapContext::record_value`]).
+    pub fn record_value(&mut self, histogram: &'static str, value: u64) {
+        self.span.record_value(histogram, value);
     }
 
     /// Typed view of the job's node-shared resolver handle (see
@@ -268,10 +286,10 @@ mod tests {
     #[test]
     fn map_context_partitions_by_key() {
         let mut parts: Vec<Vec<RawRecord>> = vec![Vec::new(); 4];
-        let counters = Counters::new();
+        let (counters, mut span) = (Counters::new(), Span::default());
         let part = HashPartitioner;
         let mut ctx: MapContext<'_, u64, String> =
-            MapContext::new(&mut parts, &part, &counters, None);
+            MapContext::new(&mut parts, &part, &counters, None, &mut span);
         for i in 0..100u64 {
             ctx.emit(i, format!("v{i}"));
         }
@@ -288,9 +306,10 @@ mod tests {
     #[test]
     fn emit_charged_splits_charged_and_moved_series() {
         let mut parts: Vec<Vec<RawRecord>> = vec![Vec::new(); 4];
-        let counters = Counters::new();
+        let (counters, mut span) = (Counters::new(), Span::default());
         let part = HashPartitioner;
-        let mut ctx: MapContext<'_, u64, u64> = MapContext::new(&mut parts, &part, &counters, None);
+        let mut ctx: MapContext<'_, u64, u64> =
+            MapContext::new(&mut parts, &part, &counters, None, &mut span);
         ctx.emit_charged(1, 2, 600);
         ctx.emit(3, 4);
         // Each (u64, u64) record frames to 8 + 8 + 8 = 24 bytes.
@@ -306,18 +325,18 @@ mod tests {
     fn context_store_downcasts() {
         let handle: std::sync::Arc<dyn Any + Send + Sync> = std::sync::Arc::new(vec![1u64, 2, 3]);
         let mut parts: Vec<Vec<RawRecord>> = vec![Vec::new(); 1];
-        let counters = Counters::new();
+        let (counters, mut span) = (Counters::new(), Span::default());
         let ctx: MapContext<'_, u64, u64> =
-            MapContext::new(&mut parts, &HashPartitioner, &counters, Some(&*handle));
+            MapContext::new(&mut parts, &HashPartitioner, &counters, Some(&*handle), &mut span);
         assert_eq!(ctx.store::<Vec<u64>>().unwrap(), &vec![1, 2, 3]);
         assert!(ctx.store::<String>().is_none());
         let (mut out, mut offsets) = (BytesMut::new(), Vec::new());
-        let gauge = MemoryGauge::new(None);
+        let (gauge, held) = (MemoryGauge::new(None), Some(&*handle));
         let ctx: ReduceContext<'_, u64, u64> =
-            ReduceContext::new(&mut out, &mut offsets, &counters, Some(&*handle), &gauge);
+            ReduceContext::new(&mut out, &mut offsets, &counters, held, &gauge, &mut span);
         assert_eq!(ctx.store::<Vec<u64>>().unwrap(), &vec![1, 2, 3]);
         let ctx: ReduceContext<'_, u64, u64> =
-            ReduceContext::new(&mut out, &mut offsets, &counters, None, &gauge);
+            ReduceContext::new(&mut out, &mut offsets, &counters, None, &gauge, &mut span);
         assert!(ctx.store::<Vec<u64>>().is_none());
     }
 

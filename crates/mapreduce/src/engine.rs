@@ -58,7 +58,7 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use parking_lot::Mutex;
 use pmr_cluster::{Cluster, ClusterError, MemoryGauge, NodeId, TaskAttemptId, TaskKind};
-use pmr_obs::{hist, Span, SpanKind, Telemetry};
+use pmr_obs::{hist, Span, SpanKind};
 
 use crate::api::{MapContext, Mapper, ReduceContext, Reducer, Values};
 use crate::codec::{decode_raw_stream, RawRecord, Wire};
@@ -370,11 +370,12 @@ impl<'c> Engine<'c> {
         if spec.inputs.is_empty() {
             return Err(MrError::InvalidJob("job has no inputs".into()));
         }
-        // Job-level phase windows hand over at one clock reading, so their
-        // wall times tile the job's wall time exactly.
+        // Each phase hands over to the next at one clock reading (the
+        // sink's phase chain), so the job's phases tile its window exactly.
+        // The last, `finalize`, stays open until the caller's next phase.
         let cluster = self.cluster;
         let telemetry = cluster.telemetry().clone();
-        let phase = telemetry.job_phase(&spec.name, "setup");
+        telemetry.job_phase(&spec.name, "setup");
         let jid = self.job_seq.fetch_add(1, Ordering::Relaxed);
         let counters = Counters::new();
         let n = cluster.num_nodes();
@@ -445,7 +446,7 @@ impl<'c> Engine<'c> {
             .collect();
 
         // --- Map phase. ---
-        let mut phase = phase.next("map");
+        telemetry.job_phase(&spec.name, "map");
         let num_maps = splits.len();
         let job = JobCtx {
             cluster,
@@ -472,7 +473,7 @@ impl<'c> Engine<'c> {
             self.cleanup(jid, charged_total);
             return Err(e);
         }
-        phase.add_bytes(
+        telemetry.phase_bytes(
             counters.get(builtin::MAP_OUTPUT_BYTES),
             counters.get(builtin::MAP_OUTPUT_MOVED_BYTES),
         );
@@ -483,7 +484,7 @@ impl<'c> Engine<'c> {
         counters.record_max(INTERMEDIATE_PEAK_COUNTER, peak_intermediate);
 
         // --- Reduce phase. ---
-        let mut phase = phase.next("reduce");
+        telemetry.job_phase(&spec.name, "reduce");
         let reduce_assignment: Vec<usize> = (0..spec.num_reducers).map(|r| r % n).collect();
         let reduce_board = PhaseBoard::new(TaskKind::Reduce, n, &reduce_assignment);
         job.run_phase(
@@ -496,17 +497,17 @@ impl<'c> Engine<'c> {
                     task,
                     me,
                     backup,
-                    |attempt, scratch| job.reduce_body(task, attempt, me, scratch),
+                    |scratch, span| job.reduce_body(task, me, scratch, span),
                     |done, span| job.write_part(task, done, span),
                 )
             },
             |task| sink(&part_path(&spec.output, task)),
         );
-        phase.add_bytes(
+        telemetry.phase_bytes(
             counters.get(builtin::SHUFFLE_BYTES),
             counters.get(builtin::SHUFFLE_MOVED_BYTES),
         );
-        let phase = phase.next("finalize");
+        telemetry.job_phase(&spec.name, "finalize");
         // Pull any worker-side trace rings into the coordinator's trace
         // while the workers are quiescent (no-op on in-process runs or
         // with tracing disabled).
@@ -529,16 +530,13 @@ impl<'c> Engine<'c> {
             max_working_set_bytes: counters.get(WS_PEAK_COUNTER),
             peak_intermediate_bytes: peak_intermediate,
             simulated_network_time_us: cluster.traffic().simulated_time_us() - sim_before,
-            wall_time_us: 0, // read as the last window closes, below
+            wall_time_us: 0, // read once the job's state is released, below
         };
         let mut output = JobOutput { output_paths, counters: counters.snapshot(), stats };
-        // Releasing the job's state belongs to its wall time and its last
-        // window, so a phase the caller opens next starts close to where
-        // this one ends.
+        // Releasing the job's state belongs to its wall time.
         drop(job);
         drop(spec);
         output.stats.wall_time_us = started.elapsed().as_micros() as u64;
-        drop(phase);
         Ok(output)
     }
 
@@ -661,18 +659,18 @@ where
 
     /// Retry wrapper and commit protocol of one task on node `me`, shared
     /// by both kinds. `body` runs an attempt against scratch counters and
-    /// returns its held-back output with the still-open span; only the
+    /// the attempt's span and returns its held-back output; only the
     /// attempt that wins the task's commit CAS hands that output to
-    /// `publish`, merges its scratch counters and finishes the task. A
-    /// losing attempt's span is cancelled and its counters dropped.
-    /// Returns whether this call committed the task.
+    /// `publish`, merges its scratch counters and records its span. A
+    /// failed or losing attempt's span is cancelled and its counters
+    /// dropped. Returns whether this call committed the task.
     fn drive<T>(
         &self,
         board: &PhaseBoard,
         task: usize,
         me: NodeId,
         is_backup: bool,
-        body: impl FnOnce(u32, &Counters) -> Result<(T, Span)>,
+        body: impl FnOnce(&Counters, &mut Span) -> Result<T>,
         publish: impl FnOnce(T, &mut Span) -> Result<()>,
     ) -> Result<bool> {
         let cluster = self.cluster;
@@ -713,13 +711,21 @@ where
         let run_started = Instant::now();
         board.note_start(task, me.0, run_started);
         let scratch = Counters::new();
-        let done = body(attempt, &scratch);
+        let span_kind = match board.kind {
+            TaskKind::Map => SpanKind::Map,
+            TaskKind::Reduce => SpanKind::Reduce,
+        };
+        let mut span =
+            cluster.telemetry().span(&self.spec.name, span_kind, task as u32, attempt, me.0);
+        let done = body(&scratch, &mut span);
         board.note_end(task, me.0);
-        let (out, mut span) = done?;
-        if !board.try_win(task, attempt) {
-            span.cancel();
-            return Ok(false);
-        }
+        let out = match done {
+            Ok(out) if board.try_win(task, attempt) => out,
+            lost_or_failed => {
+                span.cancel();
+                return lost_or_failed.map(|_| false);
+            }
+        };
         if let Err(err) = publish(out, &mut span) {
             // Nothing became visible (a reduce part is deleted before it
             // is written): reopen the task, or its re-queued attempt would
@@ -751,7 +757,7 @@ where
             task,
             me,
             is_backup,
-            |attempt, scratch| self.map_body(task, attempt, me, scratch, cluster.telemetry()),
+            |scratch, span| self.map_body(task, me, scratch, span),
             |partition_charges, _| {
                 cluster.charge_intermediate(self.publish_map_output(task, me, &partition_charges));
                 Ok(())
@@ -776,21 +782,18 @@ where
 
     /// Body of one map attempt: read split, map into partition buffers,
     /// then sort, frame and write each partition to the local store. Returns
-    /// the per-partition extra charges and the (still-open) task span;
-    /// nothing globally visible is published here — that is the committer's
-    /// job.
+    /// the per-partition extra charges; nothing globally visible is
+    /// published here — that is the committer's job.
     fn map_body(
         &self,
         task: usize,
-        attempt: u32,
         node_id: NodeId,
         scratch: &Counters,
-        telemetry: &Telemetry,
-    ) -> Result<(Vec<u64>, Span)> {
+        span: &mut Span,
+    ) -> Result<Vec<u64>> {
         let (cluster, spec, jid) = (self.cluster, self.spec, self.jid);
         let split = &self.splits[task];
         let node = cluster.node(node_id);
-        let mut span = telemetry.span(&spec.name, SpanKind::Map, task as u32, attempt, node_id.0);
         let mut lap_at = Instant::now();
         let data = cluster.dfs().read_range_from(
             &split.path,
@@ -810,6 +813,7 @@ where
             spec.partitioner.as_ref(),
             scratch,
             spec.store.as_deref(),
+            span,
         );
         for raw in records {
             scratch.inc(builtin::MAP_INPUT_RECORDS);
@@ -841,7 +845,7 @@ where
             node.write_local(&format!("mr/{jid}/m/{task}/p/{p}"), buf.freeze())?;
         }
         span.lap("sort", &mut lap_at);
-        Ok((partition_charges, span))
+        Ok(partition_charges)
     }
 
     /// Body of one reduce attempt: shuffle (with lost-map recovery), sort,
@@ -850,14 +854,11 @@ where
     fn reduce_body(
         &self,
         task: usize,
-        attempt: u32,
         node_id: NodeId,
         scratch: &Counters,
-    ) -> Result<(ReduceDone, Span)> {
+        span: &mut Span,
+    ) -> Result<ReduceDone> {
         let (cluster, spec, jid) = (self.cluster, self.spec, self.jid);
-        let telemetry = cluster.telemetry();
-        let mut span =
-            telemetry.span(&spec.name, SpanKind::Reduce, task as u32, attempt, node_id.0);
         let mut lap_at = Instant::now();
 
         // Shuffle: fetch this task's partition from every map output's
@@ -899,7 +900,7 @@ where
         }
         span.add_bytes_in(fetched_bytes);
         span.add_records_in(records.len() as u64);
-        telemetry.record_value(hist::SHUFFLE_BYTES_PER_PARTITION, fetched_bytes);
+        span.record_value(hist::SHUFFLE_BYTES_PER_PARTITION, fetched_bytes);
         span.lap("shuffle", &mut lap_at);
 
         // Sort (stable, so value order within a key is deterministic).
@@ -910,7 +911,7 @@ where
         let (on, od) = spec.memory_overhead;
         let gauge = MemoryGauge::new(cluster.config().node.task_memory_budget)
             .with_overhead_factor(on.max(od), od.max(1));
-        let mut out = BytesMut::new();
+        let (mut out, store) = (BytesMut::new(), spec.store.as_deref());
         let mut offsets: Vec<u64> = Vec::new();
         let mut i = 0;
         while i < records.len() {
@@ -922,11 +923,11 @@ where
             gauge.try_reserve(group_bytes)?;
             scratch.inc(builtin::REDUCE_INPUT_GROUPS);
             scratch.add(builtin::REDUCE_INPUT_RECORDS, (j - i) as u64);
-            telemetry.record_value(hist::GROUP_SIZE, (j - i) as u64);
+            span.record_value(hist::GROUP_SIZE, (j - i) as u64);
             let key = R::KIn::from_bytes(records[i].key.clone())?;
             let values: Values<'_, R::VIn> = Values::new(&records[i..j]);
             let mut ctx: ReduceContext<'_, R::KOut, R::VOut> =
-                ReduceContext::new(&mut out, &mut offsets, scratch, spec.store.as_deref(), &gauge);
+                ReduceContext::new(&mut out, &mut offsets, scratch, store, &gauge, span);
             spec.reducer.reduce(key, values, &mut ctx)?;
             gauge.release(group_bytes);
             i = j;
@@ -938,7 +939,7 @@ where
         scratch.add(builtin::REDUCE_OUTPUT_BYTES, out.len() as u64);
         span.add_bytes_out(out.len() as u64);
         span.add_records_out(offsets.len() as u64);
-        Ok((ReduceDone { out: out.freeze(), offsets, lap_at }, span))
+        Ok(ReduceDone { out: out.freeze(), offsets, lap_at })
     }
 
     /// Publishes a winning reduce attempt: its DFS part file. Only the
@@ -974,10 +975,8 @@ where
         }
         self.counters.inc(builtin::MAP_RERUNS);
         let rerun_started = Instant::now();
-        let attempt = self.map_board.next_attempt[m].fetch_add(1, Ordering::SeqCst);
-        let (partition_charges, span) =
-            self.map_body(m, attempt, me, &Counters::new(), &Telemetry::disabled())?;
-        drop(span); // disabled telemetry: records nothing
+        self.map_board.next_attempt[m].fetch_add(1, Ordering::SeqCst);
+        let partition_charges = self.map_body(m, me, &Counters::new(), &mut Span::default())?;
         self.publish_map_output(m, me, &partition_charges);
         // Emitted after the re-run so the trace carries its measured
         // duration — the critical-path analyzer attributes this window

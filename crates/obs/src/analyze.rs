@@ -429,7 +429,7 @@ mod tests {
 
     fn report(spans: Vec<TaskSpan>) -> RunReport {
         let wall = spans.iter().map(|s| s.end_us).max().unwrap_or(0);
-        RunReport::assemble(vec![], wall, vec![], spans, vec![], vec![], vec![], vec![], vec![], 0)
+        RunReport { wall_time_us: wall, task_spans: spans, ..RunReport::default() }.assemble()
     }
 
     #[test]

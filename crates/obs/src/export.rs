@@ -422,22 +422,23 @@ mod tests {
     fn sample_report() -> RunReport {
         let t = Telemetry::enabled();
         t.set_meta("scheme", "block(h=4)");
+        t.job_phase("j1", "map");
         {
-            let _phase = t.job_phase("j1", "map");
             let mut span = t.span("j1", SpanKind::Map, 0, 0, 1);
             let mut at = std::time::Instant::now();
             span.lap("map", &mut at);
         }
+        t.job_phase("j1", "reduce");
         {
             let mut span = t.span("j1", SpanKind::Reduce, 0, 0, 0);
             let mut at = std::time::Instant::now();
             span.lap("shuffle", &mut at);
+            span.record_value(crate::hist::EVALUATIONS_PER_TASK, 10);
+            span.record_value(crate::hist::EVALUATIONS_PER_TASK, 30);
         }
         t.transfer(1, 0, 4096, 35);
         t.event_traced("node.crash", 1, 0, "node_1 crashed".to_string());
         t.event_traced("map.rerun", 0, 42, "map 0 re-run on node_0".to_string());
-        t.record_value(crate::hist::EVALUATIONS_PER_TASK, 10);
-        t.record_value(crate::hist::EVALUATIONS_PER_TASK, 30);
         t.report()
     }
 

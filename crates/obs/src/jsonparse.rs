@@ -562,20 +562,20 @@ mod tests {
     fn report_roundtrips_through_json() {
         let t = crate::Telemetry::enabled();
         t.set_meta("scheme", "block(h=4) \"quoted\"");
+        t.job_phase("j1", "map");
+        t.phase_bytes(100, 10);
         {
-            let mut phase = t.job_phase("j1", "map");
-            phase.add_bytes(100, 10);
             let mut span = t.span("j1", crate::SpanKind::Map, 3, 0, 1);
             let mut at = std::time::Instant::now();
             span.add_records_in(7);
             span.record_peak_working_set(2048);
             span.label("block", 3);
             span.lap("read", &mut at);
+            span.record_value("g", 4);
+            span.record_value("g", 900);
         }
         t.transfer(0, 1, 150, 7);
         t.placement(1, 64);
-        t.record_value("g", 4);
-        t.record_value("g", 900);
         t.event_traced("map.rerun", 1, 33, "map 3 re-run".to_string());
         let mut report = t.report();
         report.merge_counters([("mr.shuffle.bytes", 42)]);

@@ -10,8 +10,10 @@
 //! * [`Span`] — one task attempt: id, node, attempt, phase-by-phase wall
 //!   timings, bytes/records in and out, peak working set. Accumulates
 //!   locally; one mutex hold on drop.
-//! * Job-level [`telemetry::JobPhase`] windows, emitted back-to-back by
-//!   the engine so a job's phases tile its wall time.
+//! * Job-level [`telemetry::JobPhase`] windows: the sink holds the run's
+//!   one open phase, and [`Telemetry::job_phase`] hands over to the next
+//!   at a single clock reading, so a run's phases tile its wall time;
+//!   [`Telemetry::close_phase`] ends the chain of a run that fails.
 //! * [`Histogram`] — log2-bucketed distributions (shuffle bytes per
 //!   partition, group sizes per reduce key, evaluations per task).
 //! * [`RunReport`] — the assembled picture (plus derived per-node
@@ -48,8 +50,7 @@ pub use jsonparse::JsonValue;
 pub use live::{LiveMonitor, LiveSink, LiveTransportSample, LiveWorker, TransportProbe};
 pub use report::{NodeTimeline, PruningReport, RunReport, TransportReport, WorkerProc};
 pub use telemetry::{
-    JobPhase, LinkStats, PhaseGuard, PlacementStats, Progress, RunEvent, Span, SpanKind, TaskSpan,
-    Telemetry,
+    JobPhase, LinkStats, PlacementStats, Progress, RunEvent, Span, SpanKind, TaskSpan, Telemetry,
 };
 pub use trace::{TraceEvent, TraceRing};
 

@@ -223,8 +223,8 @@ mod tests {
             let mut at = std::time::Instant::now();
             span.add_records_in(3);
             span.lap("map", &mut at);
+            span.record_value(crate::hist::EVALUATIONS_PER_TASK, 50);
         }
-        t.record_value(crate::hist::EVALUATIONS_PER_TASK, 50);
         let probe: TransportProbe = Box::new(|| LiveTransportSample {
             frames: 4,
             classes: vec![("shuffle", 1000), ("map_output", 500)],

@@ -101,7 +101,8 @@ impl TransportReport {
 pub struct RunReport {
     /// Report-level `(key, value)` metadata in insertion order.
     pub meta: Vec<(String, String)>,
-    /// Run wall time, µs since the telemetry epoch.
+    /// Run wall time, µs: from the first job phase's start to the report
+    /// (from the telemetry epoch when no phase was opened).
     pub wall_time_us: u64,
     /// Named counters (merged in by the caller; e.g. engine counters).
     pub counters: Vec<(String, u64)>,
@@ -132,41 +133,15 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Builds a report from sink contents (called by
-    /// [`crate::Telemetry::report`]): sorts spans, derives node timelines.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble(
-        meta: Vec<(String, String)>,
-        wall_time_us: u64,
-        job_phases: Vec<JobPhase>,
-        mut task_spans: Vec<TaskSpan>,
-        transfers: Vec<(u32, u32, LinkStats)>,
-        placements: Vec<(u32, PlacementStats)>,
-        histograms: Vec<(String, HistogramSnapshot)>,
-        events: Vec<RunEvent>,
-        trace: Vec<TraceEvent>,
-        trace_dropped: u64,
-    ) -> RunReport {
-        task_spans.sort_by(|a, b| {
+    /// Finishes a report built from sink contents (as
+    /// [`crate::Telemetry::report`] does): sorts the spans and derives the
+    /// node timelines from them.
+    pub fn assemble(mut self) -> RunReport {
+        self.task_spans.sort_by(|a, b| {
             (&a.job, a.kind, a.task, a.attempt).cmp(&(&b.job, b.kind, b.task, b.attempt))
         });
-        let node_timelines = derive_timelines(&task_spans, wall_time_us);
-        RunReport {
-            meta,
-            wall_time_us,
-            counters: Vec::new(),
-            job_phases,
-            task_spans,
-            node_timelines,
-            transfers,
-            placements,
-            histograms,
-            events,
-            trace,
-            trace_dropped,
-            transport: None,
-            pruning: None,
-        }
+        self.node_timelines = derive_timelines(&self.task_spans, self.wall_time_us);
+        self
     }
 
     /// Merges counters (sorted by name for deterministic output). Existing
@@ -191,9 +166,9 @@ impl RunReport {
         self.task_spans.iter().max_by_key(|s| s.end_us.saturating_sub(s.start_us))
     }
 
-    /// Summed wall time of a job's phase windows (µs). With back-to-back
-    /// phase guards this tiles — and therefore equals — the job's wall
-    /// time.
+    /// Summed wall time of a job's phase windows (µs). A job's phases are
+    /// consecutive links of the run's phase chain, so this equals the
+    /// job's window.
     pub fn job_phase_total_us(&self, job: &str) -> u64 {
         self.job_phases
             .iter()
@@ -507,18 +482,9 @@ mod tests {
 
     #[test]
     fn straggler_is_longest_span() {
-        let r = RunReport::assemble(
-            vec![],
-            100,
-            vec![],
-            vec![span(0, 0, 0, 10, 0), span(1, 1, 10, 90, 0), span(0, 2, 20, 30, 0)],
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-            vec![],
-            0,
-        );
+        let spans = vec![span(0, 0, 0, 10, 0), span(1, 1, 10, 90, 0), span(0, 2, 20, 30, 0)];
+        let r =
+            RunReport { wall_time_us: 100, task_spans: spans, ..RunReport::default() }.assemble();
         assert_eq!(r.straggler().unwrap().task, 1);
     }
 

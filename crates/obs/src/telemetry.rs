@@ -4,9 +4,15 @@
 //! `None` that every recording method checks before doing *anything* —
 //! no formatting, no allocation, no locking — so instrumented code can be
 //! left in place unconditionally. An enabled handle points at a shared
-//! sink; events accumulate locally in [`Span`]s / [`PhaseGuard`]s and are
-//! pushed under one short mutex hold when the guard drops, keeping the
-//! hot path lock-cheap.
+//! sink; a task's events accumulate locally in its [`Span`] and are pushed
+//! under one short mutex hold when the span drops, keeping the hot path
+//! lock-cheap.
+//!
+//! The sink keeps the run's one clock. It holds the run's single open job
+//! phase: [`Telemetry::job_phase`] closes it and opens the next at one
+//! clock reading, and [`Telemetry::report`] closes the last one at the
+//! reading it takes for `wall_time_us`. The wall runs from the first
+//! phase's start to that reading, so the phases tile it with no gap.
 //!
 //! All timestamps are microseconds since the sink's creation (its
 //! *epoch*), so times of spans, phases, and the final report share one
@@ -77,8 +83,8 @@ pub struct TaskSpan {
     pub labels: Vec<(String, String)>,
 }
 
-/// One job-level phase window. The engine emits these back-to-back so the
-/// phases of a job tile its wall time.
+/// One job-level phase window. A run's phases form one chain (see
+/// [`Telemetry::job_phase`]), so they tile the run's wall time.
 ///
 /// The two byte series carry the paper's charged-vs-moved distinction:
 /// `bytes_charged` is the communication cost the paper's model bills for
@@ -151,6 +157,8 @@ pub struct PlacementStats {
 struct SinkState {
     meta: Vec<(String, String)>,
     job_phases: Vec<JobPhase>,
+    /// The run's one open phase (`end_us` not yet set).
+    open_phase: Option<JobPhase>,
     spans: Vec<TaskSpan>,
     transfers: BTreeMap<(u32, u32), LinkStats>,
     placements: BTreeMap<u32, PlacementStats>,
@@ -168,6 +176,41 @@ struct Sink {
 impl Sink {
     fn lock(&self) -> MutexGuard<'_, SinkState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Microseconds since the epoch.
+    fn now_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+}
+
+impl SinkState {
+    fn record_value(&mut self, histogram: &str, value: u64) {
+        match self.histograms.get_mut(histogram) {
+            Some(h) => h.record(value),
+            None => {
+                let mut h = Histogram::new();
+                h.record(value);
+                self.histograms.insert(histogram.to_string(), h);
+            }
+        }
+    }
+
+    /// Records the open phase, if any, as ending at `end_us`.
+    fn close_phase(&mut self, end_us: u64) {
+        if let Some(mut phase) = self.open_phase.take() {
+            phase.end_us = end_us;
+            self.trace.push(TraceEvent {
+                at_us: end_us,
+                kind: trace::kind::PHASE_END,
+                job: phase.job.clone(),
+                phase: phase.phase.clone(),
+                bytes: phase.bytes_charged,
+                dur_us: end_us - phase.start_us,
+                ..TraceEvent::default()
+            });
+            self.job_phases.push(phase);
+        }
     }
 }
 
@@ -194,10 +237,7 @@ impl Telemetry {
 
     /// Microseconds since the sink's epoch (0 when disabled).
     pub fn now_us(&self) -> u64 {
-        match &self.0 {
-            Some(sink) => sink.epoch.elapsed().as_micros() as u64,
-            None => 0,
-        }
+        self.0.as_ref().map_or(0, |sink| sink.now_us())
     }
 
     /// Sets a report-level metadata entry (scheme name, parameters, …).
@@ -214,18 +254,57 @@ impl Telemetry {
         }
     }
 
-    /// Opens a job-level phase window ending when the guard drops.
-    pub fn job_phase(&self, job: &str, phase: &str) -> PhaseGuard {
-        PhaseGuard(self.0.as_ref().map(|sink| {
-            let start_us = sink.epoch.elapsed().as_micros() as u64;
-            PhaseGuardInner::open(Arc::clone(sink), job.to_string(), phase, start_us)
-        }))
+    /// Closes the run's open phase and opens `job`'s `phase` at the same
+    /// clock reading, so consecutive phases tile the run with no gap. The
+    /// first call starts the run's wall; the phase stays open until the
+    /// next call or [`Telemetry::report`].
+    pub fn job_phase(&self, job: &str, phase: &str) {
+        if let Some(sink) = &self.0 {
+            let mut st = sink.lock();
+            let at_us = sink.now_us();
+            st.close_phase(at_us);
+            st.trace.push(TraceEvent {
+                at_us,
+                kind: trace::kind::PHASE_START,
+                job: job.to_string(),
+                phase: phase.to_string(),
+                ..TraceEvent::default()
+            });
+            st.open_phase = Some(JobPhase {
+                job: job.to_string(),
+                phase: phase.to_string(),
+                start_us: at_us,
+                ..JobPhase::default()
+            });
+        }
+    }
+
+    /// Closes the run's open phase now without opening another. A run
+    /// that fails ends its phase chain with it.
+    pub fn close_phase(&self) {
+        if let Some(sink) = &self.0 {
+            let mut st = sink.lock();
+            let at_us = sink.now_us();
+            st.close_phase(at_us);
+        }
+    }
+
+    /// Adds to the open phase's charged/moved byte totals. Charged bytes
+    /// follow the paper's cost model; moved bytes are what physically
+    /// crossed between stores.
+    pub fn phase_bytes(&self, charged: u64, moved: u64) {
+        if let Some(sink) = &self.0 {
+            if let Some(phase) = &mut sink.lock().open_phase {
+                phase.bytes_charged += charged;
+                phase.bytes_moved += moved;
+            }
+        }
     }
 
     /// Opens a task span ending (and recording) when the guard drops.
     pub fn span(&self, job: &str, kind: SpanKind, task: u32, attempt: u32, node: u32) -> Span {
         Span(self.0.as_ref().map(|sink| {
-            let start_us = sink.epoch.elapsed().as_micros() as u64;
+            let start_us = sink.now_us();
             sink.lock().trace.push(TraceEvent {
                 at_us: start_us,
                 kind: trace::kind::TASK_START,
@@ -247,6 +326,7 @@ impl Telemetry {
                     start_us,
                     ..TaskSpan::default()
                 },
+                values: Vec::new(),
             }
         }))
     }
@@ -254,7 +334,7 @@ impl Telemetry {
     /// Records one network transfer (aggregated per directed link).
     pub fn transfer(&self, src: u32, dst: u32, bytes: u64, sim_us: u64) {
         if let Some(sink) = &self.0 {
-            let at_us = sink.epoch.elapsed().as_micros() as u64;
+            let at_us = sink.now_us();
             let mut st = sink.lock();
             let link = st.transfers.entry((src, dst)).or_default();
             link.bytes += bytes;
@@ -283,7 +363,7 @@ impl Telemetry {
     /// wall time, like a map re-run — carrying its duration in the trace.
     pub fn event_traced(&self, kind: &'static str, node: u32, dur_us: u64, detail: String) {
         if let Some(sink) = &self.0 {
-            let at_us = sink.epoch.elapsed().as_micros() as u64;
+            let at_us = sink.now_us();
             let mut st = sink.lock();
             st.trace.push(TraceEvent {
                 at_us,
@@ -300,7 +380,7 @@ impl Telemetry {
     /// Records one DFS block replica placed on `node`.
     pub fn placement(&self, node: u32, bytes: u64) {
         if let Some(sink) = &self.0 {
-            let at_us = sink.epoch.elapsed().as_micros() as u64;
+            let at_us = sink.now_us();
             let mut st = sink.lock();
             let p = st.placements.entry(node).or_default();
             p.blocks += 1;
@@ -312,21 +392,6 @@ impl Telemetry {
                 bytes,
                 ..TraceEvent::default()
             });
-        }
-    }
-
-    /// Records one observation into the named histogram.
-    pub fn record_value(&self, histogram: &str, value: u64) {
-        if let Some(sink) = &self.0 {
-            let mut st = sink.lock();
-            match st.histograms.get_mut(histogram) {
-                Some(h) => h.record(value),
-                None => {
-                    let mut h = Histogram::new();
-                    h.record(value);
-                    st.histograms.insert(histogram.to_string(), h);
-                }
-            }
         }
     }
 
@@ -354,7 +419,7 @@ impl Telemetry {
         match &self.0 {
             None => Progress::default(),
             Some(sink) => {
-                let at_us = sink.epoch.elapsed().as_micros() as u64;
+                let at_us = sink.now_us();
                 let st = sink.lock();
                 Progress {
                     at_us,
@@ -369,119 +434,39 @@ impl Telemetry {
         }
     }
 
-    /// Snapshots everything recorded so far into a [`RunReport`].
-    /// `wall_time_us` is "now"; node timelines are derived from the spans.
+    /// Closes the open phase and snapshots everything recorded so far into
+    /// a [`RunReport`]. `wall_time_us` runs from the first phase's start
+    /// (the epoch when no phase was opened) to the reading that closes the
+    /// last phase; node timelines are derived from the spans.
     pub fn report(&self) -> RunReport {
         let Some(sink) = &self.0 else {
             return RunReport::default();
         };
-        let wall = sink.epoch.elapsed().as_micros() as u64;
-        let st = sink.lock();
-        RunReport::assemble(
-            st.meta.clone(),
-            wall,
-            st.job_phases.clone(),
-            st.spans.clone(),
-            st.transfers.iter().map(|(&(s, d), &l)| (s, d, l)).collect(),
-            st.placements.iter().map(|(&n, &p)| (n, p)).collect(),
-            st.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
-            st.events.clone(),
-            st.trace.snapshot(),
-            st.trace.dropped(),
-        )
-    }
-}
-
-struct PhaseGuardInner {
-    sink: Arc<Sink>,
-    job: String,
-    phase: String,
-    start_us: u64,
-    bytes_charged: u64,
-    bytes_moved: u64,
-}
-
-/// Guard of one [`Telemetry::job_phase`] window.
-pub struct PhaseGuard(Option<PhaseGuardInner>);
-
-impl PhaseGuardInner {
-    /// Records the window's start in the trace and returns its guard state.
-    fn open(sink: Arc<Sink>, job: String, phase: &str, start_us: u64) -> PhaseGuardInner {
-        sink.lock().trace.push(TraceEvent {
-            at_us: start_us,
-            kind: trace::kind::PHASE_START,
-            job: job.clone(),
-            phase: phase.to_string(),
-            ..TraceEvent::default()
-        });
-        PhaseGuardInner {
-            sink,
-            job,
-            phase: phase.to_string(),
-            start_us,
-            bytes_charged: 0,
-            bytes_moved: 0,
+        let mut st = sink.lock();
+        let now = sink.now_us();
+        st.close_phase(now);
+        RunReport {
+            meta: st.meta.clone(),
+            wall_time_us: now - st.job_phases.first().map_or(0, |p| p.start_us),
+            job_phases: st.job_phases.clone(),
+            task_spans: st.spans.clone(),
+            transfers: st.transfers.iter().map(|(&(s, d), &l)| (s, d, l)).collect(),
+            placements: st.placements.iter().map(|(&n, &p)| (n, p)).collect(),
+            histograms: st.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
+            events: st.events.clone(),
+            trace: st.trace.snapshot(),
+            trace_dropped: st.trace.dropped(),
+            ..RunReport::default()
         }
-    }
-
-    /// Records the window as ending at `end_us`.
-    fn close(self, end_us: u64) {
-        let mut st = self.sink.lock();
-        st.trace.push(TraceEvent {
-            at_us: end_us,
-            kind: trace::kind::PHASE_END,
-            job: self.job.clone(),
-            phase: self.phase.clone(),
-            bytes: self.bytes_charged,
-            dur_us: end_us.saturating_sub(self.start_us),
-            ..TraceEvent::default()
-        });
-        st.job_phases.push(JobPhase {
-            job: self.job,
-            phase: self.phase,
-            start_us: self.start_us,
-            end_us,
-            bytes_charged: self.bytes_charged,
-            bytes_moved: self.bytes_moved,
-        });
-    }
-}
-
-impl PhaseGuard {
-    /// Ends this window and opens the job's next `phase` at the same clock
-    /// reading, so back-to-back phases tile with no gap between them.
-    pub fn next(mut self, phase: &str) -> PhaseGuard {
-        PhaseGuard(self.0.take().map(|inner| {
-            let at_us = inner.sink.epoch.elapsed().as_micros() as u64;
-            let (sink, job) = (Arc::clone(&inner.sink), inner.job.clone());
-            inner.close(at_us);
-            PhaseGuardInner::open(sink, job, phase, at_us)
-        }))
-    }
-
-    /// Adds to the phase's charged/moved byte totals (recorded on drop).
-    /// Charged bytes follow the paper's cost model; moved bytes are what
-    /// physically crossed between stores.
-    pub fn add_bytes(&mut self, charged: u64, moved: u64) {
-        if let Some(inner) = &mut self.0 {
-            inner.bytes_charged += charged;
-            inner.bytes_moved += moved;
-        }
-    }
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some(inner) = self.0.take() {
-            let end_us = inner.sink.epoch.elapsed().as_micros() as u64;
-            inner.close(end_us);
-        }
+        .assemble()
     }
 }
 
 struct SpanInner {
     sink: Arc<Sink>,
     data: TaskSpan,
+    /// Histogram observations held back until the span commits.
+    values: Vec<(&'static str, u64)>,
 }
 
 impl SpanInner {
@@ -501,7 +486,9 @@ impl SpanInner {
     }
 }
 
-/// Guard of one task attempt; accumulates locally, records on drop.
+/// Guard of one task attempt; accumulates locally, records on drop. The
+/// default span is disabled and records nothing.
+#[derive(Default)]
 pub struct Span(Option<SpanInner>);
 
 impl Span {
@@ -512,7 +499,7 @@ impl Span {
         if let Some(inner) = &mut self.0 {
             let dur_us = now.duration_since(*since).as_micros() as u64;
             inner.data.phases.push((phase, dur_us));
-            let at_us = inner.sink.epoch.elapsed().as_micros() as u64;
+            let at_us = inner.sink.now_us();
             let mut ev = inner.task_event(trace::kind::TASK_LAP, at_us, dur_us);
             ev.phase = phase.to_string();
             inner.sink.lock().trace.push(ev);
@@ -562,13 +549,22 @@ impl Span {
         }
     }
 
+    /// Records one observation into the named histogram when the span
+    /// commits, so a histogram counts each task once however many
+    /// attempts ran.
+    pub fn record_value(&mut self, histogram: &'static str, value: u64) {
+        if let Some(inner) = &mut self.0 {
+            inner.values.push((histogram, value));
+        }
+    }
+
     /// Discards the span: no [`TaskSpan`] is recorded on drop. Used for
-    /// task attempts that lose a speculative race — their work never
-    /// becomes part of the run's accounting, though the cancellation
+    /// task attempts that fail or lose a speculative race — their work
+    /// never becomes part of the run's accounting, though the cancellation
     /// itself is traced.
     pub fn cancel(&mut self) {
         if let Some(inner) = self.0.take() {
-            let at_us = inner.sink.epoch.elapsed().as_micros() as u64;
+            let at_us = inner.sink.now_us();
             let dur_us = at_us.saturating_sub(inner.data.start_us);
             let ev = inner.task_event(trace::kind::TASK_CANCEL, at_us, dur_us);
             inner.sink.lock().trace.push(ev);
@@ -579,13 +575,15 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(mut inner) = self.0.take() {
-            inner.data.end_us = inner.sink.epoch.elapsed().as_micros() as u64;
+            inner.data.end_us = inner.sink.now_us();
             let dur_us = inner.data.end_us.saturating_sub(inner.data.start_us);
             let ev = inner.task_event(trace::kind::TASK_COMMIT, inner.data.end_us, dur_us);
-            let data = inner.data;
             let mut st = inner.sink.lock();
             st.trace.push(ev);
-            st.spans.push(data);
+            st.spans.push(inner.data);
+            for (histogram, value) in inner.values {
+                st.record_value(histogram, value);
+            }
         }
     }
 }
@@ -601,13 +599,14 @@ mod tests {
         t.set_meta("k", 1);
         t.transfer(0, 1, 100, 5);
         t.placement(0, 64);
-        t.record_value("h", 3);
         let mut span = t.span("job", SpanKind::Map, 0, 0, 0);
         let mut at = Instant::now();
         span.lap("read", &mut at);
+        span.record_value("h", 3);
         span.add_bytes_in(10);
         drop(span);
-        drop(t.job_phase("job", "map"));
+        t.job_phase("job", "map");
+        t.phase_bytes(1, 1);
         let report = t.report();
         assert_eq!(report.wall_time_us, 0);
         assert!(report.task_spans.is_empty() && report.histograms.is_empty());
@@ -618,8 +617,8 @@ mod tests {
         let t = Telemetry::enabled();
         t.set_meta("scheme", "block(b=5)");
         t.set_meta("scheme", "block(b=6)"); // last write wins
+        t.job_phase("j1", "map");
         {
-            let _phase = t.job_phase("j1", "map");
             let mut span = t.span("j1", SpanKind::Map, 3, 0, 1);
             let mut at = Instant::now();
             span.add_records_in(7);
@@ -628,11 +627,11 @@ mod tests {
             span.lap("map", &mut at);
             span.record_peak_working_set(2048);
             span.label("block", 3);
+            span.record_value("group.size", 4);
         }
         t.transfer(0, 1, 100, 5);
         t.transfer(0, 1, 50, 2);
         t.placement(1, 64);
-        t.record_value("group.size", 4);
         let r = t.report();
         assert_eq!(r.meta, vec![("scheme".to_string(), "block(b=6)".to_string())]);
         assert_eq!(r.task_spans.len(), 1);
@@ -675,8 +674,8 @@ mod tests {
     #[test]
     fn trace_mirrors_the_span_lifecycle_in_total_order() {
         let t = Telemetry::enabled();
+        t.job_phase("j1", "map");
         {
-            let _phase = t.job_phase("j1", "map");
             let mut span = t.span("j1", SpanKind::Map, 3, 0, 1);
             let mut at = Instant::now();
             span.lap("read", &mut at);
@@ -693,10 +692,10 @@ mod tests {
                 "task.start",
                 "task.lap",
                 "task.commit",
-                "phase.end",
                 "transfer",
                 "placement",
                 "map.rerun",
+                "phase.end",
             ]
         );
         for (i, e) in r.trace.iter().enumerate() {
@@ -706,9 +705,9 @@ mod tests {
         let lap = &r.trace[2];
         assert_eq!((lap.job.as_str(), lap.task_kind, lap.task, lap.node), ("j1", "map", 3, 1));
         assert_eq!(lap.phase, "read");
-        let xfer = &r.trace[5];
+        let xfer = &r.trace[4];
         assert_eq!((xfer.peer, xfer.node, xfer.bytes, xfer.sim_us), (0, 1, 100, 5));
-        let rerun = &r.trace[7];
+        let rerun = &r.trace[6];
         assert_eq!((rerun.node, rerun.dur_us), (1, 250));
         // The discrete event also landed in the aggregate events list.
         assert_eq!(r.events.len(), 1);
@@ -766,10 +765,10 @@ mod tests {
 
         let t = Telemetry::enabled();
         {
-            let _span = t.span("j", SpanKind::Map, 0, 0, 0);
+            let mut span = t.span("j", SpanKind::Map, 0, 0, 0);
+            span.record_value(crate::hist::EVALUATIONS_PER_TASK, 10);
+            span.record_value(crate::hist::EVALUATIONS_PER_TASK, 32);
         }
-        t.record_value(crate::hist::EVALUATIONS_PER_TASK, 10);
-        t.record_value(crate::hist::EVALUATIONS_PER_TASK, 32);
         let p = t.progress();
         assert_eq!(p.tasks_committed, 1);
         assert_eq!(p.evaluations, 42);
@@ -780,7 +779,7 @@ mod tests {
     fn clones_share_one_sink() {
         let t = Telemetry::enabled();
         let t2 = t.clone();
-        t2.record_value("h", 1);
+        t2.span("j", SpanKind::Task, 0, 0, 0).record_value("h", 1);
         assert_eq!(t.report().histograms[0].1.count, 1);
     }
 }

@@ -72,15 +72,15 @@ fn sample_report() -> RunReport {
             labels: vec![],
         },
     ];
-    let mut report = RunReport::assemble(
-        vec![
+    let mut report = RunReport {
+        meta: vec![
             ("backend".into(), "mr".into()),
             ("scheme".into(), "block".into()),
             ("scheme.v".into(), "32".into()),
             ("mr.fused".into(), "true".into()),
         ],
-        1000,
-        vec![
+        wall_time_us: 1000,
+        job_phases: vec![
             JobPhase {
                 job: "j1-distribute-evaluate".into(),
                 phase: "map".into(),
@@ -98,20 +98,20 @@ fn sample_report() -> RunReport {
                 bytes_moved: 384,
             },
         ],
-        spans,
-        vec![
+        task_spans: spans,
+        transfers: vec![
             (0, 1, LinkStats { bytes: 1024, events: 2, sim_us: 37 }),
             (1, 1, LinkStats { bytes: 512, events: 1, sim_us: 0 }),
         ],
-        vec![
+        placements: vec![
             (0, PlacementStats { blocks: 3, bytes: 6144 }),
             (1, PlacementStats { blocks: 1, bytes: 2048 }),
         ],
-        vec![
+        histograms: vec![
             ("reduce.group_size".into(), groups.snapshot()),
             ("shuffle.bytes_per_partition".into(), shuffle.snapshot()),
         ],
-        vec![
+        events: vec![
             RunEvent {
                 at_us: 450,
                 kind: "node.crash",
@@ -125,7 +125,7 @@ fn sample_report() -> RunReport {
                 detail: "map task 0 re-run on node_1 (output lost with node_2)".into(),
             },
         ],
-        vec![
+        trace: vec![
             TraceEvent {
                 seq: 0,
                 at_us: 120,
@@ -188,8 +188,10 @@ fn sample_report() -> RunReport {
                 ..TraceEvent::default()
             },
         ],
-        2,
-    );
+        trace_dropped: 2,
+        ..RunReport::default()
+    }
+    .assemble();
     report.merge_counters([
         ("mr.shuffle.bytes", 1536),
         ("mr.map.output.bytes", 1024),

@@ -68,6 +68,7 @@ fn disabled_sink_hot_path_does_not_allocate() {
         span.add_records_out(8);
         span.record_peak_working_set(4096);
         span.lap("map", &mut lap_at);
+        span.record_value("hist", task as u64);
         drop(span);
         // Trace-ring mirror paths: a cancelled span and a report
         // snapshot must also be free on the disabled handle.
@@ -76,10 +77,11 @@ fn disabled_sink_hot_path_does_not_allocate() {
         drop(loser);
         let report = telemetry.report();
         assert!(report.trace.is_empty() && report.trace_dropped == 0);
-        telemetry.record_value("hist", task as u64);
         telemetry.transfer(0, 1, 1024, 3);
         telemetry.placement(1, 1024);
-        drop(telemetry.job_phase("job", "phase").next("next-phase"));
+        telemetry.job_phase("job", "phase");
+        telemetry.job_phase("job", "next-phase");
+        telemetry.phase_bytes(1024, 64);
         let _ = telemetry.now_us();
         let _ = telemetry.clone();
         // Distributed-tracing paths: merging worker rings and sampling

@@ -72,6 +72,7 @@ fn every_scheme_survives_node_crashes_with_identical_output() {
             let cluster = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, chaos_seed))
                 .with_telemetry(Telemetry::enabled());
             let chaotic = run_plan(&cluster, plan);
+            chaotic.check().unwrap_or_else(|e| panic!("{name}/seed {chaos_seed}: {e}"));
             assert_eq!(cluster.node_crashes(), 1, "{name}/seed {chaos_seed}");
             let kept = cluster.dfs().list("");
             assert!(kept.is_empty(), "{name}/seed {chaos_seed}: files outlived the run: {kept:?}");
@@ -142,6 +143,7 @@ fn crashes_with_speculation_still_byte_identical() {
     };
     let cluster = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, 77).speculation(2.0));
     let chaotic = run_on(&cluster, Arc::new(BlockScheme::new(v, 4)));
+    chaotic.check().unwrap();
     assert_eq!(cluster.node_crashes(), 1);
     assert_eq!(chaotic.output, healthy.output);
     assert_eq!(chaotic.evaluations(), v * (v - 1) / 2);

@@ -67,6 +67,7 @@ fn merged_worker_spans_sum_exactly_to_wire_class_totals() {
         .expect("spawn workers")
         .with_telemetry(telemetry.clone());
     let run = traced_run(&cluster, &telemetry, 7);
+    run.check().unwrap();
     let report = &run.report;
     assert_eq!(report.trace_dropped, 0, "coordinator ring must not drop in a run this small");
 
@@ -138,6 +139,7 @@ fn sigkilled_worker_is_marked_lost_and_trace_stays_ordered() {
         .expect("spawn workers")
         .with_telemetry(telemetry.clone());
     let run = traced_run(&cluster, &telemetry, 11);
+    run.check().unwrap();
     let report = &run.report;
     assert_eq!(run.mr[0].node_crashes, 1, "the chaos plan fired");
 

@@ -94,6 +94,8 @@ fn fused_mr_skips_job2_with_identical_output_and_charged_bytes() {
 
         // The fused path is a single job; the unfused path is the paper's
         // literal two-job pipeline.
+        fused.check().unwrap_or_else(|e| panic!("{name}: fused: {e}"));
+        unfused.check().unwrap_or_else(|e| panic!("{name}: unfused: {e}"));
         let (f, u) = (&fused.mr[0], &unfused.mr[0]);
         assert!(f.fused && f.job2.is_none(), "{name}: fused run must skip job 2");
         assert!(!u.fused && u.job2.is_some(), "{name}: unfused run must keep job 2");
@@ -379,6 +381,7 @@ fn fused_path_is_exactly_once_under_seeded_node_crashes() {
                 .run()
                 .unwrap();
             assert_eq!(cluster.node_crashes(), 1, "{name}/seed {chaos_seed}");
+            chaotic.check().unwrap_or_else(|e| panic!("{name}/seed {chaos_seed}: {e}"));
             let report = &chaotic.mr[0];
             assert!(report.fused && report.job2.is_none(), "{name}/seed {chaos_seed}");
             assert_eq!(
@@ -552,6 +555,7 @@ fn order_sensitive_merge_is_bit_identical_under_speculation_and_chaos() {
         let cluster =
             Cluster::new(ClusterConfig::with_nodes(4).speculation(2.0).chaos(1, chaos_seed));
         let chaotic = run(Backend::Mr(&cluster));
+        chaotic.check().unwrap_or_else(|e| panic!("seed {chaos_seed}: {e}"));
         assert_eq!(cluster.node_crashes(), 1, "seed {chaos_seed}");
         assert_eq!(bits(&chaotic), bits(&healthy), "seed {chaos_seed}: merge order moved");
     }

@@ -230,15 +230,8 @@ fn run_report_covers_mr_pipeline() {
     assert!(report.task_spans.iter().any(|s| s.kind == "reduce"));
     assert!(!report.node_timelines.is_empty());
     assert!(report.meta.iter().any(|(k, v)| k == "scheme" && v == "block"));
-    // Shuffle bytes recorded in the histogram agree with the counter total.
-    let shuffle_hist = report
-        .histograms
-        .iter()
-        .find(|(name, _)| name == "shuffle.bytes_per_partition")
-        .map(|(_, h)| h.sum)
-        .unwrap();
-    let shuffle_counter = report.counter(pairwise_mr::mapreduce::builtin::SHUFFLE_BYTES).unwrap();
-    assert_eq!(shuffle_hist, shuffle_counter);
+    // Histograms, spans and counters agree.
+    run.check().unwrap();
     // JSON export round-trips through the writer without panicking and
     // carries the schema tag.
     let json = report.to_json();

@@ -12,19 +12,11 @@ use std::sync::Arc;
 
 use pairwise_mr::apps::distance::euclidean_comp;
 use pairwise_mr::apps::generate::gaussian_clusters;
-use pairwise_mr::mapreduce::builtin;
+use pairwise_mr::cluster::{ClusterError, NodeId};
 use pairwise_mr::prelude::*;
 
 fn process_config(n: usize) -> ClusterConfig {
     ClusterConfig::with_nodes(n).transport(TransportKind::Process { socket: SocketMode::Uds })
-}
-
-fn moved(run: &PairwiseRun<f64>, counter: &str) -> u64 {
-    run.mr
-        .iter()
-        .flat_map(|r| std::iter::once(&r.job1).chain(r.job2.as_ref()))
-        .map(|j| j.counters.get(counter).copied().unwrap_or(0))
-        .sum()
 }
 
 fn run_on(
@@ -84,21 +76,11 @@ fn output_and_charged_counters_identical_across_transports() {
 
             // The in-process transport never touches a socket; the
             // multi-process one physically moved exactly what the moved
-            // counters reported (healthy run, no speculation).
+            // counters reported (healthy run, no speculation: `check`).
             assert_eq!(ra.transport, "in-process");
             assert_eq!(ra.wire.total_bytes(), 0, "{label}");
             assert_eq!(rb.transport, "process");
-            assert_eq!(
-                rb.wire.shuffle_bytes,
-                moved(&b, builtin::SHUFFLE_MOVED_BYTES),
-                "{label}: wire shuffle bytes == mr.shuffle.moved.bytes"
-            );
-            assert_eq!(
-                rb.wire.map_output_bytes,
-                moved(&b, builtin::MAP_OUTPUT_MOVED_BYTES),
-                "{label}: wire partition puts == mr.map.output.moved.bytes"
-            );
-            assert_eq!(rb.wire.shuffle_bytes, rb.shuffle_moved_bytes, "{label}");
+            b.check().unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(rb.wire.seed_bytes > 0, "{label}: store was shipped to the workers");
         }
     }
@@ -125,10 +107,8 @@ fn sigkill_of_real_worker_is_recovered_with_identical_output() {
     let table = cluster.workers();
     let dead: Vec<_> = table.iter().filter(|w| !w.alive).collect();
     assert_eq!(dead.len(), 1, "exactly one worker process was killed: {table:?}");
-    assert!(
-        r.wire.shuffle_bytes >= r.shuffle_moved_bytes,
-        "recovery may re-move data but never less than the counters claim"
-    );
+    // Recovery may re-move data, but never less than the counters claim.
+    chaotic.check().unwrap();
     assert!(r.wire.total_bytes() > 0);
 }
 
@@ -148,4 +128,27 @@ fn tcp_socket_mode_matches_uds() {
     assert_eq!(a.output, b.output);
     assert_eq!(a.mr[0].shuffle_bytes, b.mr[0].shuffle_bytes);
     assert_eq!(a.mr[0].wire.shuffle_bytes, b.mr[0].wire.shuffle_bytes);
+}
+
+/// A run removes the dataset copy it seeded into every worker, whether it
+/// succeeds or fails: a long-lived cluster does not collect one per run.
+#[test]
+fn seeded_store_is_removed_after_success_and_failure() {
+    let (points, _) = gaussian_clusters(24, 3, 2, 0.5, 5);
+    let v = points.len() as u64;
+    for (config, ok) in
+        [(process_config(2), true), (process_config(2).task_memory_budget(64), false)]
+    {
+        let cluster = Cluster::try_new(config).expect("spawn workers");
+        let run = PairwiseJob::new(&points, euclidean_comp())
+            .scheme(BlockScheme::new(v, 3))
+            .backend(Backend::Mr(&cluster))
+            .mr_options(MrPairwiseOptions { dfs_dir: "seeded".into(), ..Default::default() })
+            .run();
+        assert_eq!(run.is_ok(), ok, "{:?}", run.err());
+        for n in 0..2 {
+            let seed = cluster.transport().store(NodeId(n)).get("seed/seeded/store");
+            assert!(matches!(seed, Err(ClusterError::NoSuchFile(_))), "worker {n}: {seed:?}");
+        }
+    }
 }

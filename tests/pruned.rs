@@ -127,10 +127,10 @@ proptest! {
         prop_assert_eq!(&exact.output, &pruned.output);
 
         // Pruning accounting: every enumerated pair is either pruned or
-        // evaluated, and the counters mirror the report section.
+        // evaluated (`check`), and the counters mirror the report section.
+        prop_assert_eq!(pruned.check(), Ok(()));
         let p = pruned.report.pruning.as_ref().expect("filtered run reports pruning");
         prop_assert_eq!(p.candidates, (v * (v - 1) / 2) as u64);
-        prop_assert_eq!(p.pruned + p.evaluated, p.candidates);
         prop_assert_eq!(pruned.evaluations(), p.evaluated);
         prop_assert_eq!(
             pruned.report.counter(CANDIDATE_PAIRS_COUNTER),
@@ -240,7 +240,7 @@ fn pruned_runs_agree_across_schemes_backends_fusion_and_chaos() {
                 assert_eq!(run.output, reference.output, "{case}: pruned output drifted");
                 let p = run.report.pruning.as_ref().unwrap();
                 assert_eq!(p.candidates, total_pairs, "{case}: candidates == C(v, 2)");
-                assert_eq!(p.evaluated + p.pruned, p.candidates, "{case}: evaluated + pruned");
+                run.check().unwrap_or_else(|e| panic!("{case}: {e}"));
                 assert_eq!(run.evaluations(), p.evaluated, "{case}: evaluations");
             }
             let (mp, cp) = (mr.report.pruning.as_ref().unwrap(), chaotic.report.pruning.unwrap());
