@@ -7,7 +7,7 @@ use pmr_mapreduce::builtin::{
 use pmr_mapreduce::JobOutput;
 use pmr_obs::{hist, trace, TaskSpan};
 
-use crate::runner::mr::{EVALUATIONS_COUNTER, PART_CONSUME_EVENT};
+use crate::runner::mr::{EVALUATIONS_COUNTER, FUSED_CHARGED_SHUFFLE_COUNTER, PART_CONSUME_EVENT};
 use crate::runner::PairwiseRun;
 
 /// Returns the formatted failure from the enclosing function unless the
@@ -38,6 +38,18 @@ impl<R> PairwiseRun<R> {
             let (spilled, written) =
                 (counter(job, SPILLED_RECORDS), counter(job, MAP_OUTPUT_RECORDS));
             law!(spilled == written, "{spilled} records spilled, {written} written");
+        }
+        // The within-run charge law: the shuffle job 1 books for job 2 is
+        // what job 2 charges.
+        for m in &self.mr {
+            if let Some(job2) = &m.job2 {
+                let booked = counter(&m.job1, FUSED_CHARGED_SHUFFLE_COUNTER);
+                let charged = counter(job2, SHUFFLE_BYTES);
+                law!(
+                    booked == charged,
+                    "job 1 booked {booked} B for job 2, job 2 charged {charged} B"
+                );
+            }
         }
         if let Some(p) = &r.pruning {
             let (pruned, evaluated, candidates) = (p.pruned, p.evaluated, p.candidates);
@@ -111,7 +123,7 @@ impl<R> PairwiseRun<R> {
                 law!(spans == counted, "{name}: the spans sum to {spans}, {key} is {counted}");
             }
         }
-        // The driver reads each part of every run's last job as it commits.
+        // The driver takes each part of every run's last job as it commits.
         let parts: usize =
             self.mr.iter().map(|m| m.job2.as_ref().unwrap_or(&m.job1).stats.reduce_tasks).sum();
         let consumed = r.events.iter().filter(|e| e.kind == PART_CONSUME_EVENT).count();

@@ -323,6 +323,9 @@ where
         // later phase hands over from the one before. An MR run's phases
         // all go to the cluster's sink, where the engine records its own:
         // a builder sink beside a cluster without one gets none of them.
+        // The sink drops what earlier runs recorded, so the report covers
+        // this run alone.
+        effective.begin_run();
         match backend {
             Backend::Sequential => effective.job_phase("sequential", "evaluate"),
             Backend::Local { .. } => effective.job_phase("local", "evaluate"),

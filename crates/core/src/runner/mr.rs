@@ -37,9 +37,11 @@
 //! The driver collects job 2's or the broadcast job's rows the same way,
 //! part by part as they commit.
 //!
-//! A run deletes every part as soon as it is read, and everything else
-//! under its DFS directory — and the dataset copy it seeded into each
-//! worker process — before it returns, on success and on error.
+//! A job whose output the driver consumes writes no part file: each part
+//! reaches the driver in memory. What a run does write under its DFS
+//! directory — the input shards, and job 1's parts on the two-job
+//! pipeline — and the dataset copy it seeded into each worker process are
+//! deleted before it returns, on success and on error.
 //!
 //! **Phases** form one chain on the telemetry sink: `PairwiseJob::run`
 //! opens the first on the runner's I/O track (job `{dir}-io`), each job
@@ -82,8 +84,7 @@ use crate::scheme::DistributionScheme;
 /// User counter: pairwise function evaluations performed inside tasks.
 pub const EVALUATIONS_COUNTER: &str = "pairwise.evaluations";
 
-/// Run event: the driver read (and merged or collected) one part of a
-/// job's output.
+/// Run event: the driver merged or collected one part of a job's output.
 pub const PART_CONSUME_EVENT: &str = "part.consume";
 
 /// User counter: the shuffle bytes job 2 charges for the records a job-1
@@ -564,7 +565,7 @@ fn record_analytic_meta(telemetry: &Telemetry, scheme: &dyn DistributionScheme, 
     );
 }
 
-/// Hands each `(id, partials)` frame of one part file — job 1's or the
+/// Hands each `(id, partials)` frame of one part — job 1's or the
 /// aggregated output's — to `copy` with the id's entry of the id-indexed
 /// `slots`. A corrupt frame or an id outside the store is an error, as in
 /// job 2.
@@ -584,7 +585,7 @@ fn for_each_copy<S, R: Wire>(
     Ok(())
 }
 
-/// Merges one job-1 part file into the id-indexed accumulators: an
+/// Merges one job-1 part into the id-indexed accumulators: an
 /// element's first copy is adopted as its accumulator, every later one
 /// merged into it.
 fn merge_part<R: Wire>(
@@ -602,7 +603,7 @@ fn merge_part<R: Wire>(
     })
 }
 
-/// Writes one job-1 part file's entries straight into the id-indexed
+/// Writes one job-1 part's entries straight into the id-indexed
 /// placed rows (`runner::place`); a neighbour outside the run, the element
 /// itself, or one written twice is an error.
 fn place_part<R: Wire + Clone>(
@@ -617,11 +618,10 @@ fn place_part<R: Wire + Clone>(
 
 /// Runs `spec` and hands each of its parts to `consume` on the calling
 /// thread, in part order, as the part's reduce task commits — while the
-/// rest of the reduce phase runs. A part is deleted from the DFS as soon
-/// as it is read, so its stored copy and the driver's are never both
-/// held through the merge. Each consumed part is recorded as a
-/// `part.consume` event on the driver (no node), carrying the read and
-/// merge time.
+/// rest of the reduce phase runs. The part comes from the reduce task in
+/// memory (`Engine::run_with_sink`): the job writes nothing to the DFS.
+/// Each consumed part is recorded as a `part.consume` event on the driver
+/// (no node), carrying the merge time.
 fn run_consuming<M, R>(
     engine: &Engine<'_>,
     spec: JobSpec<M, R>,
@@ -631,26 +631,15 @@ where
     M: Mapper,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    let cluster = engine.cluster();
-    let telemetry = cluster.telemetry();
-    engine.run_with_sink(spec, |path| {
-        let started = Instant::now();
-        let part = cluster.dfs().read(path)?;
-        let (len, read) = (part.len(), started.elapsed());
-        cluster.dfs().delete(path);
-        let merging = Instant::now();
+    let telemetry = engine.cluster().telemetry();
+    let job = spec.name.clone();
+    engine.run_with_sink(spec, |k, part| {
+        let (len, started) = (part.len(), Instant::now());
         consume(part)?;
         if telemetry.is_enabled() {
-            telemetry.event_traced(
-                PART_CONSUME_EVENT,
-                trace::NONE,
-                started.elapsed().as_micros() as u64,
-                format!(
-                    "{path}: {len} B, read {} µs, merge {} µs",
-                    read.as_micros(),
-                    merging.elapsed().as_micros()
-                ),
-            );
+            let merge = started.elapsed().as_micros() as u64;
+            let detail = format!("{job} part {k}: {len} B, merge {merge} µs");
+            telemetry.event_traced(PART_CONSUME_EVENT, trace::NONE, merge, detail);
         }
         Ok(())
     })
@@ -706,9 +695,9 @@ pub(crate) fn open_io_phase(cluster: &Cluster, dir: &str) {
 /// `{dir}`. Aggregation follows `runner::aggregation_rule`: a fused run,
 /// or one of several rounds, merges each job 1's output on the driver; an
 /// unfused one-batch run aggregates in job 2, and a broadcast run in its
-/// reduce, and either collects `{dir}/out`. Every job's output reaches
-/// the driver through `run_consuming`, and no file under `{dir}` outlives
-/// the call.
+/// reduce, and either collects that job's output. The last job's output
+/// reaches the driver through `run_consuming`, in memory, and no file
+/// under `{dir}` outlives the call.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mr_impl<T, R>(
     cluster: &Cluster,
@@ -815,10 +804,10 @@ where
         // the driver as their reduce tasks commit, and the driver merges
         // the per-copy accumulators off each one — or, placing, writes the
         // output rows themselves — while the rest of the reduce phase runs.
-        // Parts go over in part order, on the calling thread, each read
-        // once and frame by frame, so the merge sequence (and with it
-        // every aggregator's output) does not depend on commit order, and
-        // the driver holds one part's bytes and one set of rows. The
+        // Parts go over in part order, on the calling thread, each walked
+        // frame by frame, so the merge sequence (and with it every
+        // aggregator's output) does not depend on commit order; a part
+        // that commits ahead of an earlier one waits there in memory. The
         // shuffle job 2 would have charged was accrued (exactly-once) by
         // the job-1 reduce tasks, so the reported charged bytes still equal
         // the two-job total while nothing extra moved.

@@ -110,7 +110,8 @@ fn report_wall_starts_with_the_run_not_the_sink() {
 
 /// A failed run ends its phase chain where it fails: on a cluster sink
 /// the next run reuses, its open phase does not run on through the idle
-/// time before that run.
+/// time before that run. The sink still holds the failed run until the
+/// next one begins, and that run's report covers itself alone.
 #[test]
 fn failed_run_closes_its_phase_on_a_reused_sink() {
     let v = 48u64;
@@ -126,11 +127,31 @@ fn failed_run_closes_its_phase_on_a_reused_sink() {
     broadcast().backend(Backend::Mr(&cluster)).mr_options(overhead).run().unwrap_err();
     let failed_at = cluster.telemetry().now_us();
     std::thread::sleep(std::time::Duration::from_millis(20));
-    let report = broadcast().backend(Backend::Mr(&cluster)).run().unwrap().report;
-    let failed: Vec<_> = report.job_phases.iter().filter(|p| p.start_us < failed_at).collect();
+    // A phase left open would be closed here, 20 ms after the failure.
+    let failed = cluster.telemetry().report().job_phases;
     assert!(failed.iter().any(|p| p.phase == "map"), "the failed run reached the engine");
-    for p in failed {
+    for p in &failed {
         assert!(p.end_us <= failed_at, "{p:?} ran on past the failure at {failed_at} µs");
+    }
+    let run = broadcast().backend(Backend::Mr(&cluster)).run().unwrap();
+    run.check().unwrap();
+    let early = run.report.job_phases.iter().find(|p| p.start_us < failed_at);
+    assert!(early.is_none(), "the failed run's {early:?} is in the next run's report");
+}
+
+/// Two runs back to back on one traced cluster: each report holds its own
+/// run's phases, spans, events and histograms, so both pass `check`.
+#[test]
+fn each_run_on_a_shared_sink_reports_itself_alone() {
+    let data: Vec<u64> = (0..24).map(|i| i * 17 % 257).collect();
+    let cluster = Cluster::new(ClusterConfig::with_nodes(3)).with_telemetry(Telemetry::enabled());
+    for i in 0..2 {
+        let run = PairwiseJob::new(&data, comp())
+            .scheme(BlockScheme::new(24, 4))
+            .backend(Backend::Mr(&cluster))
+            .run()
+            .unwrap();
+        run.check().unwrap_or_else(|e| panic!("run {i}: {e}"));
     }
 }
 
@@ -153,7 +174,8 @@ fn fused_merge_runs_inside_job1_reduce_and_is_traced() {
     let reduce = engine.iter().find(|p| p.phase == "reduce").expect("job 1 has a reduce phase");
     for e in report.trace.iter().filter(|e| e.kind == "part.consume") {
         assert_eq!(e.node, trace::NONE, "consumed on the driver: {}", e.detail);
-        assert!(e.detail.contains(" read ") && e.detail.contains(" merge "), "{}", e.detail);
+        // The part arrives in memory: there is no read to time.
+        assert!(e.detail.contains(" B, merge ") && !e.detail.contains(" read "), "{}", e.detail);
         let inside = reduce.start_us + e.dur_us <= e.at_us && e.at_us <= reduce.end_us;
         assert!(inside, "{e:?} outside job 1's reduce {reduce:?}");
     }

@@ -247,7 +247,7 @@ impl<'a, K: Wire, V: Wire> ReduceContext<'a, K, V> {
     }
 
     /// Emits one output record, encoded in place at the end of the task's
-    /// DFS part file (no intermediate key or value buffer).
+    /// output part (no intermediate key or value buffer).
     pub fn emit(&mut self, key: K, value: V) {
         self.offsets.push(self.out.len() as u64);
         write_framed_record(self.out, &key, &value);

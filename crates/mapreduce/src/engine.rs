@@ -34,17 +34,18 @@
 //!   that multiple of the median completed-task time gets a backup attempt
 //!   on another node; the commit CAS arbitrates, and the loser's partial
 //!   output is never observed (map outputs are read via the winner's
-//!   recorded site; reduce output is written to the DFS only by the
-//!   winner).
+//!   recorded site; reduce output is published only by the winner).
 //!
 //! # Streaming the output
 //!
-//! [`Engine::run_with_sink`] hands each committed part file to a caller's
-//! sink during the reduce phase, in part order, on the calling thread —
-//! which otherwise would only wait for the workers. Only a commit
-//! announces a part, so a part is handed over exactly once whatever
-//! retries, speculation and crashes happened; [`Engine::run`] is the same
-//! body with a sink that does nothing.
+//! [`Engine::run`] writes each reduce task's output to the DFS as a part
+//! file, the input of a next job. [`Engine::run_with_sink`], the same
+//! body, writes nothing: the winning attempt's output travels with its
+//! commit announcement to the calling thread — which otherwise would only
+//! wait for the workers — and goes to the caller's sink there, in part
+//! order, during the reduce phase. Only a commit announces a part, so a
+//! part is handed over exactly once whatever retries, speculation and
+//! crashes happened.
 //!
 //! Per-attempt histograms (group sizes, shuffle bytes per partition) are
 //! recorded as attempts run, so under speculation a losing attempt may
@@ -55,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::{mpsc, Condvar};
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use pmr_cluster::{Cluster, ClusterError, MemoryGauge, NodeId, TaskAttemptId, TaskKind};
 use pmr_obs::{hist, Span, SpanKind};
@@ -319,7 +320,7 @@ where
 
 /// A reduce attempt's output, held back until the attempt wins commit.
 struct ReduceDone {
-    out: bytes::Bytes,
+    out: Bytes,
     offsets: Vec<u64>,
     lap_at: Instant,
 }
@@ -335,29 +336,47 @@ impl<'c> Engine<'c> {
         self.cluster
     }
 
-    /// Runs one job to completion.
+    /// Runs one job to completion, writing each reduce task's output to
+    /// the DFS part file its [`JobOutput::output_paths`] names.
     pub fn run<M, R>(&self, spec: JobSpec<M, R>) -> Result<JobOutput>
     where
         M: Mapper,
         R: Reducer<KIn = M::KOut, VIn = M::VOut>,
     {
-        self.run_with_sink(spec, |_| Ok(()))
+        self.run_job(spec, None)
     }
 
     /// Runs one job to completion, handing each reduce task's committed
-    /// part file to `sink` while the rest of the reduce phase runs.
+    /// output to `sink` while the rest of the reduce phase runs. Nothing
+    /// is written to the DFS, so [`JobOutput::output_paths`] is empty.
     ///
-    /// `sink(path)` runs on the calling thread, once per part, in part
-    /// order: part `k` only after parts `0..k`, each as soon as the task's
-    /// winning attempt has written it (never a losing or failed attempt's
-    /// output). An error from `sink` fails the job with that error, like a
-    /// task error: the workers stop and the job's node-local files are
-    /// removed. The job's [`JobOutput::output_paths`] name the parts; a sink
-    /// may delete each one it has consumed.
+    /// `sink(part, bytes)` runs on the calling thread, once per part, in
+    /// part order: part `k` only after parts `0..k`, each as soon as the
+    /// task's winning attempt has committed (never a losing or failed
+    /// attempt's output). `bytes` is the framed record stream
+    /// [`Engine::run`] would write as the part file; a part that commits
+    /// ahead of an earlier one waits on the calling thread. An error from
+    /// `sink` fails the job with that error, like a task error: the
+    /// workers stop, parts still waiting are dropped and the job's
+    /// node-local files are removed.
     pub fn run_with_sink<M, R>(
         &self,
         spec: JobSpec<M, R>,
-        mut sink: impl FnMut(&str) -> Result<()>,
+        mut sink: impl FnMut(usize, Bytes) -> Result<()>,
+    ) -> Result<JobOutput>
+    where
+        M: Mapper,
+        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    {
+        self.run_job(spec, Some(&mut sink))
+    }
+
+    /// The one job body: reduce output goes to `sink` when there is one,
+    /// to DFS part files otherwise.
+    fn run_job<M, R>(
+        &self,
+        spec: JobSpec<M, R>,
+        mut sink: Option<&mut dyn FnMut(usize, Bytes) -> Result<()>>,
     ) -> Result<JobOutput>
     where
         M: Mapper,
@@ -466,7 +485,7 @@ impl<'c> Engine<'c> {
             cluster.config().node.map_slots,
             &error,
             |task, me, backup| job.attempt_map(task, me, backup),
-            |_| Ok(()),
+            |_, ()| Ok(()),
         );
         let charged_total: u64 = job.charges.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         if let Some(e) = error.lock().take() {
@@ -487,6 +506,7 @@ impl<'c> Engine<'c> {
         telemetry.job_phase(&spec.name, "reduce");
         let reduce_assignment: Vec<usize> = (0..spec.num_reducers).map(|r| r % n).collect();
         let reduce_board = PhaseBoard::new(TaskKind::Reduce, n, &reduce_assignment);
+        let hand_over = sink.is_some();
         job.run_phase(
             &reduce_board,
             cluster.config().node.reduce_slots,
@@ -498,10 +518,19 @@ impl<'c> Engine<'c> {
                     me,
                     backup,
                     |scratch, span| job.reduce_body(task, me, scratch, span),
-                    |done, span| job.write_part(task, done, span),
+                    |done, span| {
+                        if hand_over {
+                            Ok(Some(done.out))
+                        } else {
+                            job.write_part(task, done, span).map(|()| None)
+                        }
+                    },
                 )
             },
-            |task| sink(&part_path(&spec.output, task)),
+            |task, out| match (sink.as_mut(), out) {
+                (Some(sink), Some(out)) => sink(task, out),
+                _ => Ok(()),
+            },
         );
         telemetry.phase_bytes(
             counters.get(builtin::SHUFFLE_BYTES),
@@ -521,8 +550,8 @@ impl<'c> Engine<'c> {
         if crash_delta > 0 {
             counters.add(builtin::NODE_CRASHES, crash_delta);
         }
-        let output_paths: Vec<String> =
-            (0..spec.num_reducers).map(|r| part_path(&spec.output, r)).collect();
+        let parts = if hand_over { 0 } else { spec.num_reducers };
+        let output_paths: Vec<String> = (0..parts).map(|r| part_path(&spec.output, r)).collect();
         let stats = JobStats {
             map_tasks: num_maps,
             reduce_tasks: spec.num_reducers,
@@ -558,26 +587,27 @@ where
     /// Runs one phase to completion on `slots` worker threads per node.
     /// Each worker pops its node's queue (or, idle, backs up a straggler)
     /// and hands the task to `attempt(task, node, is_backup)`, which
-    /// returns whether it committed the task; an attempt whose node died
-    /// under it is re-queued on a live node, and the first other error
-    /// stops every worker of the phase.
+    /// returns what it published if it committed the task; an attempt
+    /// whose node died under it is re-queued on a live node, and the first
+    /// other error stops every worker of the phase.
     ///
-    /// Meanwhile the calling thread hands the committed tasks to
-    /// `on_commit` in task order: a worker announces each task it commits
-    /// on a channel, and task `k` goes over once `0..k` have. The channel
-    /// closes when the last worker exits. An `on_commit` error becomes the
-    /// phase error.
-    fn run_phase(
+    /// Meanwhile the calling thread hands the committed tasks, each with
+    /// what its winner published, to `on_commit` in task order: a worker
+    /// announces each task it commits on a channel, a task committed ahead
+    /// of an earlier one is held here, and task `k` goes over once `0..k`
+    /// have. The channel closes when the last worker exits. An `on_commit`
+    /// error becomes the phase error, and the tasks still held are dropped.
+    fn run_phase<P: Send>(
         &self,
         board: &PhaseBoard,
         slots: usize,
         error: &Mutex<Option<MrError>>,
-        attempt: impl Fn(usize, NodeId, bool) -> Result<bool> + Sync,
-        mut on_commit: impl FnMut(usize) -> Result<()>,
+        attempt: impl Fn(usize, NodeId, bool) -> Result<Option<P>> + Sync,
+        mut on_commit: impl FnMut(usize, P) -> Result<()>,
     ) {
         let cluster = self.cluster;
         let attempt = &attempt;
-        let (announce, committed) = mpsc::channel::<usize>();
+        let (announce, committed) = mpsc::channel::<(usize, P)>();
         crossbeam::thread::scope(|scope| {
             for node_idx in 0..cluster.num_nodes() {
                 for _slot in 0..slots.max(1) {
@@ -617,10 +647,10 @@ where
                             match attempt(task, me, is_backup) {
                                 // The receiver is gone only after an
                                 // `on_commit` error, which stops the phase.
-                                Ok(true) => {
-                                    let _ = announce.send(task);
+                                Ok(Some(published)) => {
+                                    let _ = announce.send((task, published));
                                 }
-                                Ok(false) => {}
+                                Ok(None) => {}
                                 Err(MrError::Cluster(ClusterError::NodeDead(_))) => {
                                     board.requeue_on_live(cluster, task);
                                 }
@@ -640,12 +670,12 @@ where
                 }
             }
             drop(announce);
-            let mut ready = vec![false; board.winner.len()];
+            let mut held: Vec<Option<P>> = board.winner.iter().map(|_| None).collect();
             let mut next = 0;
-            for task in committed {
-                ready[task] = true;
-                while next < ready.len() && ready[next] {
-                    if let Err(e) = on_commit(next) {
+            for (task, published) in committed {
+                held[task] = Some(published);
+                while let Some(published) = held.get_mut(next).and_then(Option::take) {
+                    if let Err(e) = on_commit(next, published) {
                         error.lock().get_or_insert(e);
                         board.wake_all();
                         return;
@@ -663,16 +693,17 @@ where
     /// attempt that wins the task's commit CAS hands that output to
     /// `publish`, merges its scratch counters and records its span. A
     /// failed or losing attempt's span is cancelled and its counters
-    /// dropped. Returns whether this call committed the task.
-    fn drive<T>(
+    /// dropped. Returns what `publish` returned if this call committed the
+    /// task.
+    fn drive<T, P>(
         &self,
         board: &PhaseBoard,
         task: usize,
         me: NodeId,
         is_backup: bool,
         body: impl FnOnce(&Counters, &mut Span) -> Result<T>,
-        publish: impl FnOnce(T, &mut Span) -> Result<()>,
-    ) -> Result<bool> {
+        publish: impl FnOnce(T, &mut Span) -> Result<P>,
+    ) -> Result<Option<P>> {
         let cluster = self.cluster;
         let kind = board.name();
         if is_backup {
@@ -689,7 +720,7 @@ where
         let max_attempts = cluster.config().max_task_attempts.max(1);
         let attempt = loop {
             if !board.is_open(task) {
-                return Ok(false); // a sibling attempt already committed
+                return Ok(None); // a sibling attempt already committed
             }
             if !cluster.is_alive(me) {
                 return Err(ClusterError::NodeDead(me).into());
@@ -723,17 +754,16 @@ where
             Ok(out) if board.try_win(task, attempt) => out,
             lost_or_failed => {
                 span.cancel();
-                return lost_or_failed.map(|_| false);
+                return lost_or_failed.map(|_| None);
             }
         };
-        if let Err(err) = publish(out, &mut span) {
-            // Nothing became visible (a reduce part is deleted before it
-            // is written): reopen the task, or its re-queued attempt would
-            // find it won and the phase would wait for it forever.
+        // A failed publish made nothing visible (a reduce part is deleted
+        // before it is written): reopen the task, or its re-queued attempt
+        // would find it won and the phase would wait for it forever.
+        let published = publish(out, &mut span).inspect_err(|_| {
             span.cancel();
             board.reopen(task);
-            return Err(err);
-        }
+        })?;
         commit_scratch(&self.counters, &scratch);
         drop(span);
         board.finish(run_started.elapsed().as_micros() as u64);
@@ -744,13 +774,13 @@ where
                 .event("speculative.win", format!("backup of {kind} task {task} won on {me}"));
         }
         let _ = cluster.note_task_completion();
-        Ok(true)
+        Ok(Some(published))
     }
 
     /// One map task through the commit protocol: the winner publishes its
     /// per-partition charges and output site, charges the extra bytes as
     /// intermediate storage, and the cluster's capacity is checked.
-    fn attempt_map(&self, task: usize, me: NodeId, is_backup: bool) -> Result<bool> {
+    fn attempt_map(&self, task: usize, me: NodeId, is_backup: bool) -> Result<Option<()>> {
         let cluster = self.cluster;
         let committed = self.drive(
             &self.map_board,
@@ -763,7 +793,7 @@ where
                 Ok(())
             },
         )?;
-        if committed {
+        if committed.is_some() {
             cluster.check_intermediate_capacity()?;
         }
         Ok(committed)
@@ -849,8 +879,8 @@ where
     }
 
     /// Body of one reduce attempt: shuffle (with lost-map recovery), sort,
-    /// reduce. The output is returned, not written — the committer writes
-    /// the DFS part file only for the winning attempt.
+    /// reduce. The output is returned, not written — the committer
+    /// publishes it only for the winning attempt.
     fn reduce_body(
         &self,
         task: usize,
@@ -942,10 +972,11 @@ where
         Ok(ReduceDone { out: out.freeze(), offsets, lap_at })
     }
 
-    /// Publishes a winning reduce attempt: its DFS part file. Only the
-    /// winner touches the output path, so a losing sibling can never
-    /// clobber or merge into committed output; the delete keeps re-running
-    /// a whole job over the same output directory idempotent.
+    /// Publishes a winning reduce attempt of a job without a sink: its DFS
+    /// part file. Only the winner touches the output path, so a losing
+    /// sibling can never clobber or merge into committed output; the
+    /// delete keeps re-running a whole job over the same output directory
+    /// idempotent.
     fn write_part(&self, task: usize, mut done: ReduceDone, span: &mut Span) -> Result<()> {
         let path = part_path(&self.spec.output, task);
         self.cluster.dfs().delete(&path);

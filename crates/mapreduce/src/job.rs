@@ -22,7 +22,9 @@ where
     /// DFS input paths. Each must be a framed record file of `(M::KIn,
     /// M::VIn)` records.
     pub inputs: Vec<String>,
-    /// DFS output directory; reduce task `r` writes `/{output}/part-{r:05}`.
+    /// DFS output directory; under [`Engine::run`](crate::Engine::run)
+    /// reduce task `r` writes `/{output}/part-{r:05}`. A job run with a
+    /// sink writes no part file.
     pub output: String,
     /// The map function.
     pub mapper: M,
@@ -105,7 +107,9 @@ where
 /// Result of a completed job.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
-    /// DFS paths of the reduce outputs, in task order.
+    /// DFS paths of the reduce outputs, in task order. Empty for a job run
+    /// with a sink ([`Engine::run_with_sink`](crate::Engine::run_with_sink)),
+    /// which writes no part file.
     pub output_paths: Vec<String>,
     /// Counter snapshot (engine builtins + user counters).
     pub counters: BTreeMap<String, u64>,

@@ -1,5 +1,7 @@
 //! End-to-end tests of the MapReduce engine on the simulated cluster.
 
+use std::sync::{Arc, Mutex};
+
 use bytes::Bytes;
 use pmr_cluster::{Cluster, ClusterConfig, ClusterError};
 use pmr_mapreduce::{
@@ -652,9 +654,16 @@ fn with_watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -
 }
 
 /// Key-sum reducer over `u64` keys that sleeps on one key, so the reduce
-/// task owning it commits last.
+/// task owning it commits last, and logs every key it has reduced.
 struct SlowKeySum {
     slow_key: Option<u64>,
+    reduced: Arc<Mutex<Vec<u64>>>,
+}
+
+impl SlowKeySum {
+    fn new(slow_key: Option<u64>) -> SlowKeySum {
+        SlowKeySum { slow_key, reduced: Arc::default() }
+    }
 }
 
 impl Reducer for SlowKeySum {
@@ -673,70 +682,81 @@ impl Reducer for SlowKeySum {
             std::thread::sleep(std::time::Duration::from_millis(60));
         }
         ctx.emit(key, values.sum());
+        self.reduced.lock().unwrap().push(key);
         Ok(())
     }
 }
 
 const SINK_REDUCERS: usize = 6;
+const SINK_KEYS: u64 = 24;
 
 /// `(key, value)` records over keys `0..24`; with the modulo partitioner
 /// key `k` lands in part `k % 6`.
 fn keyed_records() -> Vec<(u64, u64)> {
-    (0..240u64).map(|i| (i % 24, i)).collect()
+    (0..240u64).map(|i| (i % SINK_KEYS, i)).collect()
 }
 
-/// What a sink observed over one job: the paths in hand-over order, each
-/// part's records as read at hand-over, and which later parts were
-/// already written when part 0 was handed over.
+/// The keyed sum job over `inputs`, in six parts.
+fn keyed_job(
+    inputs: Vec<String>,
+    reducer: SlowKeySum,
+) -> JobSpec<IdentityMapper<u64, u64>, SlowKeySum> {
+    JobSpec::new("keyed", inputs, "out", IdentityMapper::<u64, u64>::new(), reducer, SINK_REDUCERS)
+        .partitioner(Arc::new(ModuloPartitioner))
+}
+
+/// The parts every one of whose keys the reducer had reduced by now.
+fn reduced_parts(reduced: &Mutex<Vec<u64>>) -> Vec<usize> {
+    let reduced = reduced.lock().unwrap();
+    (0..SINK_REDUCERS)
+        .filter(|&k| (k as u64..SINK_KEYS).step_by(SINK_REDUCERS).all(|key| reduced.contains(&key)))
+        .collect()
+}
+
+/// What a sink observed over one job: the parts in hand-over order, their
+/// records, and which parts the reducer had finished when part 0 was
+/// handed over.
 #[derive(Default)]
 struct SinkLog {
-    paths: Vec<String>,
+    parts: Vec<usize>,
     records: Vec<(u64, u64)>,
-    written_before_part0: Vec<usize>,
+    finished_before_part0: Vec<usize>,
 }
 
-/// Runs the keyed sum job with a sink that reads each part as it is
+/// Runs the keyed sum job with a sink that decodes each part as it is
 /// handed over, and checks the contract: every part exactly once, in index
-/// order, and each one complete at hand-over.
+/// order, each one complete at hand-over, and nothing written to the DFS.
 fn run_keyed_with_sink(
     config: ClusterConfig,
     slow_key: Option<u64>,
 ) -> (pmr_mapreduce::JobOutput, SinkLog, Cluster) {
     let cluster = Cluster::new(config);
     let inputs = write_sharded(&cluster, "in", 4, keyed_records()).unwrap();
+    let written = cluster.dfs().bytes_written();
+    let reducer = SlowKeySum::new(slow_key);
+    let reduced = Arc::clone(&reducer.reduced);
     let mut log = SinkLog::default();
     let out = Engine::new(&cluster)
-        .run_with_sink(
-            JobSpec::new(
-                "keyed",
-                inputs,
-                "out",
-                IdentityMapper::<u64, u64>::new(),
-                SlowKeySum { slow_key },
-                SINK_REDUCERS,
-            )
-            .partitioner(std::sync::Arc::new(ModuloPartitioner)),
-            |path| {
-                if log.paths.is_empty() {
-                    log.written_before_part0 = (1..SINK_REDUCERS)
-                        .filter(|k| cluster.dfs().exists(&format!("out/part-{k:05}")))
-                        .collect();
-                }
-                log.paths.push(path.to_string());
-                let part = cluster.dfs().read(path)?;
-                log.records.extend(decode_record_stream::<u64, u64>(part)?);
-                Ok(())
-            },
-        )
+        .run_with_sink(keyed_job(inputs, reducer), |part, bytes| {
+            if log.parts.is_empty() {
+                log.finished_before_part0 = reduced_parts(&reduced);
+            }
+            log.parts.push(part);
+            log.records.extend(decode_record_stream::<u64, u64>(bytes)?);
+            Ok(())
+        })
         .unwrap();
-    assert_eq!(log.paths, out.output_paths, "every part once, in index order");
-    let mut expected: Vec<(u64, u64)> = (0..24u64)
+    assert_eq!(log.parts, (0..SINK_REDUCERS).collect::<Vec<_>>(), "every part once, in order");
+    let mut expected: Vec<(u64, u64)> = (0..SINK_KEYS)
         .map(|k| (k, keyed_records().iter().filter(|r| r.0 == k).map(|r| r.1).sum()))
         .collect();
     let mut seen = log.records.clone();
     seen.sort();
     expected.sort();
     assert_eq!(seen, expected, "each part complete at hand-over");
+    assert!(out.output_paths.is_empty(), "no part file to name: {:?}", out.output_paths);
+    assert_eq!(cluster.dfs().list("out/"), Vec::<String>::new(), "a sink job writes no part");
+    assert_eq!(cluster.dfs().bytes_written(), written, "a sink job writes nothing to the DFS");
     (out, log, cluster)
 }
 
@@ -744,20 +764,22 @@ fn run_keyed_with_sink(
 fn sink_gets_every_part_once_in_index_order() {
     with_watchdog(|| {
         let (_, log, _) = run_keyed_with_sink(ClusterConfig::with_nodes(3), None);
-        assert_eq!(log.paths.len(), SINK_REDUCERS);
+        assert_eq!(log.parts.len(), SINK_REDUCERS);
     });
 }
 
 #[test]
 fn sink_order_holds_when_a_later_part_commits_first() {
-    // Key 0 lives in part 0 and sleeps: part 1 (on another node) commits
-    // while part 0 is still running, yet part 0 is handed over first.
+    // Key 0 lives in part 0 and sleeps: part 1 (on another node) finishes
+    // while part 0 is still running, yet part 0 is handed over first. With
+    // one attempt per task, a task whose reduce calls have all returned
+    // commits next, so part 1 waits on the calling thread.
     with_watchdog(|| {
         let (_, log, _) = run_keyed_with_sink(ClusterConfig::with_nodes(3), Some(0));
         assert!(
-            log.written_before_part0.contains(&1),
+            log.finished_before_part0.contains(&1),
             "part 1 must have committed before part 0 was handed over: {:?}",
-            log.written_before_part0
+            log.finished_before_part0
         );
     });
 }
@@ -786,32 +808,33 @@ fn sink_contract_holds_under_a_node_crash() {
 
 #[test]
 fn sink_error_fails_the_job_and_cleans_up() {
+    // Key 0 sleeps, so parts 1.. commit first and wait for part 0. The sink
+    // refuses part 1: the parts still waiting are dropped, not handed over,
+    // and none of them reaches the DFS either.
     with_watchdog(|| {
         let cluster = Cluster::new(ClusterConfig::with_nodes(3));
         let inputs = write_sharded(&cluster, "in", 4, keyed_records()).unwrap();
-        let mut handed = Vec::new();
+        let written = cluster.dfs().bytes_written();
+        let reducer = SlowKeySum::new(Some(0));
+        let reduced = Arc::clone(&reducer.reduced);
+        let (mut handed, mut finished) = (Vec::new(), Vec::new());
         let err = Engine::new(&cluster)
-            .run_with_sink(
-                JobSpec::new(
-                    "refused",
-                    inputs,
-                    "out",
-                    IdentityMapper::<u64, u64>::new(),
-                    SlowKeySum { slow_key: None },
-                    SINK_REDUCERS,
-                )
-                .partitioner(std::sync::Arc::new(ModuloPartitioner)),
-                |path| {
-                    handed.push(path.to_string());
-                    match handed.len() {
-                        2 => Err(MrError::User("sink refused part 1".into())),
-                        _ => Ok(()),
+            .run_with_sink(keyed_job(inputs, reducer), |part, _| {
+                handed.push(part);
+                match part {
+                    1 => {
+                        finished = reduced_parts(&reduced);
+                        Err(MrError::User("sink refused part 1".into()))
                     }
-                },
-            )
+                    _ => Ok(()),
+                }
+            })
             .unwrap_err();
         assert!(matches!(&err, MrError::User(msg) if msg == "sink refused part 1"), "{err}");
-        assert_eq!(handed, ["out/part-00000", "out/part-00001"], "nothing after the error");
+        assert!(finished.contains(&2), "part 2 waited behind part 1: {finished:?}");
+        assert_eq!(handed, [0, 1], "nothing after the error");
+        assert_eq!(cluster.dfs().list("out/"), Vec::<String>::new());
+        assert_eq!(cluster.dfs().bytes_written(), written);
         for node in cluster.nodes() {
             assert!(node.list_local("mr/").is_empty(), "node {:?}", node.id());
         }

@@ -13,6 +13,8 @@
 //! clock reading, and [`Telemetry::report`] closes the last one at the
 //! reading it takes for `wall_time_us`. The wall runs from the first
 //! phase's start to that reading, so the phases tile it with no gap.
+//! [`Telemetry::begin_run`] drops what earlier runs recorded, so a sink
+//! that serves several runs reports each one alone.
 //!
 //! All timestamps are microseconds since the sink's creation (its
 //! *epoch*), so times of spans, phases, and the final report share one
@@ -251,6 +253,16 @@ impl Telemetry {
             } else {
                 st.meta.push((key.to_string(), rendered));
             }
+        }
+    }
+
+    /// Starts a run on this sink: drops everything recorded so far —
+    /// phases, spans, traffic, placements, histograms, events, the trace
+    /// and meta — so the next [`Telemetry::report`] covers this run only.
+    /// The epoch stays, so every run shares the sink's time axis.
+    pub fn begin_run(&self) {
+        if let Some(sink) = &self.0 {
+            *sink.lock() = SinkState::default();
         }
     }
 

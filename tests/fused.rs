@@ -3,10 +3,10 @@
 //! bit-identical to the unfused two-job pipeline — same output, same
 //! charged bytes (the paper's cost model), collapsed moved bytes — across
 //! every scheme and backend, including seeded node-crash runs. A two-job
-//! run checks its own charge: job 1's booked charge for job 2 equals job
-//! 2's charged shuffle. `ConcatSort` runs write their rows in place; they
-//! must match too, and a scheme that delivers a pair twice or not at all
-//! must be an error there, not an output.
+//! run's `check()` holds its own charge: job 1's booked charge for job 2
+//! equals job 2's charged shuffle. `ConcatSort` runs write their rows in
+//! place; they must match too, and a scheme that delivers a pair twice or
+//! not at all must be an error there, not an output.
 
 use std::sync::Arc;
 
@@ -74,17 +74,6 @@ fn mr_run(
         .unwrap()
 }
 
-/// The within-run charge law of a two-job run: the charge job 1 books for
-/// job 2 is exactly job 2's charged shuffle.
-fn assert_job2_charge_law(run: &MrRunReport, case: &str) {
-    let job2 = run.job2.as_ref().expect("a two-job run");
-    assert_eq!(
-        run.job1.counters[FUSED_CHARGED_SHUFFLE_COUNTER],
-        job2.counters[builtin::SHUFFLE_BYTES],
-        "{case}: job 1's charge for job 2 == job 2's charged shuffle"
-    );
-}
-
 #[test]
 fn fused_mr_skips_job2_with_identical_output_and_charged_bytes() {
     let v = 40u64;
@@ -99,7 +88,6 @@ fn fused_mr_skips_job2_with_identical_output_and_charged_bytes() {
         let (f, u) = (&fused.mr[0], &unfused.mr[0]);
         assert!(f.fused && f.job2.is_none(), "{name}: fused run must skip job 2");
         assert!(!u.fused && u.job2.is_some(), "{name}: unfused run must keep job 2");
-        assert_job2_charge_law(u, name);
 
         // Output is bit-identical.
         assert_eq!(fused.output, unfused.output, "{name}");
@@ -175,12 +163,12 @@ fn fused_output_identical_across_backends_and_aggregators() {
                         let cluster = Cluster::new(ClusterConfig::with_nodes(4));
                         let run = run_on(plan, Backend::Mr(&cluster), symmetry, agg, fuse).unwrap();
                         assert_eq!(run.output, reference, "{case}: mr fuse={fuse}");
+                        run.check().unwrap_or_else(|e| panic!("{case}: mr fuse={fuse}: {e}"));
                         mr_reports.push(run.mr[0].clone());
                     }
                     if let (Plan::Scheme(_), [fused, unfused]) = (plan, &mr_reports[..]) {
                         assert!(fused.fused && fused.job2.is_none(), "{case}: job 2 skipped");
                         assert_eq!(fused.shuffle_bytes, unfused.shuffle_bytes, "{case}: charged");
-                        assert_job2_charge_law(unfused, &case);
                     }
                     if *agg_name == "concat" && v > 3 {
                         let cluster = Cluster::new(ClusterConfig::with_nodes(4).chaos(1, 23));
@@ -428,7 +416,7 @@ fn fused_charge_matches_unfused_for_variable_length_results() {
     for (name, scheme) in schemes {
         let unfused = run(&scheme, &Cluster::new(ClusterConfig::with_nodes(4)), false);
         let u = &unfused.mr[0];
-        assert_job2_charge_law(u, name);
+        unfused.check().unwrap_or_else(|e| panic!("{name}: {e}"));
         let job2_charge =
             u.job2.as_ref().expect("unfused run keeps job 2").counters[builtin::SHUFFLE_BYTES];
         let lengths: std::collections::BTreeSet<usize> = unfused
@@ -457,7 +445,7 @@ fn fused_charge_matches_unfused_for_variable_length_results() {
         let unfused_crashed = run(&scheme, &crashed, false);
         assert_eq!(crashed.node_crashes(), 1, "{name}: unfused");
         assert_eq!(unfused_crashed.output, unfused.output, "{name}: unfused, one crash");
-        assert_job2_charge_law(&unfused_crashed.mr[0], &format!("{name}: unfused, one crash"));
+        unfused_crashed.check().unwrap_or_else(|e| panic!("{name}: unfused, one crash: {e}"));
         assert_eq!(
             unfused_crashed.mr[0].shuffle_bytes, u.shuffle_bytes,
             "{name}: unfused, one crash"

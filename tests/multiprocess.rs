@@ -152,3 +152,34 @@ fn seeded_store_is_removed_after_success_and_failure() {
         }
     }
 }
+
+/// The driver takes each part of a fused run's job 1 in memory, so the
+/// output never crosses a worker socket as DFS traffic: a run that keeps
+/// every result and one that keeps a single neighbour per element put the
+/// same DFS bytes on the wire, the input shards' alone.
+#[test]
+fn job_output_never_crosses_the_socket_as_dfs_traffic() {
+    let (points, _) = gaussian_clusters(36, 3, 2, 0.5, 7);
+    let v = points.len() as u64;
+    let cluster = Cluster::try_new(process_config(2)).expect("spawn workers");
+    // Two stripes of 18: each element meets enough neighbours in one task
+    // that top-1 compacts its partials, so the two runs' parts differ.
+    let aggregators: [Arc<dyn Aggregator<f64>>; 2] =
+        [Arc::new(ConcatSort), Arc::new(TopKAggregator::new(1, |d: &f64| -d))];
+    let wire: Vec<_> = aggregators
+        .into_iter()
+        .map(|aggregator| {
+            let run = PairwiseJob::new(&points, euclidean_comp())
+                .scheme(BlockScheme::new(v, 2))
+                .backend(Backend::Mr(&cluster))
+                .aggregator_arc(aggregator)
+                .run()
+                .expect("pairwise run");
+            run.check().unwrap();
+            assert!(run.mr[0].fused, "a fused run");
+            run.mr[0].wire
+        })
+        .collect();
+    assert!(wire[0].dfs_bytes > 0, "the input shards cross the socket");
+    assert_eq!(wire[0].dfs_bytes, wire[1].dfs_bytes, "all rows vs one per element");
+}
