@@ -282,82 +282,82 @@ dense_kernel!(
 /// Batched sparse inner product. `eval` is the merge join of
 /// [`SparseVector::dot`]; `eval_batch` uses the operand runs of a tile
 /// (see [`pmr_core::runner::kernel`]): consecutive pairs that share one
-/// operand — the same reference — scatter it once into a direct-index
-/// term table (`table[id] = position + 1`) and every partner probes the
-/// table with its own entries in ascending id. The matched products and
-/// their summation order are the merge join's, so the two agree bit for
-/// bit; runs shorter than `MIN_RUN` and operands the table cannot hold
-/// take `eval`.
+/// operand — the same reference — load its weights once into a
+/// direct-index table (`table[id] = w`, 0.0 for the ids it lacks), and the
+/// partners, four at a time on four accumulators, add `table[id] · w` for
+/// every entry of their own with no branch on whether the id matched.
+///
+/// That is the merge join bit for bit whenever the sum is finite: a sum
+/// that starts at +0.0 never becomes −0.0 under round-to-nearest, so the
+/// ±0.0 product of an unmatched entry leaves the accumulator's bits as
+/// they are, and the matched products arrive in the merge join's order.
+/// A sum that is not finite (an unmatched ∞ or NaN weight times 0.0, or an
+/// overflow), a partner that is not strictly ascending and a shared
+/// operand the table cannot hold take `eval`.
+///
+/// A lone pair — an element with one surviving partner in a filtered join
+/// — takes the table too: on Zipf documents of 64 draws over 8192 terms,
+/// loading, probing and clearing it costs 225–300 ns against 600–710 for
+/// the merge join, whose three-way branch follows the data (2-core Xeon).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SparseDotKernel;
 
-/// Shortest operand run that takes the term table. A run of two already
-/// reads 170 against 640 ns/pair for the merge join on 43-term documents
-/// (a merge step costs about five probes). A lone pair — an element with
-/// one surviving partner in a filtered join — has nothing to share the
-/// scatter with and keeps [`SparseVector::dot`], which gallops when the
-/// two lengths are far apart.
-const MIN_RUN: usize = 2;
-
-/// Largest term id the table covers: 2^18 + 1 `u32` slots, 1 MiB. The
+/// Largest term id the table covers: 2^17 + 1 `f64` slots, 1 MiB. The
 /// table grows to the largest id it is shown and never past this, whatever
 /// ids a vector carries. The bound keeps the probes in a second-level
-/// cache: at 2^20 (4 MiB) 8-term documents over a 10^6-term vocabulary
-/// read 190 against 125 ns/pair for the merge join, at 2^18 and below the
-/// table won on every shape tried (what the bound gives up: 64-term
-/// documents over that vocabulary, 390 against 1050).
-const MAX_TABLE_ID: u32 = 1 << 18;
+/// cache (2 MiB a core on the machine measured): on block tiles of 8-term
+/// Zipf documents over a 10^6-term vocabulary the kernel reads 77–101
+/// ns/pair at 2^17, 92–120 at 2^18 (2 MiB), 208 at 2^19 and 315–347 at
+/// 2^20, against 107–124 for the merge join alone; 64-term documents over
+/// that vocabulary read the merge join's 700–800 at both 2^17 and 2^18.
+const MAX_TABLE_ID: u32 = 1 << 17;
 
-/// Writes `position + 1` of every entry of `x` into `table`, growing it to
-/// `x`'s largest id. Returns `false` with the table all zero again when
-/// `x` is not strictly ascending or reaches past [`MAX_TABLE_ID`].
-fn scatter(table: &mut Vec<u32>, x: &[(u32, f64)]) -> bool {
+/// Writes the weight of every entry of `x` into its id's slot of `table`,
+/// growing the table to `x`'s largest id. Returns `false`, writing
+/// nothing, when `x` is not strictly ascending or reaches past
+/// [`MAX_TABLE_ID`].
+fn load_weights(table: &mut Vec<f64>, x: &[(u32, f64)]) -> bool {
     let Some(&(last, _)) = x.last() else { return true };
-    if last > MAX_TABLE_ID {
+    if last > MAX_TABLE_ID || x.windows(2).any(|p| p[0].0 >= p[1].0) {
         return false;
     }
     if table.len() <= last as usize {
-        table.resize(last as usize + 1, 0);
+        table.resize(last as usize + 1, 0.0);
     }
-    let mut prev = None;
-    for (pos, &(id, _)) in x.iter().enumerate() {
-        match table.get_mut(id as usize) {
-            Some(slot) if prev < Some(id) => *slot = pos as u32 + 1,
-            _ => {
-                unscatter(table, &x[..pos]);
-                return false;
-            }
-        }
-        prev = Some(id);
+    for &(id, w) in x {
+        table[id as usize] = w;
     }
     true
 }
 
-/// Zeroes the slots [`scatter`] wrote for `x`.
-fn unscatter(table: &mut [u32], x: &[(u32, f64)]) {
-    for &(id, _) in x {
-        table[id as usize] = 0;
-    }
-}
-
-/// Inner product of the scattered `x` with `y`: the merge join's matched
-/// products in the merge join's order. `None` when `y` is not strictly
-/// ascending — the merge join's answer then depends on where it stops.
-fn probe_dot(table: &[u32], x: &[(u32, f64)], y: &[(u32, f64)]) -> Option<f64> {
-    let mut acc = 0.0;
-    let mut prev = None;
-    for &(id, w) in y {
-        if prev >= Some(id) {
-            return None;
-        }
-        prev = Some(id);
-        if let Some(&slot) = table.get(id as usize) {
-            if slot != 0 {
-                acc += x[slot as usize - 1].1 * w;
-            }
+/// Inner products of the loaded table with four partners, each on its own
+/// accumulator so that the four chains of additions overlap. Every entry
+/// adds `table[id] · w`, 0.0 for an id past the table, in the partner's
+/// own order. A partner that is not strictly ascending (checked as it is
+/// walked) comes back NaN, so the one test "is it finite" sends it and
+/// every non-finite sum to the merge join.
+fn probe_four(table: &[f64], ys: [&[(u32, f64)]; 4]) -> [f64; 4] {
+    let mut acc = [0.0; 4];
+    // The least id the next entry of each partner may carry.
+    let mut next = [0u64; 4];
+    let mut ascending = [true; 4];
+    let mut step = |lane: usize, (id, w): (u32, f64)| {
+        ascending[lane] &= u64::from(id) >= next[lane];
+        next[lane] = u64::from(id) + 1;
+        acc[lane] += table.get(id as usize).copied().unwrap_or(0.0) * w;
+    };
+    let common = ys.iter().map(|y| y.len()).min().unwrap_or(0);
+    for e in 0..common {
+        for (lane, y) in ys.iter().enumerate() {
+            step(lane, y[e]);
         }
     }
-    Some(acc)
+    for (lane, y) in ys.iter().enumerate() {
+        for &entry in &y[common..] {
+            step(lane, entry);
+        }
+    }
+    std::array::from_fn(|lane| if ascending[lane] { acc[lane] } else { f64::NAN })
 }
 
 impl BatchComp<SparseVector, f64> for SparseDotKernel {
@@ -378,12 +378,20 @@ impl BatchComp<SparseVector, f64> for SparseDotKernel {
             let (shared, partners, len) =
                 if run_a >= run_b { (a[i], b, run_a) } else { (b[i], a, run_b) };
             let end = i + len;
-            if len >= MIN_RUN && scatter(&mut table, &shared.0) {
-                for k in i..end {
-                    let dot = probe_dot(&table, &shared.0, &partners[k].0);
-                    out.push(dot.unwrap_or_else(|| a[k].dot(b[k])));
+            if load_weights(&mut table, &shared.0) {
+                for k in (i..end).step_by(4) {
+                    // The last group of a run pads its missing partners
+                    // with empty vectors and drops their sums.
+                    let group = &partners[k..end.min(k + 4)];
+                    let ys = std::array::from_fn(|lane| group.get(lane).map_or(&[][..], |y| &y.0));
+                    let dots = probe_four(&table, ys);
+                    for (k, dot) in (k..).zip(&dots[..group.len()]) {
+                        out.push(if dot.is_finite() { *dot } else { a[k].dot(b[k]) });
+                    }
                 }
-                unscatter(&mut table, &shared.0);
+                for &(id, _) in &shared.0 {
+                    table[id as usize] = 0.0;
+                }
             } else {
                 out.extend((i..end).map(|k| a[k].dot(b[k])));
             }
@@ -544,9 +552,9 @@ mod tests {
                 b.push(&docs[j]);
             }
         }
-        // The triangle walk: runs of 1 (below MIN_RUN), 2 (at it), … 19 on
-        // the first operand; swapped, the run is on the second operand, as
-        // in the reverse `eval_batch(b, a)` of a non-symmetric flush.
+        // The triangle walk: runs of 1, 2, … 19 on the first operand;
+        // swapped, the run is on the second operand, as in the reverse
+        // `eval_batch(b, a)` of a non-symmetric flush.
         assert_batch_is_eval(&a, &b);
         assert_batch_is_eval(&b, &a);
         // Tiles that end mid-run.
@@ -582,20 +590,97 @@ mod tests {
             assert_batch_is_eval(&partners, &run);
         }
 
-        // A rejected operand leaves no slot behind and sizes nothing.
+        // A rejected operand writes no slot and sizes nothing.
         let mut table = Vec::new();
-        assert!(!scatter(&mut table, &huge.0));
-        assert!(!scatter(&mut table, &[(MAX_TABLE_ID + 1, 1.0)]));
+        assert!(!load_weights(&mut table, &huge.0));
+        assert!(!load_weights(&mut table, &[(MAX_TABLE_ID + 1, 1.0)]));
         assert_eq!(table.capacity(), 0, "an id past the bound must not allocate");
-        assert!(scatter(&mut table, &[(MAX_TABLE_ID, 1.0)]));
+        assert!(load_weights(&mut table, &[(MAX_TABLE_ID, 1.0)]));
         assert_eq!(table.len(), MAX_TABLE_ID as usize + 1);
-        unscatter(&mut table, &[(MAX_TABLE_ID, 1.0)]);
+        table[MAX_TABLE_ID as usize] = 0.0;
         for bad in [&unsorted, &duplicate, &SparseVector(vec![(1, 1.0), (70, 1.0), (5, 1.0)])] {
-            assert!(!scatter(&mut table, &bad.0));
-            assert!(table.iter().all(|&slot| slot == 0));
+            assert!(!load_weights(&mut table, &bad.0));
+            assert!(table.iter().all(|&w| w.to_bits() == 0));
         }
-        assert_eq!(probe_dot(&table, &[], &unsorted.0), None);
-        assert_eq!(probe_dot(&table, &[], &duplicate.0), None);
+        // A partner out of order comes back NaN, whatever its sum.
+        let dots = probe_four(&table, [&unsorted.0, &duplicate.0, &[], &docs[0].0]);
+        assert!(dots[0].is_nan() && dots[1].is_nan());
+        assert_eq!(dots[2..], [0.0, 0.0]);
+    }
+
+    /// A run of `shared` against `partners` and the reverse flush, with the
+    /// partners rotated up to four times so that each one moves through
+    /// the lanes of a group of four.
+    fn assert_run_is_eval(shared: &SparseVector, partners: &[&SparseVector]) {
+        let mut partners = partners.to_vec();
+        for _ in 0..partners.len().min(4) {
+            let run = vec![shared; partners.len()];
+            assert_batch_is_eval(&run, &partners);
+            assert_batch_is_eval(&partners, &run);
+            partners.rotate_left(1);
+        }
+    }
+
+    /// The cases where the branch-free sum and the merge join part ways and
+    /// the probe has to hand the pair back, and the shapes of a run that
+    /// the groups of four cut.
+    #[test]
+    fn sparse_probe_edge_cases() {
+        let docs = weighted_documents(12, 64, 16, 9);
+        let shared = SparseVector(vec![(2, 1.5), (3, -2.0), (9, 0.25), (50, 4.0)]);
+
+        // An ∞ or NaN weight on a term the shared vector lacks: the merge
+        // join never multiplies it, the table multiplies it by 0.0.
+        for odd in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let partner = SparseVector(vec![(2, 1.0), (4, odd), (9, 2.0)]);
+            let table_dot = {
+                let mut table = Vec::new();
+                assert!(load_weights(&mut table, &shared.0));
+                probe_four(&table, [&partner.0, &[], &[], &[]])[0]
+            };
+            assert!(table_dot.is_nan());
+            assert_eq!(shared.dot(&partner), 2.0);
+            assert_run_is_eval(&shared, &[&partner, &docs[0], &docs[1], &partner, &docs[2]]);
+        }
+
+        // Products that overflow to ∞, alone and cancelling to a NaN.
+        let big = SparseVector(vec![(2, 1e300), (3, 1e300), (9, -1e300)]);
+        let up = SparseVector(vec![(2, 1e300), (7, 1.0)]);
+        let both = SparseVector(vec![(2, 1e300), (9, 1e300)]);
+        assert_eq!(big.dot(&up), f64::INFINITY);
+        assert!(big.dot(&both).is_nan());
+        assert_run_is_eval(&big, &[&up, &both, &docs[3], &up, &shared]);
+
+        // Four partners of unequal length: the interleaved walk stops at
+        // the shortest, and the longer ones finish alone.
+        let empty = SparseVector::default();
+        let one = SparseVector(vec![(3, 0.5)]);
+        let long = SparseVector((0..300).map(|id| (id, 0.125 * f64::from(id))).collect());
+        assert_run_is_eval(&shared, &[&empty, &one, &docs[4], &long]);
+        assert_run_is_eval(&long, &[&docs[5], &one, &long, &docs[6], &empty]);
+
+        // A partner that stops ascending in the middle of a group of four,
+        // after the shortest partner has ended and before.
+        let turns = SparseVector(vec![(1, 1.0), (2, 2.0), (9, 3.0), (3, 4.0), (50, 5.0)]);
+        let repeats = SparseVector(vec![(2, 1.0), (9, 2.0), (9, 3.0)]);
+        assert_run_is_eval(&shared, &[&one, &turns, &docs[7], &repeats]);
+        assert_run_is_eval(&shared, &[&docs[8], &docs[9], &turns, &long]);
+
+        // Partner ids past the table and past `MAX_TABLE_ID`, up to the
+        // largest id there is.
+        let far = SparseVector(vec![(2, 1.0), (51, 2.0), (4096, 3.0)]);
+        let farther = SparseVector(vec![(3, 1.0), (MAX_TABLE_ID, 2.0), (MAX_TABLE_ID + 1, 3.0)]);
+        let last = SparseVector(vec![(9, 1.0), (u32::MAX - 1, 2.0), (u32::MAX, 4.0)]);
+        assert_run_is_eval(&shared, &[&far, &farther, &last, &docs[10], &far]);
+        assert_run_is_eval(&docs[11], &[&far, &farther, &last]);
+
+        // Runs of every length from a lone pair past two groups of four,
+        // so that every remainder after the groups is hit.
+        let partners: Vec<&SparseVector> = docs.iter().chain([&far, &turns, &long]).collect();
+        for len in 1..=9 {
+            assert_run_is_eval(&shared, &partners[..len]);
+            assert_run_is_eval(&docs[0], &partners[partners.len() - len..]);
+        }
     }
 
     /// What the run-aware kernel lives off: a block task streams
@@ -674,7 +759,7 @@ mod tests {
         /// Every task of every scheme, cut into tiles of any length and
         /// fed both ways round: block, design and broadcast stream runs on
         /// the first operand, the quorum walk on whichever side its anchor
-        /// lands, and the lone pairs in between take the merge join.
+        /// lands, and the lone pairs in between, each its own run of one.
         #[test]
         fn sparse_batch_is_eval_on_every_scheme_stream(
             v in 2u64..90,

@@ -2,7 +2,8 @@
 
 use pmr_mapreduce::builtin::{
     MAP_INPUT_RECORDS, MAP_OUTPUT_BYTES, MAP_OUTPUT_MOVED_BYTES, MAP_OUTPUT_RECORDS,
-    REDUCE_INPUT_RECORDS, SHUFFLE_BYTES, SHUFFLE_MOVED_BYTES, SPILLED_RECORDS,
+    REDUCE_INPUT_RECORDS, REDUCE_OUTPUT_RECORDS, SHUFFLE_BYTES, SHUFFLE_MOVED_BYTES,
+    SPILLED_RECORDS,
 };
 use pmr_mapreduce::JobOutput;
 use pmr_obs::{hist, trace, TaskSpan};
@@ -118,6 +119,7 @@ impl<R> PairwiseRun<R> {
                 (sum("map", |s| s.bytes_out), MAP_OUTPUT_BYTES),
                 (sum("map", |s| s.records_in), MAP_INPUT_RECORDS),
                 (sum("reduce", |s| s.records_in), REDUCE_INPUT_RECORDS),
+                (sum("reduce", |s| s.records_out), REDUCE_OUTPUT_RECORDS),
             ] {
                 let counted = counter(job, key);
                 law!(spans == counted, "{name}: the spans sum to {spans}, {key} is {counted}");

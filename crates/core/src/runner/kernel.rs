@@ -35,11 +35,12 @@
 //! surviving partners back to back, runs as long as its survivors); a
 //! probed stream keeps what runs its survivors leave. A kernel may use a
 //! run (`std::ptr::eq` on neighbouring operands) to set up per-operand
-//! state once — `pmr-apps`' sparse dot scatters the shared vector into a
-//! term table, its dense kernels load each chunk of the shared vector once
-//! for four partners — but only for speed: which runs a tile has, and
-//! where a tile cuts one, is up to the scheme, the filter and the runner,
-//! so every result must equal `eval` with no run at all.
+//! state once — `pmr-apps`' sparse dot loads the shared vector's weights
+//! into a table that four partners probe at once, its dense kernels load
+//! each chunk of the shared vector once for four partners — but only for
+//! speed: which runs a tile has, and where a tile cuts one, is up to the
+//! scheme, the filter and the runner, so every result must equal `eval`
+//! with no run at all.
 
 use crate::runner::filter::{for_each_candidate, probe, PairFilter, PruneStats};
 use crate::runner::{CompFn, Symmetry};

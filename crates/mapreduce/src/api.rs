@@ -225,7 +225,9 @@ impl<'a, K: Wire, V: Wire> MapContext<'a, K, V> {
 /// memory gauge.
 pub struct ReduceContext<'a, K: Wire, V: Wire> {
     pub(crate) out: &'a mut BytesMut,
-    pub(crate) offsets: &'a mut Vec<u64>,
+    /// Where each record starts in `out`, for the DFS record index; `None`
+    /// when the part is handed to a sink and never written.
+    pub(crate) offsets: Option<&'a mut Vec<u64>>,
     pub(crate) counters: &'a Counters,
     pub(crate) store: StoreRef<'a>,
     pub(crate) memory: &'a MemoryGauge,
@@ -236,7 +238,7 @@ pub struct ReduceContext<'a, K: Wire, V: Wire> {
 impl<'a, K: Wire, V: Wire> ReduceContext<'a, K, V> {
     pub(crate) fn new(
         out: &'a mut BytesMut,
-        offsets: &'a mut Vec<u64>,
+        offsets: Option<&'a mut Vec<u64>>,
         counters: &'a Counters,
         store: StoreRef<'a>,
         memory: &'a MemoryGauge,
@@ -249,7 +251,9 @@ impl<'a, K: Wire, V: Wire> ReduceContext<'a, K, V> {
     /// Emits one output record, encoded in place at the end of the task's
     /// output part (no intermediate key or value buffer).
     pub fn emit(&mut self, key: K, value: V) {
-        self.offsets.push(self.out.len() as u64);
+        if let Some(offsets) = &mut self.offsets {
+            offsets.push(self.out.len() as u64);
+        }
         write_framed_record(self.out, &key, &value);
         self.counters.inc(builtin::REDUCE_OUTPUT_RECORDS);
     }
@@ -333,10 +337,10 @@ mod tests {
         let (mut out, mut offsets) = (BytesMut::new(), Vec::new());
         let (gauge, held) = (MemoryGauge::new(None), Some(&*handle));
         let ctx: ReduceContext<'_, u64, u64> =
-            ReduceContext::new(&mut out, &mut offsets, &counters, held, &gauge, &mut span);
+            ReduceContext::new(&mut out, Some(&mut offsets), &counters, held, &gauge, &mut span);
         assert_eq!(ctx.store::<Vec<u64>>().unwrap(), &vec![1, 2, 3]);
         let ctx: ReduceContext<'_, u64, u64> =
-            ReduceContext::new(&mut out, &mut offsets, &counters, None, &gauge, &mut span);
+            ReduceContext::new(&mut out, None, &counters, None, &gauge, &mut span);
         assert!(ctx.store::<Vec<u64>>().is_none());
     }
 

@@ -321,7 +321,8 @@ where
 /// A reduce attempt's output, held back until the attempt wins commit.
 struct ReduceDone {
     out: Bytes,
-    offsets: Vec<u64>,
+    /// The DFS record index, built only for a part that is written.
+    offsets: Option<Vec<u64>>,
     lap_at: Instant,
 }
 
@@ -517,7 +518,7 @@ impl<'c> Engine<'c> {
                     task,
                     me,
                     backup,
-                    |scratch, span| job.reduce_body(task, me, scratch, span),
+                    |scratch, span| job.reduce_body(task, me, !hand_over, scratch, span),
                     |done, span| {
                         if hand_over {
                             Ok(Some(done.out))
@@ -880,11 +881,13 @@ where
 
     /// Body of one reduce attempt: shuffle (with lost-map recovery), sort,
     /// reduce. The output is returned, not written — the committer
-    /// publishes it only for the winning attempt.
+    /// publishes it only for the winning attempt. `index` asks for the
+    /// record offsets a written part needs.
     fn reduce_body(
         &self,
         task: usize,
         node_id: NodeId,
+        index: bool,
         scratch: &Counters,
         span: &mut Span,
     ) -> Result<ReduceDone> {
@@ -942,7 +945,7 @@ where
         let gauge = MemoryGauge::new(cluster.config().node.task_memory_budget)
             .with_overhead_factor(on.max(od), od.max(1));
         let (mut out, store) = (BytesMut::new(), spec.store.as_deref());
-        let mut offsets: Vec<u64> = Vec::new();
+        let mut offsets = index.then(Vec::new);
         let mut i = 0;
         while i < records.len() {
             let mut j = i + 1;
@@ -957,7 +960,7 @@ where
             let key = R::KIn::from_bytes(records[i].key.clone())?;
             let values: Values<'_, R::VIn> = Values::new(&records[i..j]);
             let mut ctx: ReduceContext<'_, R::KOut, R::VOut> =
-                ReduceContext::new(&mut out, &mut offsets, scratch, store, &gauge, span);
+                ReduceContext::new(&mut out, offsets.as_mut(), scratch, store, &gauge, span);
             spec.reducer.reduce(key, values, &mut ctx)?;
             gauge.release(group_bytes);
             i = j;
@@ -968,7 +971,7 @@ where
 
         scratch.add(builtin::REDUCE_OUTPUT_BYTES, out.len() as u64);
         span.add_bytes_out(out.len() as u64);
-        span.add_records_out(offsets.len() as u64);
+        span.add_records_out(scratch.get(builtin::REDUCE_OUTPUT_RECORDS));
         Ok(ReduceDone { out: out.freeze(), offsets, lap_at })
     }
 
@@ -980,7 +983,7 @@ where
     fn write_part(&self, task: usize, mut done: ReduceDone, span: &mut Span) -> Result<()> {
         let path = part_path(&self.spec.output, task);
         self.cluster.dfs().delete(&path);
-        self.cluster.dfs().create_with_records(&path, done.out, Some(done.offsets))?;
+        self.cluster.dfs().create_with_records(&path, done.out, done.offsets)?;
         span.lap("write", &mut done.lap_at);
         Ok(())
     }
