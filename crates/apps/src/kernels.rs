@@ -6,12 +6,15 @@
 //! as `(s0 + s1) + (s2 + s3)` — a fixed summation order shared by `eval`
 //! and `eval_batch`, so the scalar fallback and the batched path are
 //! bit-identical (the [`BatchComp`] contract). Their `eval_batch` walks a
-//! tile's operand runs: on an x86-64 host with AVX2 it advances four
-//! partners of a run against one load of the shared operand, each pair's
-//! four accumulators being the four lanes of its own register, so every
-//! pair keeps its own summation order. Dimension agreement is validated
-//! **once per dataset** at kernel construction ([`validate_uniform_dim`]);
-//! the per-pair inner loops carry only a `debug_assert!`.
+//! tile's operand runs: on an x86-64 host with AVX2 it advances two rows —
+//! a run and its twin, the next run over the same partners — against four
+//! partners at a time, each chunk of the two shared operands and of the
+//! four partners loaded once for all eight pairs, and a run without a twin
+//! one row against four partners. Each pair's four accumulators are the
+//! four lanes of its own register, so every pair keeps its own summation
+//! order. Dimension agreement is validated **once per dataset** at kernel
+//! construction ([`validate_uniform_dim`]); the per-pair inner loops carry
+//! only a `debug_assert!`.
 
 use crate::vector::{DenseVector, SparseVector};
 use pmr_core::runner::BatchComp;
@@ -105,53 +108,150 @@ impl LaneOp {
         self.finish(s, x, y, mx, my)
     }
 
-    /// `eval` of every pair of the tile, in order. A run of four or more
-    /// pairs sharing an operand (the longer run on either side, found with
-    /// `std::ptr::eq`) goes four partners at a time to [`avx2::quad`] when `wide`
-    /// is set and the host has AVX2; the rest of a run, lone pairs, and
-    /// partners shorter than the shared operand take the scalar
-    /// [`LaneOp::eval`]. With `wide` unset this is the one path of a host
-    /// without AVX2.
+    /// `eval` of every pair of the tile, in order, written in place. With
+    /// `wide` set on a host with AVX2, a run (see [`Run`]) and its twin go
+    /// four partners at a time through the two-row pass of [`avx2::rows`]
+    /// over their common prefix; the rest of each run goes four partners at
+    /// a time through the one-row pass, up to its first partner shorter
+    /// than the shared operand. What is left of a run, lone pairs and, with
+    /// `wide` unset (the one path of a host without AVX2), every pair take
+    /// the scalar [`LaneOp::eval`].
     #[inline(always)]
-    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut, unused_variables))]
     fn eval_runs(self, a: &[&DenseVector], b: &[&DenseVector], out: &mut Vec<f64>, wide: bool) {
-        let run_at = |ops: &[&DenseVector], i: usize| {
-            ops[i..].iter().take_while(|x| std::ptr::eq(**x, ops[i])).count()
-        };
+        let start = out.len();
+        out.resize(start + a.len(), 0.0);
+        let out = &mut out[start..];
         #[cfg(target_arch = "x86_64")]
         let wide = wide && std::is_x86_feature_detected!("avx2");
         let mut i = 0;
         while i < a.len() {
-            let (run_a, run_b) = (run_at(a, i), run_at(b, i));
-            let (shared, partners, len) =
-                if run_a >= run_b { (a[i], b, run_a) } else { (b[i], a, run_b) };
-            let end = i + len;
+            let run = Run::at(a, b, i);
+            // The twin and the pairs of each run the two-row pass wrote.
+            let mut twin = None;
             #[cfg(target_arch = "x86_64")]
-            if wide && len >= 4 {
-                let x = &shared.0[..];
-                let n = x.len();
-                let mx = self.centre(x);
-                while end - i >= 4 {
-                    let ys = [0, 1, 2, 3].map(|k| &partners[i + k].0[..]);
-                    if ys.iter().all(|y| y.len() >= n) {
-                        let ys = ys.map(|y| &y[..n]);
-                        let mys = ys.map(|y| self.centre(y));
-                        // SAFETY: `quad` is safe code whose only requirement
-                        // is the AVX2 target feature, and `wide` is true
-                        // here only when `is_x86_feature_detected!("avx2")`
-                        // found it on this host.
-                        #[allow(unsafe_code)]
-                        let quad = unsafe { avx2::quad(self, x, mx, ys, mys) };
-                        out.extend(quad);
-                    } else {
-                        out.extend((i..i + 4).map(|k| self.eval(&a[k].0, &b[k].0)));
-                    }
-                    i += 4;
+            if wide && run.end < a.len() {
+                let next = Run::at(a, b, run.end);
+                let m = run.twin_prefix(&next);
+                if m >= 4 {
+                    let (head, tail) = out.split_at_mut(run.end);
+                    let rows = [&mut head[i..], tail];
+                    twin = Some((next, self.wide([run.x, next.x], &run.partners()[..m], rows)));
                 }
             }
-            out.extend((i..end).map(|k| self.eval(&a[k].0, &b[k].0)));
-            i = end;
+            let done = twin.map_or(0, |(_, done)| done);
+            self.finish_run(run, done, a, b, out, wide);
+            i = run.end;
+            if let Some((next, done)) = twin {
+                self.finish_run(next, done, a, b, out, wide);
+                i = next.end;
+            }
         }
+    }
+
+    /// The pairs of `run` past its first `done`: four partners at a time
+    /// through the one-row pass when `wide`, the rest scalar.
+    #[inline(always)]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut, unused_variables))]
+    fn finish_run(
+        self,
+        run: Run,
+        done: usize,
+        a: &[&DenseVector],
+        b: &[&DenseVector],
+        out: &mut [f64],
+        wide: bool,
+    ) {
+        let mut k = run.start + done;
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            k += self.wide([run.x], &run.partners[k..run.end], [&mut out[k..run.end]]);
+        }
+        for k in k..run.end {
+            out[k] = self.eval(&a[k].0, &b[k].0);
+        }
+    }
+
+    /// `R` rows of one length against `ys`, four partners at a time up to
+    /// the first partner shorter than the rows, pair `(r, k)` written to
+    /// `outs[r][k]`. Returns how many partners it took: a multiple of four.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn wide<const R: usize>(
+        self,
+        xs: [&[f64]; R],
+        ys: &[&DenseVector],
+        mut outs: [&mut [f64]; R],
+    ) -> usize {
+        let n = xs[0].len();
+        let fit = ys.iter().take_while(|y| y.dim() >= n).count() / 4 * 4;
+        let mxs = xs.map(|x| self.centre(x));
+        for (g, group) in ys[..fit].chunks_exact(4).enumerate() {
+            let ys = [0, 1, 2, 3].map(|k| &group[k].0[..n]);
+            let mys = ys.map(|y| self.centre(y));
+            // SAFETY: `rows` is safe code whose only requirement is the
+            // AVX2 target feature, and `wide` is true here only when
+            // `is_x86_feature_detected!("avx2")` found it on this host.
+            #[allow(unsafe_code)]
+            let sums = unsafe { avx2::rows(self, xs, mxs, ys, mys) };
+            for (out, sums) in outs.iter_mut().zip(sums) {
+                out[4 * g..4 * g + 4].copy_from_slice(&sums);
+            }
+        }
+        fit
+    }
+}
+
+/// Consecutive pairs `start..end` of a tile that share one operand, the
+/// same reference, on one side.
+///
+/// The run right after it is its *twin* when that run's shared operand is
+/// on the same side and has the same length, and the two runs' partners
+/// are the same references, position by position, for a common prefix of
+/// four or more pairs. A block tile's runs of 32 are 16 twins over all 32
+/// partners; in a triangle (a diagonal block tile, a design or broadcast
+/// task) a run's partners are a prefix of the next run's.
+#[derive(Clone, Copy)]
+struct Run<'t> {
+    /// The shared operand's coordinates.
+    x: &'t [f64],
+    /// The tile's operands on the other side; the run's partners are
+    /// `partners[start..end]`.
+    partners: &'t [&'t DenseVector],
+    /// Whether the shared operand is on the first side.
+    first: bool,
+    start: usize,
+    end: usize,
+}
+
+impl<'t> Run<'t> {
+    /// The run from pair `i`: the longer of the two sides' runs, the first
+    /// side's on a tie. `eval_batch(b, a)` of a non-symmetric flush has it
+    /// on the second side.
+    fn at(a: &'t [&'t DenseVector], b: &'t [&'t DenseVector], i: usize) -> Run<'t> {
+        let len = |ops: &[&DenseVector]| {
+            ops[i..].iter().take_while(|x| std::ptr::eq(**x, ops[i])).count()
+        };
+        let (run_a, run_b) = (len(a), len(b));
+        let (shared, partners, first, len) =
+            if run_a >= run_b { (a[i], b, true, run_a) } else { (b[i], a, false, run_b) };
+        Run { x: &shared.0, partners, first, start: i, end: i + len }
+    }
+
+    fn partners(&self) -> &'t [&'t DenseVector] {
+        &self.partners[self.start..self.end]
+    }
+
+    /// The length of the common prefix of this run's and `next`'s
+    /// partners, reference by reference, when their shared operands are on
+    /// one side and of one length, else 0.
+    #[cfg(target_arch = "x86_64")]
+    fn twin_prefix(&self, next: &Run) -> usize {
+        if next.first != self.first || next.x.len() != self.x.len() {
+            return 0;
+        }
+        let pairs = self.partners().iter().zip(next.partners());
+        pairs.take_while(|(p, q)| std::ptr::eq(**p, **q)).count()
     }
 }
 
@@ -161,49 +261,71 @@ mod avx2 {
     use super::LaneOp;
     use std::arch::x86_64::*;
 
-    /// Four pairs `(x, ys[k])` of one operand run, all of `x`'s length:
-    /// each chunk of four coordinates of `x` is loaded once and advanced
-    /// against the four partners, pair `k`'s accumulators `s0..s3` being
-    /// the four lanes of its own register. Packed IEEE `sub`, `mul` and
-    /// `add` are the scalar operations lane by lane, and nothing is fused,
-    /// so every result is the bits of [`LaneOp::eval`].
+    /// The `R × 4` pairs `(xs[r], ys[k])`, all of one length: each chunk of
+    /// four coordinates of every row and every partner is loaded once, and
+    /// the `R × 4` pairs advance on as many registers, pair `(r, k)`'s
+    /// accumulators `s0..s3` being the four lanes of its own. Packed IEEE
+    /// `sub`, `mul` and `add` are the scalar operations lane by lane, and
+    /// nothing is fused, so every result is the bits of [`LaneOp::eval`].
+    /// `R` is 1 or 2: three rows spill registers.
     #[target_feature(enable = "avx2")]
-    pub(super) fn quad(op: LaneOp, x: &[f64], mx: f64, ys: [&[f64]; 4], mys: [f64; 4]) -> [f64; 4] {
-        let (vmx, vmy) = (_mm256_set1_pd(mx), mys.map(|m| _mm256_set1_pd(m)));
+    pub(super) fn rows<const R: usize>(
+        op: LaneOp,
+        xs: [&[f64]; R],
+        mxs: [f64; R],
+        ys: [&[f64]; 4],
+        mys: [f64; 4],
+    ) -> [[f64; 4]; R] {
+        let (vmx, vmy) = (mxs.map(|m| _mm256_set1_pd(m)), mys.map(|m| _mm256_set1_pd(m)));
         let acc = match op {
-            LaneOp::Product => chunks(x, ys, |vx, vy, _| _mm256_mul_pd(vx, vy)),
-            LaneOp::SqDiff => chunks(x, ys, |vx, vy, _| {
+            LaneOp::Product => chunks(xs, ys, |vx, vy, _, _| _mm256_mul_pd(vx, vy)),
+            LaneOp::SqDiff => chunks(xs, ys, |vx, vy, _, _| {
                 let d = _mm256_sub_pd(vx, vy);
                 _mm256_mul_pd(d, d)
             }),
-            LaneOp::Centred => chunks(x, ys, |vx, vy, k| {
-                _mm256_mul_pd(_mm256_sub_pd(vx, vmx), _mm256_sub_pd(vy, vmy[k]))
+            LaneOp::Centred => chunks(xs, ys, |vx, vy, r, k| {
+                _mm256_mul_pd(_mm256_sub_pd(vx, vmx[r]), _mm256_sub_pd(vy, vmy[k]))
             }),
         };
-        [0, 1, 2, 3].map(|k| {
-            let (lo, hi) = (_mm256_castpd256_pd128(acc[k]), _mm256_extractf128_pd::<1>(acc[k]));
-            let high = |h| _mm_cvtsd_f64(_mm_unpackhi_pd(h, h));
-            let s = [_mm_cvtsd_f64(lo), high(lo), _mm_cvtsd_f64(hi), high(hi)];
-            op.finish(s, x, ys[k], mx, mys[k])
+        let high = |h| _mm_cvtsd_f64(_mm_unpackhi_pd(h, h));
+        std::array::from_fn(|r| {
+            std::array::from_fn(|k| {
+                let (lo, hi) =
+                    (_mm256_castpd256_pd128(acc[r][k]), _mm256_extractf128_pd::<1>(acc[r][k]));
+                let s = [_mm_cvtsd_f64(lo), high(lo), _mm_cvtsd_f64(hi), high(hi)];
+                op.finish(s, xs[r], ys[k], mxs[r], mys[k])
+            })
         })
     }
 
-    /// The chunk loop of [`quad`] for one lane term `term(x, y, partner)`,
-    /// compiled once per lane operation.
+    /// The chunk loop of [`rows`] for one lane term `term(x, y, row,
+    /// partner)`, compiled once per lane operation and row count.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn chunks(
-        x: &[f64],
+    fn chunks<const R: usize>(
+        xs: [&[f64]; R],
         ys: [&[f64]; 4],
-        term: impl Fn(__m256d, __m256d, usize) -> __m256d,
-    ) -> [__m256d; 4] {
+        term: impl Fn(__m256d, __m256d, usize, usize) -> __m256d,
+    ) -> [[__m256d; 4]; R] {
         let load = |c: &[f64]| _mm256_set_pd(c[3], c[2], c[1], c[0]);
-        let mut acc = [_mm256_setzero_pd(); 4];
-        let [y0, y1, y2, y3] = ys.map(|y| y.chunks_exact(4));
-        for ((((xc, c0), c1), c2), c3) in x.chunks_exact(4).zip(y0).zip(y1).zip(y2).zip(y3) {
-            let vx = load(xc);
-            for (k, yc) in [c0, c1, c2, c3].into_iter().enumerate() {
-                acc[k] = _mm256_add_pd(acc[k], term(vx, load(yc), k));
+        let len = xs[0].len() / 4 * 4;
+        let mut xs = xs;
+        for x in &mut xs {
+            *x = &x[..len];
+        }
+        let [y0, y1, y2, y3] = ys;
+        let ys = [&y0[..len], &y1[..len], &y2[..len], &y3[..len]];
+        let mut acc = [[_mm256_setzero_pd(); 4]; R];
+        for c in (0..len).step_by(4) {
+            let mut vx = [_mm256_setzero_pd(); R];
+            for r in 0..R {
+                vx[r] = load(&xs[r][c..c + 4]);
+            }
+            for k in 0..4 {
+                let vy = load(&ys[k][c..c + 4]);
+                for r in 0..R {
+                    acc[r][k] = _mm256_add_pd(acc[r][k], term(vx[r], vy, r, k));
+                }
             }
         }
         acc
@@ -683,18 +805,123 @@ mod tests {
         }
     }
 
-    /// What the run-aware kernel lives off: a block task streams
-    /// first-operand-major, one 1024-pair tile being 32 runs of 32.
+    /// The partner ids of each run of a pair stream, first-operand-major.
+    fn partner_runs(pairs: &[(u64, u64)]) -> Vec<Vec<u64>> {
+        let runs = pairs.chunk_by(|x, y| x.0 == y.0);
+        runs.map(|run| run.iter().map(|&(_, b)| b).collect()).collect()
+    }
+
+    /// What the run-aware kernels live off: a block task streams
+    /// first-operand-major, one 1024-pair tile being 32 runs of 32, each
+    /// run with the partners of the run before it (16 twins for the
+    /// two-row pass). In a diagonal tile each run's partners are a prefix
+    /// of the next run's.
     #[test]
     fn block_tile_is_32_runs_of_32() {
         let scheme = BlockScheme::new(2048, 16);
-        let task = (0..scheme.num_tasks()).find(|&t| scheme.num_pairs(t) == 128 * 128).unwrap();
-        let mut firsts = Vec::new();
-        scheme.for_each_pair(task, &mut |a, _| firsts.push(a));
-        for tile in firsts.chunks(TILE_PAIRS) {
-            let runs: Vec<&[u64]> = tile.chunk_by(|x, y| x == y).collect();
+        let pairs_of = |task| {
+            let mut pairs = Vec::new();
+            scheme.for_each_pair(task, &mut |a, b| pairs.push((a, b)));
+            pairs
+        };
+        let full = (0..scheme.num_tasks()).find(|&t| scheme.num_pairs(t) == 128 * 128).unwrap();
+        for tile in pairs_of(full).chunks(TILE_PAIRS) {
+            let runs = partner_runs(tile);
             assert_eq!(runs.len(), 32);
             assert!(runs.iter().all(|run| run.len() == 32));
+            assert!(runs.windows(2).all(|w| w[0] == w[1]));
+        }
+
+        // A diagonal task walks its full tiles, then the triangle tile of
+        // runs of 1 … 31 (the first element of the tile has no partner).
+        let diagonal = (0..scheme.num_tasks()).find(|&t| scheme.num_pairs(t) < 128 * 128).unwrap();
+        let pairs = pairs_of(diagonal);
+        let triangle = &pairs[pairs.len() - 32 * 31 / 2..];
+        let runs = partner_runs(triangle);
+        assert_eq!(runs.iter().map(Vec::len).collect::<Vec<_>>(), (1..32).collect::<Vec<_>>());
+        assert!(runs.windows(2).all(|w| w[1].starts_with(&w[0])));
+    }
+
+    /// The operand arrays of a tile of runs: run `r` pairs `rows[r].0`
+    /// with each of `rows[r].1` in turn, the shared operand first.
+    fn runs_tile<'d>(
+        data: &'d [DenseVector],
+        rows: &[(usize, Vec<usize>)],
+    ) -> (Vec<&'d DenseVector>, Vec<&'d DenseVector>) {
+        rows.iter().flat_map(|(x, ys)| ys.iter().map(|&y| (&data[*x], &data[y]))).unzip()
+    }
+
+    /// A tile of runs against `eval` for every lane operation, with the
+    /// shared operand on either side, whole and cut into tiles of every
+    /// length up to `cut`.
+    fn assert_runs_are_eval(data: &[DenseVector], rows: &[(usize, Vec<usize>)], cut: usize) {
+        let dim = data[0].dim();
+        let (a, b) = runs_tile(data, rows);
+        for len in (1..=cut).chain([a.len().max(1)]) {
+            for (ca, cb) in a.chunks(len).zip(b.chunks(len)) {
+                for op in [LaneOp::Product, LaneOp::SqDiff, LaneOp::Centred] {
+                    assert_dense_batch_is_eval(op, ca, cb, dim);
+                    assert_dense_batch_is_eval(op, cb, ca, dim);
+                }
+            }
+        }
+    }
+
+    /// The two-row pass: a run and its twin, the run right after it with
+    /// its shared operand on the same side and of the same length, over
+    /// the partners the two have in common, position by position.
+    #[test]
+    fn dense_twin_runs_are_eval() {
+        let span = |from: usize, len: usize| (from..from + len).collect::<Vec<_>>();
+        for dim in [1, 5, 19, 64] {
+            // Entries 3, 10, 17, 24, 31 and 38 carry a NaN, ±∞ or −0.0.
+            let data = awkward_vectors(40, dim, 11, false);
+
+            // Rectangles: one to three rows over the same partners, runs
+            // of 1..=9 (a lone row, a twin, a twin and a row on its own).
+            for len in 1..=9 {
+                for rows in 1..=3 {
+                    let tile: Vec<_> = (0..rows).map(|r| (3 + 7 * r, span(20, len))).collect();
+                    assert_runs_are_eval(&data, &tile, 0);
+                }
+            }
+
+            // Prefix twins: the first m partners in common, then none, in
+            // runs of equal and of unequal length.
+            for m in 0..=9 {
+                for (extra0, extra1) in [(0, 0), (0, 1), (1, 0), (3, 5), (4, 4)] {
+                    let mut first = span(20, m);
+                    first.extend(span(30, extra0));
+                    let mut second = span(20, m);
+                    second.extend(span(35, extra1));
+                    assert_runs_are_eval(&data, &[(0, first), (10, second)], 0);
+                }
+            }
+
+            // A diagonal tile, each run's partners a prefix of the next
+            // run's, cut inside runs and twins at every length up to 13.
+            let triangle: Vec<_> = (1..=9).map(|r| (10 + r, span(0, r))).collect();
+            assert_runs_are_eval(&data, &triangle, 13);
+            let rectangle: Vec<_> = (0..4).map(|r| (30 + r, span(2, 9))).collect();
+            assert_runs_are_eval(&data, &rectangle, 13);
+        }
+
+        // A twin whose shared operand has another length, and partners
+        // shorter and longer than the shared operand. Vectors 1, 6, 11, …
+        // have one coordinate fewer, vectors 2, 7, 12, … two more.
+        for dim in [5, 19, 64] {
+            let ragged = awkward_vectors(40, dim, 12, true);
+            // Partners 21 and 26 are short, 22 and 27 long: from 20 on the
+            // first group of four meets a short one, from 22 on the second.
+            let long: Vec<usize> = (20..40).filter(|i| i % 5 != 1).collect();
+            for (x0, x1) in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 6), (2, 7), (0, 5), (3, 2)] {
+                for len in [4, 5, 8, 9] {
+                    for partners in [span(20, len), span(22, len), long[..len].to_vec()] {
+                        let tile = [(x0, partners.clone()), (x1, partners)];
+                        assert_runs_are_eval(&ragged, &tile, 5);
+                    }
+                }
+            }
         }
     }
 

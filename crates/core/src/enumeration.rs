@@ -107,8 +107,10 @@ pub fn pairs_in_range(start: u64, end: u64) -> impl Iterator<Item = (u64, u64)> 
 }
 
 /// Edge length of the square index tiles used by the cache-blocked pair
-/// walks below. 32 keeps a tile's two operand runs (≤ 64 elements) inside
-/// L1 for payloads up to ~512 B each — e.g. dim-64 `f64` vectors.
+/// walks below. A tile touches at most 64 operands: inside a 48 KB L1 for
+/// payloads up to ~512 B each (dim-64 `f64` vectors), in L2 beyond that
+/// (256 KB at dim 512), which is why a kernel that shares each partner
+/// load between two rows of the tile gains there.
 pub const TILE_EDGE: u64 = 32;
 
 /// Walks the full cross product `cols × rows` (every `(a, b)` with

@@ -36,9 +36,11 @@
 //! probed stream keeps what runs its survivors leave. A kernel may use a
 //! run (`std::ptr::eq` on neighbouring operands) to set up per-operand
 //! state once — `pmr-apps`' sparse dot loads the shared vector's weights
-//! into a table that four partners probe at once, its dense kernels load
-//! each chunk of the shared vector once for four partners — but only for
-//! speed: which runs a tile has, and where a tile cuts one, is up to the
+//! into a table that four partners probe at once — or two runs over the
+//! same partners at once: its dense kernels load each chunk of two shared
+//! vectors and of four common partners once for the eight pairs (a block
+//! tile's runs of 32 pair up into 16 such twins, a triangle's run `r` has
+//! the partners of run `r + 1` up to its last) — but only for speed: which runs a tile has, and where a tile cuts one, is up to the
 //! scheme, the filter and the runner, so every result must equal `eval`
 //! with no run at all.
 
