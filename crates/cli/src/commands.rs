@@ -639,11 +639,11 @@ fn trace(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             let path = args.required_positional(1, "report.json")?;
             let report = load_report(path)?;
             let out = args.required("chrome")?;
-            std::fs::write(out, export::chrome_trace(&report))?;
+            let (chrome, events) = export::chrome_trace(&report);
+            std::fs::write(out, chrome)?;
             eprintln!(
-                "wrote Chrome trace for {path} ({} trace events) to {out} — \
-                 open with chrome://tracing or https://ui.perfetto.dev",
-                report.trace.len()
+                "wrote Chrome trace for {path} ({events} Chrome events) to {out} — \
+                 open with chrome://tracing or https://ui.perfetto.dev"
             );
         }
         "diff" => {
@@ -1029,7 +1029,7 @@ mod tests {
             )))
             .unwrap();
             let json = std::fs::read_to_string(&json_path).unwrap();
-            assert!(json.contains("\"schema\": \"pmr.run_report/9\""), "{backend}");
+            assert!(json.contains("\"schema\": \"pmr.run_report/10\""), "{backend}");
             assert!(json.contains(&format!("\"backend\": \"{backend}\"")), "{backend}");
         }
         std::fs::remove_dir_all(&dir).unwrap();

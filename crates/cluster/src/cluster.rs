@@ -148,25 +148,16 @@ impl Cluster {
     }
 
     /// Attaches a telemetry handle (builder-style, before the cluster is
-    /// shared): the DFS emits placement events and the traffic accountant
-    /// emits transfer events into it, and the engine picks it up from
-    /// here for task spans and job phases. On a distributed transport
-    /// with telemetry enabled this also switches worker-side tracing on
-    /// and estimates each worker's clock offset.
+    /// shared): the DFS emits placement samples and the traffic accountant
+    /// transfer samples into it, and the engine picks it up from here for
+    /// task spans and job phases. A distributed transport records each
+    /// RPC it issues to a worker, and each worker it loses, into it too.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Cluster {
         self.traffic.set_telemetry(telemetry.clone());
         self.dfs.set_telemetry(telemetry.clone());
         self.transport.set_telemetry(&telemetry);
         self.telemetry = telemetry;
         self
-    }
-
-    /// Drains every live worker's trace ring into the telemetry sink,
-    /// rebasing worker timestamps onto the coordinator's epoch; dead
-    /// workers get a one-time `worker.lost` mark. A no-op in-process or
-    /// when telemetry is disabled.
-    pub fn drain_worker_traces(&self) {
-        self.transport.drain_traces();
     }
 
     /// The telemetry handle events are recorded into (disabled unless
@@ -268,7 +259,7 @@ impl Cluster {
         let (re_blocks, re_bytes) =
             self.dfs.handle_node_crash(id, &self.traffic, &self.config.network);
         self.crashes.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.event_traced(
+        self.telemetry.event(
             "node.crash",
             id.0,
             0,

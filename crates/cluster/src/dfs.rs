@@ -505,7 +505,7 @@ impl Dfs {
         }
         drop(files);
         if blocks_fixed > 0 {
-            self.telemetry.event_traced(
+            self.telemetry.event(
                 "dfs.rereplicate",
                 victim.0,
                 0,

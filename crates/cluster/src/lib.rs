@@ -46,6 +46,4 @@ pub use memory::MemoryGauge;
 pub use network::{NetworkModel, TrafficAccountant};
 pub use node::Node;
 pub use pmr_obs::Telemetry;
-pub use transport::{
-    NodeStore, Transport, WireSnapshot, WorkerInfo, WorkerTraceEvent, WorkerTraceReport,
-};
+pub use transport::{NodeStore, Transport, WireSnapshot, WorkerInfo};

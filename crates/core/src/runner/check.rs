@@ -1,12 +1,12 @@
 //! [`PairwiseRun::check`]: the run's bookkeeping laws, each stated once.
 
 use pmr_mapreduce::builtin::{
-    MAP_INPUT_RECORDS, MAP_OUTPUT_BYTES, MAP_OUTPUT_MOVED_BYTES, MAP_OUTPUT_RECORDS,
-    REDUCE_INPUT_RECORDS, REDUCE_OUTPUT_RECORDS, SHUFFLE_BYTES, SHUFFLE_MOVED_BYTES,
-    SPILLED_RECORDS,
+    FAILED_ATTEMPTS, MAP_INPUT_RECORDS, MAP_OUTPUT_BYTES, MAP_OUTPUT_MOVED_BYTES,
+    MAP_OUTPUT_RECORDS, MAP_TASK_ATTEMPTS, REDUCE_INPUT_RECORDS, REDUCE_OUTPUT_RECORDS,
+    REDUCE_TASK_ATTEMPTS, SHUFFLE_BYTES, SHUFFLE_MOVED_BYTES, SPILLED_RECORDS,
 };
 use pmr_mapreduce::JobOutput;
-use pmr_obs::{hist, trace, TaskSpan};
+use pmr_obs::{hist, RunEvent, TaskSpan};
 
 use crate::runner::mr::{EVALUATIONS_COUNTER, FUSED_CHARGED_SHUFFLE_COUNTER, PART_CONSUME_EVENT};
 use crate::runner::PairwiseRun;
@@ -29,7 +29,7 @@ impl<R> PairwiseRun<R> {
     /// Checks the run's conservation laws and returns the first that
     /// fails. The report, the MR jobs' counters and the transport's wire
     /// bytes observe the run independently, so a failed law is a bug in
-    /// one of them. Laws over phases, spans, histograms and the trace need
+    /// one of them. Laws over phases, spans, histograms and events need
     /// telemetry and are skipped when the run's sink recorded none.
     pub fn check(&self) -> Result<(), String> {
         let r = &self.report;
@@ -93,14 +93,6 @@ impl<R> PairwiseRun<R> {
                 law!(h.sum == counted, "{histogram} sums to {}, {name} is {counted}", h.sum);
             }
         }
-        if r.trace_dropped == 0 {
-            let count = |kind: &str| r.trace.iter().filter(|e| e.kind == kind).count();
-            let (starts, commits) =
-                (count(trace::kind::TASK_START), count(trace::kind::TASK_COMMIT));
-            let (cancels, spans) = (count(trace::kind::TASK_CANCEL), r.task_spans.len());
-            let counts = format!("{starts} starts, {commits} commits, {cancels} cancels");
-            law!(starts == spans + cancels && commits == spans, "{counts} for {spans} spans");
-        }
 
         // The engine's jobs open `setup` in the order the MR reports list
         // them; a sink that saw none of them skips the span laws.
@@ -125,6 +117,21 @@ impl<R> PairwiseRun<R> {
                 law!(spans == counted, "{name}: the spans sum to {spans}, {key} is {counted}");
             }
         }
+        // Each attempt the engine starts past its failure injector opens a
+        // span, which either commits or is cancelled.
+        let started: u64 = jobs
+            .iter()
+            .map(|j| {
+                counter(j, MAP_TASK_ATTEMPTS) + counter(j, REDUCE_TASK_ATTEMPTS)
+                    - counter(j, FAILED_ATTEMPTS)
+            })
+            .sum();
+        let spans = r.task_spans.iter().filter(|s| matches!(s.kind, "map" | "reduce")).count();
+        let cancels = r.events.iter().filter(|e| e.kind == RunEvent::TASK_CANCEL).count();
+        law!(
+            (spans + cancels) as u64 == started,
+            "{spans} spans and {cancels} cancelled attempts for {started} started attempts"
+        );
         // The driver takes each part of every run's last job as it commits.
         let parts: usize =
             self.mr.iter().map(|m| m.job2.as_ref().unwrap_or(&m.job1).stats.reduce_tasks).sum();

@@ -419,11 +419,6 @@ where
         // time in between.
         let mut run = run.inspect_err(|_| effective.close_phase())?;
 
-        // Final drain: catch worker-side trace events recorded after the
-        // last job's finalize drain (no-op in-process / tracing off).
-        if let Backend::Mr(cluster) = backend {
-            cluster.drain_worker_traces();
-        }
         // Assemble the report last: it closes the run's last phase at the
         // reading that ends the wall. Then fold in the framework counters
         // (and the evaluation counts the non-MR backends tracked outside
@@ -465,14 +460,7 @@ where
                     workers: cluster
                         .workers()
                         .iter()
-                        .map(|w| pmr_obs::WorkerProc {
-                            node: w.node.0,
-                            pid: w.pid,
-                            alive: w.alive,
-                            offset_us: w.offset_us,
-                            trace_events: w.trace_events,
-                            trace_dropped: w.trace_dropped,
-                        })
+                        .map(|w| pmr_obs::WorkerProc { node: w.node.0, pid: w.pid, alive: w.alive })
                         .collect(),
                     wire_bytes: snap.series().iter().map(|&(k, v)| (k.to_string(), v)).collect(),
                     wire_frames: snap.frames,

@@ -639,7 +639,7 @@ where
         if telemetry.is_enabled() {
             let merge = started.elapsed().as_micros() as u64;
             let detail = format!("{job} part {k}: {len} B, merge {merge} µs");
-            telemetry.event_traced(PART_CONSUME_EVENT, trace::NONE, merge, detail);
+            telemetry.event(PART_CONSUME_EVENT, trace::NONE, merge, detail);
         }
         Ok(())
     })

@@ -172,7 +172,7 @@ fn fused_merge_runs_inside_job1_reduce_and_is_traced() {
         ["distribute-input", "merge-aggregate"]
     );
     let reduce = engine.iter().find(|p| p.phase == "reduce").expect("job 1 has a reduce phase");
-    for e in report.trace.iter().filter(|e| e.kind == "part.consume") {
+    for e in report.events.iter().filter(|e| e.kind == "part.consume") {
         assert_eq!(e.node, trace::NONE, "consumed on the driver: {}", e.detail);
         // The part arrives in memory: there is no read to time.
         assert!(e.detail.contains(" B, merge ") && !e.detail.contains(" read "), "{}", e.detail);
@@ -253,7 +253,7 @@ fn disabled_telemetry_run_records_no_trace() {
 }
 
 #[test]
-fn trace_is_totally_ordered_and_mirrors_every_span_and_event() {
+fn trace_is_totally_ordered_and_holds_only_operation_samples() {
     let run = instrumented_run(48, 3, true);
     let report = &run.report;
     assert!(!report.trace.is_empty());
@@ -263,17 +263,12 @@ fn trace_is_totally_ordered_and_mirrors_every_span_and_event() {
     for (i, ev) in report.trace.iter().enumerate() {
         assert_eq!(ev.seq, i as u64, "trace seq must be dense");
     }
-    // Every committed span has exactly one start and one commit (checked
-    // by `check`); every discrete event is mirrored into the trace
-    // verbatim.
-    run.check().unwrap();
-    for ev in &report.events {
-        assert!(
-            report.trace.iter().any(|t| t.kind == ev.kind && t.detail == ev.detail),
-            "event '{}' missing from the trace",
-            ev.kind
-        );
+    // Spans, phases and events live in their own sections only; an
+    // in-process run's ring holds its transfers and placements.
+    for ev in &report.trace {
+        assert!(matches!(ev.kind, "transfer" | "placement"), "{} in the trace", ev.kind);
     }
+    run.check().unwrap();
 }
 
 #[test]
@@ -290,14 +285,14 @@ fn chaos_run_traces_recovery_with_node_and_duration() {
             .run()
             .unwrap();
         let report = &run.report;
-        let crashes: Vec<_> = report.trace.iter().filter(|e| e.kind == "node.crash").collect();
+        let crashes: Vec<_> = report.events.iter().filter(|e| e.kind == "node.crash").collect();
         assert_eq!(crashes.len(), 1, "seed {chaos_seed}");
         // The crash event is tagged with the victim node, not the sentinel.
         assert_ne!(crashes[0].node, trace::NONE, "seed {chaos_seed}");
         // Each recovered map task leaves one timed rerun event on the node
         // that re-executed it.
         let reruns: u64 = run.mr.iter().map(|r| r.map_reruns).sum();
-        let traced: Vec<_> = report.trace.iter().filter(|e| e.kind == "map.rerun").collect();
+        let traced: Vec<_> = report.events.iter().filter(|e| e.kind == "map.rerun").collect();
         assert_eq!(traced.len() as u64, reruns, "seed {chaos_seed}");
         for ev in &traced {
             assert_ne!(ev.node, trace::NONE, "seed {chaos_seed}: rerun must name its node");
@@ -307,7 +302,7 @@ fn chaos_run_traces_recovery_with_node_and_duration() {
         run.check().unwrap();
         // Lost DFS replicas are restored and traced once per crash that
         // cost blocks.
-        for ev in report.trace.iter().filter(|e| e.kind == "dfs.rereplicate") {
+        for ev in report.events.iter().filter(|e| e.kind == "dfs.rereplicate") {
             assert_ne!(ev.node, trace::NONE, "seed {chaos_seed}");
         }
     }

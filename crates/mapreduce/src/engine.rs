@@ -538,10 +538,6 @@ impl<'c> Engine<'c> {
             counters.get(builtin::SHUFFLE_MOVED_BYTES),
         );
         telemetry.job_phase(&spec.name, "finalize");
-        // Pull any worker-side trace rings into the coordinator's trace
-        // while the workers are quiescent (no-op on in-process runs or
-        // with tracing disabled).
-        cluster.drain_worker_traces();
         self.cleanup(jid, charged_total);
         if let Some(e) = error.lock().take() {
             return Err(e);
@@ -711,6 +707,8 @@ where
             self.counters.inc(builtin::SPECULATIVE_LAUNCHED);
             cluster.telemetry().event(
                 "speculative.launch",
+                me.0,
+                0,
                 format!("backup attempt of {kind} task {task} on {me}"),
             );
         }
@@ -770,9 +768,8 @@ where
         board.finish(run_started.elapsed().as_micros() as u64);
         if is_backup {
             self.counters.inc(builtin::SPECULATIVE_WON);
-            cluster
-                .telemetry()
-                .event("speculative.win", format!("backup of {kind} task {task} won on {me}"));
+            let detail = format!("backup of {kind} task {task} won on {me}");
+            cluster.telemetry().event("speculative.win", me.0, 0, detail);
         }
         let _ = cluster.note_task_completion();
         Ok(Some(published))
@@ -1012,10 +1009,10 @@ where
         self.map_board.next_attempt[m].fetch_add(1, Ordering::SeqCst);
         let partition_charges = self.map_body(m, me, &Counters::new(), &mut Span::default())?;
         self.publish_map_output(m, me, &partition_charges);
-        // Emitted after the re-run so the trace carries its measured
+        // Emitted after the re-run so the event carries its measured
         // duration — the critical-path analyzer attributes this window
         // of the recovering reducer's shuffle to recovery.
-        cluster.telemetry().event_traced(
+        cluster.telemetry().event(
             "map.rerun",
             me.0,
             rerun_started.elapsed().as_micros() as u64,

@@ -21,7 +21,7 @@
 //! Σ task time + Σ wait`, which is ≤ the makespan by construction and
 //! equals it when every task is serialized (single node, one slot).
 //! Per-segment time is attributed to *shuffle* (the reduce shuffle lap),
-//! *recovery* (timed `map.rerun` trace events that ran inside the
+//! *recovery* (timed `map.rerun` run events that ran inside the
 //! segment's window on its node), *compute* (everything else inside the
 //! task), and *wait* (the gap to the binding predecessor).
 
@@ -90,7 +90,7 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Extracts the critical path from a report's task spans and trace
+    /// Extracts the critical path from a report's task spans and events
     /// (None when the report has no spans).
     pub fn from_report(r: &RunReport) -> Option<CriticalPath> {
         let spans = &r.task_spans;
@@ -168,7 +168,7 @@ impl CriticalPath {
     }
 }
 
-/// Attributes one chain task's time from its laps and the trace.
+/// Attributes one chain task's time from its laps and the run events.
 fn build_segment(
     s: &TaskSpan,
     r: &RunReport,
@@ -182,7 +182,7 @@ fn build_segment(
     // hit the dead node; timed rerun events in this task's window on its
     // node are carved out of shuffle time.
     let recovery_raw: u64 = r
-        .trace
+        .events
         .iter()
         .filter(|e| {
             e.kind == "map.rerun"
@@ -479,12 +479,12 @@ mod tests {
             span("j", "map", 0, 0, 0, 100, vec![]),
             span("j", "reduce", 0, 1, 100, 500, vec![("shuffle", 300), ("reduce", 100)]),
         ]);
-        r.trace.push(crate::trace::TraceEvent {
+        r.events.push(crate::RunEvent {
             at_us: 250,
             kind: "map.rerun",
             node: 1,
             dur_us: 120,
-            ..crate::trace::TraceEvent::default()
+            detail: String::new(),
         });
         let cp = CriticalPath::from_report(&r).unwrap();
         let reduce = cp.segments.last().unwrap();

@@ -8,7 +8,8 @@
 //!   tasks, `tid 1` reduce tasks, `tid 2` generic tasks, `tid 3`
 //!   discrete events (crash / recovery / speculation / cancel /
 //!   placement) as instants (`"i"`), `tid 4` network transfers, `tid 5`
-//!   worker-side storage ops drained from the distributed trace rings.
+//!   the storage RPCs the coordinator issued to the node's worker, timed
+//!   over their round trip, and the worker's `worker.lost` instant.
 //!   On distributed runs the lane's `pid` is the worker's **real OS
 //!   pid** (taken from the report's transport section); simulated runs
 //!   fall back to the synthetic `n + 1`.
@@ -20,6 +21,7 @@
 use crate::analyze::{CriticalPath, SkewReport};
 use crate::json::JsonWriter;
 use crate::report::RunReport;
+use crate::telemetry::RunEvent;
 use crate::trace;
 
 /// One pending Chrome event before sorting.
@@ -72,8 +74,8 @@ impl LaneMap {
 }
 
 /// Renders a report as Chrome-trace JSON (the `traceEvents` array
-/// format).
-pub fn chrome_trace(r: &RunReport) -> String {
+/// format) and returns it with the number of Chrome events it holds.
+pub fn chrome_trace(r: &RunReport) -> (String, usize) {
     let lanes = LaneMap::from_report(r);
     let mut events: Vec<ChromeEvent> = Vec::new();
 
@@ -115,15 +117,29 @@ pub fn chrome_trace(r: &RunReport) -> String {
         });
     }
 
+    for e in &r.events {
+        let mut args: Vec<(String, String)> = Vec::new();
+        if !e.detail.is_empty() {
+            args.push(("detail".to_string(), JsonWriter::quote(&e.detail)));
+        }
+        if e.dur_us > 0 {
+            args.push(("dur_us".to_string(), e.dur_us.to_string()));
+        }
+        let (cat, tid) = if e.kind == RunEvent::WORKER_LOST { ("worker", 5) } else { ("event", 3) };
+        events.push(ChromeEvent {
+            name: e.kind.to_string(),
+            cat,
+            ph: "i",
+            ts: e.at_us,
+            dur: None,
+            pid: lanes.pid(e.node),
+            tid,
+            args,
+        });
+    }
+
     for e in &r.trace {
         match e.kind {
-            trace::kind::TASK_START
-            | trace::kind::TASK_LAP
-            | trace::kind::TASK_COMMIT
-            | trace::kind::PHASE_START
-            | trace::kind::PHASE_END => {
-                // Covered by the complete slices above.
-            }
             trace::kind::TRANSFER => {
                 events.push(ChromeEvent {
                     name: format!(
@@ -144,8 +160,6 @@ pub fn chrome_trace(r: &RunReport) -> String {
             | trace::kind::WORKER_GET
             | trace::kind::WORKER_REMOVE
             | trace::kind::WORKER_REMOVE_PREFIX => {
-                // Worker-side storage ops drained from the trace rings
-                // become complete slices on the worker-ops lane.
                 let mut args = vec![("bytes".to_string(), e.bytes.to_string())];
                 if !e.phase.is_empty() {
                     args.push(("class".to_string(), JsonWriter::quote(&e.phase)));
@@ -161,49 +175,17 @@ pub fn chrome_trace(r: &RunReport) -> String {
                     args,
                 });
             }
-            trace::kind::WORKER_HEARTBEAT | trace::kind::WORKER_LOST => {
-                let mut args: Vec<(String, String)> = Vec::new();
-                if !e.detail.is_empty() {
-                    args.push(("detail".to_string(), JsonWriter::quote(&e.detail)));
-                }
+            _ => {
+                // Placements become instants beside the discrete events.
                 events.push(ChromeEvent {
                     name: e.kind.to_string(),
-                    cat: "worker",
-                    ph: "i",
-                    ts: e.at_us,
-                    dur: None,
-                    pid: lanes.pid(e.node),
-                    tid: 5,
-                    args,
-                });
-            }
-            _ => {
-                // Discrete events (crash / rerun / speculation / cancel /
-                // placement / re-replication) become instants.
-                let mut args: Vec<(String, String)> = Vec::new();
-                if !e.detail.is_empty() {
-                    args.push(("detail".to_string(), JsonWriter::quote(&e.detail)));
-                }
-                if e.bytes > 0 {
-                    args.push(("bytes".to_string(), e.bytes.to_string()));
-                }
-                if e.dur_us > 0 {
-                    args.push(("dur_us".to_string(), e.dur_us.to_string()));
-                }
-                let name = if e.kind == trace::kind::TASK_CANCEL {
-                    format!("{} {} {}", e.kind, e.task_kind, e.task)
-                } else {
-                    e.kind.to_string()
-                };
-                events.push(ChromeEvent {
-                    name,
                     cat: "event",
                     ph: "i",
                     ts: e.at_us,
                     dur: None,
                     pid: lanes.pid(e.node),
                     tid: 3,
-                    args,
+                    args: vec![("bytes".to_string(), e.bytes.to_string())],
                 });
             }
         }
@@ -239,7 +221,7 @@ pub fn chrome_trace(r: &RunReport) -> String {
     }
     w.end_array();
     w.end_object();
-    w.finish()
+    (w.finish(), events.len())
 }
 
 fn fmt_us(us: u64) -> String {
@@ -402,7 +384,7 @@ pub fn text_summary(r: &RunReport) -> String {
 
     let _ = writeln!(
         w,
-        "\ntrace: {} events recorded{}",
+        "\ntrace: {} samples recorded{}",
         r.trace.len(),
         if r.trace_dropped > 0 {
             format!(" ({} dropped from the bounded ring)", r.trace_dropped)
@@ -437,18 +419,19 @@ mod tests {
             span.record_value(crate::hist::EVALUATIONS_PER_TASK, 30);
         }
         t.transfer(1, 0, 4096, 35);
-        t.event_traced("node.crash", 1, 0, "node_1 crashed".to_string());
-        t.event_traced("map.rerun", 0, 42, "map 0 re-run on node_0".to_string());
+        t.event("node.crash", 1, 0, "node_1 crashed".to_string());
+        t.event("map.rerun", 0, 42, "map 0 re-run on node_0".to_string());
         t.report()
     }
 
     #[test]
     fn chrome_trace_is_valid_json_with_required_fields() {
         let r = sample_report();
-        let json = chrome_trace(&r);
+        let (json, count) = chrome_trace(&r);
         let v = JsonValue::parse(&json).expect("chrome trace must parse");
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
         assert!(!events.is_empty());
+        assert_eq!(events.len(), count);
         let mut last_ts_per_lane: std::collections::BTreeMap<(u64, u64), u64> =
             std::collections::BTreeMap::new();
         for e in events {
@@ -477,39 +460,16 @@ mod tests {
             let mut at = std::time::Instant::now();
             span.lap("map", &mut at);
         }
-        t.merge_worker_events([
-            crate::TraceEvent {
-                at_us: 10,
-                kind: trace::kind::WORKER_PUT,
-                node: 1,
-                phase: "map_output".to_string(),
-                bytes: 256,
-                dur_us: 4,
-                ..crate::TraceEvent::default()
-            },
-            crate::TraceEvent {
-                at_us: 20,
-                kind: trace::kind::WORKER_HEARTBEAT,
-                node: 1,
-                detail: "ops=1 bytes=256".to_string(),
-                ..crate::TraceEvent::default()
-            },
-        ]);
+        t.worker_op(trace::kind::WORKER_PUT, 1, "map_output", 256, t.now_us());
+        t.event(RunEvent::WORKER_LOST, 1, 0, "worker for node_1 killed".to_string());
         let mut r = t.report();
         r.transport = Some(crate::TransportReport {
             name: "process".to_string(),
-            workers: vec![crate::WorkerProc {
-                node: 1,
-                pid: 31337,
-                alive: true,
-                offset_us: -3,
-                trace_events: 2,
-                trace_dropped: 0,
-            }],
+            workers: vec![crate::WorkerProc { node: 1, pid: 31337, alive: false }],
             ..Default::default()
         });
 
-        let json = chrome_trace(&r);
+        let (json, _) = chrome_trace(&r);
         let v = JsonValue::parse(&json).expect("chrome trace must parse");
         let events = v.get("traceEvents").unwrap().as_array().unwrap();
         let put = events
@@ -520,12 +480,12 @@ mod tests {
         assert_eq!(put.u64_or_zero("pid"), 31337, "node 1 lane uses the real worker pid");
         assert_eq!(put.u64_or_zero("tid"), 5);
         assert_eq!(put.get("args").unwrap().str_or_empty("class"), "map_output");
-        let hb = events
+        let lost = events
             .iter()
-            .find(|e| e.str_or_empty("name") == trace::kind::WORKER_HEARTBEAT)
-            .expect("heartbeat instant");
-        assert_eq!(hb.str_or_empty("ph"), "i");
-        assert_eq!(hb.u64_or_zero("pid"), 31337);
+            .find(|e| e.str_or_empty("name") == RunEvent::WORKER_LOST)
+            .expect("worker.lost instant");
+        assert_eq!(lost.str_or_empty("ph"), "i");
+        assert_eq!((lost.u64_or_zero("pid"), lost.u64_or_zero("tid")), (31337, 5));
         // The node-1 task span rides the same real-pid lane.
         let task = events.iter().find(|e| e.str_or_empty("name") == "map 0").expect("task slice");
         assert_eq!(task.u64_or_zero("pid"), 31337);
@@ -545,7 +505,7 @@ mod tests {
             "map.rerun",
             "evaluations/task",
             "p50",
-            "events recorded",
+            "samples recorded",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

@@ -5,7 +5,9 @@
 //! offline `trace` CLI needs to load them back. This module parses any
 //! RFC 8259 document into a [`JsonValue`] tree (objects preserve key
 //! order) and [`RunReport::from_json`] rebuilds a full
-//! [`crate::RunReport`] from the `pmr.run_report/9` schema.
+//! [`crate::RunReport`] from the `pmr.run_report/10` schema, and from
+//! `/9` reports, whose trace ring also copied spans, phases and events and
+//! held worker heartbeats.
 
 use crate::histogram::{HistogramBucket, HistogramSnapshot};
 use crate::report::{NodeTimeline, RunReport};
@@ -324,12 +326,6 @@ fn intern(name: &str) -> &'static str {
         "aggregate",
         "setup",
         "finalize",
-        trace::kind::TASK_START,
-        trace::kind::TASK_LAP,
-        trace::kind::TASK_COMMIT,
-        trace::kind::TASK_CANCEL,
-        trace::kind::PHASE_START,
-        trace::kind::PHASE_END,
         trace::kind::TRANSFER,
         trace::kind::PLACEMENT,
         "node.crash",
@@ -337,12 +333,13 @@ fn intern(name: &str) -> &'static str {
         "speculative.launch",
         "speculative.win",
         "dfs.rereplicate",
+        "part.consume",
+        RunEvent::TASK_CANCEL,
+        RunEvent::WORKER_LOST,
         trace::kind::WORKER_PUT,
         trace::kind::WORKER_GET,
         trace::kind::WORKER_REMOVE,
         trace::kind::WORKER_REMOVE_PREFIX,
-        trace::kind::WORKER_HEARTBEAT,
-        trace::kind::WORKER_LOST,
     ];
     match KNOWN.iter().find(|k| **k == name) {
         Some(k) => k,
@@ -394,13 +391,6 @@ impl RunReport {
                     node: worker.u64_or_zero("node") as u32,
                     pid: worker.u64_or_zero("pid") as u32,
                     alive: worker.get("alive").and_then(JsonValue::as_bool).unwrap_or(false),
-                    offset_us: worker
-                        .get("offset_us")
-                        .and_then(JsonValue::as_f64)
-                        .map(|n| n as i64)
-                        .unwrap_or(0),
-                    trace_events: worker.u64_or_zero("trace_events"),
-                    trace_dropped: worker.u64_or_zero("trace_dropped"),
                 });
             }
             r.transport = Some(section);
@@ -488,27 +478,31 @@ impl RunReport {
             r.events.push(RunEvent {
                 at_us: e.u64_or_zero("at_us"),
                 kind: intern(e.str_or_empty("kind")),
+                node: opt_u32(e, "node"),
+                dur_us: e.u64_or_zero("dur_us"),
                 detail: e.str_or_empty("detail").to_string(),
             });
         }
         if let Some(tr) = root.get("trace") {
             r.trace_dropped = tr.u64_or_zero("dropped");
             for e in tr.get("events").and_then(JsonValue::as_array).unwrap_or(&[]) {
+                // A `/9` ring also copied the spans, phases and events,
+                // which load from their own sections, and held worker
+                // heartbeats: only its per-operation samples load here.
+                let kind = e.str_or_empty("kind");
+                if !trace::kind::is_sample(kind) {
+                    continue;
+                }
                 r.trace.push(TraceEvent {
                     seq: e.u64_or_zero("seq"),
                     at_us: e.u64_or_zero("at_us"),
-                    kind: intern(e.str_or_empty("kind")),
-                    job: e.str_or_empty("job").to_string(),
-                    task_kind: intern(e.str_or_empty("task_kind")),
-                    task: opt_u32(e, "task"),
-                    attempt: opt_u32(e, "attempt"),
+                    kind: intern(kind),
                     node: opt_u32(e, "node"),
                     peer: opt_u32(e, "peer"),
                     phase: e.str_or_empty("phase").to_string(),
                     bytes: e.u64_or_zero("bytes"),
                     dur_us: e.u64_or_zero("dur_us"),
                     sim_us: e.u64_or_zero("sim_us"),
-                    detail: e.str_or_empty("detail").to_string(),
                 });
             }
         }
@@ -576,28 +570,15 @@ mod tests {
         }
         t.transfer(0, 1, 150, 7);
         t.placement(1, 64);
-        t.event_traced("map.rerun", 1, 33, "map 3 re-run".to_string());
+        t.event("map.rerun", 1, 33, "map 3 re-run".to_string());
+        t.worker_op(trace::kind::WORKER_GET, 1, "shuffle", 17, t.now_us());
         let mut report = t.report();
         report.merge_counters([("mr.shuffle.bytes", 42)]);
         report.transport = Some(crate::TransportReport {
             name: "process".to_string(),
             workers: vec![
-                crate::WorkerProc {
-                    node: 0,
-                    pid: 4242,
-                    alive: true,
-                    offset_us: -17,
-                    trace_events: 88,
-                    trace_dropped: 0,
-                },
-                crate::WorkerProc {
-                    node: 1,
-                    pid: 4243,
-                    alive: false,
-                    offset_us: 5,
-                    trace_events: 12,
-                    trace_dropped: 2,
-                },
+                crate::WorkerProc { node: 0, pid: 4242, alive: true },
+                crate::WorkerProc { node: 1, pid: 4243, alive: false },
             ],
             wire_bytes: vec![("shuffle".to_string(), 17), ("map_output".to_string(), 9)],
             wire_frames: 12,

@@ -19,14 +19,15 @@
 //! * [`RunReport`] — the assembled picture (plus derived per-node
 //!   busy/idle timelines and memory high-water marks), serializable to
 //!   JSON via a hand-rolled writer ([`json`]) with zero dependencies.
-//! * [`trace`] — a totally-ordered structured event stream (task
-//!   start/lap/commit/cancel, phase edges, transfers, placements,
-//!   crash/recovery/speculation) recorded into a bounded ring; the
-//!   substrate for the [`analyze`] layer (critical path, skew/straggler
-//!   diagnosis, run diffs) and the [`export`] layer (Chrome-trace JSON,
-//!   text summaries). Distributed runs merge worker-side trace rings
-//!   into the same stream after clock-offset rebasing
-//!   ([`Telemetry::merge_worker_events`]).
+//! * [`RunEvent`] — discrete events (crash, recovery, speculation, a
+//!   cancelled attempt, a lost worker), each on its node with its
+//!   duration.
+//! * [`trace`] — a totally-ordered stream of per-operation samples
+//!   (transfers, placements, and on distributed runs each worker RPC,
+//!   timed by the coordinator over its round trip) in a bounded ring.
+//!   Spans, phases, events and samples feed the [`analyze`] layer
+//!   (critical path, skew/straggler diagnosis, run diffs) and the
+//!   [`export`] layer (Chrome-trace JSON, text summaries).
 //! * [`live`] — a sampling reporter thread emitting periodic JSONL
 //!   progress records (`pmr.live/1`) for `--live` run monitoring.
 

@@ -33,18 +33,10 @@ pub struct WorkerProc {
     pub pid: u32,
     /// Whether the process was still running when the report was taken.
     pub alive: bool,
-    /// Estimated clock offset (worker minus coordinator) in µs from the
-    /// transport's PING exchange; 0 when the worker was never traced.
-    pub offset_us: i64,
-    /// Worker-side trace events drained into the merged trace.
-    pub trace_events: u64,
-    /// Worker-side trace events evicted before they could be drained.
-    pub trace_dropped: u64,
 }
 
 /// Physical-transport section of a run report (schema 7): which backend
-/// moved the bytes, the worker process table with per-worker clock-offset
-/// estimates and drained-trace counts, and the payload bytes that
+/// moved the bytes, the worker process table, and the payload bytes that
 /// actually crossed worker sockets, by traffic class.
 ///
 /// Absent (`None` on [`RunReport::transport`]) for in-process runs, whose
@@ -118,12 +110,13 @@ pub struct RunReport {
     pub placements: Vec<(u32, PlacementStats)>,
     /// Named histograms, ascending by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Discrete run events (crashes, recoveries, speculation) in recorded
-    /// order.
+    /// Discrete run events (crashes, recoveries, speculation, cancelled
+    /// attempts, lost workers) in recorded order.
     pub events: Vec<RunEvent>,
-    /// The structured event trace in `seq` (total) order.
+    /// Per-operation samples (transfers, placements, worker RPCs) in
+    /// `seq` (total) order.
     pub trace: Vec<TraceEvent>,
-    /// Trace events evicted from the bounded ring before this snapshot.
+    /// Trace samples evicted from the bounded ring before this snapshot.
     pub trace_dropped: u64,
     /// Physical-transport section (worker table + wire byte classes);
     /// `None` for in-process runs.
@@ -181,7 +174,7 @@ impl RunReport {
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.str_field("schema", "pmr.run_report/9");
+        w.str_field("schema", "pmr.run_report/10");
         w.u64_field("wall_time_us", self.wall_time_us);
 
         w.begin_object_key("meta");
@@ -211,9 +204,6 @@ impl RunReport {
                 w.u64_field("node", worker.node as u64);
                 w.u64_field("pid", worker.pid as u64);
                 w.bool_field("alive", worker.alive);
-                w.i64_field("offset_us", worker.offset_us);
-                w.u64_field("trace_events", worker.trace_events);
-                w.u64_field("trace_dropped", worker.trace_dropped);
                 w.end_object();
             }
             w.end_array();
@@ -321,6 +311,12 @@ impl RunReport {
             w.begin_object();
             w.u64_field("at_us", e.at_us);
             w.str_field("kind", e.kind);
+            if e.node != trace::NONE {
+                w.u64_field("node", e.node as u64);
+            }
+            if e.dur_us != 0 {
+                w.u64_field("dur_us", e.dur_us);
+            }
             w.str_field("detail", &e.detail);
             w.end_object();
         }
@@ -334,18 +330,6 @@ impl RunReport {
             w.u64_field("seq", e.seq);
             w.u64_field("at_us", e.at_us);
             w.str_field("kind", e.kind);
-            if !e.job.is_empty() {
-                w.str_field("job", &e.job);
-            }
-            if !e.task_kind.is_empty() {
-                w.str_field("task_kind", e.task_kind);
-            }
-            if e.task != trace::NONE {
-                w.u64_field("task", e.task as u64);
-            }
-            if e.attempt != trace::NONE {
-                w.u64_field("attempt", e.attempt as u64);
-            }
             if e.node != trace::NONE {
                 w.u64_field("node", e.node as u64);
             }
@@ -363,9 +347,6 @@ impl RunReport {
             }
             if e.sim_us != 0 {
                 w.u64_field("sim_us", e.sim_us);
-            }
-            if !e.detail.is_empty() {
-                w.str_field("detail", &e.detail);
             }
             w.end_object();
         }
@@ -521,17 +502,17 @@ mod tests {
         let mut r = RunReport::default();
         r.meta.push(("scheme".into(), "design(q=7)".into()));
         r.merge_counters([("mr.shuffle.bytes", 42)]);
-        r.events.push(RunEvent { at_us: 5, kind: "node.crash", detail: "node_0 crashed".into() });
-        r.trace.push(TraceEvent {
-            seq: 0,
+        r.events.push(RunEvent {
             at_us: 5,
             kind: "node.crash",
+            node: trace::NONE,
+            dur_us: 0,
             detail: "node_0 crashed".into(),
-            ..TraceEvent::default()
         });
+        r.trace.push(TraceEvent { seq: 0, at_us: 5, kind: "placement", ..TraceEvent::default() });
         let json = r.to_json();
         for needle in [
-            "\"schema\": \"pmr.run_report/9\"",
+            "\"schema\": \"pmr.run_report/10\"",
             "\"events\"",
             "\"kind\": \"node.crash\"",
             "\"meta\"",
@@ -549,9 +530,8 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-        // Sentinel identity fields are omitted from trace events.
-        let trace_tail = json.split("\"trace\"").nth(1).unwrap();
-        assert!(!trace_tail.contains("\"node\": 4294967295"));
+        // Sentinel node fields are omitted from events and trace samples.
+        assert!(!json.contains("\"node\": 4294967295"));
     }
 
     #[test]
@@ -562,7 +542,7 @@ mod tests {
         let r = RunReport::default();
         r.write_json_file(path.to_str().unwrap()).expect("parents should be created");
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("pmr.run_report/9"));
+        assert!(text.contains("pmr.run_report/10"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -575,22 +555,8 @@ mod tests {
             transport: Some(TransportReport {
                 name: "process".into(),
                 workers: vec![
-                    WorkerProc {
-                        node: 0,
-                        pid: 4242,
-                        alive: true,
-                        offset_us: -37,
-                        trace_events: 120,
-                        trace_dropped: 0,
-                    },
-                    WorkerProc {
-                        node: 1,
-                        pid: 4243,
-                        alive: false,
-                        offset_us: 12,
-                        trace_events: 7,
-                        trace_dropped: 3,
-                    },
+                    WorkerProc { node: 0, pid: 4242, alive: true },
+                    WorkerProc { node: 1, pid: 4243, alive: false },
                 ],
                 wire_bytes: vec![("shuffle".into(), 512), ("dfs".into(), 64)],
                 wire_frames: 12,
@@ -606,10 +572,6 @@ mod tests {
             "\"pid\": 4242",
             "\"alive\": true",
             "\"alive\": false",
-            "\"offset_us\": -37",
-            "\"offset_us\": 12",
-            "\"trace_events\": 120",
-            "\"trace_dropped\": 3",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }

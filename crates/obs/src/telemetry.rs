@@ -8,6 +8,12 @@
 //! under one short mutex hold when the span drops, keeping the hot path
 //! lock-cheap.
 //!
+//! Each fact has one home in the sink: a task attempt is a [`TaskSpan`],
+//! a job-level window a [`JobPhase`], a discrete occurrence (a crash, a
+//! re-run, a cancelled attempt, a lost worker) a [`RunEvent`], and a
+//! per-operation sample (a transfer, a placement, a worker RPC) a
+//! [`TraceEvent`] in the bounded [`TraceRing`].
+//!
 //! The sink keeps the run's one clock. It holds the run's single open job
 //! phase: [`Telemetry::job_phase`] closes it and opens the next at one
 //! clock reading, and [`Telemetry::report`] closes the last one at the
@@ -109,17 +115,32 @@ pub struct JobPhase {
     pub bytes_moved: u64,
 }
 
-/// One discrete run event (node crash, map re-run, speculative launch…),
-/// timestamped on the shared telemetry axis.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// One discrete run event (node crash, map re-run, speculative launch,
+/// cancelled attempt, lost worker…), timestamped on the shared telemetry
+/// axis.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunEvent {
     /// When the event happened, µs since the telemetry epoch.
     pub at_us: u64,
-    /// Stable event kind ("node.crash", "map.rerun",
-    /// "speculative.launch", "speculative.win", "part.consume").
+    /// Stable event kind ("node.crash", "map.rerun", "dfs.rereplicate",
+    /// "speculative.launch", "speculative.win", "part.consume",
+    /// [`RunEvent::TASK_CANCEL`], [`RunEvent::WORKER_LOST`]).
     pub kind: &'static str,
+    /// The node the event happened on, [`trace::NONE`] for the driver.
+    pub node: u32,
+    /// Wall time of the work the event stands for (a map re-run, a part
+    /// merge, a cancelled attempt), µs; 0 for an instant.
+    pub dur_us: u64,
     /// Human-readable detail.
     pub detail: String,
+}
+
+impl RunEvent {
+    /// A task attempt was discarded: it failed or lost its commit race.
+    pub const TASK_CANCEL: &'static str = "task.cancel";
+    /// The coordinator killed a worker process or first failed an RPC to
+    /// it.
+    pub const WORKER_LOST: &'static str = "worker.lost";
 }
 
 /// Point-in-time progress sample returned by [`Telemetry::progress`].
@@ -131,7 +152,7 @@ pub struct Progress {
     pub tasks_committed: u64,
     /// Total pairwise evaluations observed so far.
     pub evaluations: u64,
-    /// Trace events recorded so far (retained + evicted).
+    /// Trace samples recorded so far (retained + evicted).
     pub trace_events: u64,
 }
 
@@ -202,15 +223,6 @@ impl SinkState {
     fn close_phase(&mut self, end_us: u64) {
         if let Some(mut phase) = self.open_phase.take() {
             phase.end_us = end_us;
-            self.trace.push(TraceEvent {
-                at_us: end_us,
-                kind: trace::kind::PHASE_END,
-                job: phase.job.clone(),
-                phase: phase.phase.clone(),
-                bytes: phase.bytes_charged,
-                dur_us: end_us - phase.start_us,
-                ..TraceEvent::default()
-            });
             self.job_phases.push(phase);
         }
     }
@@ -275,13 +287,6 @@ impl Telemetry {
             let mut st = sink.lock();
             let at_us = sink.now_us();
             st.close_phase(at_us);
-            st.trace.push(TraceEvent {
-                at_us,
-                kind: trace::kind::PHASE_START,
-                job: job.to_string(),
-                phase: phase.to_string(),
-                ..TraceEvent::default()
-            });
             st.open_phase = Some(JobPhase {
                 job: job.to_string(),
                 phase: phase.to_string(),
@@ -315,31 +320,18 @@ impl Telemetry {
 
     /// Opens a task span ending (and recording) when the guard drops.
     pub fn span(&self, job: &str, kind: SpanKind, task: u32, attempt: u32, node: u32) -> Span {
-        Span(self.0.as_ref().map(|sink| {
-            let start_us = sink.now_us();
-            sink.lock().trace.push(TraceEvent {
-                at_us: start_us,
-                kind: trace::kind::TASK_START,
+        Span(self.0.as_ref().map(|sink| SpanInner {
+            sink: Arc::clone(sink),
+            data: TaskSpan {
                 job: job.to_string(),
-                task_kind: kind.as_str(),
+                kind: kind.as_str(),
                 task,
                 attempt,
                 node,
-                ..TraceEvent::default()
-            });
-            SpanInner {
-                sink: Arc::clone(sink),
-                data: TaskSpan {
-                    job: job.to_string(),
-                    kind: kind.as_str(),
-                    task,
-                    attempt,
-                    node,
-                    start_us,
-                    ..TaskSpan::default()
-                },
-                values: Vec::new(),
-            }
+                start_us: sink.now_us(),
+                ..TaskSpan::default()
+            },
+            values: Vec::new(),
         }))
     }
 
@@ -365,27 +357,13 @@ impl Telemetry {
     }
 
     /// Records a discrete run event (crash, recovery, speculation)
-    /// timestamped now, mirrored into the trace.
-    pub fn event(&self, kind: &'static str, detail: String) {
-        self.event_traced(kind, trace::NONE, 0, detail);
-    }
-
-    /// Records a discrete run event like [`Telemetry::event`], additionally
-    /// attributing it to `node` and — for recovery work that took measurable
-    /// wall time, like a map re-run — carrying its duration in the trace.
-    pub fn event_traced(&self, kind: &'static str, node: u32, dur_us: u64, detail: String) {
+    /// timestamped now, on `node` ([`trace::NONE`] for the driver). Work
+    /// that took measurable wall time, like a map re-run, carries it in
+    /// `dur_us`.
+    pub fn event(&self, kind: &'static str, node: u32, dur_us: u64, detail: String) {
         if let Some(sink) = &self.0 {
             let at_us = sink.now_us();
-            let mut st = sink.lock();
-            st.trace.push(TraceEvent {
-                at_us,
-                kind,
-                node,
-                dur_us,
-                detail: detail.clone(),
-                ..TraceEvent::default()
-            });
-            st.events.push(RunEvent { at_us, kind, detail });
+            sink.lock().events.push(RunEvent { at_us, kind, node, dur_us, detail });
         }
     }
 
@@ -407,26 +385,28 @@ impl Telemetry {
         }
     }
 
-    /// Merges worker-side trace events — already rebased onto this sink's
-    /// epoch by the transport's clock-offset estimator — into the trace
-    /// ring under one mutex hold, preserving the iterator's order. The
-    /// ring assigns `seq`, so drained worker events take their place in
-    /// the total order at the drain point. A no-op when disabled.
-    pub fn merge_worker_events<I>(&self, events: I)
-    where
-        I: IntoIterator<Item = TraceEvent>,
-    {
+    /// Records one RPC the coordinator issued to `node`'s worker process:
+    /// a `kind` sample (one of the `worker.*` kinds in [`trace::kind`]) of
+    /// wire class `class` carrying `bytes`, started at `start_us` (a
+    /// [`Telemetry::now_us`] reading) and timed to now.
+    pub fn worker_op(&self, kind: &'static str, node: u32, class: &str, bytes: u64, start_us: u64) {
         if let Some(sink) = &self.0 {
-            let mut st = sink.lock();
-            for ev in events {
-                st.trace.push(ev);
-            }
+            let dur_us = sink.now_us().saturating_sub(start_us);
+            sink.lock().trace.push(TraceEvent {
+                at_us: start_us,
+                kind,
+                node,
+                phase: class.to_string(),
+                bytes,
+                dur_us,
+                ..TraceEvent::default()
+            });
         }
     }
 
     /// A cheap point-in-time progress sample for live monitoring: task
     /// spans committed, total pairwise evaluations observed, and trace
-    /// volume. All zero (without locking) when disabled.
+    /// sample volume. All zero (without locking) when disabled.
     pub fn progress(&self) -> Progress {
         match &self.0 {
             None => Progress::default(),
@@ -481,23 +461,6 @@ struct SpanInner {
     values: Vec<(&'static str, u64)>,
 }
 
-impl SpanInner {
-    /// A trace event carrying this span's task identity.
-    fn task_event(&self, kind: &'static str, at_us: u64, dur_us: u64) -> TraceEvent {
-        TraceEvent {
-            at_us,
-            kind,
-            job: self.data.job.clone(),
-            task_kind: self.data.kind,
-            task: self.data.task,
-            attempt: self.data.attempt,
-            node: self.data.node,
-            dur_us,
-            ..TraceEvent::default()
-        }
-    }
-}
-
 /// Guard of one task attempt; accumulates locally, records on drop. The
 /// default span is disabled and records nothing.
 #[derive(Default)]
@@ -509,12 +472,7 @@ impl Span {
     pub fn lap(&mut self, phase: &'static str, since: &mut Instant) {
         let now = Instant::now();
         if let Some(inner) = &mut self.0 {
-            let dur_us = now.duration_since(*since).as_micros() as u64;
-            inner.data.phases.push((phase, dur_us));
-            let at_us = inner.sink.now_us();
-            let mut ev = inner.task_event(trace::kind::TASK_LAP, at_us, dur_us);
-            ev.phase = phase.to_string();
-            inner.sink.lock().trace.push(ev);
+            inner.data.phases.push((phase, now.duration_since(*since).as_micros() as u64));
         }
         *since = now;
     }
@@ -573,13 +531,18 @@ impl Span {
     /// Discards the span: no [`TaskSpan`] is recorded on drop. Used for
     /// task attempts that fail or lose a speculative race — their work
     /// never becomes part of the run's accounting, though the cancellation
-    /// itself is traced.
+    /// itself is a [`RunEvent::TASK_CANCEL`] event on the attempt's node.
     pub fn cancel(&mut self) {
         if let Some(inner) = self.0.take() {
+            let TaskSpan { job, kind, task, attempt, node, start_us, .. } = inner.data;
             let at_us = inner.sink.now_us();
-            let dur_us = at_us.saturating_sub(inner.data.start_us);
-            let ev = inner.task_event(trace::kind::TASK_CANCEL, at_us, dur_us);
-            inner.sink.lock().trace.push(ev);
+            inner.sink.lock().events.push(RunEvent {
+                at_us,
+                kind: RunEvent::TASK_CANCEL,
+                node,
+                dur_us: at_us.saturating_sub(start_us),
+                detail: format!("{job} {kind} {task} attempt {attempt}"),
+            });
         }
     }
 }
@@ -588,10 +551,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(mut inner) = self.0.take() {
             inner.data.end_us = inner.sink.now_us();
-            let dur_us = inner.data.end_us.saturating_sub(inner.data.start_us);
-            let ev = inner.task_event(trace::kind::TASK_COMMIT, inner.data.end_us, dur_us);
             let mut st = inner.sink.lock();
-            st.trace.push(ev);
             st.spans.push(inner.data);
             for (histogram, value) in inner.values {
                 st.record_value(histogram, value);
@@ -664,10 +624,11 @@ mod tests {
     #[test]
     fn events_are_recorded_in_order() {
         let t = Telemetry::enabled();
-        t.event("node.crash", "node_1 crashed".to_string());
-        t.event("map.rerun", "map 3 re-run on node_0".to_string());
+        t.event("node.crash", 1, 0, "node_1 crashed".to_string());
+        t.event("map.rerun", 0, 250, "map 3 re-run on node_0".to_string());
         let r = t.report();
         assert_eq!(r.events.len(), 2);
+        assert_eq!((r.events[1].node, r.events[1].dur_us), (0, 250));
         assert_eq!(r.events[0].kind, "node.crash");
         assert_eq!(r.events[1].kind, "map.rerun");
         assert!(r.events[0].at_us <= r.events[1].at_us);
@@ -684,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_mirrors_the_span_lifecycle_in_total_order() {
+    fn trace_holds_only_operation_samples_in_total_order() {
         let t = Telemetry::enabled();
         t.job_phase("j1", "map");
         {
@@ -694,36 +655,20 @@ mod tests {
         }
         t.transfer(0, 1, 100, 5);
         t.placement(1, 64);
-        t.event_traced("map.rerun", 1, 250, "map 3 re-run".to_string());
+        t.event("map.rerun", 1, 250, "map 3 re-run".to_string());
         let r = t.report();
+        // Spans, phases and events each live in their own section only.
+        assert_eq!((r.task_spans.len(), r.job_phases.len(), r.events.len()), (1, 1, 1));
         let kinds: Vec<&str> = r.trace.iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "phase.start",
-                "task.start",
-                "task.lap",
-                "task.commit",
-                "transfer",
-                "placement",
-                "map.rerun",
-                "phase.end",
-            ]
-        );
+        assert_eq!(kinds, vec!["transfer", "placement"]);
         for (i, e) in r.trace.iter().enumerate() {
             assert_eq!(e.seq, i as u64, "seq must be dense and ordered");
         }
         assert_eq!(r.trace_dropped, 0);
-        let lap = &r.trace[2];
-        assert_eq!((lap.job.as_str(), lap.task_kind, lap.task, lap.node), ("j1", "map", 3, 1));
-        assert_eq!(lap.phase, "read");
-        let xfer = &r.trace[4];
+        let xfer = &r.trace[0];
         assert_eq!((xfer.peer, xfer.node, xfer.bytes, xfer.sim_us), (0, 1, 100, 5));
-        let rerun = &r.trace[6];
-        assert_eq!((rerun.node, rerun.dur_us), (1, 250));
-        // The discrete event also landed in the aggregate events list.
-        assert_eq!(r.events.len(), 1);
-        assert_eq!(r.events[0].kind, "map.rerun");
+        let rerun = &r.events[0];
+        assert_eq!((rerun.kind, rerun.node, rerun.dur_us), ("map.rerun", 1, 250));
     }
 
     #[test]
@@ -733,41 +678,34 @@ mod tests {
         span.cancel();
         drop(span);
         let r = t.report();
-        assert!(r.task_spans.is_empty());
-        let kinds: Vec<&str> = r.trace.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec!["task.start", "task.cancel"]);
-        assert_eq!(r.trace[1].attempt, 1);
+        assert!(r.task_spans.is_empty() && r.trace.is_empty());
+        assert_eq!(r.events.len(), 1);
+        let cancel = &r.events[0];
+        assert_eq!((cancel.kind, cancel.node), (RunEvent::TASK_CANCEL, 0));
+        assert_eq!(cancel.detail, "j reduce 2 attempt 1");
     }
 
     #[test]
     fn worker_events_merge_into_the_trace_in_order() {
         let t = Telemetry::enabled();
-        t.event("node.crash", "node_1 crashed".to_string());
-        t.merge_worker_events(vec![
-            TraceEvent {
-                at_us: 5,
-                kind: trace::kind::WORKER_PUT,
-                node: 1,
-                bytes: 64,
-                phase: "map_output".to_string(),
-                ..TraceEvent::default()
-            },
-            TraceEvent {
-                at_us: 9,
-                kind: trace::kind::WORKER_HEARTBEAT,
-                node: 1,
-                detail: "ops=1 bytes=64".to_string(),
-                ..TraceEvent::default()
-            },
-        ]);
+        t.event(RunEvent::WORKER_LOST, 2, 0, "worker for node_2 killed".to_string());
+        let start = t.now_us();
+        t.worker_op(trace::kind::WORKER_PUT, 1, "map_output", 64, start);
+        t.transfer(0, 1, 64, 3);
+        t.worker_op(trace::kind::WORKER_GET, 1, "shuffle", 32, t.now_us());
         let r = t.report();
         let kinds: Vec<&str> = r.trace.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec!["node.crash", "worker.put", "worker.heartbeat"]);
+        assert_eq!(kinds, vec!["worker.put", "transfer", "worker.get"]);
         for (i, e) in r.trace.iter().enumerate() {
-            assert_eq!(e.seq, i as u64, "merged events join the total order");
+            assert_eq!(e.seq, i as u64, "worker ops join the total order");
         }
-        assert_eq!(r.trace[1].bytes, 64);
-        assert_eq!(r.trace[1].phase, "map_output");
+        let put = &r.trace[0];
+        assert_eq!(
+            (put.node, put.bytes, put.phase.as_str(), put.at_us),
+            (1, 64, "map_output", start)
+        );
+        assert!(r.trace[2].at_us >= put.at_us + put.dur_us, "one lane's ops do not overlap");
+        assert_eq!(r.events.len(), 1, "a lost worker is an event, not a sample");
     }
 
     #[test]
@@ -784,7 +722,9 @@ mod tests {
         let p = t.progress();
         assert_eq!(p.tasks_committed, 1);
         assert_eq!(p.evaluations, 42);
-        assert!(p.trace_events >= 2, "span start/commit are traced");
+        assert_eq!(p.trace_events, 0, "a span is not a trace sample");
+        t.transfer(0, 1, 8, 1);
+        assert_eq!(t.progress().trace_events, 1);
     }
 
     #[test]

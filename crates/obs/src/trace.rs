@@ -1,103 +1,83 @@
-//! Totally-ordered structured event trace.
+//! Totally-ordered per-operation samples.
 //!
-//! While aggregates ([`crate::report::RunReport`] counters, histograms,
-//! spans) answer *how much*, the trace answers *when* and *in what
-//! order*: every task start/lap/commit/cancel, job-phase window edge,
-//! network transfer, DFS placement, and discrete recovery event is
-//! appended to one bounded ring inside the telemetry sink, stamped with
-//! wall time (µs since the sink epoch) and — where the event models
-//! simulated hardware, like a network transfer — simulated time.
+//! Spans, phases and discrete events each have one home in the sink
+//! ([`crate::RunReport::task_spans`], [`crate::RunReport::job_phases`],
+//! [`crate::RunReport::events`]). The trace holds what has no other home:
+//! one sample per operation — each network transfer, each DFS block
+//! placement, and each RPC the coordinator issues to a worker process —
+//! in one bounded ring inside the telemetry sink, stamped with wall time
+//! (µs since the sink epoch) and, for a simulated transfer, simulated
+//! time.
 //!
 //! Total order is the `seq` number, assigned under the sink mutex, so
-//! events from concurrent workers interleave exactly as they reached the
+//! samples from concurrent workers interleave exactly as they reached the
 //! sink. The ring is bounded ([`TraceRing::DEFAULT_CAPACITY`]); once
-//! full, the oldest events are evicted and counted in
+//! full, the oldest samples are evicted and counted in
 //! [`TraceRing::dropped`], never silently.
 //!
 //! When telemetry is disabled nothing here runs: all emission sites sit
-//! behind the `Option` check in [`crate::Telemetry`]'s guards, so the
-//! disabled path stays allocation-free.
+//! behind the `Option` check in [`crate::Telemetry`], so the disabled path
+//! stays allocation-free.
 
 use std::collections::VecDeque;
 
-/// Sentinel for "no node / task / attempt / peer" in a [`TraceEvent`].
+/// Sentinel for "no node / peer" in a [`TraceEvent`] or a
+/// [`crate::RunEvent`].
 pub const NONE: u32 = u32::MAX;
 
-/// Stable event-kind names recorded in the trace.
-///
-/// Discrete run events mirrored from [`crate::Telemetry::event`] keep
-/// their own kinds (`"node.crash"`, `"map.rerun"`, `"speculative.launch"`,
-/// `"speculative.win"`, `"dfs.rereplicate"`, …).
+/// Stable sample kinds recorded in the trace.
 pub mod kind {
-    /// A task attempt began.
-    pub const TASK_START: &str = "task.start";
-    /// A task phase (lap) completed; `dur_us` is its wall time.
-    pub const TASK_LAP: &str = "task.lap";
-    /// A task attempt finished and its span was recorded.
-    pub const TASK_COMMIT: &str = "task.commit";
-    /// A task attempt was discarded (lost a speculative race).
-    pub const TASK_CANCEL: &str = "task.cancel";
-    /// A job-level phase window opened.
-    pub const PHASE_START: &str = "phase.start";
-    /// A job-level phase window closed; `dur_us` is its wall time.
-    pub const PHASE_END: &str = "phase.end";
     /// A network transfer; `peer` → `node`, `sim_us` is simulated time.
     pub const TRANSFER: &str = "transfer";
     /// A DFS block replica landed on `node`.
     pub const PLACEMENT: &str = "placement";
-    /// A worker process handled a PUT frame; `phase` is the wire class.
+    /// The coordinator's PUT RPC to `node`'s worker; `phase` is the wire
+    /// class, `bytes` the payload sent.
     pub const WORKER_PUT: &str = "worker.put";
-    /// A worker process served a GET frame; `bytes` is the reply payload.
+    /// The coordinator's GET RPC to `node`'s worker; `bytes` is the
+    /// payload returned.
     pub const WORKER_GET: &str = "worker.get";
-    /// A worker process handled a REMOVE frame.
+    /// The coordinator's REMOVE RPC to `node`'s worker.
     pub const WORKER_REMOVE: &str = "worker.remove";
-    /// A worker process handled a REMOVE_PREFIX frame.
+    /// The coordinator's REMOVE_PREFIX RPC to `node`'s worker.
     pub const WORKER_REMOVE_PREFIX: &str = "worker.remove_prefix";
-    /// Periodic worker liveness stamp; `detail` carries cumulative stats.
-    pub const WORKER_HEARTBEAT: &str = "worker.heartbeat";
-    /// The coordinator found a traced worker unreachable; stamped once at
-    /// the worker's last observed sign of life.
-    pub const WORKER_LOST: &str = "worker.lost";
+
+    /// Whether `kind` is one of the sample kinds above.
+    pub fn is_sample(kind: &str) -> bool {
+        matches!(
+            kind,
+            TRANSFER | PLACEMENT | WORKER_PUT | WORKER_GET | WORKER_REMOVE | WORKER_REMOVE_PREFIX
+        )
+    }
 }
 
-/// One structured trace event.
+/// One per-operation sample.
 ///
-/// Identity fields use sentinels when not applicable: [`NONE`] for the
-/// `u32` ids, the empty string for names. `at_us` is always the
-/// wall-clock stamp on the telemetry axis; `dur_us` is a measured wall
-/// duration (laps, commits, timed recovery events) and `sim_us` a
-/// simulated duration (network transfers), each zero when meaningless.
+/// `node` and `peer` use [`NONE`] when not applicable, `phase` the empty
+/// string. `at_us` is the wall-clock stamp on the telemetry axis;
+/// `dur_us` is a measured wall duration (a worker RPC's round trip) and
+/// `sim_us` a simulated one (a network transfer), each zero when
+/// meaningless.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Position in the total order (assigned by the ring).
     pub seq: u64,
     /// Wall-clock stamp, µs since the telemetry epoch.
     pub at_us: u64,
-    /// Event kind; see [`kind`].
+    /// Sample kind; see [`kind`].
     pub kind: &'static str,
-    /// Job the event belongs to ("" for cluster-scope events).
-    pub job: String,
-    /// Task kind ("map" / "reduce" / "task"), "" when not task-scoped.
-    pub task_kind: &'static str,
-    /// Task index, [`NONE`] when not task-scoped.
-    pub task: u32,
-    /// Task attempt, [`NONE`] when not task-scoped.
-    pub attempt: u32,
-    /// Primary node (the lane the event renders on), [`NONE`] for
-    /// cluster-scope events.
+    /// Primary node (the lane the sample renders on).
     pub node: u32,
     /// Secondary node (transfer source), [`NONE`] when not applicable.
     pub peer: u32,
-    /// Phase or lap name, "" when not applicable.
+    /// Wire class of a worker RPC, "" otherwise.
     pub phase: String,
-    /// Bytes carried by the event (transfer / placement), else 0.
+    /// Bytes carried by the operation, else 0.
     pub bytes: u64,
-    /// Measured wall duration, µs (laps, commits, timed events), else 0.
+    /// Measured wall duration, µs (worker RPCs), else 0.
     pub dur_us: u64,
     /// Simulated duration, µs (network transfers), else 0.
     pub sim_us: u64,
-    /// Free-form detail (crash/recovery descriptions), "" otherwise.
-    pub detail: String,
 }
 
 impl Default for TraceEvent {
@@ -106,17 +86,12 @@ impl Default for TraceEvent {
             seq: 0,
             at_us: 0,
             kind: "",
-            job: String::new(),
-            task_kind: "",
-            task: NONE,
-            attempt: NONE,
             node: NONE,
             peer: NONE,
             phase: String::new(),
             bytes: 0,
             dur_us: 0,
             sim_us: 0,
-            detail: String::new(),
         }
     }
 }
@@ -191,7 +166,7 @@ mod tests {
     fn seq_is_a_total_order() {
         let mut ring = TraceRing::default();
         for _ in 0..10 {
-            ring.push(ev(kind::TASK_START));
+            ring.push(ev(kind::TRANSFER));
         }
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 10);

@@ -1,15 +1,22 @@
 //! Golden-file test for the RunReport JSON serialization: a fully
 //! populated, hand-assembled report must serialize byte-for-byte to the
 //! checked-in `tests/golden/run_report.json`. Consumers parse this format
-//! (schema tag `pmr.run_report/9`), so any change to the writer or the
+//! (schema tag `pmr.run_report/10`), so any change to the writer or the
 //! report layout must show up as a reviewed diff of the golden file.
+//! `/10` moved the discrete events' node and duration from the trace ring
+//! into `events`; the ring keeps only per-operation samples.
 //!
 //! To regenerate after an intentional format change:
 //! `UPDATE_GOLDEN=1 cargo test -p pmr-obs --test golden_report`
+//!
+//! `tests/golden/run_report_v9.json` is the golden file as schema `/9`
+//! wrote it; the loader must keep reading it.
 
 use pmr_obs::telemetry::{JobPhase, LinkStats, PlacementStats, RunEvent, TaskSpan};
 use pmr_obs::trace::{self, TraceEvent};
-use pmr_obs::{Histogram, PruningReport, RunReport};
+use pmr_obs::{
+    export, Histogram, JsonValue, PruningReport, RunReport, TransportReport, WorkerProc,
+};
 
 /// Deterministic report exercising every section and value shape the
 /// writer handles (empty + populated objects, nested arrays, floats).
@@ -115,6 +122,8 @@ fn sample_report() -> RunReport {
             RunEvent {
                 at_us: 450,
                 kind: "node.crash",
+                node: 2,
+                dur_us: 0,
                 detail: "node_2 crashed: lost 3 local files (1024 B); \
                          re-replicated 2 DFS blocks (2048 B)"
                     .into(),
@@ -122,36 +131,28 @@ fn sample_report() -> RunReport {
             RunEvent {
                 at_us: 610,
                 kind: "map.rerun",
+                node: 1,
+                dur_us: 85,
                 detail: "map task 0 re-run on node_1 (output lost with node_2)".into(),
+            },
+            RunEvent {
+                at_us: 640,
+                kind: RunEvent::TASK_CANCEL,
+                node: 0,
+                dur_us: 180,
+                detail: "j1-distribute-evaluate reduce 1 attempt 1".into(),
+            },
+            RunEvent {
+                at_us: 940,
+                kind: "part.consume",
+                node: trace::NONE,
+                dur_us: 12,
+                detail: "j1-distribute-evaluate part 0: 512 B, merge 12 µs".into(),
             },
         ],
         trace: vec![
             TraceEvent {
                 seq: 0,
-                at_us: 120,
-                kind: trace::kind::TASK_START,
-                job: "j1-distribute-evaluate".into(),
-                task_kind: "map",
-                task: 0,
-                attempt: 0,
-                node: 0,
-                ..TraceEvent::default()
-            },
-            TraceEvent {
-                seq: 1,
-                at_us: 220,
-                kind: trace::kind::TASK_LAP,
-                job: "j1-distribute-evaluate".into(),
-                task_kind: "map",
-                task: 0,
-                attempt: 0,
-                node: 0,
-                phase: "read".into(),
-                dur_us: 100,
-                ..TraceEvent::default()
-            },
-            TraceEvent {
-                seq: 2,
                 at_us: 300,
                 kind: trace::kind::TRANSFER,
                 node: 1,
@@ -161,30 +162,21 @@ fn sample_report() -> RunReport {
                 ..TraceEvent::default()
             },
             TraceEvent {
-                seq: 3,
-                at_us: 450,
-                kind: "node.crash",
-                node: 2,
-                detail: "node_2 crashed: lost 3 local files (1024 B); \
-                         re-replicated 2 DFS blocks (2048 B)"
-                    .into(),
-                ..TraceEvent::default()
-            },
-            TraceEvent {
-                seq: 4,
-                at_us: 610,
-                kind: "map.rerun",
-                node: 1,
-                dur_us: 85,
-                detail: "map task 0 re-run on node_1 (output lost with node_2)".into(),
-                ..TraceEvent::default()
-            },
-            TraceEvent {
-                seq: 5,
+                seq: 1,
                 at_us: 700,
                 kind: trace::kind::PLACEMENT,
                 node: 0,
                 bytes: 2048,
+                ..TraceEvent::default()
+            },
+            TraceEvent {
+                seq: 2,
+                at_us: 720,
+                kind: trace::kind::WORKER_GET,
+                node: 1,
+                phase: "shuffle".into(),
+                bytes: 512,
+                dur_us: 14,
                 ..TraceEvent::default()
             },
         ],
@@ -198,6 +190,15 @@ fn sample_report() -> RunReport {
         ("pairwise.evaluations", 496),
         ("pairwise.fused.charged.shuffle.bytes", 512),
     ]);
+    report.transport = Some(TransportReport {
+        name: "process".into(),
+        workers: vec![
+            WorkerProc { node: 0, pid: 4242, alive: true },
+            WorkerProc { node: 1, pid: 4243, alive: false },
+        ],
+        wire_bytes: vec![("dfs".into(), 8192), ("shuffle".into(), 512)],
+        wire_frames: 24,
+    });
     report.pruning = Some(PruningReport {
         pruner: "prefix".into(),
         exact: true,
@@ -223,4 +224,42 @@ fn run_report_json_matches_golden_file() {
         "RunReport JSON drifted from the golden file; if the change is \
          intentional, regenerate with UPDATE_GOLDEN=1 and review the diff"
     );
+}
+
+/// A `/9` report still loads, summarizes and exports. Its ring's copies of
+/// spans, phases and events are skipped (they load from their own
+/// sections), its events carry no node or duration, worker heartbeats are
+/// skipped, and the worker rows' `offset_us`, `trace_events` and
+/// `trace_dropped` are ignored.
+#[test]
+fn schema_9_report_still_loads_summarizes_and_exports() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/run_report_v9.json");
+    let text = std::fs::read_to_string(path).expect("the /9 fixture is checked in");
+    assert!(text.contains("\"pmr.run_report/9\"") && text.contains("\"task.lap\""));
+    let r = RunReport::from_json(&text).expect("a /9 report parses");
+    assert_eq!((r.task_spans.len(), r.job_phases.len(), r.events.len()), (3, 2, 2));
+    let kinds: Vec<&str> = r.trace.iter().map(|e| e.kind).collect();
+    assert_eq!(kinds, ["transfer", "placement"]);
+    assert!(r.events.iter().all(|e| e.node == trace::NONE && e.dur_us == 0));
+
+    let summary = export::text_summary(&r);
+    for needle in ["critical path", "node.crash", "map.rerun", "2 samples recorded"] {
+        assert!(summary.contains(needle), "missing {needle:?} in:\n{summary}");
+    }
+    let (chrome, count) = export::chrome_trace(&r);
+    let v = JsonValue::parse(&chrome).expect("the chrome export parses");
+    assert_eq!(v.get("traceEvents").and_then(JsonValue::as_array).map(<[_]>::len), Some(count));
+
+    let process = r#"{"schema": "pmr.run_report/9", "transport": {"name": "process",
+        "workers": [{"node": 1, "pid": 77, "alive": true,
+                     "offset_us": -3, "trace_events": 2, "trace_dropped": 0}]},
+        "trace": {"dropped": 0, "events": [
+            {"seq": 0, "at_us": 5, "kind": "worker.put", "node": 1, "phase": "dfs",
+             "bytes": 8, "dur_us": 2},
+            {"seq": 1, "at_us": 9, "kind": "worker.heartbeat", "node": 1,
+             "detail": "ops=1 bytes=8"}]}}"#;
+    let r = RunReport::from_json(process).expect("a /9 process report parses");
+    assert_eq!(r.trace.iter().map(|e| e.kind).collect::<Vec<_>>(), ["worker.put"]);
+    let workers = r.transport.map(|t| t.workers);
+    assert_eq!(workers, Some(vec![WorkerProc { node: 1, pid: 77, alive: true }]));
 }

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::sync::Barrier;
 use std::time::Instant;
 
-use pmr_obs::{SpanKind, Telemetry};
+use pmr_obs::{trace, SpanKind, Telemetry};
 
 struct CountingAllocator;
 
@@ -70,8 +70,8 @@ fn disabled_sink_hot_path_does_not_allocate() {
         span.lap("map", &mut lap_at);
         span.record_value("hist", task as u64);
         drop(span);
-        // Trace-ring mirror paths: a cancelled span and a report
-        // snapshot must also be free on the disabled handle.
+        // A cancelled span (a `task.cancel` event when enabled) and a
+        // report snapshot must also be free on the disabled handle.
         let mut loser = telemetry.span("job", SpanKind::Reduce, task, 1, task % 4);
         loser.cancel();
         drop(loser);
@@ -84,10 +84,11 @@ fn disabled_sink_hot_path_does_not_allocate() {
         telemetry.phase_bytes(1024, 64);
         let _ = telemetry.now_us();
         let _ = telemetry.clone();
-        // Distributed-tracing paths: merging worker rings and sampling
+        // Distributed-tracing paths: recording a worker RPC and sampling
         // live progress are also free on the disabled handle (the
         // multiprocess transport leaves both calls in place).
-        telemetry.merge_worker_events(std::iter::empty());
+        let start_us = telemetry.now_us();
+        telemetry.worker_op(trace::kind::WORKER_PUT, 1, "map_output", 1024, start_us);
         let progress = telemetry.progress();
         assert!(progress.tasks_committed == 0 && progress.trace_events == 0);
     }

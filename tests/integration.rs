@@ -235,7 +235,7 @@ fn run_report_covers_mr_pipeline() {
     // JSON export round-trips through the writer without panicking and
     // carries the schema tag.
     let json = report.to_json();
-    assert!(json.contains("\"schema\": \"pmr.run_report/9\""));
+    assert!(json.contains("\"schema\": \"pmr.run_report/10\""));
 }
 
 #[test]

@@ -29,7 +29,7 @@ fn chrome_trace_of_a_chaos_run_is_schema_valid_and_complete() {
     let report = &run.report;
     assert!(report.events.iter().any(|e| e.kind == "node.crash"), "chaos must fire");
 
-    let text = chrome_trace(report);
+    let (text, _) = chrome_trace(report);
     let root = JsonValue::parse(&text).expect("chrome trace must be valid JSON");
     let events = root
         .get("traceEvents")
@@ -78,9 +78,9 @@ fn critical_path_of_a_chaos_run_attributes_recovery() {
     assert!(cp.duration_us <= cp.makespan_us);
     assert_eq!(cp.compute_us + cp.shuffle_us + cp.recovery_us + cp.wait_us, cp.duration_us);
     // Recovery time along the chain never exceeds the total rerun time
-    // recorded in the trace.
+    // recorded in the run's events.
     let total_rerun: u64 =
-        run.report.trace.iter().filter(|e| e.kind == "map.rerun").map(|e| e.dur_us).sum();
+        run.report.events.iter().filter(|e| e.kind == "map.rerun").map(|e| e.dur_us).sum();
     assert!(cp.recovery_us <= total_rerun, "{} > {}", cp.recovery_us, total_rerun);
 }
 
@@ -102,6 +102,6 @@ fn healthy_and_chaotic_outputs_agree_while_traces_differ() {
     };
     let chaotic = chaotic_block_run();
     assert_eq!(healthy.output, chaotic.output);
-    assert!(healthy.report.trace.iter().all(|e| e.kind != "node.crash"));
-    assert!(chaotic.report.trace.iter().any(|e| e.kind == "node.crash"));
+    assert!(healthy.report.events.iter().all(|e| e.kind != "node.crash"));
+    assert!(chaotic.report.events.iter().any(|e| e.kind == "node.crash"));
 }
